@@ -14,12 +14,12 @@ from .core import (
     LittlewoodReport,
     embedding_norm,
     hull_decompose,
-    jacobi_svd,
     k_functional_upper,
     littlewood_check,
     pi2_embedding,
     schatten_norm,
     singular_values,
+    svd,
 )
 from .envelope import (
     DEFAULT_CONSTANTS,

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import jacobi_svd, schatten_norm
+from .core import schatten_norm, svd
 from .exponents import as_exponent, is_infinite
 from .operators import orthonormal_columns
 
@@ -58,7 +58,7 @@ def norm_gradient(x: np.ndarray, p) -> np.ndarray:
         fast = _norm_gradient_2x2(x, p)
         if fast is not None:
             return fast
-    u, s, v = jacobi_svd(x)
+    u, s, v = svd(x)
     if s[0] <= 0:
         raise ValueError("norm gradient undefined at the zero matrix")
     if is_infinite(p):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -36,14 +37,14 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import acceptance
 from .certificates import lower_certificates, upper_certificates, verify_certificate
 from .core import EmbeddingSpec
-from .envelope import DEFAULT_CONSTANTS, ConstantsRegistry, envelope_profile
+from .envelope import DEFAULT_CONSTANTS, ConstantsRegistry, EnvelopeValue, envelope_profile
 from .estimators import (
     estimate_approx,
     estimate_gelfand,
@@ -155,32 +156,32 @@ def _json_safe(obj):
 # ---------------------------------------------------------------------------
 
 
-def _envelope_rows(config: RunConfig) -> list[dict]:
+def _envelope_rows(config: RunConfig) -> Iterator[dict]:
+    """One row per index, made as it is written: an N = 256 sweep has
+    65,536 rows, which held at once as dicts take about 70 MB."""
     N = config.N
     lo, hi = config.n_range if config.n_range is not None else (1, N * N)
     lo, hi = max(lo, 1), min(hi, N * N)
     if lo > hi:
         raise ValueError(f"empty index range after clipping to 1..{N * N}")
     prof = envelope_profile(config.kind, config.p, config.q, N, config.constants)
-    rows = []
-    for n in range(lo, hi + 1):
-        ev = prof.value(n)
-        rows.append(
-            {
-                "kind": config.kind,
-                "p": format_exponent(config.p),
-                "q": format_exponent(config.q),
-                "N": N,
-                "n": n,
-                "value_lower": _fmt(ev.value_lower),
-                "value_upper": _fmt(ev.value_upper),
-                "regime": ev.regime,
-                "sharpness": ev.sharpness,
-                "log_factor": int(ev.log_factor),
-                "notes": "|".join(ev.notes),
-            }
-        )
-    return rows
+    return (_envelope_row(config, n, prof.value(n)) for n in range(lo, hi + 1))
+
+
+def _envelope_row(config: RunConfig, n: int, ev: EnvelopeValue) -> dict:
+    return {
+        "kind": config.kind,
+        "p": format_exponent(config.p),
+        "q": format_exponent(config.q),
+        "N": config.N,
+        "n": n,
+        "value_lower": _fmt(ev.value_lower),
+        "value_upper": _fmt(ev.value_upper),
+        "regime": ev.regime,
+        "sharpness": ev.sharpness,
+        "log_factor": int(ev.log_factor),
+        "notes": "|".join(ev.notes),
+    }
 
 
 def _witness_text(witness: dict) -> str:
@@ -284,19 +285,21 @@ def _header_lines(config: RunConfig) -> list[str]:
     return lines
 
 
-def _emit_csv(config: RunConfig, rows: list[dict]) -> str:
+def _emit_csv(config: RunConfig, rows: Iterable[dict]) -> str:
     buf = io.StringIO()
     for line in _header_lines(config):
         buf.write(line + "\n")
-    fieldnames = [k for k in rows[0] if not k.startswith("_")]
+    rows = iter(rows)
+    first = next(rows)
+    fieldnames = [k for k in first if not k.startswith("_")]
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
+    for row in itertools.chain([first], rows):
         writer.writerow({k: row[k] for k in fieldnames})
     return buf.getvalue()
 
 
-def _emit_json(config: RunConfig, rows: list[dict]) -> str:
+def _emit_json(config: RunConfig, rows: Iterable[dict]) -> str:
     payload_rows = []
     for row in rows:
         out = {k: v for k, v in row.items() if not k.startswith("_")}

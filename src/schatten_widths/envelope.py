@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import EmbeddingSpec
+from .core import EmbeddingSpec, as_int, as_matrix_side
 from .exponents import (
     INF,
     Exponent,
@@ -340,8 +340,10 @@ class EnvelopeProfile:
         return len(self.segments) - 1, self.segments[-1], lo  # unreachable for valid n
 
     def value(self, n: int) -> EnvelopeValue:
-        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= self.N**2:
+        n_int = as_int(n)
+        if n_int is None or not 1 <= n_int <= self.N**2:
             raise ValueError(f"index n must satisfy 1 <= n <= N^2 = {self.N ** 2}, got {n!r}")
+        n = n_int
         idx, seg, lo = self._segment_at(n)
         raw_lower = seg.lower(n)
         raw_upper = seg.upper(n)
@@ -722,8 +724,7 @@ def envelope_profile(
     ``kind`` is one of ``"approximation"``, ``"gelfand"``, ``"kolmogorov"``.
     """
     pe, qe = as_exponent(p), as_exponent(q)
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
+    N = as_matrix_side(N)
     reg = consts if consts is not None else DEFAULT_CONSTANTS
     if kind not in ("approximation", "gelfand", "kolmogorov"):
         raise ValueError(f"unknown envelope kind {kind!r}")
@@ -775,10 +776,10 @@ def recovery_envelope(p: ExponentLike, q: ExponentLike, N: int, m: int) -> Envel
             "recovery envelope needs 0 < p <= 1 and p < q <= 2, got "
             f"p={format_exponent(pe)}, q={format_exponent(qe)}"
         )
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= N**2:
+    N, m_int = as_matrix_side(N), as_int(m)
+    if m_int is None or not 0 <= m_int <= N**2:
         raise ValueError(f"measurement count m must satisfy 0 <= m <= N^2, got {m!r}")
+    m = m_int
     e = float(inv(pe) - inv(qe))
     value = 1.0 if m == 0 else min(1.0, N / m) ** e
     regime = "no-information" if m == 0 else ("flat" if m <= N else "decay")

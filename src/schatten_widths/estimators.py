@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ascent import AscentResult, default_starts, norm_gradient, sup_ratio_ascent
-from .core import EmbeddingSpec, jacobi_svd, schatten_norm
+from .core import EmbeddingSpec, schatten_norm, svd
 from .distances import distance_schatten
 from .exponents import dual_exponent, is_infinite
 from .operators import (
@@ -141,7 +141,7 @@ def hilbert_exact(
         raise ValueError("exact singular-value s-numbers need p = q = 2")
     if operator is None:
         operator = identity_operator(spec.N)
-    _, s, _ = jacobi_svd(operator.matrix)
+    _, s, _ = svd(operator.matrix)
     return s
 
 
@@ -268,14 +268,13 @@ def _kolmogorov_candidates(
     for label, sel in zip(("coords-row", "coords-col"), _coordinate_masks(N, m)):
         bases.append((label, SubspaceBasis(sel, N)))
     # identity-direction-first frame: the flat-spectrum direction matters
-    # for codomain exponents below the domain's
+    # for codomain exponents below the domain's.  The off-diagonal units
+    # come next, then the diagonal units E_ii (i < N-1), which complete
+    # the frame to a basis for every m <= N^2 - 1
+    units = [(i, j) for i in range(N) for j in range(N) if i != j]
+    units += [(i, i) for i in range(N - 1)]
     mats = [np.eye(N)]
-    k = 0
-    while len(mats) < m:
-        i, j = divmod(k, N)
-        k += 1
-        if i == j:
-            continue
+    for i, j in units[: max(m - 1, 0)]:
         e = np.zeros((N, N))
         e[i, j] = 1.0
         mats.append(e)
@@ -290,7 +289,7 @@ def _kolmogorov_candidates(
 
 
 def _top_rank_one(m: np.ndarray) -> Optional[np.ndarray]:
-    u, s, v = jacobi_svd(m)
+    u, s, v = svd(m)
     if s[0] <= 0:
         return None
     return np.outer(u[:, 0], v[:, 0])
@@ -305,7 +304,7 @@ def _dual_achiever(m: np.ndarray, p) -> Optional[np.ndarray]:
     """
     if not is_infinite(p) and p <= 1:
         return None
-    u, s, v = jacobi_svd(m)
+    u, s, v = svd(m)
     if s[0] <= 0:
         return None
     if is_infinite(p):

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import schatten_norm
+from .core import as_int, as_matrix_side, schatten_norm
 from .envelope import recovery_envelope
 from .exponents import Exponent, as_exponent, format_exponent
 
@@ -71,10 +71,10 @@ class InfoMap:
 
 def build_info_map(N: int, m: int, seed: int = 0) -> InfoMap:
     """Gaussian information map with entry variance ``1/m``."""
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    N, m_int = as_matrix_side(N), as_int(m)
+    if m_int is None or m_int < 1:
         raise ValueError(f"measurement count m must be >= 1, got {m!r}")
+    m = m_int
     rng = np.random.default_rng(seed)
     return InfoMap(rng.standard_normal((m, N, N)) / math.sqrt(m), seed)
 
@@ -307,8 +307,10 @@ def worst_case_error(
             "recovery regime needs 0 < p <= 1 and p < q <= 2, got "
             f"p={format_exponent(pe)}, q={format_exponent(qe)}"
         )
-    if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= N * N:
+    m_int = as_int(m)
+    if m_int is None or not 0 <= m_int <= N * N:
         raise ValueError(f"measurement count m must satisfy 0 <= m <= N^2, got {m!r}")
+    m = m_int
     if test_budget < 3:
         raise ValueError("test_budget must cover the mandatory instances (>= 3)")
     rng = np.random.default_rng(seed)

@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from schatten_widths.acceptance import EXPONENT_GRID
 from schatten_widths.core import (
     EmbeddingSpec,
     embedding_norm,
     hull_decompose,
-    jacobi_svd,
     k_functional_upper,
     littlewood_check,
     pi2_embedding,
     schatten_norm,
     singular_values,
+    svd,
 )
 from schatten_widths.exponents import as_exponent
 
@@ -32,7 +34,7 @@ def _reference_norm(a: np.ndarray, p) -> float:
 
 
 # ---------------------------------------------------------------------------
-# jacobi_svd and singular values
+# svd and singular values
 # ---------------------------------------------------------------------------
 
 
@@ -41,7 +43,7 @@ def test_jacobi_svd_reconstructs_and_is_orthogonal(N):
     rng = np.random.default_rng(7 * N)
     for _ in range(20):
         a = rng.standard_normal((N, N))
-        u, sigma, v = jacobi_svd(a)
+        u, sigma, v = svd(a)
         assert np.allclose(u @ np.diag(sigma) @ v.T, a, atol=1e-10)
         assert np.allclose(u.T @ u, np.eye(N), atol=1e-10)
         assert np.allclose(v.T @ v, np.eye(N), atol=1e-10)
@@ -52,7 +54,7 @@ def test_jacobi_svd_reconstructs_and_is_orthogonal(N):
 def test_jacobi_svd_handles_rank_deficiency():
     rng = np.random.default_rng(11)
     a = np.outer(rng.standard_normal(4), rng.standard_normal(4))
-    _, sigma, _ = jacobi_svd(a)
+    _, sigma, _ = svd(a)
     assert sigma[0] > 0
     assert np.all(sigma[1:] <= 1e-10 * sigma[0])
 
@@ -101,6 +103,50 @@ def test_schatten_norm_orthogonal_invariance():
     q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     for p in ("1/2", "1", "3", "inf"):
         assert schatten_norm(q1 @ a @ q2, p) == pytest.approx(schatten_norm(a, p), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "a, p, expected",
+    [
+        # the entries' squares overflow; the norm itself is representable
+        (np.full((3, 3), 1e200), "2", 3e200),
+        (1e308 * np.eye(3), "2", math.sqrt(3.0) * 1e308),
+        # subnormal entries, whose squares underflow to zero
+        (1e-310 * np.eye(3), "1/2", 9e-310),
+        (1e308 * np.eye(2), "2", math.sqrt(2.0) * 1e308),
+    ],
+)
+def test_schatten_norm_at_extreme_scales(a, p, expected):
+    assert schatten_norm(a, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_schatten_norm_rejects_non_finite_entries(N, bad):
+    a = np.eye(N)
+    a[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        schatten_norm(a, "1")
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(
+    N=st.integers(2, 6),
+    p=st.sampled_from(EXPONENT_GRID),
+    k=st.integers(-150, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_schatten_norm_scale_and_orthogonal_invariance(N, p, k, seed):
+    # N = 2 takes the closed-form branch, N >= 3 the LAPACK one
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((N, N))
+    q1, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    q2, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    base = schatten_norm(a, p)
+    scale = 10.0**k
+    expected = pytest.approx(scale * base, rel=1e-10, abs=0.0)
+    assert schatten_norm(scale * a, p) == expected
+    assert schatten_norm(scale * (q1 @ a @ q2), p) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +286,12 @@ def test_hull_decompose_drops_zero_directions():
     assert hull_decompose(np.zeros((3, 3))).terms == ()
 
 
+def test_hull_decompose_of_entries_whose_squares_overflow():
+    decomp = hull_decompose(np.full((3, 3), 1e200))
+    assert len(decomp.terms) == 1
+    assert decomp.terms[0].weight == pytest.approx(3e200, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # EmbeddingSpec
 # ---------------------------------------------------------------------------
@@ -262,3 +314,24 @@ def test_embedding_spec_validates_and_describes():
     assert EmbeddingSpec("1", "2", 2).n is None
     with pytest.raises(ValueError):
         EmbeddingSpec("1", "2", 2).require_index()
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32])
+def test_numpy_integers_are_accepted_as_sizes_and_indices(integer):
+    spec = EmbeddingSpec("1", "2", integer(3), n=integer(4))
+    assert spec == EmbeddingSpec("1", "2", 3, n=4)
+    assert type(spec.N) is int and type(spec.n) is int
+    assert embedding_norm("1", "2", integer(4)) == embedding_norm("1", "2", 4)
+    assert pi2_embedding("1", "2", integer(4)) == pi2_embedding("1", "2", 4)
+
+
+@pytest.mark.parametrize("bad", [True, 3.0, 2.5, "3"])
+def test_sizes_reject_bools_and_non_integers(bad):
+    with pytest.raises(ValueError):
+        EmbeddingSpec("1", "2", bad)
+    with pytest.raises(ValueError):
+        EmbeddingSpec("1", "2", 3, n=bad)
+    with pytest.raises(ValueError):
+        embedding_norm("1", "2", bad)
+    with pytest.raises(ValueError):
+        pi2_embedding("1", "2", bad)

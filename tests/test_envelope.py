@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from schatten_widths.core import EmbeddingSpec
@@ -200,6 +201,18 @@ def test_envelope_profile_validates_inputs():
         prof.value(0)
     with pytest.raises(ValueError):
         prof.value(17)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32])
+def test_numpy_integers_are_accepted(integer):
+    prof = envelope_profile("gelfand", "1", "2", integer(4))
+    assert prof.N == 4 and type(prof.N) is int
+    assert prof.value(integer(5)) == envelope_profile("gelfand", "1", "2", 4).value(5)
+    assert recovery_envelope("1", "2", integer(8), integer(32)) == recovery_envelope("1", "2", 8, 32)
+    with pytest.raises(ValueError):
+        prof.value(5.0)
+    with pytest.raises(ValueError):
+        recovery_envelope("1", "2", 8, True)
 
 
 def test_spec_level_wrappers_agree_with_profiles():

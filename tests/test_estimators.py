@@ -66,6 +66,14 @@ def test_identity_widths_are_one_for_small_indices():
     assert est.value == pytest.approx(1.0, rel=2e-2)
 
 
+def test_kolmogorov_at_the_last_index_is_exact():
+    # n = N^2 leaves a hyperplane w^perp, where the S_2 -> S_1 ratio is
+    # ||w||_2 / ||w||_inf >= 1, with equality at rank one; m = 8 exceeds
+    # the N^2 - N + 1 = 7 identity and off-diagonal directions
+    est = estimate_kolmogorov(EmbeddingSpec("2", "1", 3, n=9), seed=0)
+    assert est.value == pytest.approx(1.0, abs=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # exact reductions
 # ---------------------------------------------------------------------------

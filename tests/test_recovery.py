@@ -35,6 +35,18 @@ def test_info_map_shape_and_validation():
         InfoMap(np.full((1, 2, 2), np.nan), seed=0)
 
 
+@pytest.mark.parametrize("integer", [np.int64, np.int32])
+def test_numpy_integers_are_accepted(integer):
+    info = build_info_map(integer(3), integer(5), seed=1)
+    assert np.array_equal(info.matrices, build_info_map(3, 5, seed=1).matrices)
+    res = worst_case_error(4, "1", "2", integer(0))
+    assert res.m == 0 and type(res.m) is int
+    with pytest.raises(ValueError):
+        build_info_map(3, 5.0)
+    with pytest.raises(ValueError):
+        worst_case_error(4, "1", "2", False)
+
+
 def test_apply_info_map_is_linear_and_matches_traces():
     rng = np.random.default_rng(2)
     info = build_info_map(3, 5, seed=3)
