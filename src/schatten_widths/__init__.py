@@ -14,7 +14,6 @@ from .core import (
     LittlewoodReport,
     embedding_norm,
     hull_decompose,
-    k_functional_upper,
     littlewood_check,
     pi2_embedding,
     schatten_norm,

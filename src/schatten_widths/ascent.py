@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import schatten_norm, svd
+from .core import norm_from_singular_values, schatten_norm, svd
 from .exponents import as_exponent, is_infinite
 from .operators import orthonormal_columns
 
@@ -67,7 +67,7 @@ def norm_gradient(x: np.ndarray, p) -> np.ndarray:
     ratios = s / s[0]
     weights = np.where(ratios > _SPECTRAL_CUTOFF, ratios, 1.0) ** (pf - 1.0)
     weights[ratios <= _SPECTRAL_CUTOFF] = 0.0
-    norm_ratio = schatten_norm(x, p) / s[0]
+    norm_ratio = norm_from_singular_values(ratios, p)
     scale = norm_ratio ** (1.0 - pf)
     return (u * (weights * scale)) @ v.T
 
@@ -77,13 +77,16 @@ def _norm_gradient_2x2(x: np.ndarray, p) -> Optional[np.ndarray]:
 
     The singular values are half the sum and difference of the lengths of
     the rotation/reflection split vectors, which makes their matrix
-    derivatives explicit.  Returns None near split degeneracies (handled by
-    the factorization path).
+    derivatives explicit.  Returns None near split degeneracies, and where
+    the split lengths or their powers leave the float range; the
+    factorization path handles both.
     """
     x0, x1, x2, x3 = float(x[0, 0]), float(x[0, 1]), float(x[1, 0]), float(x[1, 1])
     nu = math.hypot(x0 + x3, x2 - x1)
     nv = math.hypot(x0 - x3, x2 + x1)
     total = nu + nv
+    if not math.isfinite(total):
+        return None  # non-finite entries, or split lengths that overflow
     if total <= 0.0:
         raise ValueError("norm gradient undefined at the zero matrix")
     if min(nu, nv) < 1e-9 * total and min(nu, nv) > 0.0:
@@ -99,12 +102,21 @@ def _norm_gradient_2x2(x: np.ndarray, p) -> Optional[np.ndarray]:
     pf = float(p)
     s1 = 0.5 * (nu + nv)
     s2 = 0.5 * abs(nu - nv)
-    if s2 <= _SPECTRAL_CUTOFF * s1:
-        return s1 ** (pf - 1.0) / schatten_norm(x, p) ** (pf - 1.0) * m1
+    try:
+        if s2 <= _SPECTRAL_CUTOFF * s1:
+            c1, c2 = s1 ** (pf - 1.0) / schatten_norm(x, p) ** (pf - 1.0), 0.0
+        else:
+            norm = (s1**pf + s2**pf) ** (1.0 / pf)
+            c1, c2 = (s1 / norm) ** (pf - 1.0), (s2 / norm) ** (pf - 1.0)
+    except (OverflowError, ZeroDivisionError):
+        return None  # a power left the float range: the SVD path scales
+    if not 0.0 < c1 < math.inf:
+        return None  # the power sum overflowed, or a power underflowed to 0
+    if c2 == 0.0:
+        return c1 * m1
     sgn = 1.0 if nu >= nv else -1.0
     m2 = (0.5 * sgn) * np.array([[uh1 - vh1, -vh2 - uh2], [uh2 - vh2, uh1 + vh1]])
-    norm = (s1**pf + s2**pf) ** (1.0 / pf)
-    return (s1 / norm) ** (pf - 1.0) * m1 + (s2 / norm) ** (pf - 1.0) * m2
+    return c1 * m1 + c2 * m2
 
 
 def default_starts(

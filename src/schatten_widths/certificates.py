@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingSpec, embedding_norm, pi2_embedding, schatten_norm
+from .core import EmbeddingSpec, as_int, embedding_norm, pi2_embedding, schatten_norm
 from .exponents import Fraction, inv, npower
 
 __all__ = [
@@ -311,28 +311,20 @@ def _verify_column_zero(cert: Certificate, samples: int, seed: int) -> Verificat
         return VerificationReport(cert.method, 0, math.inf, False, "witness inconsistent")
     if k * N >= n:
         return VerificationReport(cert.method, 0, math.inf, False, "witness rank too large")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        a = rng.standard_normal((N, N))
-        residual = a.copy()
-        residual[:, :k] = 0.0
-        num = schatten_norm(residual, spec.q)
-        den = cert.value * schatten_norm(a, spec.p)
-        worst = max(worst, num / den)
-    passed = worst <= 1.0 + 1e-9
-    return VerificationReport(
-        cert.method, samples, worst, passed, f"max sampled ratio {worst:.6g}"
-    )
+    return _verify_sampled(cert, samples, seed, k)
 
 
-def _verify_trivial(cert: Certificate, samples: int, seed: int) -> VerificationReport:
+def _verify_sampled(
+    cert: Certificate, samples: int, seed: int, kept_columns: int
+) -> VerificationReport:
+    """Worst ratio ``||A, kept columns zeroed||_q / (value * ||A||_p)`` over
+    ``samples`` seeded Gaussian matrices ``A``, drawn and normed as one stack."""
     spec = cert.spec
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        a = rng.standard_normal((spec.N, spec.N))
-        worst = max(worst, schatten_norm(a, spec.q) / (cert.value * schatten_norm(a, spec.p)))
+    a = np.random.default_rng(seed).standard_normal((samples, spec.N, spec.N))
+    residual = a.copy()
+    residual[:, :, :kept_columns] = 0.0
+    ratios = schatten_norm(residual, spec.q) / (cert.value * schatten_norm(a, spec.p))
+    worst = float(ratios.max())
     passed = worst <= 1.0 + 1e-9
     return VerificationReport(
         cert.method, samples, worst, passed, f"max sampled ratio {worst:.6g}"
@@ -356,11 +348,16 @@ def verify_certificate(
     ``samples`` seeded Gaussian matrices and test the proof inequality;
     closed-form methods are recomputed from the spec and compared at 1e-12
     relative tolerance.  A tampered ``value`` fails in both cases.
+    ``samples`` must be a positive integer: a check that draws nothing
+    verifies nothing.
     """
+    count = as_int(samples)
+    if count is None or count < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     if cert.method == "column-zero":
-        return _verify_column_zero(cert, samples, seed)
+        return _verify_column_zero(cert, count, seed)
     if cert.method == "trivial-norm":
-        return _verify_trivial(cert, samples, seed)
+        return _verify_sampled(cert, count, seed, 0)
     builder = _FORMULA_BUILDERS.get(cert.method)
     if builder is None:
         raise ValueError(f"unknown certificate method {cert.method!r}")

@@ -1,8 +1,11 @@
 """Core matrix machinery: singular values, Schatten norms, hulls.
 
 Everything here works on dense real square matrices (``numpy`` arrays of
-shape ``(N, N)``).  Singular values come from LAPACK (``np.linalg.svd``),
-with a closed form for 2x2 input.  A one-sided Jacobi iteration would
+shape ``(N, N)``); ``singular_values`` and ``schatten_norm`` also take a
+stack of shape ``(..., N, N)`` and return one value per matrix, so a
+sampled ratio over thousands of matrices is one LAPACK call.  Singular
+values come from LAPACK (``np.linalg.svd``), with a closed form for a
+single 2x2 input.  A one-sided Jacobi iteration would
 resolve tiny singular values to high relative accuracy, but every rank
 decision and quasi-norm here drops values below ``RANK_CUTOFF * sigma_1``,
 so that accuracy would go unused; LAPACK is about 15x faster at N = 3 and
@@ -13,9 +16,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -38,8 +41,8 @@ __all__ = [
     "as_square_matrix",
     "embedding_norm",
     "hull_decompose",
-    "k_functional_upper",
     "littlewood_check",
+    "norm_from_singular_values",
     "pi2_embedding",
     "schatten_norm",
     "singular_values",
@@ -126,16 +129,24 @@ def as_matrix_side(N: object) -> int:
     return N_int
 
 
-def as_square_matrix(a: np.ndarray) -> np.ndarray:
-    """Validate and return ``a`` as a float square matrix."""
+def _as_square_stack(a: np.ndarray) -> np.ndarray:
+    """Validate and return ``a`` as a float array of shape ``(..., N, N)``."""
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 1:
+    if arr.shape[-1] < 1:
         raise ValueError("matrix must have at least one row")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     return arr
+
+
+def as_square_matrix(a: np.ndarray) -> np.ndarray:
+    """Validate and return ``a`` as a float square matrix."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    return _as_square_stack(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +157,19 @@ def as_square_matrix(a: np.ndarray) -> np.ndarray:
 def _svd_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Closed-form SVD of a 2x2 matrix via the rotation/reflection split.
 
-    Returns ``None`` if the residual off-diagonal check fails (never
-    expected; the caller then falls back to LAPACK).
+    Returns ``None`` if the half-sums overflow or the residual off-diagonal
+    check fails; the caller then falls back to LAPACK, which scales.
     """
-    half_trace = (a[0, 0] + a[1, 1]) / 2.0
-    half_skew = (a[1, 0] - a[0, 1]) / 2.0
-    half_diff = (a[0, 0] - a[1, 1]) / 2.0
-    half_sym = (a[1, 0] + a[0, 1]) / 2.0
+    x0, x1, x2, x3 = float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1])
+    half_trace = (x0 + x3) / 2.0
+    half_skew = (x2 - x1) / 2.0
+    half_diff = (x0 - x3) / 2.0
+    half_sym = (x2 + x1) / 2.0
     rot_part = math.hypot(half_trace, half_skew)
     ref_part = math.hypot(half_diff, half_sym)
+    top = rot_part + ref_part
+    if not math.isfinite(top):
+        return None
     angle_rot = math.atan2(half_skew, half_trace)
     angle_ref = math.atan2(half_sym, half_diff)
     phi = (angle_rot + angle_ref) / 2.0
@@ -172,7 +187,6 @@ def _svd_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         u = u[:, ::-1].copy()
         v = v[:, ::-1].copy()
         d = d[::-1][:, ::-1].copy()
-    top = rot_part + ref_part
     if abs(d[0, 1]) > 1e-10 * (top + 1e-300) or abs(d[1, 0]) > 1e-10 * (top + 1e-300):
         return None
     return u, np.array([d[0, 0], d[1, 1]]), v
@@ -197,8 +211,9 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of ``a`` in non-increasing order (LAPACK)."""
-    return np.linalg.svd(as_square_matrix(a), compute_uv=False)
+    """Singular values of ``a`` in non-increasing order (LAPACK); for a
+    stack of shape ``(..., N, N)``, shape ``(..., N)``."""
+    return np.linalg.svd(_as_square_stack(a), compute_uv=False)
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +221,34 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _vector_lp(values: np.ndarray, p: Exponent) -> float:
-    """``l_p`` (quasi-)norm of a non-negative vector, overflow-safe."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return 0.0
-    top = float(np.max(values))
-    if top <= 0.0:
-        return 0.0
-    if is_infinite(p):
+def norm_from_singular_values(sigma: np.ndarray, p: ExponentLike) -> np.ndarray:
+    """Schatten (quasi-)norm from singular values sorted non-increasingly
+    along the last axis: shape ``(..., N)`` gives shape ``(...)``.
+
+    Values below ``RANK_CUTOFF * sigma_1`` count as exact zeros: they are
+    numerical noise, and for ``p < 1`` the quasi-norm would amplify them
+    (``1e-16`` contributes ``1e-8`` at ``p = 1/2``).  The power sum runs
+    over ``sigma / sigma_1``, so it neither overflows nor underflows.
+    """
+    pe = as_exponent(p)
+    top = sigma[..., 0]
+    if is_infinite(pe):
         return top
-    pf = float(p)
-    ratios = values / top
-    return top * float(np.sum(ratios**pf)) ** (1.0 / pf)
+    pf = float(pe)
+    ratios = sigma / np.where(top > 0.0, top, 1.0)[..., None]
+    ratios[ratios <= RANK_CUTOFF] = 0.0
+    return top * np.sum(ratios**pf, axis=-1) ** (1.0 / pf)
 
 
-def schatten_norm(a: np.ndarray, p: ExponentLike) -> float:
+def schatten_norm(a: np.ndarray, p: ExponentLike) -> float | np.ndarray:
     """Schatten (quasi-)norm ``(sum_j sigma_j^p)^(1/p)``; ``p=inf`` is spectral.
 
-    Singular values below ``1e-12 * sigma_1`` are treated as exact zeros:
-    they are numerical noise, and for ``p < 1`` the quasi-norm would amplify
-    them (``1e-16`` contributes ``1e-8`` at ``p = 1/2``).
+    A single matrix gives a float; a stack of shape ``(..., N, N)`` gives an
+    array of shape ``(...)``, one norm per matrix, from one LAPACK call.
+    Singular values below ``RANK_CUTOFF * sigma_1`` are treated as exact
+    zeros (see :func:`norm_from_singular_values`).
     """
+    a = np.asarray(a)
     if a.shape == (2, 2):
         # rotation/reflection split: the singular values are sums and
         # differences of two Euclidean lengths, no factorization needed
@@ -255,11 +276,8 @@ def schatten_norm(a: np.ndarray, p: ExponentLike) -> float:
         if pf == math.inf or s2 <= RANK_CUTOFF * s1:
             return s1
         return s1 * (1.0 + (s2 / s1) ** pf) ** (1.0 / pf)
-    pe = as_exponent(p)
-    sigma = singular_values(a)
-    if sigma[0] > 0:
-        sigma = sigma[sigma > RANK_CUTOFF * sigma[0]]
-    return _vector_lp(sigma, pe)
+    norms = norm_from_singular_values(singular_values(a), p)
+    return norms if norms.ndim else float(norms)
 
 
 def embedding_norm(p: ExponentLike, q: ExponentLike, N: int) -> float:
@@ -345,113 +363,6 @@ def hull_decompose(a: np.ndarray) -> HullDecomposition:
                 HullTerm(weight=float(sigma[i]), summand=np.outer(u[:, i], v[:, i]), index=i)
             )
     return HullDecomposition(terms=tuple(terms), N=n)
-
-
-# ---------------------------------------------------------------------------
-# K-functional upper bound
-# ---------------------------------------------------------------------------
-
-
-def _lp_power_sum(values: np.ndarray, p: float) -> float:
-    return float(np.sum(values**p))
-
-
-def _split_value(x: np.ndarray, sigma: np.ndarray, p: Exponent, q: Exponent, t: float) -> float:
-    return _vector_lp(x, p) + t * _vector_lp(sigma - x, q)
-
-
-def k_functional_upper(a: np.ndarray, p: ExponentLike, q: ExponentLike, t: float) -> float:
-    """Upper bound on the splitting K-functional ``min ||X||_p + t ||Y||_q``.
-
-    The minimum is taken over splits ``X + Y = a`` aligned with the singular
-    system of ``a`` (coordinate-wise splits of the singular values), which
-    always yields a value ``<= min(||a||_p, t * ||a||_q)``.
-
-    Parameters
-    ----------
-    a:
-        Square matrix.
-    p, q:
-        Exponents in (0, inf].
-    t:
-        Non-negative trade-off parameter.
-    """
-    pe, qe = as_exponent(p), as_exponent(q)
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0:
-        raise ValueError(f"trade-off t must be a finite non-negative number, got {t!r}")
-    t = float(t)
-    sigma_raw = singular_values(a)
-    scale = float(sigma_raw[0])
-    if scale == 0.0 or t == 0.0:
-        return 0.0
-    sigma = sigma_raw / scale
-    n = sigma.size
-
-    # candidate starts: keep the top-k values in X, for every k
-    starts = []
-    for k in range(n + 1):
-        x = np.where(np.arange(n) < k, sigma, 0.0)
-        starts.append(x)
-    scored = sorted(starts, key=lambda x: _split_value(x, sigma, pe, qe, t))
-    best_val = _split_value(scored[0], sigma, pe, qe, t)
-    best_x = scored[0]
-
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    for x0 in scored[:3]:
-        x = x0.copy()
-        val = _split_value(x, sigma, pe, qe, t)
-        for _ in range(30):
-            improved = False
-            for j in range(n):
-                if sigma[j] == 0.0:
-                    continue
-
-                others = np.delete(x, j)
-                rest = sigma.copy()
-                rest_others = np.delete(rest - x, j)
-
-                def g(xi: float) -> float:
-                    xs = others
-                    ys = rest_others
-                    if is_infinite(pe):
-                        left = max(float(np.max(xs, initial=0.0)), xi)
-                    else:
-                        pf = float(pe)
-                        left = (_lp_power_sum(xs, pf) + xi**pf) ** (1.0 / pf)
-                    resid = sigma[j] - xi
-                    if is_infinite(qe):
-                        right = max(float(np.max(ys, initial=0.0)), resid)
-                    else:
-                        qf = float(qe)
-                        right = (_lp_power_sum(ys, qf) + resid**qf) ** (1.0 / qf)
-                    return left + t * right
-
-                lo, hi = 0.0, float(sigma[j])
-                a_pt, b_pt = lo, hi
-                c_pt = b_pt - golden * (b_pt - a_pt)
-                d_pt = a_pt + golden * (b_pt - a_pt)
-                gc, gd = g(c_pt), g(d_pt)
-                for _ in range(44):
-                    if gc <= gd:
-                        b_pt, d_pt, gd = d_pt, c_pt, gc
-                        c_pt = b_pt - golden * (b_pt - a_pt)
-                        gc = g(c_pt)
-                    else:
-                        a_pt, c_pt, gc = c_pt, d_pt, gd
-                        d_pt = a_pt + golden * (b_pt - a_pt)
-                        gd = g(d_pt)
-                xi_best = 0.5 * (a_pt + b_pt)
-                cand = min((0.0, g(0.0)), (float(sigma[j]), g(float(sigma[j]))), (xi_best, g(xi_best)), key=lambda kv: kv[1])
-                if cand[1] < val - 1e-15:
-                    x[j] = cand[0]
-                    val = cand[1]
-                    improved = True
-            if not improved:
-                break
-        if val < best_val:
-            best_val, best_x = val, x
-    upper = min(best_val, _split_value(np.zeros(n), sigma, pe, qe, t), _split_value(sigma, sigma, pe, qe, t))
-    return scale * upper
 
 
 # ---------------------------------------------------------------------------

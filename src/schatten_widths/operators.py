@@ -15,7 +15,6 @@ __all__ = [
     "OperatorOnMatrices",
     "SubspaceBasis",
     "identity_operator",
-    "operator_from_map",
     "orthonormal_columns",
     "subspace_from_matrices",
     "unvec",
@@ -73,18 +72,6 @@ class OperatorOnMatrices:
 
 def identity_operator(N: int) -> OperatorOnMatrices:
     return OperatorOnMatrices(np.eye(N * N), N)
-
-
-def operator_from_map(fn, N: int) -> OperatorOnMatrices:
-    """Build the representation of ``fn`` by applying it to the canonical
-    matrix units."""
-    full = N * N
-    m = np.empty((full, full))
-    for j in range(full):
-        e = np.zeros(full)
-        e[j] = 1.0
-        m[:, j] = vec(fn(unvec(e, N)))
-    return OperatorOnMatrices(m, N)
 
 
 def orthonormal_columns(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:

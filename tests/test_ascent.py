@@ -51,6 +51,36 @@ def test_norm_gradient_rejects_zero_matrix():
         norm_gradient(np.zeros((2, 2)), "2")
 
 
+@pytest.mark.parametrize(
+    "x, p, expected",
+    [
+        # ||X||_{1/2} of 1e308*I overflows; its gradient, 3*I, does not
+        (1e308 * np.eye(3), "1/2", 3.0 * np.eye(3)),
+        # the 2x2 split lengths overflow
+        (1e308 * np.eye(2), "2", np.eye(2) / np.sqrt(2.0)),
+        # sigma^p overflows, sigma^p underflows, the power sum's root overflows
+        (1e200 * np.array([[1.0, 2.0], [3.0, 4.0]]), "2", None),
+        (1e-200 * np.array([[1.0, 2.0], [3.0, 4.0]]), "4", None),
+        (1e308 * np.diag([1.0, 0.5]), "1/2", None),
+    ],
+)
+def test_norm_gradient_at_extreme_scales(x, p, expected):
+    # the gradient is 0-homogeneous, so a scaled matrix has the gradient
+    # of its unscaled direction
+    if expected is None:
+        expected = norm_gradient(x / np.abs(x).max(), p)
+    assert np.allclose(norm_gradient(x, p), expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_norm_gradient_rejects_non_finite_entries(N, bad):
+    x = np.eye(N)
+    x[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        norm_gradient(x, "2")
+
+
 def test_default_starts_deterministic_and_complete():
     a = default_starts(3, np.random.default_rng(5))
     b = default_starts(3, np.random.default_rng(5))

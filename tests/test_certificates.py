@@ -191,7 +191,7 @@ def test_verify_rejects_unknown_method():
 
 
 def test_verify_matches_batched_recheck_with_the_same_seed():
-    """The per-sample verifier and a vectorized recheck see the same stream."""
+    """The batched verifier and a per-matrix recheck see the same stream."""
     spec = EmbeddingSpec("inf", "1", 4, n=9)
     cert = upper_column_zero(spec)
     samples, seed = 100, 42
@@ -208,3 +208,14 @@ def test_verify_matches_batched_recheck_with_the_same_seed():
     ]
     assert report.max_ratio == pytest.approx(max(ratios), abs=1e-9)
     assert report.passed
+
+
+@pytest.mark.parametrize("samples", [0, -3, True, 2.0])
+@pytest.mark.parametrize("method", ["column-zero", "trivial-norm", "multiplicativity"])
+def test_verify_rejects_a_sample_count_below_one(method, samples):
+    spec = EmbeddingSpec("1", "1", 2, n=3)
+    cert = next(c for c in upper_certificates(spec) + lower_certificates(spec)
+                if c.method == method)
+    with pytest.raises(ValueError, match="samples"):
+        verify_certificate(cert, samples=samples)
+    assert verify_certificate(cert, samples=np.int64(1)).passed

@@ -118,6 +118,17 @@ def test_bounds_verify_adds_verification_columns(capsys):
         assert row[-3] == "1"  # everything verifies
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_bounds_verify_without_samples_is_an_error(capsys, samples):
+    code, out, err = _run(
+        capsys,
+        ["bounds", "-p", "2", "-q", "1", "-N", "4", "-n", "5", "--verify", "--samples", samples],
+    )
+    assert code == 2
+    assert "error: samples must be a positive integer" in err
+    assert "verified" not in out
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------

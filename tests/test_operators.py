@@ -6,7 +6,6 @@ from schatten_widths.operators import (
     OperatorOnMatrices,
     SubspaceBasis,
     identity_operator,
-    operator_from_map,
     orthonormal_columns,
     subspace_from_matrices,
     unvec,
@@ -60,14 +59,6 @@ def test_compose_and_rank():
     assert low.rank == 1
     with pytest.raises(ValueError):
         identity_operator(2).compose(identity_operator(3))
-
-
-def test_operator_from_map_reproduces_the_map():
-    rng = np.random.default_rng(5)
-    w = rng.standard_normal((3, 3))
-    op = operator_from_map(lambda x: w @ x - x @ w, 3)
-    x = rng.standard_normal((3, 3))
-    assert np.allclose(op.apply(x), w @ x - x @ w, atol=1e-12)
 
 
 def test_subtract_from_identity_is_the_residual_map():
