@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import norm_from_singular_values, schatten_norm, svd
+from .core import norm_from_singular_values, schatten_norm, split_2x2, svd
 from .exponents import as_exponent, is_infinite
 from .operators import orthonormal_columns
 
@@ -75,33 +75,32 @@ def norm_gradient(x: np.ndarray, p) -> np.ndarray:
 def _norm_gradient_2x2(x: np.ndarray, p) -> Optional[np.ndarray]:
     """Split-coordinate norm gradient for 2x2 matrices, no factorization.
 
-    The singular values are half the sum and difference of the lengths of
-    the rotation/reflection split vectors, which makes their matrix
-    derivatives explicit.  Returns None near split degeneracies, and where
-    the split lengths or their powers leave the float range; the
-    factorization path handles both.
+    The singular values are the sum and difference of the lengths of the
+    rotation/reflection split vectors (:func:`core.split_2x2`), which makes
+    their matrix derivatives explicit.  Returns None near split
+    degeneracies, and where the split lengths or their powers leave the
+    float range; the factorization path handles both.
     """
-    x0, x1, x2, x3 = float(x[0, 0]), float(x[0, 1]), float(x[1, 0]), float(x[1, 1])
-    nu = math.hypot(x0 + x3, x2 - x1)
-    nv = math.hypot(x0 - x3, x2 + x1)
-    total = nu + nv
-    if not math.isfinite(total):
+    (u1, u2), (v1, v2) = split_2x2(
+        float(x[0, 0]), float(x[0, 1]), float(x[1, 0]), float(x[1, 1]))
+    nu, nv = math.hypot(u1, u2), math.hypot(v1, v2)
+    s1 = nu + nv
+    if not math.isfinite(s1):
         return None  # non-finite entries, or split lengths that overflow
-    if total <= 0.0:
+    if s1 <= 0.0:
         raise ValueError("norm gradient undefined at the zero matrix")
-    if min(nu, nv) < 1e-9 * total and min(nu, nv) > 0.0:
+    if min(nu, nv) < 1e-9 * s1 and min(nu, nv) > 0.0:
         return None  # nearly equal singular values: let the SVD pick a pair
     eu = 1.0 / nu if nu > 0.0 else 0.0
     ev = 1.0 / nv if nv > 0.0 else 0.0
-    uh1, uh2 = (x0 + x3) * eu, (x2 - x1) * eu
-    vh1, vh2 = (x0 - x3) * ev, (x2 + x1) * ev
+    uh1, uh2 = u1 * eu, u2 * eu
+    vh1, vh2 = v1 * ev, v2 * ev
     # d(sigma_1) and d(sigma_2) as matrices, row-major entries
     m1 = 0.5 * np.array([[uh1 + vh1, vh2 - uh2], [uh2 + vh2, uh1 - vh1]])
     if is_infinite(p):
         return m1
     pf = float(p)
-    s1 = 0.5 * (nu + nv)
-    s2 = 0.5 * abs(nu - nv)
+    s2 = abs(nu - nv)
     try:
         if s2 <= _SPECTRAL_CUTOFF * s1:
             c1, c2 = s1 ** (pf - 1.0) / schatten_norm(x, p) ** (pf - 1.0), 0.0

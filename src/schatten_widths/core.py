@@ -5,7 +5,10 @@ shape ``(N, N)``); ``singular_values`` and ``schatten_norm`` also take a
 stack of shape ``(..., N, N)`` and return one value per matrix, so a
 sampled ratio over thousands of matrices is one LAPACK call.  Singular
 values come from LAPACK (``np.linalg.svd``), with a closed form for a
-single 2x2 input.  A one-sided Jacobi iteration would
+single 2x2 input.  Every 2x2 closed form in the package (here, the norm
+gradient, the N = 2 distance solvers and the net oracle) derives from
+one rotation/reflection split, :func:`split_2x2`.  A one-sided Jacobi
+iteration would
 resolve tiny singular values to high relative accuracy, but every rank
 decision and quasi-norm here drops values below ``RANK_CUTOFF * sigma_1``,
 so that accuracy would go unused; LAPACK is about 15x faster at N = 3 and
@@ -46,6 +49,7 @@ __all__ = [
     "pi2_embedding",
     "schatten_norm",
     "singular_values",
+    "split_2x2",
     "svd",
 ]
 
@@ -154,24 +158,33 @@ def as_square_matrix(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def split_2x2(x00, x01, x10, x11):
+    """Rotation/reflection split of the 2x2 matrix ``[[x00, x01], [x10, x11]]``.
+
+    Returns ``((u1, u2), (v1, v2))`` with the halved convention
+    ``u = ((x00 + x11) / 2, (x10 - x01) / 2)`` and
+    ``v = ((x00 - x11) / 2, (x10 + x01) / 2)``: the matrix is a rotation
+    ``[[u1, -u2], [u2, u1]]`` plus a reflection ``[[v1, v2], [v2, -v1]]``,
+    and its singular values are ``|u| + |v|`` and ``||u| - |v||``.  The
+    arithmetic is elementwise, so the entries may be floats or arrays of
+    one shape (a net of matrices, or a frame's columns).
+    """
+    return ((x00 + x11) / 2.0, (x10 - x01) / 2.0), ((x00 - x11) / 2.0, (x10 + x01) / 2.0)
+
+
 def _svd_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Closed-form SVD of a 2x2 matrix via the rotation/reflection split.
+    """Closed-form SVD of a 2x2 matrix via :func:`split_2x2`.
 
     Returns ``None`` if the half-sums overflow or the residual off-diagonal
     check fails; the caller then falls back to LAPACK, which scales.
     """
-    x0, x1, x2, x3 = float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1])
-    half_trace = (x0 + x3) / 2.0
-    half_skew = (x2 - x1) / 2.0
-    half_diff = (x0 - x3) / 2.0
-    half_sym = (x2 + x1) / 2.0
-    rot_part = math.hypot(half_trace, half_skew)
-    ref_part = math.hypot(half_diff, half_sym)
-    top = rot_part + ref_part
+    (u1, u2), (v1, v2) = split_2x2(
+        float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1]))
+    top = math.hypot(u1, u2) + math.hypot(v1, v2)
     if not math.isfinite(top):
         return None
-    angle_rot = math.atan2(half_skew, half_trace)
-    angle_ref = math.atan2(half_sym, half_diff)
+    angle_rot = math.atan2(u2, u1)
+    angle_ref = math.atan2(v2, v1)
     phi = (angle_rot + angle_ref) / 2.0
     theta = (angle_ref - angle_rot) / 2.0
     cu, su = math.cos(phi), math.sin(phi)
@@ -250,20 +263,20 @@ def schatten_norm(a: np.ndarray, p: ExponentLike) -> float | np.ndarray:
     """
     a = np.asarray(a)
     if a.shape == (2, 2):
-        # rotation/reflection split: the singular values are sums and
-        # differences of two Euclidean lengths, no factorization needed
-        x0, x1, x2, x3 = float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1])
-        nu = math.hypot(x0 + x3, x2 - x1)
-        nv = math.hypot(x0 - x3, x2 + x1)
-        s1 = 0.5 * (nu + nv)
+        # the singular values are the sum and difference of the split
+        # lengths (see split_2x2), no factorization needed
+        entries = (float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1]))
+        (u1, u2), (v1, v2) = split_2x2(*entries)
+        nu, nv = math.hypot(u1, u2), math.hypot(v1, v2)
+        s1 = nu + nv
         if not math.isfinite(s1):
             # every entry feeds both lengths, so this catches NaN and inf
             # entries as well as finite entries whose split lengths overflow
-            if not all(map(math.isfinite, (x0, x1, x2, x3))):
+            if not all(map(math.isfinite, entries)):
                 raise ValueError("matrix entries must be finite")
-            scale = max(abs(x0), abs(x1), abs(x2), abs(x3))
+            scale = max(map(abs, entries))
             return scale * schatten_norm(a / scale, p)
-        s2 = 0.5 * abs(nu - nv)
+        s2 = abs(nu - nv)
         if s1 <= 0.0:
             return 0.0
         if type(p) is float and p > 0.0:

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import schatten_norm
+from .core import schatten_norm, split_2x2
 from .exponents import as_exponent, is_infinite
 from .operators import SubspaceBasis
 
@@ -70,16 +70,14 @@ def _closed_form_frobenius(x: np.ndarray, basis: SubspaceBasis) -> DistanceResul
 # ---------------------------------------------------------------------------
 # closed-form 2x2 fast path
 #
-# For 2x2 matrices the singular values are Euclidean norms of two linear
-# images of the entries (the rotation/reflection split):
-#   sigma_1 = |Cu r| + |Cv r|,  sigma_2 = ||Cu r| - |Cv r||
-# with r the vectorized matrix.  Both image vectors are affine in the
-# subspace coefficients, so every Schatten distance becomes a small convex
-# (for q >= 1) problem over Gram matrices, solved here without any SVDs.
+# For 2x2 matrices the singular values are the sum and difference of the
+# lengths of the rotation and reflection parts u, v (core.split_2x2):
+#   sigma_1 = |u| + |v|,  sigma_2 = ||u| - |v||
+# Both parts are linear in the entries, so for the residual x - basis(w)
+# they are affine in the subspace coefficients w, and every Schatten
+# distance becomes a small convex (for q >= 1) problem over Gram
+# matrices, solved here without any SVDs.
 # ---------------------------------------------------------------------------
-
-_CU = np.array([[0.5, 0.0, 0.0, 0.5], [0.0, -0.5, 0.5, 0.0]])
-_CV = np.array([[0.5, 0.0, 0.0, -0.5], [0.0, 0.5, 0.5, 0.0]])
 
 
 class _SplitPair:
@@ -94,23 +92,18 @@ class _SplitPair:
                  "au11", "au12", "au22", "av11", "av12", "av22", "scale")
 
     def __init__(self, x: np.ndarray, basis: SubspaceBasis) -> None:
-        x0, x1, x2, x3 = float(x[0, 0]), float(x[0, 1]), float(x[1, 0]), float(x[1, 1])
-        u01, u02 = 0.5 * (x0 + x3), 0.5 * (x2 - x1)
-        v01, v02 = 0.5 * (x0 - x3), 0.5 * (x2 + x1)
+        (u01, u02), (v01, v02) = split_2x2(
+            float(x[0, 0]), float(x[0, 1]), float(x[1, 0]), float(x[1, 1]))
         cols = basis.columns
         self.m = basis.dim
-        c = cols[:, 0]
-        a_u = (0.5 * (c[0] + c[3]), 0.5 * (c[2] - c[1]))
-        a_v = (0.5 * (c[0] - c[3]), 0.5 * (c[2] + c[1]))
+        a_u, a_v = split_2x2(*cols[:, 0].tolist())
         self.au11 = a_u[0] * a_u[0] + a_u[1] * a_u[1]
         self.av11 = a_v[0] * a_v[0] + a_v[1] * a_v[1]
         # residual is x - member(w): linear terms enter negated
         self.bu1 = -(a_u[0] * u01 + a_u[1] * u02)
         self.bv1 = -(a_v[0] * v01 + a_v[1] * v02)
         if self.m == 2:
-            d = cols[:, 1]
-            b_u = (0.5 * (d[0] + d[3]), 0.5 * (d[2] - d[1]))
-            b_v = (0.5 * (d[0] - d[3]), 0.5 * (d[2] + d[1]))
+            b_u, b_v = split_2x2(*cols[:, 1].tolist())
             self.au22 = b_u[0] * b_u[0] + b_u[1] * b_u[1]
             self.av22 = b_v[0] * b_v[0] + b_v[1] * b_v[1]
             self.au12 = a_u[0] * b_u[0] + a_u[1] * b_u[1]
@@ -261,28 +254,38 @@ def _weber_scalar(
     return w1, w2
 
 
+def _branch_crossings(sp: _SplitPair) -> list[float]:
+    """The 1-dof points ``t`` where ``|ru(t)| = |rv(t)|``.
+
+    There the residual's second singular value vanishes, so it is rank
+    one.  Equal squared lengths make a quadratic in ``t``.
+    """
+    a = sp.au11 - sp.av11
+    b = 2.0 * (sp.bu1 - sp.bv1)
+    c = sp.cu - sp.cv
+    if abs(a) > 1e-300:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            return []
+        root = math.sqrt(disc)
+        return [(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)]
+    if abs(b) > 1e-300:
+        return [-c / b]
+    return []
+
+
 def _nuclear_exact_m1(sp: _SplitPair, t0: float) -> tuple[float, float]:
     """Exact 1-dof nuclear distance: ``2 max(|ru(t)|, |rv(t)|)``.
 
     A max of two convex sqrt-quadratics attains its minimum at a branch
-    vertex or a branch crossing; crossings solve a quadratic.
+    vertex or a branch crossing.
     """
     candidates = [0.0, t0]
     if sp.au11 > 0.0:
         candidates.append(-sp.bu1 / sp.au11)
     if sp.av11 > 0.0:
         candidates.append(-sp.bv1 / sp.av11)
-    a = sp.au11 - sp.av11
-    b = 2.0 * (sp.bu1 - sp.bv1)
-    c = sp.cu - sp.cv
-    if abs(a) > 1e-300:
-        disc = b * b - 4.0 * a * c
-        if disc >= 0.0:
-            root = math.sqrt(disc)
-            candidates.append((-b - root) / (2.0 * a))
-            candidates.append((-b + root) / (2.0 * a))
-    elif abs(b) > 1e-300:
-        candidates.append(-c / b)
+    candidates += _branch_crossings(sp)
     best_t, best_val = 0.0, math.inf
     for cand in candidates:
         f1, f2 = sp.norms(cand, 0.0)
@@ -340,18 +343,7 @@ def _grid_min_m1(sp: _SplitPair, qf: float, extra: tuple[float, ...]) -> tuple[f
     known squared value.
     """
     t_frob = -(sp.bu1 + sp.bv1) / (sp.au11 + sp.av11)
-    cands = [0.0, t_frob, *extra]
-    ca = sp.au11 - sp.av11
-    cb = 2.0 * (sp.bu1 - sp.bv1)
-    cc = sp.cu - sp.cv
-    if abs(ca) > 1e-300:
-        disc = cb * cb - 4.0 * ca * cc
-        if disc >= 0.0:
-            root = math.sqrt(disc)
-            cands.append((-cb - root) / (2.0 * ca))
-            cands.append((-cb + root) / (2.0 * ca))
-    elif abs(cb) > 1e-300:
-        cands.append(-cc / cb)
+    cands = [0.0, t_frob, *extra, *_branch_crossings(sp)]
     best_t, v0 = 0.0, math.inf
     for t in cands:
         val = sp.value(qf, t, 0.0)
@@ -625,6 +617,17 @@ def distance_schatten(
         return _codim_one_distance(x, basis, q)
     if basis.N == 2:
         return _distance_2x2(x, basis, q, warm_start, tol, max_iter)
+    # The iterative solvers below carry absolute floors and powers of the
+    # residual's Gram matrix, so they run on x / 2**e, whose largest entry
+    # lies in [0.5, 1): scaling by a power of two is exact, and the
+    # distance, residual and coefficients are homogeneous in x.
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    if e:
+        res = distance_schatten(
+            np.ldexp(x, -e), basis, q, tol=tol, max_iter=max_iter,
+            warm_start=None if warm_start is None else np.ldexp(warm_start, -e))
+        return replace(res, value=math.ldexp(res.value, e), residual=np.ldexp(res.residual, e),
+                       coefficients=np.ldexp(res.coefficients, e))
     if is_infinite(q):
         start = warm_start
         if start is None:

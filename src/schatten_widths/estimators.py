@@ -20,7 +20,7 @@ solves are then local and the search is flagged in ``detail``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -145,6 +145,15 @@ def hilbert_exact(
     return s
 
 
+def _reduced(inner: Estimate, spec: EmbeddingSpec, kind: str, head: dict,
+             method: Optional[str] = None) -> Estimate:
+    """``inner``, an estimate of an equal quantity, reported as the ``kind``
+    number of ``spec``: ``head`` comes first in its detail, and ``method``
+    replaces its method when given."""
+    return replace(inner, snumber_kind=kind, spec=spec, method=method or inner.method,
+                   detail={**head, **inner.detail})
+
+
 def _hilbert_estimate(spec: EmbeddingSpec, kind: str, seed: int) -> Estimate:
     values = hilbert_exact(spec)
     n = spec.require_index()
@@ -173,17 +182,6 @@ def _distance_objective(basis: SubspaceBasis, q, warm: dict):
         if res.value <= 0:
             return 0.0, None
         return res.value, norm_gradient(res.residual, q)
-
-    return objective
-
-
-def _residual_objective(residual_op: OperatorOnMatrices, q):
-    def objective(x: np.ndarray):
-        image = residual_op.apply(x)
-        value = schatten_norm(image, q)
-        if value <= 0:
-            return 0.0, None
-        return value, residual_op.apply_adjoint(norm_gradient(image, q))
 
     return objective
 
@@ -584,7 +582,7 @@ def _adversarial_refine(
     for _ in range(rounds):
         op = OperatorOnMatrices(matrix, N)
         result = _sup_over_sphere(
-            _residual_objective(op.subtract_from_identity(), spec.q),
+            _norm_objective(op.subtract_from_identity(), spec.q),
             spec,
             rng,
             n_starts=n_starts,
@@ -636,40 +634,13 @@ def estimate_approx(
         return _hilbert_estimate(spec, "approximation", seed)
     if n == 1:
         base = operator_norm_estimate(spec, restarts=restarts, seed=seed)
-        return Estimate(
-            value=base.value,
-            snumber_kind="approximation",
-            method=base.method,
-            spec=spec,
-            restarts=base.restarts,
-            seed=seed,
-            converged=base.converged,
-            detail={"reduction": "index-1-is-norm", **base.detail},
-        )
+        return _reduced(base, spec, "approximation", {"reduction": "index-1-is-norm"})
     if q == 2:
         inner = estimate_kolmogorov(spec, restarts=restarts, seed=seed)
-        return Estimate(
-            value=inner.value,
-            snumber_kind="approximation",
-            method=inner.method,
-            spec=spec,
-            restarts=inner.restarts,
-            seed=seed,
-            converged=inner.converged,
-            detail={"reduction": "hilbert-codomain", **inner.detail},
-        )
+        return _reduced(inner, spec, "approximation", {"reduction": "hilbert-codomain"})
     if p == 2 and q >= 1:
         inner = estimate_gelfand(spec, restarts=restarts, seed=seed)
-        return Estimate(
-            value=inner.value,
-            snumber_kind="approximation",
-            method=inner.method,
-            spec=spec,
-            restarts=inner.restarts,
-            seed=seed,
-            converged=inner.converged,
-            detail={"reduction": "hilbert-domain", **inner.detail},
-        )
+        return _reduced(inner, spec, "approximation", {"reduction": "hilbert-domain"})
 
     rng = np.random.default_rng(seed)
     rank = n - 1
@@ -678,7 +649,7 @@ def estimate_approx(
     scored: list[tuple[float, str, OperatorOnMatrices]] = []
     for label, op in candidates:
         result = _sup_over_sphere(
-            _residual_objective(op.subtract_from_identity(), spec.q),
+            _norm_objective(op.subtract_from_identity(), spec.q),
             spec,
             rng,
             n_starts=cheap_starts,
@@ -705,7 +676,7 @@ def estimate_approx(
     final_converged = False
     for label, op in finalists:
         result = _sup_over_sphere(
-            _residual_objective(op.subtract_from_identity(), spec.q),
+            _norm_objective(op.subtract_from_identity(), spec.q),
             spec,
             rng,
             n_starts=restarts,
@@ -814,16 +785,8 @@ def estimate_gelfand(
     if p >= 1 and q >= 1:
         dual_spec = EmbeddingSpec(dual_exponent(q), dual_exponent(p), N, n)
         inner = estimate_kolmogorov(dual_spec, restarts=restarts, seed=seed)
-        return Estimate(
-            value=inner.value,
-            snumber_kind="gelfand",
-            method="dual-reduction",
-            spec=spec,
-            restarts=inner.restarts,
-            seed=seed,
-            converged=inner.converged,
-            detail={"dual": (str(dual_spec.p), str(dual_spec.q)), **inner.detail},
-        )
+        dual = (str(dual_spec.p), str(dual_spec.q))
+        return _reduced(inner, spec, "gelfand", {"dual": dual}, method="dual-reduction")
 
     # direct search over codimension-(n-1) subspaces; experimental
     if q < 1 and p != q:

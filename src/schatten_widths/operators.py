@@ -55,15 +55,6 @@ class OperatorOnMatrices:
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         return unvec(self.matrix.T @ vec(y), self.N)
 
-    @property
-    def rank(self) -> int:
-        return int(np.linalg.matrix_rank(self.matrix))
-
-    def compose(self, other: "OperatorOnMatrices") -> "OperatorOnMatrices":
-        if other.N != self.N:
-            raise ValueError("operators act on different matrix spaces")
-        return OperatorOnMatrices(self.matrix @ other.matrix, self.N)
-
     def subtract_from_identity(self) -> "OperatorOnMatrices":
         """The residual map ``X -> X - self(X)``."""
         eye = np.eye(self.N * self.N)

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import EmbeddingSpec, embedding_norm
+from .core import EmbeddingSpec, embedding_norm, split_2x2
 from .estimators import Estimate
 from .exponents import as_exponent, is_infinite
 
@@ -70,20 +70,13 @@ def _expo_float(p) -> float:
 
 
 def _split_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation/reflection split of vectorized 2x2 matrices.
+    """:func:`core.split_2x2` of vectorized 2x2 matrices.
 
     ``X`` has rows ``(x00, x01, x10, x11)``; returns the (K, 2) arrays of
-    rotation parts ``u`` and reflection parts ``v`` with the halved
-    convention, so the singular values are ``|u| + |v|`` and
-    ``||u| - |v||``.
+    rotation parts ``u`` and reflection parts ``v``.
     """
-    u = np.empty((X.shape[0], 2))
-    v = np.empty((X.shape[0], 2))
-    u[:, 0] = 0.5 * (X[:, 0] + X[:, 3])
-    u[:, 1] = 0.5 * (X[:, 2] - X[:, 1])
-    v[:, 0] = 0.5 * (X[:, 0] - X[:, 3])
-    v[:, 1] = 0.5 * (X[:, 2] + X[:, 1])
-    return u, v
+    u, v = split_2x2(*X.T)
+    return np.stack(u, axis=1), np.stack(v, axis=1)
 
 
 def _sing_pair(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,6 +85,13 @@ def _sing_pair(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nu = np.hypot(u[:, 0], u[:, 1])
     nv = np.hypot(v[:, 0], v[:, 1])
     return nu + nv, np.abs(nu - nv)
+
+
+def _ratio_vec(X: np.ndarray, pf: float, qf: float) -> np.ndarray:
+    """``||X||_q / ||X||_p`` of each vectorized 2x2 row (denominator
+    floored at ``_TINY``)."""
+    s1, s2 = _sing_pair(X)
+    return _schatten_vec(s1, s2, qf) / np.maximum(_schatten_vec(s1, s2, pf), _TINY)
 
 
 def _schatten_vec(s1: np.ndarray, s2: np.ndarray, pf: float) -> np.ndarray:
@@ -245,12 +245,7 @@ class _DistanceNet:
     # -- frame preprocessing ------------------------------------------------
 
     def _frame_split(self, B: np.ndarray):
-        bu = np.empty((2, B.shape[1]))
-        bv = np.empty((2, B.shape[1]))
-        bu[0] = 0.5 * (B[0] + B[3])
-        bu[1] = 0.5 * (B[2] - B[1])
-        bv[0] = 0.5 * (B[0] - B[3])
-        bv[1] = 0.5 * (B[2] + B[1])
+        bu, bv = map(np.array, split_2x2(*B))  # (2, m) each
         ru = bu.T @ self.U.T  # (m, K)
         rv = bv.T @ self.V.T
         return bu, bv, ru, rv
@@ -503,10 +498,7 @@ class _RestrictionNet:
         extra = self._rank_ones(B)
         if extra is not None:
             X = np.vstack([X, extra])
-        s1, s2 = _sing_pair(X)
-        num = _schatten_vec(s1, s2, self.qf)
-        den = np.maximum(_schatten_vec(s1, s2, self.pf), _TINY)
-        return float(np.max(num / den))
+        return float(np.max(_ratio_vec(X, self.pf, self.qf)))
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +583,7 @@ def _frame_search(
 
 def _norm_path(pf: float, qf: float, h: float, rng) -> tuple[float, int, dict]:
     X = _matrix_net(h, rng)
-    s1, s2 = _sing_pair(X)
-    num = _schatten_vec(s1, s2, qf)
-    den = np.maximum(_schatten_vec(s1, s2, pf), _TINY)
-    return float(np.max(num / den)), 0, {"net_points": int(X.shape[0])}
+    return float(np.max(_ratio_vec(X, pf, qf))), 0, {"net_points": int(X.shape[0])}
 
 
 def _kolmogorov_path(pf: float, qf: float, n: int, h: float, rng):
@@ -619,12 +608,7 @@ def _gelfand_path(pf: float, qf: float, n: int, h: float, rng):
     if dim == 4:
         return _norm_path(pf, qf, h, rng)
     if dim == 1:
-        def value_fn(Z: np.ndarray) -> np.ndarray:
-            s1, s2 = _sing_pair(Z)
-            num = _schatten_vec(s1, s2, qf)
-            return num / np.maximum(_schatten_vec(s1, s2, pf), _TINY)
-
-        val, _, evaluated = _direction_search(value_fn, rng, h)
+        val, _, evaluated = _direction_search(lambda Z: _ratio_vec(Z, pf, qf), rng, h)
         return val, evaluated, {"net_points": evaluated, "exact_inner": True}
     evaluator = _RestrictionNet(dim, pf, qf, h)
     val, _, frames = _frame_search(evaluator, dim, rng, h)

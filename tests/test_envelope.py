@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schatten_widths.core import EmbeddingSpec
 from schatten_widths.envelope import (
@@ -18,10 +19,16 @@ from schatten_widths.envelope import (
     kolmogorov_envelope,
     recovery_envelope,
 )
-from schatten_widths.exponents import dual_exponent
+from schatten_widths.exponents import as_exponent, dual_exponent
 
 EXPONENTS = ("1/2", "3/4", "1", "4/3", "2", "4", "inf")
 KINDS = ("approximation", "gelfand", "kolmogorov")
+# exponents for the property tests: quasi-norm, Banach and Hilbert classes,
+# with denominators the fixed grid above does not use
+PROPERTY_EXPONENTS = (
+    "1/3", "1/2", "2/3", "3/4", "1", "6/5", "4/3", "3/2", "2", "5/2", "3", "4", "7", "inf",
+)
+BANACH_EXPONENTS = tuple(e for e in PROPERTY_EXPONENTS if as_exponent(e) >= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +186,42 @@ def test_gelfand_kolmogorov_duality_on_banach_pairs(p, q):
     kol = envelope_profile("kolmogorov", dual_exponent(q), dual_exponent(p), N)
     for n in range(1, N * N + 1):
         g, k = gel.value(n), kol.value(n)
-        assert g.value_lower == pytest.approx(k.value_lower, abs=1e-15)
-        assert g.value_upper == pytest.approx(k.value_upper, abs=1e-15)
+        assert (g.value_lower, g.value_upper) == (k.value_lower, k.value_upper)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    p=st.sampled_from(PROPERTY_EXPONENTS),
+    q=st.sampled_from(PROPERTY_EXPONENTS),
+    N=st.integers(2, 24),
+)
+def test_every_profile_is_non_increasing_with_lower_below_upper(kind, p, q, N):
+    values = envelope_profile(kind, p, q, N).values()
+    assert len(values) == N * N
+    for prev, val in zip(values, values[1:]):
+        assert val.value_lower <= prev.value_lower
+        assert val.value_upper <= prev.value_upper
+    for val in values:
+        # the tolerance EnvelopeValue itself enforces: where the two sides
+        # coincide, separately rounded formulas may differ in the last bit
+        assert val.value_lower <= val.value_upper * (1 + 1e-12)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    p=st.sampled_from(BANACH_EXPONENTS),
+    q=st.sampled_from(BANACH_EXPONENTS),
+    N=st.integers(2, 24),
+)
+def test_gelfand_equals_dual_kolmogorov_bitwise(p, q, N):
+    gel = envelope_profile("gelfand", p, q, N).values()
+    kol = envelope_profile(
+        "kolmogorov", dual_exponent(as_exponent(q)), dual_exponent(as_exponent(p)), N
+    ).values()
+    assert [(g.value_lower, g.value_upper) for g in gel] == [
+        (k.value_lower, k.value_upper) for k in kol
+    ]
 
 
 def test_scalar_case_is_trivial():

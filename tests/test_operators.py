@@ -27,7 +27,6 @@ def test_identity_operator_is_neutral():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, 3))
     assert np.array_equal(ident.apply(x), x)
-    assert ident.rank == 9
     assert np.allclose(ident.subtract_from_identity().matrix, 0.0)
 
 
@@ -44,21 +43,6 @@ def test_apply_and_adjoint_are_dual_under_frobenius_pairing():
     lhs = np.tensordot(op.apply(x), y)  # <T x, y>
     rhs = np.tensordot(x, op.apply_adjoint(y))  # <x, T* y>
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_compose_and_rank():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4))
-    op_a = OperatorOnMatrices(a, 2)
-    op_b = OperatorOnMatrices(b, 2)
-    x = rng.standard_normal((2, 2))
-    composed = op_a.compose(op_b)
-    assert np.allclose(composed.apply(x), op_a.apply(op_b.apply(x)), atol=1e-12)
-    low = OperatorOnMatrices(np.outer(a[:, 0], a[:, 1]), 2)
-    assert low.rank == 1
-    with pytest.raises(ValueError):
-        identity_operator(2).compose(identity_operator(3))
 
 
 def test_subtract_from_identity_is_the_residual_map():

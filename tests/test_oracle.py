@@ -84,6 +84,37 @@ def test_net_oracle_routes_approximation_through_coincidences():
     assert est.detail["path"] == "kolmogorov"
 
 
+# the battery points whose nets are cheap at the frozen resolution (about
+# 1 s together): the Frobenius-distance, direction-search and restriction
+# nets, all of them built on the 2x2 rotation/reflection split
+CHEAP_BATTERY = (
+    ("kolmogorov", "1", "2", 2),
+    ("kolmogorov", "inf", "2", 2),
+    ("kolmogorov", "1", "2", 4),
+    ("approx", "2", "inf", 4),
+    ("approx", "2", "inf", 2),
+    ("gelfand", "1/2", "1", 2),
+)
+
+
+@pytest.mark.parametrize("kind,p,q,n", CHEAP_BATTERY)
+def test_cheap_battery_points_reproduce_their_frozen_values(kind, p, q, n):
+    data = load_frozen_battery()
+    (frozen,) = [
+        pt for pt in data["points"] if (pt["kind"], pt["p"], pt["q"], pt["n"]) == (kind, p, q, n)
+    ]
+    est = net_oracle(EmbeddingSpec(p, q, 2, n=n), kind, h=data["h"], seed=data["seed"])
+    assert est.value == pytest.approx(frozen["value"], rel=1e-12, abs=0.0)
+
+
+def test_distance_net_point_is_pinned():
+    # a q = inf distance net at the coarsest resolution: exercises the
+    # frame split of the nuclear/spectral solvers, which no battery point
+    # above reaches
+    est = net_oracle(EmbeddingSpec("1", "inf", 2, n=2), "kolmogorov", h=0.25)
+    assert est.value == pytest.approx(0.9953368024752356, rel=1e-12, abs=0.0)
+
+
 def test_net_oracle_guards_its_domain():
     with pytest.raises(ValueError):
         net_oracle(EmbeddingSpec("1", "2", 3, n=2), "kolmogorov")  # N = 2 only
