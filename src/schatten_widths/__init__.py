@@ -26,12 +26,9 @@ from .envelope import (
     CritExponents,
     EnvelopeProfile,
     EnvelopeValue,
-    approx_envelope,
     conjectured_envelope,
     crit_exponents,
     envelope_profile,
-    gelfand_envelope,
-    kolmogorov_envelope,
     recovery_envelope,
 )
 from .certificates import (

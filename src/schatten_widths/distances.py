@@ -59,7 +59,9 @@ def _closed_form_frobenius(x: np.ndarray, basis: SubspaceBasis) -> DistanceResul
     w = basis.coefficients(x)
     residual = x - basis.member(w)
     return DistanceResult(
-        value=float(np.linalg.norm(residual, "fro")),
+        # hypot scales internally, so 1e-200 or 1e200 entries neither
+        # underflow to 0 nor overflow to inf
+        value=math.hypot(*residual.ravel().tolist()),
         residual=residual,
         coefficients=w,
         converged=True,

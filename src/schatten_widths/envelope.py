@@ -47,24 +47,19 @@ __all__ = [
     "CritExponents",
     "EnvelopeValue",
     "EnvelopeProfile",
-    "approx_envelope",
     "conjectured_envelope",
     "crit_exponents",
     "envelope_profile",
-    "gelfand_envelope",
-    "kolmogorov_envelope",
     "recovery_envelope",
     "SNUMBER_KINDS",
     "EXACT",
     "GAP",
-    "UPPER_ONLY",
     "EXISTENCE_ONLY",
     "CONJECTURED",
 ]
 
 EXACT = "exact-asymptotic"
 GAP = "gap"
-UPPER_ONLY = "upper-only"
 EXISTENCE_ONLY = "existence-only"
 CONJECTURED = "conjectured"
 
@@ -351,6 +346,9 @@ class EnvelopeProfile:
         upper = min(raw_upper, self._caps[idx])
         lower = min(self._cap_lower, max(lower, self._floor_lower))
         upper = min(self._cap_upper, max(upper, self._floor_upper))
+        # where the two sides meet, separately rounded formulas can cross
+        # by an ulp; keep the documented order exact
+        upper = max(upper, lower)
         notes = seg.notes + self.case_notes
         sharpness = seg.sharpness
         if not math.isclose(lower, raw_lower, rel_tol=1e-12, abs_tol=0.0) or not math.isclose(
@@ -737,30 +735,6 @@ def envelope_profile(
     else:
         case, segs, notes = _kolmogorov_case(pe, qe, N, reg)
     return EnvelopeProfile(kind, pe, qe, N, segs, case, notes)
-
-
-def gelfand_envelope(
-    spec: EmbeddingSpec, consts: Optional[ConstantsRegistry] = None
-) -> EnvelopeValue:
-    """Envelope of the n-th Gelfand number of ``S_p^N -> S_q^N``."""
-    n = spec.require_index()
-    return envelope_profile("gelfand", spec.p, spec.q, spec.N, consts).value(n)
-
-
-def approx_envelope(
-    spec: EmbeddingSpec, consts: Optional[ConstantsRegistry] = None
-) -> EnvelopeValue:
-    """Envelope of the n-th approximation number of ``S_p^N -> S_q^N``."""
-    n = spec.require_index()
-    return envelope_profile("approximation", spec.p, spec.q, spec.N, consts).value(n)
-
-
-def kolmogorov_envelope(
-    spec: EmbeddingSpec, consts: Optional[ConstantsRegistry] = None
-) -> EnvelopeValue:
-    """Envelope of the n-th Kolmogorov number of ``S_p^N -> S_q^N``."""
-    n = spec.require_index()
-    return envelope_profile("kolmogorov", spec.p, spec.q, spec.N, consts).value(n)
 
 
 def recovery_envelope(p: ExponentLike, q: ExponentLike, N: int, m: int) -> EnvelopeValue:

@@ -135,12 +135,7 @@ def test_shape_mismatch_raises():
         distance_schatten(np.eye(2), basis, 2)
 
 
-@pytest.mark.parametrize("q", ["1/2", "1", "3/2", "inf"])
-@pytest.mark.parametrize("N", [3, 4])
-def test_iterative_solvers_are_homogeneous_at_extreme_scales(N, q):
-    # IRLS (finite q) and the spectral homotopy (q = inf) solve a copy
-    # scaled to unit magnitude; unscaled, they raised overflow warnings
-    # on large inputs and drifted by as much as 54% on small ones
+def _assert_homogeneous_at_extreme_scales(N, q):
     rng = np.random.default_rng(40 + N)
     a = rng.standard_normal((N, N))
     basis = SubspaceBasis(orthonormal_columns(rng.standard_normal((N * N, N + 1))), N)
@@ -152,3 +147,18 @@ def test_iterative_solvers_are_homogeneous_at_extreme_scales(N, q):
         assert schatten_norm(res.residual, q) == pytest.approx(res.value, rel=1e-8, abs=0.0)
         assert np.allclose(s * a - basis.member(res.coefficients), res.residual,
                            rtol=0.0, atol=1e-12 * s * np.abs(a).max())
+
+
+@pytest.mark.parametrize("q", ["1/2", "1", "3/2", "inf"])
+@pytest.mark.parametrize("N", [3, 4])
+def test_iterative_solvers_are_homogeneous_at_extreme_scales(N, q):
+    # IRLS (finite q) and the spectral homotopy (q = inf) solve a copy
+    # scaled to unit magnitude; unscaled, they raised overflow warnings
+    # on large inputs and drifted by as much as 54% on small ones
+    _assert_homogeneous_at_extreme_scales(N, q)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_frobenius_distance_is_homogeneous_at_extreme_scales(N):
+    # the closed form read 0.0 at 1e-200 and inf at 1e200
+    _assert_homogeneous_at_extreme_scales(N, "2")

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from schatten_widths.core import schatten_norm
+from schatten_widths.exponents import as_exponent
 from schatten_widths.recovery import (
     InfoMap,
+    _test_battery,
     apply_info_map,
     build_info_map,
     compare_to_envelope,
@@ -112,6 +114,35 @@ def test_decoder_validates_measurement_length():
     info = build_info_map(3, 4, seed=0)
     with pytest.raises(ValueError):
         nuclear_decoder(info, np.zeros(5))
+    with pytest.raises(ValueError):
+        nuclear_decoder(info, np.ones(4), max_iter=0)
+
+
+def test_decoder_flags_tell_the_truth_at_the_iteration_cap():
+    N = 8
+    rng = np.random.default_rng(7)
+    x = np.outer(rng.standard_normal(N), rng.standard_normal(N))
+    info = build_info_map(N, 24, seed=11)
+    y = apply_info_map(info, x)
+    res = nuclear_decoder(info, y, max_iter=10)
+    assert not res.converged
+    assert res.iterations == 10
+    assert res.residual == float(np.linalg.norm(apply_info_map(info, res.matrix) - y))
+
+
+@pytest.mark.parametrize("m", [8, 24, 64])
+def test_every_battery_decode_is_feasible_without_nuclear_excess(m):
+    # x itself is feasible, so the minimizer's nuclear norm is at most x's
+    N, tol = 8, 1e-6
+    info = build_info_map(N, m, seed=3)
+    battery = _test_battery(N, as_exponent("1"), np.random.default_rng(3), 12)
+    for label, x in battery:
+        y = apply_info_map(info, x)
+        res = nuclear_decoder(info, y, tol)
+        assert res.converged, label
+        assert res.residual <= tol, label
+        assert res.residual == float(np.linalg.norm(apply_info_map(info, res.matrix) - y))
+        assert schatten_norm(res.matrix, 1) <= schatten_norm(x, 1) + 1e-6, label
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +193,9 @@ def test_full_measurements_recover_everything():
 
 
 def test_error_decays_with_more_measurements():
-    values = [worst_case_error(8, "1", "2", m, seed=3).worst_error for m in (8, 24, 64)]
+    results = [worst_case_error(8, "1", "2", m, seed=3) for m in (8, 24, 64)]
+    assert all(r.diagnostics["non_converged"] == 0 for r in results)
+    values = [r.worst_error for r in results]
     assert values[2] < values[0]
     assert values[2] < 0.6  # clearly into the decay regime
 
