@@ -29,6 +29,10 @@ __all__ = ["AscentResult", "default_starts", "norm_gradient", "sup_ratio_ascent"
 
 _SPECTRAL_CUTOFF = 1e-8
 _STEP_FLOOR = 1e-12
+# a start ends after this many accepted steps in a row that each gain
+# less than this relative amount
+_STALL_LIMIT = 6
+_STALL_GAIN = 1e-11
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,6 @@ def default_starts(
     *,
     n_gaussian: int = 3,
     n_rank_one: int = 2,
-    include_orthogonal: bool = True,
     extra: Sequence[np.ndarray] = (),
 ) -> list[np.ndarray]:
     """Standard start battery: a matrix unit, the identity, a Haar-like
@@ -138,7 +141,7 @@ def default_starts(
     unit[0, 0] = 1.0
     starts.append(unit)
     starts.append(np.eye(N))
-    if include_orthogonal and N > 1:
+    if N > 1:
         g = rng.standard_normal((N, N))
         q = orthonormal_columns(g)
         if q.shape[1] == N:
@@ -160,8 +163,6 @@ def sup_ratio_ascent(
     starts: Sequence[np.ndarray],
     *,
     max_iter: int = 300,
-    tol: float = 1e-11,
-    stall_limit: int = 6,
 ) -> AscentResult:
     """Maximize ``objective(X) / ||X||_p`` from each start.
 
@@ -220,13 +221,13 @@ def sup_ratio_ascent(
                         x, value, grad = trial, trial_value, trial_grad
                         step = min(step * 1.3, 1.0)
                         accepted = True
-                        stalled = stalled + 1 if improvement < tol else 0
+                        stalled = stalled + 1 if improvement < _STALL_GAIN else 0
                         break
                 step *= 0.5
             if not accepted:
                 converged = True
                 break
-            if stalled >= stall_limit:
+            if stalled >= _STALL_LIMIT:
                 converged = True
                 break
         if value > best_value:

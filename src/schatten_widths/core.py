@@ -95,11 +95,6 @@ class EmbeddingSpec:
                 raise ValueError(f"index n must satisfy 1 <= n <= N^2 = {N ** 2}, got {n}")
             object.__setattr__(self, "n", n)
 
-    @property
-    def dimension(self) -> int:
-        """Dimension N^2 of the matrix space."""
-        return self.N**2
-
     def require_index(self) -> int:
         """Return ``n``, raising if the spec carries no index."""
         if self.n is None:
@@ -284,8 +279,7 @@ def schatten_norm(a: np.ndarray, p: ExponentLike) -> float | np.ndarray:
         elif type(p) is int and p > 0:
             pf = float(p)
         else:
-            pe = as_exponent(p)
-            pf = math.inf if is_infinite(pe) else float(pe)
+            pf = float(as_exponent(p))
         if pf == math.inf or s2 <= RANK_CUTOFF * s1:
             return s1
         return s1 * (1.0 + (s2 / s1) ** pf) ** (1.0 / pf)
@@ -418,5 +412,5 @@ def littlewood_check(
         interpolated_norm=n_theta,
         endpoint_q_norm=n_q,
         endpoint_p_norm=n_p,
-        p_theta=float("inf") if is_infinite(p_theta) else float(p_theta),
+        p_theta=float(p_theta),
     )

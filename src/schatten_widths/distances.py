@@ -17,6 +17,14 @@ Solvers by exponent:
 * ``0 < q < 1``: the same IRLS iteration run as a damped local heuristic;
   the problem is nonconvex, so the value is an upper bound on the true
   distance and ``converged`` only reflects stabilization.
+
+At ``N = 2`` closed-form solvers on the 2x2 split coordinates replace the
+iterations.  The budgets are fixed: IRLS stops after 80 iterations, or
+after two steps in a row that gain less than 1e-9 relative; the homotopy
+runs IRLS at q = 4, 32 and 128; the 2x2 descents take at most 80 steps
+(30 after 25 Weiszfeld steps at ``q = inf``, 60 per start for
+quasi-norms).  Inputs of extreme magnitude are solved at unit scale and
+scaled back exactly.
 """
 from __future__ import annotations
 
@@ -39,8 +47,8 @@ _CODIM_ONE_CACHE: "weakref.WeakKeyDictionary[SubspaceBasis, tuple]" = (
 )
 
 _IRLS_RIDGE = 1e-10
-_IRLS_TOL = 1e-9
-_IRLS_MAX_ITER = 80
+_SOLVE_TOL = 1e-9
+_SOLVE_MAX_ITER = 80
 _HOMOTOPY_EXPONENTS = (4.0, 32.0, 128.0)
 
 
@@ -189,7 +197,6 @@ def _descent_scalar(
     qf: float,
     w1: float,
     w2: float,
-    tol: float,
     max_iter: int,
 ) -> tuple[float, float, float]:
     """Damped gradient descent; returns ``(value, w1, w2)``.
@@ -215,7 +222,7 @@ def _descent_scalar(
                 w1, w2, value, g1, g2 = t1, t2, tval, tg1, tg2
                 step = step * 1.5 if step < 1.5 else 2.0
                 improved = True
-                stall = stall + 1 if gain <= tol * max(value, 1e-30) else 0
+                stall = stall + 1 if gain <= _SOLVE_TOL * max(value, 1e-30) else 0
                 break
             step *= 0.5
         if not improved or stall >= 2:
@@ -227,7 +234,6 @@ def _weber_scalar(
     sp: _SplitPair,
     w1: float,
     w2: float,
-    tol: float,
     max_iter: int,
 ) -> tuple[float, float]:
     """Minimize ``|ru| + |rv|`` (the spectral norm) by damped Weiszfeld."""
@@ -247,7 +253,7 @@ def _weber_scalar(
                 gain = best - val
                 w1, w2, f1, f2, best = t1, t2, g1, g2, val
                 improved = True
-                if gain <= tol * max(best, 1e-30):
+                if gain <= _SOLVE_TOL * max(best, 1e-30):
                     return w1, w2
                 break
             step *= 0.5
@@ -436,15 +442,12 @@ def _codim_one_distance(x: np.ndarray, basis: SubspaceBasis, q) -> DistanceResul
 
 
 def _distance_2x2(
+    sp: _SplitPair,
     x: np.ndarray,
     basis: SubspaceBasis,
-    q,
+    qf: float,
     w0: np.ndarray | None,
-    tol: float,
-    max_iter: int,
 ) -> DistanceResult:
-    sp = _SplitPair(x, basis)
-    qf = math.inf if is_infinite(q) else float(q)
     if w0 is not None:
         s1, s2 = float(w0[0]), (float(w0[1]) if sp.m == 2 else 0.0)
     elif qf >= 1.0:
@@ -458,10 +461,10 @@ def _distance_2x2(
         else:
             w1, w2 = _minimax_bisect_m2(sp)
     elif qf == math.inf:
-        w1, w2 = _weber_scalar(sp, s1, s2, tol, min(max_iter, 25))
-        _, w1, w2 = _descent_scalar(sp, qf, w1, w2, tol, min(max_iter, 30))
+        w1, w2 = _weber_scalar(sp, s1, s2, 25)
+        _, w1, w2 = _descent_scalar(sp, qf, w1, w2, 30)
     elif qf > 1.0:
-        _, w1, w2 = _descent_scalar(sp, qf, s1, s2, tol, max_iter)
+        _, w1, w2 = _descent_scalar(sp, qf, s1, s2, _SOLVE_MAX_ITER)
     elif sp.m == 1:
         w1, w2 = _grid_min_m1(sp, qf, (s1,))
     else:
@@ -471,7 +474,7 @@ def _distance_2x2(
         starts = [(s1, s2), sp.frobenius_start(), (m1, m2)]
         best_val, w1, w2 = math.inf, 0.0, 0.0
         for c1, c2 in starts:
-            val, r1, r2 = _descent_scalar(sp, qf, c1, c2, tol, min(max_iter, 60))
+            val, r1, r2 = _descent_scalar(sp, qf, c1, c2, 60)
             if val < best_val:
                 best_val, w1, w2 = val, r1, r2
 
@@ -481,7 +484,7 @@ def _distance_2x2(
         w = np.array([w1, w2])
     residual = x - basis.member(w)
     return DistanceResult(
-        value=schatten_norm(residual, q),
+        value=schatten_norm(residual, qf),
         residual=residual,
         coefficients=w,
         converged=True,
@@ -504,8 +507,6 @@ def _irls(
     basis: SubspaceBasis,
     q: float,
     w0: np.ndarray | None,
-    tol: float,
-    max_iter: int,
 ) -> DistanceResult:
     """Minimize ``||x - basis(w)||_q`` by reweighted least squares."""
     m = basis.dim
@@ -520,7 +521,7 @@ def _irls(
     converged = False
     iterations = 0
     stall = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _SOLVE_MAX_ITER + 1):
         weight = _spectral_weight(residual, q)
         gram = np.empty((m, m))
         rhs = np.empty(m)
@@ -546,7 +547,7 @@ def _irls(
                 prev = best_val
                 best_val = trial_val
                 accepted = True
-                if improvement <= tol * max(prev, 1e-30):
+                if improvement <= _SOLVE_TOL * max(prev, 1e-30):
                     stall += 1
                 else:
                     stall = 0
@@ -570,14 +571,12 @@ def _spectral_homotopy(
     x: np.ndarray,
     basis: SubspaceBasis,
     w0: np.ndarray | None,
-    tol: float,
-    max_iter: int,
 ) -> DistanceResult:
     w = w0
     total = 0
     converged = True
     for q_eff in _HOMOTOPY_EXPONENTS:
-        stage = _irls(x, basis, q_eff, w, tol, max_iter)
+        stage = _irls(x, basis, q_eff, w)
         w = stage.coefficients
         total += stage.iterations
         converged = converged and stage.converged
@@ -597,8 +596,6 @@ def distance_schatten(
     q,
     *,
     warm_start: np.ndarray | None = None,
-    tol: float = _IRLS_TOL,
-    max_iter: int = _IRLS_MAX_ITER,
 ) -> DistanceResult:
     """Distance from ``x`` to the subspace in the Schatten-``q`` norm."""
     q = as_exponent(q)
@@ -617,27 +614,36 @@ def distance_schatten(
         return _closed_form_frobenius(x, basis)
     if basis.dim == basis.N * basis.N - 1:
         return _codim_one_distance(x, basis, q)
+    qf = float(q)
     if basis.N == 2:
-        return _distance_2x2(x, basis, q, warm_start, tol, max_iter)
-    # The iterative solvers below carry absolute floors and powers of the
-    # residual's Gram matrix, so they run on x / 2**e, whose largest entry
-    # lies in [0.5, 1): scaling by a power of two is exact, and the
-    # distance, residual and coefficients are homogeneous in x.
+        sp = _SplitPair(x, basis)
+        # The 2x2 solvers raise split lengths to the power q (not at
+        # q = inf) and stop on absolute floors that bite below 2**-20;
+        # they run unscaled while neither matters.
+        e_max = 1000.0 / qf if 2.0 < qf < math.inf else 500.0
+        if -min(20.0, e_max) <= math.log2(sp.scale) <= e_max:
+            return _distance_2x2(sp, x, basis, qf, warm_start)
+    # The solvers below carry absolute floors and powers of the residual's
+    # singular values or Gram matrix, so they run on x / 2**e, whose
+    # largest entry lies in [0.5, 1): scaling by a power of two is exact,
+    # and the distance, residual and coefficients are homogeneous in x.
+    # At N = 2 only inputs outside the range above pay for this.
     e = math.frexp(float(np.max(np.abs(x))))[1]
     if e:
         res = distance_schatten(
-            np.ldexp(x, -e), basis, q, tol=tol, max_iter=max_iter,
+            np.ldexp(x, -e), basis, q,
             warm_start=None if warm_start is None else np.ldexp(warm_start, -e))
         return replace(res, value=math.ldexp(res.value, e), residual=np.ldexp(res.residual, e),
                        coefficients=np.ldexp(res.coefficients, e))
+    if basis.N == 2:
+        return _distance_2x2(sp, x, basis, qf, warm_start)
     if is_infinite(q):
         start = warm_start
         if start is None:
             start = basis.coefficients(x)
-        return _spectral_homotopy(x, basis, start, tol, max_iter)
-    qf = float(q)
+        return _spectral_homotopy(x, basis, start)
     start = warm_start
     if start is None and qf >= 1:
         # Frobenius projection is a sound convex-case warm start.
         start = basis.coefficients(x)
-    return _irls(x, basis, qf, start, tol, max_iter)
+    return _irls(x, basis, qf, start)

@@ -25,13 +25,12 @@ pairs of envelopes agree bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import EmbeddingSpec, as_int, as_matrix_side
 from .exponents import (
-    INF,
     Exponent,
     ExponentLike,
     as_exponent,
@@ -401,6 +400,27 @@ def _codomain_dominated_segment(p: Exponent, q: Exponent, N: int) -> list[_Segme
     return [_Segment("codomain-dominated", math.inf, value, value, EXACT)]
 
 
+def _high_pair_rows(p: Exponent, q: Exponent, N: int):
+    """Row functions for ``p < q`` with ``q > 2``: the lower and upper bounds
+    of the intermediate gap of the high pair ``2 <= p < q`` (Gelfand and
+    approximation numbers), and the large-index value ``N^(1/q - 1/p)``."""
+    ip, iq = inv(p), inv(q)
+    e_low = float((ip - iq) / (1 - 2 * iq))
+    up_scale = npower(N, -_HALF - ip)
+    large_value = npower(N, iq - ip)
+
+    def gap_lower(n: int) -> float:
+        return ((N * N - n + 1) / (N * N)) ** e_low
+
+    def gap_upper(n: int) -> float:
+        return min(1.0, up_scale * math.sqrt(N * N - n + 1))
+
+    def large_fn(n: int) -> float:
+        return large_value
+
+    return gap_lower, gap_upper, large_fn
+
+
 # ---------------------------------------------------------------------------
 # Gelfand envelope segments
 # ---------------------------------------------------------------------------
@@ -445,10 +465,7 @@ def _gelfand_case(
 
     # q > 2 from here on
     t_mid_end = full - float(c) * npower(N, 1 + 2 * iq) + 1.0
-    large_value = npower(N, iq - ip)
-
-    def large_fn(n: int) -> float:
-        return large_value
+    gap_lower, gap_upper, large_fn = _high_pair_rows(p, q, N)
 
     if p <= 2:
         t_small_end = float((1 - c) * (full))
@@ -496,16 +513,7 @@ def _gelfand_case(
     c_pair = reg.pair(p, q)
     c_q = reg.single(q)
     t_small_end = float(c_pair) * full
-    e_low = float((ip - iq) / (1 - 2 * iq))
-    up_scale = npower(N, -_HALF - ip)
     trivial_zone = full - float(1 / c_q**2) * npower(N, 1 + 2 * ip) + 1.0
-
-    def gap_lower(n: int) -> float:
-        return ((N * N - n + 1) / (N * N)) ** e_low
-
-    def gap_upper(n: int) -> float:
-        return min(1.0, up_scale * math.sqrt(N * N - n + 1))
-
     one = lambda n: 1.0
     segs = [
         _Segment(
@@ -548,22 +556,9 @@ def _approx_item3a(
     u1 = full - float(c_q) * npower(N, 1 + 2 * iP) + 1.0
     u2 = full - float(c) * npower(N, 1 + 2 * iQ) + 1.0
     l1 = float((1 - c) * full)
-    e_low = float((iP - iQ) / (1 - 2 * iQ))
-    up_scale = npower(N, -_HALF - iP)
-    large_value = npower(N, iQ - iP)
     sharp = P == 2  # upper and lower mid formulas coincide exactly
-
-    def gap_lower(n: int) -> float:
-        return ((N * N - n + 1) / (N * N)) ** e_low
-
-    def gap_upper(n: int) -> float:
-        return min(1.0, up_scale * math.sqrt(N * N - n + 1))
-
+    gap_lower, gap_upper, large_fn = _high_pair_rows(P, Q, N)
     one = lambda n: 1.0
-
-    def large_fn(n: int) -> float:
-        return large_value
-
     consts = (f"c_universal={c}", f"c_single={c_q}")
     cuts = sorted({l1, u1, u2})
     segs: list[_Segment] = []

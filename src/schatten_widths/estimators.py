@@ -13,6 +13,21 @@ Methods:
 * ``identity-exact`` — the diagonal quasi-norm Gelfand case, where every
   restriction of the identity has norm exactly 1.
 
+The ``pg-search`` estimators share one search: score a list of candidate
+subspaces or approximants with cheap ascents, refine the best one, and
+re-evaluate a few finalists with the full ascent.  Their only search
+options are ``restarts`` (the full ascent's start count) and ``seed``;
+the budgets are fixed:
+
+* cheap ascents: 3 starts, 60 iterations (80 in the direct Gelfand search);
+* full ascents and ``operator_norm_estimate``: 250 iterations (400 in
+  the direct Gelfand search);
+* Kolmogorov numbers: 3 random frames among the candidates, then 16
+  rounds of frame perturbation that stop after 8 rounds without gain;
+* approximation numbers: 2 random projections among the candidates, then
+  5 rounds of adversarial refinement;
+* direct Gelfand search: 20 rounds of frame perturbation.
+
 Scope: quasi-norm codomains (``q < 1``) are supported on the diagonal
 ``p == q`` only, where sound anchor candidates exist; the inner distance
 solves are then local and the search is flagged in ``detail``.
@@ -46,6 +61,17 @@ __all__ = [
     "hilbert_exact",
     "operator_norm_estimate",
 ]
+
+_CHEAP_STARTS = 3
+_CHEAP_ITER = 60
+_FINAL_ITER = 250
+_KOLMOGOROV_ROUNDS = 16
+_KOLMOGOROV_RANDOM_FRAMES = 3
+_APPROX_REFINE_ROUNDS = 5
+_APPROX_RANDOM_MAPS = 2
+_GELFAND_ROUNDS = 20
+_GELFAND_CHEAP_ITER = 80
+_GELFAND_FINAL_ITER = 400
 
 
 @dataclass(frozen=True)
@@ -92,8 +118,6 @@ def operator_norm_estimate(
     *,
     restarts: int = 6,
     seed: int = 0,
-    max_iter: int = 250,
-    tol: float = 1e-11,
 ) -> Estimate:
     """Estimate ``sup ||T X||_q / ||X||_p`` by multi-start gradient ascent.
 
@@ -104,12 +128,7 @@ def operator_norm_estimate(
     n_gauss = max(1, restarts - 5)
     starts = default_starts(spec.N, rng, n_gaussian=n_gauss, n_rank_one=2)
     result = sup_ratio_ascent(
-        _norm_objective(operator, spec.q),
-        spec.p,
-        spec.N,
-        starts,
-        max_iter=max_iter,
-        tol=tol,
+        _norm_objective(operator, spec.q), spec.p, spec.N, starts, max_iter=_FINAL_ITER
     )
     return Estimate(
         value=result.value,
@@ -200,9 +219,7 @@ def _sup_over_sphere(
     starts = default_starts(
         spec.N, rng, n_gaussian=n_gauss, n_rank_one=n_rank, extra=extra_starts
     )
-    return sup_ratio_ascent(
-        objective, spec.p, spec.N, starts, max_iter=max_iter, tol=1e-11
-    )
+    return sup_ratio_ascent(objective, spec.p, spec.N, starts, max_iter=max_iter)
 
 
 def _coordinate_masks(N: int, m: int) -> list[np.ndarray]:
@@ -252,13 +269,65 @@ def _split_families(N: int) -> list[list[np.ndarray]]:
     return [rotation_like + reflection_like, reflection_like + rotation_like]
 
 
+def _score(candidates, evaluate) -> list[tuple]:
+    """``(evaluate(candidate), label, candidate)`` for each labelled
+    candidate, lowest value first; ties keep the candidates' order."""
+    scored = [(evaluate(cand), label, cand) for label, cand in candidates]
+    scored.sort(key=lambda t: t[0])
+    return scored
+
+
+def _perturb_basis(
+    basis: SubspaceBasis, tau: float, rng: np.random.Generator
+) -> SubspaceBasis:
+    g = rng.standard_normal(basis.columns.shape)
+    return SubspaceBasis(orthonormal_columns(basis.columns + tau * g), basis.N)
+
+
+def _perturbation_descent(evaluate, start, rng, rounds, rel_gain=0.0, patience=None):
+    """Adaptive random descent over frames from ``start = (value, basis)``.
+
+    Each round perturbs the best frame at scale ``tau`` and keeps the trial
+    when its value drops below ``(1 - rel_gain)`` times the best; ``tau``
+    grows after a gain and shrinks otherwise.  ``patience`` rounds in a row
+    without a gain end the search.  Returns the best ``(value, basis)``.
+    """
+    best_val, best = start
+    tau = 0.3
+    misses = 0
+    for _ in range(rounds):
+        trial = _perturb_basis(best, tau, rng)
+        value = evaluate(trial)
+        if value < best_val * (1 - rel_gain):
+            best_val, best = value, trial
+            tau = min(tau * 1.2, 0.8)
+            misses = 0
+        else:
+            tau = max(tau * 0.7, 1e-3)
+            misses += 1
+            if misses == patience:
+                break
+    return best_val, best
+
+
+def _best_finalist(finalists, evaluate) -> tuple[float, str, bool]:
+    """``(value, label, converged)`` of the lowest-valued labelled finalist,
+    with ``evaluate(candidate) -> (value, converged)``; the first wins ties."""
+    best = (math.inf, "", False)
+    for label, cand in finalists:
+        value, converged = evaluate(cand)
+        if value < best[0]:
+            best = (value, label, converged)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Kolmogorov numbers
 # ---------------------------------------------------------------------------
 
 
 def _kolmogorov_candidates(
-    spec: EmbeddingSpec, m: int, rng: np.random.Generator, n_random: int
+    spec: EmbeddingSpec, m: int, rng: np.random.Generator
 ) -> list[tuple[str, SubspaceBasis]]:
     N = spec.N
     full = N * N
@@ -281,7 +350,7 @@ def _kolmogorov_candidates(
     for label, family in zip(("split-rotation", "split-reflection"),
                              _split_families(N)):
         bases.append((label, subspace_from_matrices(family[:m], N)))
-    for k in range(n_random):
+    for k in range(_KOLMOGOROV_RANDOM_FRAMES):
         bases.append((f"random-{k}", SubspaceBasis(_random_frame(rng, full, m), N)))
     return bases
 
@@ -403,23 +472,11 @@ def _evaluate_subspace(
     return result, bool(warm.get("ok", True))
 
 
-def _perturb_basis(
-    basis: SubspaceBasis, tau: float, rng: np.random.Generator
-) -> SubspaceBasis:
-    g = rng.standard_normal(basis.columns.shape)
-    return SubspaceBasis(orthonormal_columns(basis.columns + tau * g), basis.N)
-
-
 def estimate_kolmogorov(
     spec: EmbeddingSpec,
     *,
     restarts: int = 6,
     seed: int = 0,
-    search_rounds: int = 16,
-    cheap_starts: int = 3,
-    cheap_iter: int = 60,
-    final_iter: int = 250,
-    n_random_candidates: int = 3,
 ) -> Estimate:
     """Estimate the ``n``-th Kolmogorov number: the best achievable
     ``sup_X dist_q(X, E) / ||X||_p`` over candidate subspaces ``E`` of
@@ -439,83 +496,42 @@ def estimate_kolmogorov(
     m = n - 1
     quasi_inner = q < 1
 
+    def cheap(basis: SubspaceBasis) -> float:
+        return _evaluate_subspace(
+            spec, basis, rng, n_starts=_CHEAP_STARTS, max_iter=_CHEAP_ITER
+        )[0].value
+
+    def full(basis: SubspaceBasis) -> tuple[float, bool]:
+        result, inner_ok = _evaluate_subspace(
+            spec, basis, rng, n_starts=restarts, max_iter=_FINAL_ITER
+        )
+        return result.value, result.converged and inner_ok
+
     if m == 0:
-        zero = SubspaceBasis(np.zeros((N * N, 0)), N)
-        result, inner_ok = _evaluate_subspace(
-            spec, zero, rng, n_starts=restarts, max_iter=final_iter
+        value, converged = full(SubspaceBasis(np.zeros((N * N, 0)), N))
+        detail = {"candidates": 1, "winner": "zero-subspace"}
+    else:
+        candidates = _kolmogorov_candidates(spec, m, rng)
+        scored = _score(candidates, cheap)
+        _, perturbed = _perturbation_descent(
+            cheap, (scored[0][0], scored[0][2]), rng, _KOLMOGOROV_ROUNDS,
+            rel_gain=1e-4, patience=8,
         )
-        return Estimate(
-            value=result.value,
-            snumber_kind="kolmogorov",
-            method="pg-search",
-            spec=spec,
-            restarts=restarts,
-            seed=seed,
-            converged=result.converged and inner_ok,
-            detail={"candidates": 1, "winner": "zero-subspace",
-                    "quasi_inner": quasi_inner},
-        )
-
-    candidates = _kolmogorov_candidates(spec, m, rng, n_random_candidates)
-
-    scored: list[tuple[float, int, SubspaceBasis]] = []
-    labels: list[str] = []
-    for idx, (label, basis) in enumerate(candidates):
-        result, _ = _evaluate_subspace(
-            spec, basis, rng, n_starts=cheap_starts, max_iter=cheap_iter
-        )
-        scored.append((result.value, idx, basis))
-        labels.append(label)
-    scored.sort(key=lambda t: t[0])
-
-    # adaptive perturbation descent from the best frame, with patience
-    best_val, best_idx, best_basis = scored[0]
-    tau = 0.3
-    since_improvement = 0
-    for _ in range(search_rounds):
-        trial = _perturb_basis(best_basis, tau, rng)
-        result, _ = _evaluate_subspace(
-            spec, trial, rng, n_starts=cheap_starts, max_iter=cheap_iter
-        )
-        if result.value < best_val * (1 - 1e-4):
-            best_val, best_basis = result.value, trial
-            tau = min(tau * 1.2, 0.8)
-            since_improvement = 0
-        else:
-            tau = max(tau * 0.7, 1e-3)
-            since_improvement += 1
-            if since_improvement >= 8:
-                break
-
-    finalists = [("perturbed", best_basis), (labels[scored[0][1]], scored[0][2])]
-    if len(scored) > 1 and scored[1][0] < 1.15 * scored[0][0]:
-        finalists.append((labels[scored[1][1]], scored[1][2]))
-
-    final_value = math.inf
-    final_label = ""
-    final_converged = False
-    for label, basis in finalists:
-        result, inner_ok = _evaluate_subspace(
-            spec, basis, rng, n_starts=restarts, max_iter=final_iter
-        )
-        if result.value < final_value:
-            final_value = result.value
-            final_label = label
-            final_converged = result.converged and inner_ok
+        finalists = [("perturbed", perturbed), scored[0][1:]]
+        if len(scored) > 1 and scored[1][0] < 1.15 * scored[0][0]:
+            finalists.append(scored[1][1:])
+        value, winner, converged = _best_finalist(finalists, full)
+        detail = {"candidates": len(candidates), "search_rounds": _KOLMOGOROV_ROUNDS,
+                  "winner": winner}
     return Estimate(
-        value=final_value,
+        value=value,
         snumber_kind="kolmogorov",
         method="pg-search",
         spec=spec,
         restarts=restarts,
         seed=seed,
-        converged=final_converged,
-        detail={
-            "candidates": len(candidates),
-            "search_rounds": search_rounds,
-            "winner": final_label,
-            "quasi_inner": quasi_inner,
-        },
+        converged=converged,
+        detail={**detail, "quasi_inner": quasi_inner},
     )
 
 
@@ -534,7 +550,7 @@ def _mask_operator(N: int, order: Sequence[int], rank: int, scale: float = 1.0
 
 
 def _approx_candidates(
-    spec: EmbeddingSpec, rank: int, rng: np.random.Generator, n_random: int
+    spec: EmbeddingSpec, rank: int, rng: np.random.Generator
 ) -> list[tuple[str, OperatorOnMatrices]]:
     N = spec.N
     full = N * N
@@ -547,7 +563,7 @@ def _approx_candidates(
             cands.append(
                 (f"{label}@{scale:g}", _mask_operator(N, order, rank, scale))
             )
-    for k in range(n_random):
+    for k in range(_APPROX_RANDOM_MAPS):
         frame = _random_frame(rng, full, rank)
         proj = frame @ frame.T
         cands.append((f"random-proj-{k}", OperatorOnMatrices(proj, N)))
@@ -566,10 +582,6 @@ def _adversarial_refine(
     operator: OperatorOnMatrices,
     rank: int,
     rng: np.random.Generator,
-    *,
-    rounds: int,
-    n_starts: int,
-    max_iter: int,
 ) -> OperatorOnMatrices:
     """A few rounds of best-response descent: find a near-worst input for
     the current approximant, take a rank-constrained gradient step that
@@ -579,14 +591,14 @@ def _adversarial_refine(
     pool: list[np.ndarray] = []
     eta = 0.5
     current = None
-    for _ in range(rounds):
+    for _ in range(_APPROX_REFINE_ROUNDS):
         op = OperatorOnMatrices(matrix, N)
         result = _sup_over_sphere(
             _norm_objective(op.subtract_from_identity(), spec.q),
             spec,
             rng,
-            n_starts=n_starts,
-            max_iter=max_iter,
+            n_starts=_CHEAP_STARTS,
+            max_iter=_CHEAP_ITER,
             extra_starts=pool[-2:],
         )
         if current is not None and result.value >= current:
@@ -611,11 +623,6 @@ def estimate_approx(
     *,
     restarts: int = 6,
     seed: int = 0,
-    cheap_starts: int = 3,
-    cheap_iter: int = 60,
-    final_iter: int = 250,
-    refine_rounds: int = 5,
-    n_random_candidates: int = 2,
 ) -> Estimate:
     """Estimate the ``n``-th approximation number: the best achievable
     residual norm ``sup_X ||X - A(X)||_q / ||X||_p`` over candidate maps
@@ -625,7 +632,7 @@ def estimate_approx(
     width scales are used instead of a direct rank search (domain
     exponent 2: Gelfand; codomain exponent 2: Kolmogorov)."""
     n = spec.require_index()
-    p, q, N = spec.p, spec.q, spec.N
+    p, q = spec.p, spec.q
     if q < 1 and p != q:
         raise NotImplementedError(
             "quasi-norm codomains are supported on the diagonal p == q only"
@@ -644,57 +651,34 @@ def estimate_approx(
 
     rng = np.random.default_rng(seed)
     rank = n - 1
-    candidates = _approx_candidates(spec, rank, rng, n_random_candidates)
 
-    scored: list[tuple[float, str, OperatorOnMatrices]] = []
-    for label, op in candidates:
-        result = _sup_over_sphere(
+    def residual_sup(op: OperatorOnMatrices, n_starts: int, max_iter: int) -> AscentResult:
+        return _sup_over_sphere(
             _norm_objective(op.subtract_from_identity(), spec.q),
             spec,
             rng,
-            n_starts=cheap_starts,
-            max_iter=cheap_iter,
+            n_starts=n_starts,
+            max_iter=max_iter,
         )
-        scored.append((result.value, label, op))
-    scored.sort(key=lambda t: t[0])
 
-    refined = _adversarial_refine(
-        spec,
-        scored[0][2],
-        rank,
-        rng,
-        rounds=refine_rounds,
-        n_starts=cheap_starts,
-        max_iter=cheap_iter,
-    )
-    finalists = [("refined", refined)] + [
-        (label, op) for _, label, op in scored[:2]
-    ]
+    def full(op: OperatorOnMatrices) -> tuple[float, bool]:
+        result = residual_sup(op, restarts, _FINAL_ITER)
+        return result.value, result.converged
 
-    final_value = math.inf
-    final_label = ""
-    final_converged = False
-    for label, op in finalists:
-        result = _sup_over_sphere(
-            _norm_objective(op.subtract_from_identity(), spec.q),
-            spec,
-            rng,
-            n_starts=restarts,
-            max_iter=final_iter,
-        )
-        if result.value < final_value:
-            final_value = result.value
-            final_label = label
-            final_converged = result.converged
+    candidates = _approx_candidates(spec, rank, rng)
+    scored = _score(candidates, lambda op: residual_sup(op, _CHEAP_STARTS, _CHEAP_ITER).value)
+    refined = _adversarial_refine(spec, scored[0][2], rank, rng)
+    finalists = [("refined", refined), *(entry[1:] for entry in scored[:2])]
+    value, winner, converged = _best_finalist(finalists, full)
     return Estimate(
-        value=final_value,
+        value=value,
         snumber_kind="approximation",
         method="pg-search",
         spec=spec,
         restarts=restarts,
         seed=seed,
-        converged=final_converged,
-        detail={"candidates": len(candidates), "winner": final_label},
+        converged=converged,
+        detail={"candidates": len(candidates), "winner": winner},
     )
 
 
@@ -757,9 +741,6 @@ def estimate_gelfand(
     *,
     restarts: int = 6,
     seed: int = 0,
-    search_rounds: int = 20,
-    cheap_starts: int = 3,
-    cheap_iter: int = 80,
 ) -> Estimate:
     """Estimate the ``n``-th Gelfand number.
 
@@ -796,28 +777,21 @@ def estimate_gelfand(
     rng = np.random.default_rng(seed)
     full = N * N
     dim = full - (n - 1)
-    best = math.inf
-    tau = 0.3
-    basis = SubspaceBasis(_random_frame(rng, full, dim), N)
+
+    def cheap(basis: SubspaceBasis) -> float:
+        return _sup_ratio_on_subspace(
+            spec, basis, rng, n_starts=_CHEAP_STARTS, max_iter=_GELFAND_CHEAP_ITER
+        )
+
+    best, basis = math.inf, SubspaceBasis(_random_frame(rng, full, dim), N)
     for sel in _coordinate_masks(N, dim):
         cand = SubspaceBasis(sel, N)
-        val = _sup_ratio_on_subspace(
-            spec, cand, rng, n_starts=cheap_starts, max_iter=cheap_iter
-        )
+        val = cheap(cand)
         if val < best:
             best, basis = val, cand
-    for _ in range(search_rounds):
-        trial = _perturb_basis(basis, tau, rng)
-        val = _sup_ratio_on_subspace(
-            spec, trial, rng, n_starts=cheap_starts, max_iter=cheap_iter
-        )
-        if val < best:
-            best, basis = val, trial
-            tau = min(tau * 1.2, 0.8)
-        else:
-            tau = max(tau * 0.7, 1e-3)
+    best, basis = _perturbation_descent(cheap, (best, basis), rng, _GELFAND_ROUNDS)
     final = _sup_ratio_on_subspace(
-        spec, basis, rng, n_starts=restarts, max_iter=400
+        spec, basis, rng, n_starts=restarts, max_iter=_GELFAND_FINAL_ITER
     )
     return Estimate(
         value=max(best, final),
@@ -827,5 +801,5 @@ def estimate_gelfand(
         restarts=restarts,
         seed=seed,
         converged=False,
-        detail={"experimental": True, "search_rounds": search_rounds},
+        detail={"experimental": True, "search_rounds": _GELFAND_ROUNDS},
     )

@@ -7,7 +7,7 @@ those coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,9 +112,6 @@ class SubspaceBasis:
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Frobenius-orthogonal projection coefficients of ``x``."""
         return self.columns.T @ vec(x)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.member(self.coefficients(x))
 
     def basis_matrices(self) -> tuple[np.ndarray, ...]:
         """The basis columns as matrices (precomputed at construction)."""

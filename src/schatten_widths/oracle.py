@@ -28,13 +28,12 @@ from __future__ import annotations
 import json
 import math
 from importlib import resources
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import EmbeddingSpec, embedding_norm, split_2x2
 from .estimators import Estimate
-from .exponents import as_exponent, is_infinite
 
 __all__ = ["net_oracle", "load_frozen_battery", "DEFAULT_ORACLE_SEED"]
 
@@ -56,12 +55,6 @@ def load_frozen_battery() -> dict:
     """
     path = resources.files("schatten_widths").joinpath("data/oracle_battery.json")
     return json.loads(path.read_text())
-
-
-def _expo_float(p) -> float:
-    """Coerce an exponent-like value to a float in (0, inf]."""
-    e = as_exponent(p)
-    return math.inf if is_infinite(e) else float(e)
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +647,8 @@ def net_oracle(
         raise ValueError(f"net resolution h must lie in (0, 0.25], got {h}")
     if snumber_kind not in ("approx", "gelfand", "kolmogorov"):
         raise ValueError(f"unknown s-number kind {snumber_kind!r}")
-    pf = _expo_float(spec.p)
-    qf = _expo_float(spec.q)
+    pf = float(spec.p)
+    qf = float(spec.q)
     path = snumber_kind
     if snumber_kind == "approx":
         if pf == 2.0:

@@ -190,20 +190,12 @@ class RecoveryResult:
     labels: tuple[str, ...]
     diagnostics: dict
 
-    def describe(self) -> str:
-        return (
-            f"m={self.m}: worst {self.worst_error:.4g} over "
-            f"{len(self.errors)} instances (lower estimate)"
-        )
-
 
 def _test_battery(
     N: int, p: Exponent, rng: np.random.Generator, budget: int
 ) -> list[tuple[str, np.ndarray]]:
     """Unit-p-norm test matrices: rank-one extremes are mandatory, then a
     flat rank ladder and Gaussian mixtures probe every spectral shape."""
-    pf = float("inf") if p == math.inf else float(p)
-
     def unit(label: str, X: np.ndarray) -> tuple[str, np.ndarray]:
         return label, X / schatten_norm(X, p)
 

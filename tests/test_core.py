@@ -323,7 +323,6 @@ def test_hull_decompose_of_entries_whose_squares_overflow():
 
 def test_embedding_spec_validates_and_describes():
     spec = EmbeddingSpec("4/3", "inf", 3, n=2)
-    assert spec.dimension == 9
     assert spec.require_index() == 2
     assert spec.p == Fraction(4, 3)
     assert "S_4/3 -> S_inf" in spec.describe()

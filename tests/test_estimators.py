@@ -66,6 +66,31 @@ def test_identity_widths_are_one_for_small_indices():
     assert est.value == pytest.approx(1.0, rel=2e-2)
 
 
+# Each search's value and detail at seed 0.  The seeded random draws
+# (frames, approximants, ascent starts) come in a fixed order, so a change
+# of that order or of a search budget moves these values.
+SEARCH_PINS = [
+    (estimate_kolmogorov, EmbeddingSpec("1", "inf", 2, n=3), 0.5000000000005868,
+     {"candidates": 8, "search_rounds": 16, "winner": "split-rotation", "quasi_inner": False},
+     True),
+    (estimate_approx, EmbeddingSpec("1", "inf", 2, n=3), 0.9949521602699152,
+     {"candidates": 9, "winner": "random-proj-0"}, True),
+    (estimate_gelfand, EmbeddingSpec("1/2", "2", 2, n=3), 0.42795554621286025,
+     {"experimental": True, "search_rounds": 20}, False),
+    (operator_norm_estimate, EmbeddingSpec("1/2", "2", 3), 1.0000000000000002,
+     {"iterations": 87, "evaluations": 157, "start_index": 3}, True),
+]
+
+
+@pytest.mark.parametrize("estimator, spec, value, detail, converged", SEARCH_PINS,
+                         ids=["kolmogorov", "approx", "gelfand-direct", "norm"])
+def test_search_results_are_pinned(estimator, spec, value, detail, converged):
+    est = estimator(spec)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert list(est.detail.items()) == list(detail.items())
+    assert est.converged is converged
+
+
 def test_kolmogorov_at_the_last_index_is_exact():
     # n = N^2 leaves a hyperplane w^perp, where the S_2 -> S_1 ratio is
     # ||w||_2 / ||w||_inf >= 1, with equality at rank one; m = 8 exceeds
