@@ -12,6 +12,12 @@ the norm gradient (tiny singular values contribute no descent direction),
 which keeps the search stable near the low-rank matrices where those
 ratios peak.  Results are certified lower bounds on the supremum in every
 case: each reported value is the ratio at an explicit matrix.
+
+Objectives built on a norm take its value and gradient together from
+:func:`norm_and_gradient`: one factorization (or one 2x2 split) per
+point.  A trial point then costs that plus one values-only SVD for its
+``p``-norm, and each iteration one more for the ``p``-gradient at the
+iterate.
 """
 from __future__ import annotations
 
@@ -21,11 +27,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import norm_from_singular_values, schatten_norm, split_2x2, svd
-from .exponents import as_exponent, is_infinite
+from .core import exponent_float, norm_from_floats, schatten_norm, split_2x2, svd
 from .operators import orthonormal_columns
 
-__all__ = ["AscentResult", "default_starts", "norm_gradient", "sup_ratio_ascent"]
+__all__ = [
+    "AscentResult",
+    "default_starts",
+    "norm_and_gradient",
+    "norm_gradient",
+    "sup_ratio_ascent",
+]
 
 _SPECTRAL_CUTOFF = 1e-8
 _STEP_FLOOR = 1e-12
@@ -47,52 +58,79 @@ class AscentResult:
     start_index: int
 
 
-def norm_gradient(x: np.ndarray, p) -> np.ndarray:
-    """Gradient of ``X -> ||X||_p`` at a nonzero ``x``.
+def norm_and_gradient(x: np.ndarray, p) -> tuple[float, Optional[np.ndarray]]:
+    """``||x||_p`` and the gradient of ``X -> ||X||_p`` at ``x``, from one
+    factorization; ``(0.0, None)`` at the zero matrix.
 
-    For finite ``p`` this is ``U diag(sigma_i^{p-1}) V^T / ||x||_p^{p-1}``;
-    for ``p = inf`` the top singular pair ``u1 v1^T`` (a supergradient when
-    the top singular value is degenerate).  Singular values below a
-    relative spectral cutoff are dropped from the sum, which for ``p < 1``
-    avoids the blowup of ``sigma^{p-1}`` at the spectrum's edge.
+    For finite ``p`` the gradient is
+    ``U diag(sigma_i^{p-1}) V^T / ||x||_p^{p-1}``; for ``p = inf`` the top
+    singular pair ``u1 v1^T`` (a supergradient when the top singular value
+    is degenerate).  Singular values below a relative spectral cutoff are
+    dropped from the gradient, which for ``p < 1`` avoids the blowup of
+    ``sigma^{p-1}`` at the spectrum's edge.  The value is the one
+    :func:`core.schatten_norm` computes, from the same singular values.
+    A 2x2 input needs no factorization unless its spectrum is nearly
+    degenerate or a power leaves the float range.
     """
-    p = as_exponent(p)
+    pf = exponent_float(p)
     x = np.asarray(x, dtype=float)
     if x.shape == (2, 2):
-        fast = _norm_gradient_2x2(x, p)
-        if fast is not None:
-            return fast
+        (u1, u2), (v1, v2) = split_2x2(*x.ravel().tolist())
+        nu, nv = math.hypot(u1, u2), math.hypot(v1, v2)
+        s1 = nu + nv
+        # non-finite entries, or split lengths that overflow, take the
+        # factorization path, which validates and scales
+        if math.isfinite(s1):
+            if s1 <= 0.0:
+                return 0.0, None
+            value = norm_from_floats((s1, abs(nu - nv)), pf)
+            grad = _gradient_2x2(u1, u2, v1, v2, nu, nv, value, pf)
+            if grad is None:
+                grad = _norm_and_gradient_svd(x, pf)[1]
+            return value, grad
+    return _norm_and_gradient_svd(x, pf)
+
+
+def norm_gradient(x: np.ndarray, p) -> np.ndarray:
+    """Gradient of ``X -> ||X||_p`` at a nonzero ``x`` (see
+    :func:`norm_and_gradient`)."""
+    grad = norm_and_gradient(x, p)[1]
+    if grad is None:
+        raise ValueError("norm gradient undefined at the zero matrix")
+    return grad
+
+
+def _norm_and_gradient_svd(x: np.ndarray, pf: float) -> tuple[float, Optional[np.ndarray]]:
+    """:func:`norm_and_gradient` from one full SVD; the weights are Python
+    floats, applied with one array and one matmul."""
     u, s, v = svd(x)
-    if s[0] <= 0:
-        raise ValueError("norm gradient undefined at the zero matrix")
-    if is_infinite(p):
-        return np.outer(u[:, 0], v[:, 0])
-    pf = float(p)
-    ratios = s / s[0]
-    weights = np.where(ratios > _SPECTRAL_CUTOFF, ratios, 1.0) ** (pf - 1.0)
-    weights[ratios <= _SPECTRAL_CUTOFF] = 0.0
-    norm_ratio = norm_from_singular_values(ratios, p)
+    sigma = s.tolist()
+    top = sigma[0]
+    if top <= 0.0:
+        return 0.0, None
+    ratios = [t / top for t in sigma]
+    # the same power sum as norm_from_floats(sigma, pf), so the same value
+    # bit for bit, and its root is the ratio norm the weights need
+    norm_ratio = norm_from_floats(ratios, pf)
+    value = top * norm_ratio
+    if pf == math.inf:
+        return value, np.outer(u[:, 0], v[:, 0])
     scale = norm_ratio ** (1.0 - pf)
-    return (u * (weights * scale)) @ v.T
+    weights = [r ** (pf - 1.0) * scale if r > _SPECTRAL_CUTOFF else 0.0 for r in ratios]
+    return value, (u * np.array(weights)) @ v.T
 
 
-def _norm_gradient_2x2(x: np.ndarray, p) -> Optional[np.ndarray]:
-    """Split-coordinate norm gradient for 2x2 matrices, no factorization.
+def _gradient_2x2(u1, u2, v1, v2, nu, nv, value, pf) -> Optional[np.ndarray]:
+    """Split-coordinate norm gradient of a nonzero 2x2 matrix with split
+    ``(u1, u2), (v1, v2)`` (:func:`core.split_2x2`) of lengths ``nu, nv``
+    and norm ``value``; no factorization.
 
-    The singular values are the sum and difference of the lengths of the
-    rotation/reflection split vectors (:func:`core.split_2x2`), which makes
-    their matrix derivatives explicit.  Returns None near split
-    degeneracies, and where the split lengths or their powers leave the
-    float range; the factorization path handles both.
+    The singular values are the sum and difference of the split lengths,
+    which makes their matrix derivatives explicit.  Returns None near
+    split degeneracies, and where the powers leave the float range; the
+    factorization path handles both.
     """
-    (u1, u2), (v1, v2) = split_2x2(
-        float(x[0, 0]), float(x[0, 1]), float(x[1, 0]), float(x[1, 1]))
-    nu, nv = math.hypot(u1, u2), math.hypot(v1, v2)
     s1 = nu + nv
-    if not math.isfinite(s1):
-        return None  # non-finite entries, or split lengths that overflow
-    if s1 <= 0.0:
-        raise ValueError("norm gradient undefined at the zero matrix")
     if min(nu, nv) < 1e-9 * s1 and min(nu, nv) > 0.0:
         return None  # nearly equal singular values: let the SVD pick a pair
     eu = 1.0 / nu if nu > 0.0 else 0.0
@@ -101,13 +139,12 @@ def _norm_gradient_2x2(x: np.ndarray, p) -> Optional[np.ndarray]:
     vh1, vh2 = v1 * ev, v2 * ev
     # d(sigma_1) and d(sigma_2) as matrices, row-major entries
     m1 = 0.5 * np.array([[uh1 + vh1, vh2 - uh2], [uh2 + vh2, uh1 - vh1]])
-    if is_infinite(p):
+    if pf == math.inf:
         return m1
-    pf = float(p)
     s2 = abs(nu - nv)
     try:
         if s2 <= _SPECTRAL_CUTOFF * s1:
-            c1, c2 = s1 ** (pf - 1.0) / schatten_norm(x, p) ** (pf - 1.0), 0.0
+            c1, c2 = s1 ** (pf - 1.0) / value ** (pf - 1.0), 0.0
         else:
             norm = (s1**pf + s2**pf) ** (1.0 / pf)
             c1, c2 = (s1 / norm) ** (pf - 1.0), (s2 / norm) ** (pf - 1.0)
@@ -170,7 +207,7 @@ def sup_ratio_ascent(
     a ``None`` gradient ends that start's ascent at its current value
     (used by objectives that are flat or nonsmooth at the iterate).
     """
-    p = as_exponent(p)
+    pf = exponent_float(p)
     best_value = -math.inf
     best_x: Optional[np.ndarray] = None
     best_index = -1
@@ -180,7 +217,7 @@ def sup_ratio_ascent(
 
     for index, start in enumerate(starts):
         x = np.asarray(start, dtype=float)
-        scale = schatten_norm(x, p)
+        scale = schatten_norm(x, pf)
         if not scale > 0:
             continue
         x = x / scale
@@ -202,7 +239,7 @@ def sup_ratio_ascent(
                 if value - window[0] <= 1e-9 * max(value, 1e-30):
                     converged = True
                     break
-            direction = grad / value - norm_gradient(x, p)
+            direction = grad / value - norm_gradient(x, pf)
             dir_scale = float(np.linalg.norm(direction, "fro"))
             if dir_scale < 1e-13:
                 converged = True
@@ -211,7 +248,7 @@ def sup_ratio_ascent(
             accepted = False
             while step >= _STEP_FLOOR:
                 trial = x + step * direction
-                trial_norm = schatten_norm(trial, p)
+                trial_norm = schatten_norm(trial, pf)
                 if trial_norm > 0:
                     trial = trial / trial_norm
                     trial_value, trial_grad = objective(trial)

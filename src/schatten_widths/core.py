@@ -5,7 +5,11 @@ shape ``(N, N)``); ``singular_values`` and ``schatten_norm`` also take a
 stack of shape ``(..., N, N)`` and return one value per matrix, so a
 sampled ratio over thousands of matrices is one LAPACK call.  Singular
 values come from LAPACK (``np.linalg.svd``), with a closed form for a
-single 2x2 input.  Every 2x2 closed form in the package (here, the norm
+single 2x2 input.  A single matrix's norm is summed over Python floats
+(``norm_from_floats``), with its exponent resolved to a float once per
+call: the searches take norms of one small matrix at a time, where
+numpy's per-call overhead costs more than the arithmetic.  Stacks keep
+the vectorized ``norm_from_singular_values``.  Every 2x2 closed form in the package (here, the norm
 gradient, the N = 2 distance solvers and the net oracle) derives from
 one rotation/reflection split, :func:`split_2x2`.  A one-sided Jacobi
 iteration would
@@ -21,7 +25,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,8 +57,8 @@ __all__ = [
     "svd",
 ]
 
-#: Relative threshold below which a singular value is treated as zero for
-#: rank decisions (hull terms, rank counts).  Norms keep all values.
+#: Relative threshold below which a singular value is treated as zero, for
+#: rank decisions (hull terms, rank counts) and in Schatten norms.
 RANK_CUTOFF = 1e-12
 
 
@@ -229,6 +233,35 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def exponent_float(p: ExponentLike) -> float:
+    """The exponent ``p`` as a float (``math.inf`` for infinity), validated
+    by :func:`as_exponent` unless it already is a positive float or int."""
+    if type(p) is float and p > 0.0:
+        return p
+    if type(p) is int and p > 0:
+        return float(p)
+    return float(as_exponent(p))
+
+
+def norm_from_floats(sigma: Sequence[float], pf: float) -> float:
+    """Schatten (quasi-)norm of one matrix from its singular values, given
+    as Python floats in non-increasing order, for a float exponent ``pf``.
+
+    The same rule as :func:`norm_from_singular_values`, on Python floats:
+    for a single small matrix numpy's per-call overhead costs more than
+    the arithmetic.
+    """
+    top = sigma[0]
+    if pf == math.inf or top <= 0.0:
+        return top
+    total = 0.0
+    for s in sigma:
+        ratio = s / top
+        if ratio > RANK_CUTOFF:
+            total += ratio**pf
+    return top * total ** (1.0 / pf)
+
+
 def norm_from_singular_values(sigma: np.ndarray, p: ExponentLike) -> np.ndarray:
     """Schatten (quasi-)norm from singular values sorted non-increasingly
     along the last axis: shape ``(..., N)`` gives shape ``(...)``.
@@ -254,13 +287,16 @@ def schatten_norm(a: np.ndarray, p: ExponentLike) -> float | np.ndarray:
     A single matrix gives a float; a stack of shape ``(..., N, N)`` gives an
     array of shape ``(...)``, one norm per matrix, from one LAPACK call.
     Singular values below ``RANK_CUTOFF * sigma_1`` are treated as exact
-    zeros (see :func:`norm_from_singular_values`).
+    zeros (see :func:`norm_from_singular_values`).  A single matrix's norm
+    is summed in Python floats (:func:`norm_from_floats`); a 2x2 one needs
+    no factorization at all.
     """
     a = np.asarray(a)
     if a.shape == (2, 2):
         # the singular values are the sum and difference of the split
-        # lengths (see split_2x2), no factorization needed
-        entries = (float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1]))
+        # lengths (see split_2x2)
+        pf = exponent_float(p)
+        entries = a.ravel().tolist()
         (u1, u2), (v1, v2) = split_2x2(*entries)
         nu, nv = math.hypot(u1, u2), math.hypot(v1, v2)
         s1 = nu + nv
@@ -270,21 +306,11 @@ def schatten_norm(a: np.ndarray, p: ExponentLike) -> float | np.ndarray:
             if not all(map(math.isfinite, entries)):
                 raise ValueError("matrix entries must be finite")
             scale = max(map(abs, entries))
-            return scale * schatten_norm(a / scale, p)
-        s2 = abs(nu - nv)
-        if s1 <= 0.0:
-            return 0.0
-        if type(p) is float and p > 0.0:
-            pf = p
-        elif type(p) is int and p > 0:
-            pf = float(p)
-        else:
-            pf = float(as_exponent(p))
-        if pf == math.inf or s2 <= RANK_CUTOFF * s1:
-            return s1
-        return s1 * (1.0 + (s2 / s1) ** pf) ** (1.0 / pf)
-    norms = norm_from_singular_values(singular_values(a), p)
-    return norms if norms.ndim else float(norms)
+            return scale * schatten_norm(a / scale, pf)
+        return norm_from_floats((s1, abs(nu - nv)), pf)
+    if a.ndim == 2:
+        return norm_from_floats(singular_values(a).tolist(), exponent_float(p))
+    return norm_from_singular_values(singular_values(a), p)
 
 
 def embedding_norm(p: ExponentLike, q: ExponentLike, N: int) -> float:

@@ -11,6 +11,8 @@ Solvers by exponent:
 * ``1 <= q < inf``: iteratively reweighted least squares on the matrix,
   with spectral weights ``(residual residual^T + ridge)^{(q-2)/2}`` and a
   damped, monotone line search.  Convex, so the local solution is global.
+  Each iteration builds its normal equations with one matmul over the
+  stack of basis matrices.
 * ``q == inf``: a homotopy that follows the IRLS solution through
   increasing finite exponents and reports the true spectral norm at the
   final coefficients (a slight overestimate of the exact distance).
@@ -509,9 +511,8 @@ def _irls(
     w0: np.ndarray | None,
 ) -> DistanceResult:
     """Minimize ``||x - basis(w)||_q`` by reweighted least squares."""
-    m = basis.dim
     cols = basis.basis_matrices()
-    w = np.zeros(m) if w0 is None else np.array(w0, dtype=float)
+    w = np.zeros(basis.dim) if w0 is None else np.array(w0, dtype=float)
 
     def objective(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
         residual = x - basis.member(coeffs)
@@ -522,14 +523,10 @@ def _irls(
     iterations = 0
     stall = 0
     for iterations in range(1, _SOLVE_MAX_ITER + 1):
-        weight = _spectral_weight(residual, q)
-        gram = np.empty((m, m))
-        rhs = np.empty(m)
-        wcols = [weight @ c for c in cols]
-        for k in range(m):
-            rhs[k] = float(np.sum(wcols[k] * x))
-            for l in range(k, m):
-                gram[k, l] = gram[l, k] = float(np.sum(wcols[k] * cols[l]))
+        # normal equations <W C_k, C_l> w_l = <W C_k, x>, all k at once
+        wcols = (_spectral_weight(residual, q) @ cols).reshape(basis.dim, -1)
+        gram = wcols @ basis.columns
+        rhs = wcols @ x.reshape(-1)
         try:
             w_star = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:

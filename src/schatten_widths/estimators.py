@@ -40,8 +40,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ascent import AscentResult, default_starts, norm_gradient, sup_ratio_ascent
-from .core import EmbeddingSpec, schatten_norm, svd
+from .ascent import (
+    AscentResult,
+    default_starts,
+    norm_and_gradient,
+    norm_gradient,
+    sup_ratio_ascent,
+)
+from .core import EmbeddingSpec, exponent_float, schatten_norm, svd
 from .distances import distance_schatten
 from .exponents import dual_exponent, is_infinite
 from .operators import (
@@ -94,20 +100,13 @@ class Estimate:
 
 
 def _norm_objective(op: Optional[OperatorOnMatrices], q):
+    qf = exponent_float(q)
     if op is None:
-        def objective(x: np.ndarray):
-            value = schatten_norm(x, q)
-            if value <= 0:
-                return 0.0, None
-            return value, norm_gradient(x, q)
-        return objective
+        return lambda x: norm_and_gradient(x, qf)
 
     def objective(x: np.ndarray):
-        image = op.apply(x)
-        value = schatten_norm(image, q)
-        if value <= 0:
-            return 0.0, None
-        return value, op.apply_adjoint(norm_gradient(image, q))
+        value, grad = norm_and_gradient(op.apply(x), qf)
+        return value, None if grad is None else op.apply_adjoint(grad)
 
     return objective
 
@@ -608,11 +607,9 @@ def _adversarial_refine(
         current = result.value
         worst = result.maximizer
         pool.append(worst)
-        residual = worst - op.apply(worst)
-        rnorm = schatten_norm(residual, spec.q)
-        if rnorm <= 0:
+        grad_dir = norm_and_gradient(worst - op.apply(worst), spec.q)[1]
+        if grad_dir is None:
             break
-        grad_dir = norm_gradient(residual, spec.q)
         update = np.outer(vec(grad_dir), vec(worst))
         matrix = _truncate_rank(matrix + eta * update, rank)
     return OperatorOnMatrices(matrix, N)
@@ -697,7 +694,7 @@ def _sup_ratio_on_subspace(
 ) -> float:
     """Maximize ``||X||_q / ||X||_p`` over nonzero ``X`` in the subspace,
     by ascent in the coefficient coordinates."""
-    p, q = spec.p, spec.q
+    p, q = exponent_float(spec.p), exponent_float(spec.q)
     dim = basis.dim
     best = 0.0
     for s in range(n_starts):
@@ -710,10 +707,9 @@ def _sup_ratio_on_subspace(
         step = 0.3
         for _ in range(max_iter):
             x = basis.member(z)
-            nq, npn = schatten_norm(x, q), schatten_norm(x, p)
-            grad = basis.columns.T @ vec(
-                norm_gradient(x, q) / nq - norm_gradient(x, p) / npn
-            )
+            nq, gq = norm_and_gradient(x, q)
+            npn, gp = norm_and_gradient(x, p)
+            grad = basis.columns.T @ vec(gq / nq - gp / npn)
             gn = float(np.linalg.norm(grad))
             if gn < 1e-12:
                 break

@@ -8,6 +8,8 @@ comparisons in the envelope tables hold bitwise instead of up to rounding.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -26,9 +28,10 @@ def as_exponent(value: ExponentLike) -> Exponent:
     Parameters
     ----------
     value:
-        An int, Fraction, float (``math.inf`` allowed), or a string such as
-        ``"inf"``, ``"2"``, ``"4/3"`` or ``"0.5"``.  Finite floats are
-        converted to their exact binary rational value.
+        An int, Fraction, float (``math.inf`` allowed), numpy integer or
+        floating scalar, or a string such as ``"inf"``, ``"2"``, ``"4/3"``
+        or ``"0.5"``.  Finite floats are converted to their exact binary
+        rational value.  ``bool`` and ``numpy.bool_`` are rejected.
 
     Returns
     -------
@@ -39,6 +42,8 @@ def as_exponent(value: ExponentLike) -> Exponent:
     ValueError
         If the value is not a positive exponent (or cannot be parsed).
     """
+    if type(value) is Fraction and value.numerator > 0 or value is INF:
+        return value  # already canonical: the common case inside searches
     if isinstance(value, str):
         text = value.strip().lower()
         if text in ("inf", "infinity", "oo"):
@@ -48,18 +53,24 @@ def as_exponent(value: ExponentLike) -> Exponent:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse exponent from {value!r}") from exc
         value = parsed
+    if isinstance(value, bool):  # bool is an int subclass; reject explicitly
+        raise ValueError(f"exponent must be a number, got {value!r}")
+    if not isinstance(value, (float, Fraction)):
+        try:
+            value = operator.index(value)  # int and numpy integer types
+        except TypeError:
+            # numpy floating scalars; numpy's bool is not a numbers.Real
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"exponent must be a number, got {value!r}") from None
+            value = float(value)
     if isinstance(value, float):
         if math.isinf(value) and value > 0:
             return INF
         if not math.isfinite(value):
             raise ValueError(f"exponent must be finite or +inf, got {value!r}")
         value = Fraction(value)
-    if isinstance(value, bool):  # bool is an int subclass; reject explicitly
-        raise ValueError(f"exponent must be a number, got {value!r}")
-    if isinstance(value, int):
+    elif isinstance(value, int):
         value = Fraction(value)
-    if not isinstance(value, Fraction):
-        raise ValueError(f"exponent must be a number, got {value!r}")
     if value <= 0:
         raise ValueError(f"exponent must lie in (0, inf], got {value}")
     return value

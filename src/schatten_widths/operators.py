@@ -95,11 +95,6 @@ class SubspaceBasis:
             if not np.allclose(gram, np.eye(c.shape[1]), atol=1e-10):
                 raise ValueError("columns are not orthonormal")
         object.__setattr__(self, "columns", c)
-        object.__setattr__(
-            self,
-            "_matrices",
-            tuple(c[:, k].reshape(self.N, self.N) for k in range(c.shape[1])),
-        )
 
     @property
     def dim(self) -> int:
@@ -113,9 +108,9 @@ class SubspaceBasis:
         """Frobenius-orthogonal projection coefficients of ``x``."""
         return self.columns.T @ vec(x)
 
-    def basis_matrices(self) -> tuple[np.ndarray, ...]:
-        """The basis columns as matrices (precomputed at construction)."""
-        return self._matrices
+    def basis_matrices(self) -> np.ndarray:
+        """The basis columns as a stack of matrices, shape ``(dim, N, N)``."""
+        return self.columns.T.reshape(self.dim, self.N, self.N)
 
 
 def subspace_from_matrices(mats, N: int, tol: float = 1e-12) -> SubspaceBasis:

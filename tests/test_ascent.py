@@ -2,7 +2,15 @@
 import numpy as np
 import pytest
 
-from schatten_widths.ascent import default_starts, norm_gradient, sup_ratio_ascent
+from hypothesis import given, settings, strategies as st
+
+from schatten_widths.acceptance import EXPONENT_GRID
+from schatten_widths.ascent import (
+    default_starts,
+    norm_and_gradient,
+    norm_gradient,
+    sup_ratio_ascent,
+)
 from schatten_widths.core import embedding_norm, schatten_norm
 
 
@@ -49,6 +57,31 @@ def test_norm_gradient_is_a_unit_dual_certificate():
 def test_norm_gradient_rejects_zero_matrix():
     with pytest.raises(ValueError):
         norm_gradient(np.zeros((2, 2)), "2")
+    for N in (2, 3):
+        assert norm_and_gradient(np.zeros((N, N)), "2") == (0.0, None)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    N=st.integers(2, 32),
+    p=st.sampled_from(EXPONENT_GRID + ("1/3",)),
+    rank=st.integers(1, 32),
+    k=st.sampled_from([-100, 0, 100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norm_and_gradient_agree_with_the_separate_calls(N, p, rank, k, seed):
+    # at N = 2 both values come from one closed form; at N >= 3 the value
+    # comes from a full SVD, whose singular values differ from the
+    # values-only ones of schatten_norm in the last bits
+    rng = np.random.default_rng(seed)
+    r = min(rank, N)
+    x = rng.standard_normal((N, r)) @ rng.standard_normal((r, N)) * 10.0**k
+    value, grad = norm_and_gradient(x, p)
+    if N == 2:
+        assert value == schatten_norm(x, p)
+    else:
+        assert value == pytest.approx(schatten_norm(x, p), rel=4e-15, abs=0.0)
+    assert np.array_equal(grad, norm_gradient(x, p))
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,22 @@ def test_warm_start_is_accepted_and_does_not_hurt():
     assert warm.value <= cold.value * (1 + 1e-8)
 
 
+@pytest.mark.parametrize(
+    "q, index, value",
+    [("1/2", 0, 5.416271929235769), ("1", 5, 1.32191793793694), ("inf", 10, 0.8574656161645653)],
+)
+def test_iterative_distances_are_pinned(q, index, value):
+    # IRLS (q = 1/2, 1) and the spectral homotopy (q = inf) at N = 3, on the
+    # first inputs drawn as for the distance jobs of bench/workloads.py:
+    # a reorganized normal-equation solve must keep these values
+    rng = np.random.default_rng(2103)
+    for dim in (1, 4, 7, 1, 4, 7, 1, 4, 7, 1, 4)[: index + 1]:
+        columns = orthonormal_columns(rng.standard_normal((9, dim)))
+        x = rng.standard_normal((3, 3))
+    res = distance_schatten(x, SubspaceBasis(columns, 3), q)
+    assert res.value == pytest.approx(value, rel=1e-9)
+
+
 def test_shape_mismatch_raises():
     basis = SubspaceBasis(np.zeros((9, 0)), 3)
     with pytest.raises(ValueError):

@@ -68,7 +68,10 @@ def test_identity_widths_are_one_for_small_indices():
 
 # Each search's value and detail at seed 0.  The seeded random draws
 # (frames, approximants, ascent starts) come in a fixed order, so a change
-# of that order or of a search budget moves these values.
+# of that order or of a search budget moves these values.  At N = 3 the
+# counts also follow the last bits of the LAPACK singular values: a full
+# SVD and a values-only SVD of one 3x3 matrix differ there for most
+# matrices, and the norm objective takes its value from the full one.
 SEARCH_PINS = [
     (estimate_kolmogorov, EmbeddingSpec("1", "inf", 2, n=3), 0.5000000000005868,
      {"candidates": 8, "search_rounds": 16, "winner": "split-rotation", "quasi_inner": False},
@@ -78,7 +81,7 @@ SEARCH_PINS = [
     (estimate_gelfand, EmbeddingSpec("1/2", "2", 2, n=3), 0.42795554621286025,
      {"experimental": True, "search_rounds": 20}, False),
     (operator_norm_estimate, EmbeddingSpec("1/2", "2", 3), 1.0000000000000002,
-     {"iterations": 87, "evaluations": 157, "start_index": 3}, True),
+     {"iterations": 89, "evaluations": 156, "start_index": 3}, True),
 ]
 
 
@@ -89,6 +92,23 @@ def test_search_results_are_pinned(estimator, spec, value, detail, converged):
     assert est.value == pytest.approx(value, rel=1e-12)
     assert list(est.detail.items()) == list(detail.items())
     assert est.converged is converged
+
+
+def test_norm_ascent_factors_each_point_once_per_use(monkeypatch):
+    # the norm objective takes its value and gradient from one SVD; the
+    # ascent adds one SVD per start and per trial point (its p-norm) and
+    # one per step (its p-gradient)
+    calls = []
+    lapack_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(None)
+        return lapack_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    est = operator_norm_estimate(EmbeddingSpec("1/2", "2", 3))
+    budget = 2 * est.detail["evaluations"] + est.detail["iterations"] + est.restarts
+    assert 0 < len(calls) <= budget
 
 
 def test_kolmogorov_at_the_last_index_is_exact():

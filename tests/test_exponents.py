@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from schatten_widths.exponents import (
@@ -40,11 +41,33 @@ def test_float_input_converts_to_exact_binary_rational():
 
 
 @pytest.mark.parametrize(
-    "bad", [0, -1, "0", "-2", "1/0", "abc", True, None, float("nan"), -math.inf, [2]]
+    "bad",
+    [0, -1, "0", "-2", "1/0", "abc", True, np.True_, None, float("nan"), -math.inf, [2],
+     np.int64(0), np.float32(-0.5), np.float32("nan")],
 )
 def test_as_exponent_rejects(bad):
     with pytest.raises(ValueError):
         as_exponent(bad)
+
+
+@pytest.mark.parametrize(
+    "raw,expected",
+    [
+        (np.int64(2), Fraction(2)),
+        (np.uint8(3), Fraction(3)),
+        (np.float32(0.5), Fraction(1, 2)),
+        (np.float64(4 / 3), Fraction(4 / 3)),
+        (np.float32("inf"), INF),
+    ],
+)
+def test_as_exponent_accepts_numpy_scalars(raw, expected):
+    assert as_exponent(raw) == expected
+
+
+def test_canonical_exponents_come_back_unchanged():
+    half = Fraction(1, 2)
+    assert as_exponent(half) is half
+    assert as_exponent(INF) is INF
 
 
 def test_is_infinite():
