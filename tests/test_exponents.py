@@ -42,8 +42,8 @@ def test_float_input_converts_to_exact_binary_rational():
 
 @pytest.mark.parametrize(
     "bad",
-    [0, -1, "0", "-2", "1/0", "abc", True, np.True_, None, float("nan"), -math.inf, [2],
-     np.int64(0), np.float32(-0.5), np.float32("nan")],
+    [0, -1, "0", "-2", "1/0", "abc", True, None, float("nan"), -math.inf, [2],
+     np.True_, np.int64(0), np.float32(-0.5), np.float32("nan")],
 )
 def test_as_exponent_rejects(bad):
     with pytest.raises(ValueError):
