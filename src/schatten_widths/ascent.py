@@ -27,7 +27,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import exponent_float, norm_from_floats, schatten_norm, split_2x2, svd
+from .core import norm_2x2, norm_from_floats, schatten_norm, svd
+from .exponents import exponent_float
 from .operators import orthonormal_columns
 
 __all__ = [
@@ -75,16 +76,14 @@ def norm_and_gradient(x: np.ndarray, p) -> tuple[float, Optional[np.ndarray]]:
     pf = exponent_float(p)
     x = np.asarray(x, dtype=float)
     if x.shape == (2, 2):
-        (u1, u2), (v1, v2) = split_2x2(*x.ravel().tolist())
-        nu, nv = math.hypot(u1, u2), math.hypot(v1, v2)
-        s1 = nu + nv
+        closed = norm_2x2(x.ravel().tolist(), pf)
         # non-finite entries, or split lengths that overflow, take the
         # factorization path, which validates and scales
-        if math.isfinite(s1):
-            if s1 <= 0.0:
+        if closed is not None:
+            value, split = closed
+            if value <= 0.0:
                 return 0.0, None
-            value = norm_from_floats((s1, abs(nu - nv)), pf)
-            grad = _gradient_2x2(u1, u2, v1, v2, nu, nv, value, pf)
+            grad = _gradient_2x2(*split, value, pf)
             if grad is None:
                 grad = _norm_and_gradient_svd(x, pf)[1]
             return value, grad

@@ -9,10 +9,11 @@ single 2x2 input.  A single matrix's norm is summed over Python floats
 (``norm_from_floats``), with its exponent resolved to a float once per
 call: the searches take norms of one small matrix at a time, where
 numpy's per-call overhead costs more than the arithmetic.  Stacks keep
-the vectorized ``norm_from_singular_values``.  Every 2x2 closed form in the package (here, the norm
-gradient, the N = 2 distance solvers and the net oracle) derives from
-one rotation/reflection split, :func:`split_2x2`.  A one-sided Jacobi
-iteration would
+the vectorized ``norm_from_singular_values``.  Every 2x2 closed form in
+the package (here, the norm gradient, the N = 2 distance solvers and the
+net oracle) derives from one rotation/reflection split,
+:func:`split_2x2`; the 2x2 norm and the norm gradient share
+``norm_2x2``.  A one-sided Jacobi iteration would
 resolve tiny singular values to high relative accuracy, but every rank
 decision and quasi-norm here drops values below ``RANK_CUTOFF * sigma_1``,
 so that accuracy would go unused; LAPACK is about 15x faster at N = 3 and
@@ -34,6 +35,7 @@ from .exponents import (
     Exponent,
     ExponentLike,
     as_exponent,
+    exponent_float,
     format_exponent,
     inv,
     is_infinite,
@@ -233,16 +235,6 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def exponent_float(p: ExponentLike) -> float:
-    """The exponent ``p`` as a float (``math.inf`` for infinity), validated
-    by :func:`as_exponent` unless it already is a positive float or int."""
-    if type(p) is float and p > 0.0:
-        return p
-    if type(p) is int and p > 0:
-        return float(p)
-    return float(as_exponent(p))
-
-
 def norm_from_floats(sigma: Sequence[float], pf: float) -> float:
     """Schatten (quasi-)norm of one matrix from its singular values, given
     as Python floats in non-increasing order, for a float exponent ``pf``.
@@ -260,6 +252,24 @@ def norm_from_floats(sigma: Sequence[float], pf: float) -> float:
         if ratio > RANK_CUTOFF:
             total += ratio**pf
     return top * total ** (1.0 / pf)
+
+
+def norm_2x2(entries: Sequence[float], pf: float):
+    """Schatten (quasi-)norm of the 2x2 matrix with row-major ``entries``
+    (Python floats), for a float exponent ``pf``, with no factorization.
+
+    The singular values are the sum and difference of the split lengths
+    (see :func:`split_2x2`).  Returns ``(value, (u1, u2, v1, v2, nu, nv))``,
+    the split and its lengths, or None when the lengths are not finite:
+    every entry feeds both lengths, so that catches NaN and inf entries
+    as well as finite entries whose split lengths overflow.
+    """
+    (u1, u2), (v1, v2) = split_2x2(*entries)
+    nu, nv = math.hypot(u1, u2), math.hypot(v1, v2)
+    s1 = nu + nv
+    if not math.isfinite(s1):
+        return None
+    return norm_from_floats((s1, abs(nu - nv)), pf), (u1, u2, v1, v2, nu, nv)
 
 
 def norm_from_singular_values(sigma: np.ndarray, p: ExponentLike) -> np.ndarray:
@@ -293,21 +303,15 @@ def schatten_norm(a: np.ndarray, p: ExponentLike) -> float | np.ndarray:
     """
     a = np.asarray(a)
     if a.shape == (2, 2):
-        # the singular values are the sum and difference of the split
-        # lengths (see split_2x2)
         pf = exponent_float(p)
         entries = a.ravel().tolist()
-        (u1, u2), (v1, v2) = split_2x2(*entries)
-        nu, nv = math.hypot(u1, u2), math.hypot(v1, v2)
-        s1 = nu + nv
-        if not math.isfinite(s1):
-            # every entry feeds both lengths, so this catches NaN and inf
-            # entries as well as finite entries whose split lengths overflow
+        closed = norm_2x2(entries, pf)
+        if closed is None:
             if not all(map(math.isfinite, entries)):
                 raise ValueError("matrix entries must be finite")
             scale = max(map(abs, entries))
             return scale * schatten_norm(a / scale, pf)
-        return norm_from_floats((s1, abs(nu - nv)), pf)
+        return closed[0]
     if a.ndim == 2:
         return norm_from_floats(singular_values(a).tolist(), exponent_float(p))
     return norm_from_singular_values(singular_values(a), p)

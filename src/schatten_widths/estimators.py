@@ -47,9 +47,9 @@ from .ascent import (
     norm_gradient,
     sup_ratio_ascent,
 )
-from .core import EmbeddingSpec, exponent_float, schatten_norm, svd
+from .core import EmbeddingSpec, schatten_norm, svd
 from .distances import distance_schatten
-from .exponents import dual_exponent, is_infinite
+from .exponents import dual_exponent, exponent_float, is_infinite
 from .operators import (
     OperatorOnMatrices,
     SubspaceBasis,

@@ -76,6 +76,16 @@ def as_exponent(value: ExponentLike) -> Exponent:
     return value
 
 
+def exponent_float(p: ExponentLike) -> float:
+    """The exponent ``p`` as a float (``math.inf`` for infinity), validated
+    by :func:`as_exponent` unless it already is a positive float or int."""
+    if type(p) is float and p > 0.0:
+        return p
+    if type(p) is int and p > 0:
+        return float(p)
+    return float(as_exponent(p))
+
+
 def is_infinite(p: Exponent) -> bool:
     """Return True when ``p`` is the infinity exponent."""
     return isinstance(p, float) and math.isinf(p)

@@ -165,10 +165,10 @@ def test_schatten_norm_scale_and_orthogonal_invariance(N, p, k, seed):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(
     N=st.integers(1, 32),
-    K=st.integers(1, 3),
+    K=st.integers(1, 5),
     p=st.sampled_from(EXPONENT_GRID + ("1/3",)),
     rank=st.integers(0, 32),
-    k=st.sampled_from([-100, 0, 100]),
+    k=st.integers(-150, 150),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_schatten_norm_of_a_stack_matches_each_matrix(N, K, p, rank, k, seed):
@@ -181,7 +181,15 @@ def test_schatten_norm_of_a_stack_matches_each_matrix(N, K, p, rank, k, seed):
     norms = schatten_norm(stack, p)
     assert norms.shape == (K,)
     for i in range(K):
-        assert norms[i] == pytest.approx(schatten_norm(stack[i], p), rel=4e-15, abs=0.0)
+        rel = 4e-15
+        if N == 2:
+            # the closed form's sigma_2 is a difference of split lengths,
+            # accurate to ulps of sigma_1; a quasi-norm magnifies that
+            # absolute error by (sigma_1 / sigma_2)^(1 - p)
+            s1, s2 = singular_values(stack[i])
+            if s2 > 1e-12 * s1:
+                rel *= max(1.0, (s1 / s2) ** (1.0 - float(as_exponent(p))))
+        assert norms[i] == pytest.approx(schatten_norm(stack[i], p), rel=rel, abs=0.0)
 
 
 def test_stacks_keep_their_leading_shape():
