@@ -13,11 +13,11 @@ which keeps the search stable near the low-rank matrices where those
 ratios peak.  Results are certified lower bounds on the supremum in every
 case: each reported value is the ratio at an explicit matrix.
 
-Objectives built on a norm take its value and gradient together from
-:func:`norm_and_gradient`: one factorization (or one 2x2 split) per
-point.  A trial point then costs that plus one values-only SVD for its
-``p``-norm, and each iteration one more for the ``p``-gradient at the
-iterate.
+Norms and their gradients come from the norm layer: objectives built on
+a norm take both from :func:`core.norm_and_gradient`, one factorization
+(or one 2x2 split) per point.  A trial point then costs that plus one
+values-only SVD for its ``p``-norm, and each iteration one more for the
+``p``-gradient at the iterate.
 """
 from __future__ import annotations
 
@@ -27,19 +27,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import norm_2x2, norm_from_floats, schatten_norm, svd
+from .core import norm_and_gradient, schatten_norm
 from .exponents import exponent_float
 from .operators import orthonormal_columns
 
 __all__ = [
     "AscentResult",
     "default_starts",
-    "norm_and_gradient",
-    "norm_gradient",
     "sup_ratio_ascent",
 ]
 
-_SPECTRAL_CUTOFF = 1e-8
 _STEP_FLOOR = 1e-12
 # a start ends after this many accepted steps in a row that each gain
 # less than this relative amount
@@ -57,105 +54,6 @@ class AscentResult:
     iterations: int
     evaluations: int
     start_index: int
-
-
-def norm_and_gradient(x: np.ndarray, p) -> tuple[float, Optional[np.ndarray]]:
-    """``||x||_p`` and the gradient of ``X -> ||X||_p`` at ``x``, from one
-    factorization; ``(0.0, None)`` at the zero matrix.
-
-    For finite ``p`` the gradient is
-    ``U diag(sigma_i^{p-1}) V^T / ||x||_p^{p-1}``; for ``p = inf`` the top
-    singular pair ``u1 v1^T`` (a supergradient when the top singular value
-    is degenerate).  Singular values below a relative spectral cutoff are
-    dropped from the gradient, which for ``p < 1`` avoids the blowup of
-    ``sigma^{p-1}`` at the spectrum's edge.  The value is the one
-    :func:`core.schatten_norm` computes, from the same singular values.
-    A 2x2 input needs no factorization unless its spectrum is nearly
-    degenerate or a power leaves the float range.
-    """
-    pf = exponent_float(p)
-    x = np.asarray(x, dtype=float)
-    if x.shape == (2, 2):
-        closed = norm_2x2(x.ravel().tolist(), pf)
-        # non-finite entries, or split lengths that overflow, take the
-        # factorization path, which validates and scales
-        if closed is not None:
-            value, split = closed
-            if value <= 0.0:
-                return 0.0, None
-            grad = _gradient_2x2(*split, value, pf)
-            if grad is None:
-                grad = _norm_and_gradient_svd(x, pf)[1]
-            return value, grad
-    return _norm_and_gradient_svd(x, pf)
-
-
-def norm_gradient(x: np.ndarray, p) -> np.ndarray:
-    """Gradient of ``X -> ||X||_p`` at a nonzero ``x`` (see
-    :func:`norm_and_gradient`)."""
-    grad = norm_and_gradient(x, p)[1]
-    if grad is None:
-        raise ValueError("norm gradient undefined at the zero matrix")
-    return grad
-
-
-def _norm_and_gradient_svd(x: np.ndarray, pf: float) -> tuple[float, Optional[np.ndarray]]:
-    """:func:`norm_and_gradient` from one full SVD; the weights are Python
-    floats, applied with one array and one matmul."""
-    u, s, v = svd(x)
-    sigma = s.tolist()
-    top = sigma[0]
-    if top <= 0.0:
-        return 0.0, None
-    ratios = [t / top for t in sigma]
-    # the same power sum as norm_from_floats(sigma, pf), so the same value
-    # bit for bit, and its root is the ratio norm the weights need
-    norm_ratio = norm_from_floats(ratios, pf)
-    value = top * norm_ratio
-    if pf == math.inf:
-        return value, np.outer(u[:, 0], v[:, 0])
-    scale = norm_ratio ** (1.0 - pf)
-    weights = [r ** (pf - 1.0) * scale if r > _SPECTRAL_CUTOFF else 0.0 for r in ratios]
-    return value, (u * np.array(weights)) @ v.T
-
-
-def _gradient_2x2(u1, u2, v1, v2, nu, nv, value, pf) -> Optional[np.ndarray]:
-    """Split-coordinate norm gradient of a nonzero 2x2 matrix with split
-    ``(u1, u2), (v1, v2)`` (:func:`core.split_2x2`) of lengths ``nu, nv``
-    and norm ``value``; no factorization.
-
-    The singular values are the sum and difference of the split lengths,
-    which makes their matrix derivatives explicit.  Returns None near
-    split degeneracies, and where the powers leave the float range; the
-    factorization path handles both.
-    """
-    s1 = nu + nv
-    if min(nu, nv) < 1e-9 * s1 and min(nu, nv) > 0.0:
-        return None  # nearly equal singular values: let the SVD pick a pair
-    eu = 1.0 / nu if nu > 0.0 else 0.0
-    ev = 1.0 / nv if nv > 0.0 else 0.0
-    uh1, uh2 = u1 * eu, u2 * eu
-    vh1, vh2 = v1 * ev, v2 * ev
-    # d(sigma_1) and d(sigma_2) as matrices, row-major entries
-    m1 = 0.5 * np.array([[uh1 + vh1, vh2 - uh2], [uh2 + vh2, uh1 - vh1]])
-    if pf == math.inf:
-        return m1
-    s2 = abs(nu - nv)
-    try:
-        if s2 <= _SPECTRAL_CUTOFF * s1:
-            c1, c2 = s1 ** (pf - 1.0) / value ** (pf - 1.0), 0.0
-        else:
-            norm = (s1**pf + s2**pf) ** (1.0 / pf)
-            c1, c2 = (s1 / norm) ** (pf - 1.0), (s2 / norm) ** (pf - 1.0)
-    except (OverflowError, ZeroDivisionError):
-        return None  # a power left the float range: the SVD path scales
-    if not 0.0 < c1 < math.inf:
-        return None  # the power sum overflowed, or a power underflowed to 0
-    if c2 == 0.0:
-        return c1 * m1
-    sgn = 1.0 if nu >= nv else -1.0
-    m2 = (0.5 * sgn) * np.array([[uh1 - vh1, -vh2 - uh2], [uh2 - vh2, uh1 + vh1]])
-    return c1 * m1 + c2 * m2
 
 
 def default_starts(
@@ -195,7 +93,6 @@ def default_starts(
 def sup_ratio_ascent(
     objective: Callable[[np.ndarray], tuple[float, Optional[np.ndarray]]],
     p,
-    N: int,
     starts: Sequence[np.ndarray],
     *,
     max_iter: int = 300,
@@ -238,7 +135,7 @@ def sup_ratio_ascent(
                 if value - window[0] <= 1e-9 * max(value, 1e-30):
                     converged = True
                     break
-            direction = grad / value - norm_gradient(x, pf)
+            direction = grad / value - norm_and_gradient(x, pf)[1]
             dir_scale = float(np.linalg.norm(direction, "fro"))
             if dir_scale < 1e-13:
                 converged = True

@@ -1,24 +1,29 @@
-"""Core matrix machinery: singular values, Schatten norms, hulls.
+"""Core matrix machinery: singular values, Schatten norms and their
+gradients, hulls.
 
 Everything here works on dense real square matrices (``numpy`` arrays of
 shape ``(N, N)``); ``singular_values`` and ``schatten_norm`` also take a
 stack of shape ``(..., N, N)`` and return one value per matrix, so a
-sampled ratio over thousands of matrices is one LAPACK call.  Singular
-values come from LAPACK (``np.linalg.svd``), with a closed form for a
-single 2x2 input.  A single matrix's norm is summed over Python floats
-(``norm_from_floats``), with its exponent resolved to a float once per
-call: the searches take norms of one small matrix at a time, where
-numpy's per-call overhead costs more than the arithmetic.  Stacks keep
-the vectorized ``norm_from_singular_values``.  Every 2x2 closed form in
-the package (here, the norm gradient, the N = 2 distance solvers and the
-net oracle) derives from one rotation/reflection split,
-:func:`split_2x2`; the 2x2 norm and the norm gradient share
-``norm_2x2``.  A one-sided Jacobi iteration would
-resolve tiny singular values to high relative accuracy, but every rank
-decision and quasi-norm here drops values below ``RANK_CUTOFF * sigma_1``,
-so that accuracy would go unused; LAPACK is about 15x faster at N = 3 and
-scales its input, so entries near the overflow or underflow threshold
-give correct norms.
+sampled ratio over thousands of matrices is one LAPACK call.  Every
+factorization is LAPACK's (``np.linalg.svd``).  A single matrix's norm
+is summed over Python floats (``norm_from_floats``), with its exponent
+resolved to a float once per call: the searches take norms of one small
+matrix at a time, where numpy's per-call overhead costs more than the
+arithmetic.  Stacks keep the vectorized ``norm_from_singular_values``.
+Where a small exponent overflows the power sum's root although the norm
+is representable, the root is taken in log space.
+
+``norm_and_gradient`` is the one source of norm gradients, and so of the
+dual-norm achievers that the searches and the codimension-one distance
+use.  The 2x2 norm and gradient have closed forms on the
+rotation/reflection split :func:`split_2x2`, which the N = 2 distance
+solvers and the net oracle share; they are several times faster than
+LAPACK, where a closed-form full 2x2 SVD is not.  A one-sided Jacobi
+iteration would resolve tiny singular values to high relative accuracy,
+but every rank decision and quasi-norm here drops values below
+``RANK_CUTOFF * sigma_1``, so that accuracy would go unused; LAPACK is
+about 15x faster at N = 3 and scales its input, so entries near the
+overflow or underflow threshold give correct norms.
 """
 from __future__ import annotations
 
@@ -51,6 +56,7 @@ __all__ = [
     "embedding_norm",
     "hull_decompose",
     "littlewood_check",
+    "norm_and_gradient",
     "norm_from_singular_values",
     "pi2_embedding",
     "schatten_norm",
@@ -62,6 +68,10 @@ __all__ = [
 #: Relative threshold below which a singular value is treated as zero, for
 #: rank decisions (hull terms, rank counts) and in Schatten norms.
 RANK_CUTOFF = 1e-12
+#: Relative threshold below which a singular value gets no weight in a
+#: norm gradient: for ``p < 1``, ``sigma^{p-1}`` blows up at the spectrum's
+#: edge.
+_SPECTRAL_CUTOFF = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -173,54 +183,15 @@ def split_2x2(x00, x01, x10, x11):
     return ((x00 + x11) / 2.0, (x10 - x01) / 2.0), ((x00 - x11) / 2.0, (x10 + x01) / 2.0)
 
 
-def _svd_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Closed-form SVD of a 2x2 matrix via :func:`split_2x2`.
-
-    Returns ``None`` if the half-sums overflow or the residual off-diagonal
-    check fails; the caller then falls back to LAPACK, which scales.
-    """
-    (u1, u2), (v1, v2) = split_2x2(
-        float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1]))
-    top = math.hypot(u1, u2) + math.hypot(v1, v2)
-    if not math.isfinite(top):
-        return None
-    angle_rot = math.atan2(u2, u1)
-    angle_ref = math.atan2(v2, v1)
-    phi = (angle_rot + angle_ref) / 2.0
-    theta = (angle_ref - angle_rot) / 2.0
-    cu, su = math.cos(phi), math.sin(phi)
-    cv, sv = math.cos(theta), math.sin(theta)
-    u = np.array([[cu, -su], [su, cu]])
-    v = np.array([[cv, -sv], [sv, cv]])
-    d = u.T @ a @ v
-    for k in (0, 1):
-        if d[k, k] < 0:
-            u[:, k] = -u[:, k]
-            d[k, :] = -d[k, :]
-    if d[0, 0] < d[1, 1]:
-        u = u[:, ::-1].copy()
-        v = v[:, ::-1].copy()
-        d = d[::-1][:, ::-1].copy()
-    if abs(d[0, 1]) > 1e-10 * (top + 1e-300) or abs(d[1, 0]) > 1e-10 * (top + 1e-300):
-        return None
-    return u, np.array([d[0, 0], d[1, 1]]), v
-
-
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD ``a = U @ diag(s) @ V.T``: closed form for 2x2 input,
-    LAPACK otherwise.
+    """Full SVD ``a = U @ diag(s) @ V.T`` of a square matrix (LAPACK).
 
     Returns
     -------
     (U, s, V):
         Orthogonal ``U``, ``V`` and non-increasing singular values ``s``.
     """
-    a = as_square_matrix(a)
-    if a.shape[0] == 2:
-        closed = _svd_2x2(a)
-        if closed is not None:
-            return closed
-    u, sigma, vt = np.linalg.svd(a)
+    u, sigma, vt = np.linalg.svd(as_square_matrix(a))
     return u, sigma, vt.T
 
 
@@ -251,7 +222,12 @@ def norm_from_floats(sigma: Sequence[float], pf: float) -> float:
         ratio = s / top
         if ratio > RANK_CUTOFF:
             total += ratio**pf
-    return top * total ** (1.0 / pf)
+    try:
+        return top * total ** (1.0 / pf)
+    except OverflowError:
+        # a small exponent can overflow the root of a representable norm
+        # (the top singular value is then tiny): take it in log space
+        return math.exp(math.log(top) + math.log(total) / pf)
 
 
 def norm_2x2(entries: Sequence[float], pf: float):
@@ -288,7 +264,15 @@ def norm_from_singular_values(sigma: np.ndarray, p: ExponentLike) -> np.ndarray:
     pf = float(pe)
     ratios = sigma / np.where(top > 0.0, top, 1.0)[..., None]
     ratios[ratios <= RANK_CUTOFF] = 0.0
-    return top * np.sum(ratios**pf, axis=-1) ** (1.0 / pf)
+    total = np.sum(ratios**pf, axis=-1)
+    with np.errstate(over="ignore"):
+        root = total ** (1.0 / pf)
+    if np.all(np.isfinite(root)):
+        return top * root
+    # as in norm_from_floats, a root that overflows is taken in log space
+    with np.errstate(divide="ignore", over="ignore"):
+        logs = np.log(top) + np.log(total) / pf
+    return np.where(np.isfinite(root), top * root, np.exp(logs))
 
 
 def schatten_norm(a: np.ndarray, p: ExponentLike) -> float | np.ndarray:
@@ -315,6 +299,101 @@ def schatten_norm(a: np.ndarray, p: ExponentLike) -> float | np.ndarray:
     if a.ndim == 2:
         return norm_from_floats(singular_values(a).tolist(), exponent_float(p))
     return norm_from_singular_values(singular_values(a), p)
+
+
+def norm_and_gradient(x: np.ndarray, p) -> tuple[float, Optional[np.ndarray]]:
+    """``||x||_p`` and the gradient of ``X -> ||X||_p`` at ``x``, from one
+    factorization; ``(0.0, None)`` at the zero matrix.
+
+    For finite ``p`` the gradient is
+    ``U diag(sigma_i^{p-1}) V^T / ||x||_p^{p-1}``; for ``p = inf`` the top
+    singular pair ``u1 v1^T`` (a supergradient when the top singular value
+    is degenerate).  Singular values below a relative spectral cutoff are
+    dropped from the gradient, which for ``p < 1`` avoids the blowup of
+    ``sigma^{p-1}`` at the spectrum's edge.  The value is the one
+    :func:`schatten_norm` computes, from the same singular values.
+    A 2x2 input needs no factorization unless its spectrum is nearly
+    degenerate or a power leaves the float range.
+
+    By duality the gradient of the dual norm ``||.||_{p*}`` at ``z`` is the
+    point of the ``S_p`` unit sphere that attains ``<z, X> = ||z||_{p*}``
+    (for ``p <= 1``, take ``p* = inf``): the searches' dual-norm achievers
+    are these gradients.
+    """
+    pf = exponent_float(p)
+    x = np.asarray(x, dtype=float)
+    if x.shape == (2, 2):
+        closed = norm_2x2(x.ravel().tolist(), pf)
+        # non-finite entries, or split lengths that overflow, take the
+        # factorization path, which validates and scales
+        if closed is not None:
+            value, split = closed
+            if value <= 0.0:
+                return 0.0, None
+            grad = _gradient_2x2(*split, value, pf)
+            if grad is None:
+                grad = _norm_and_gradient_svd(x, pf)[1]
+            return value, grad
+    return _norm_and_gradient_svd(x, pf)
+
+
+def _norm_and_gradient_svd(x: np.ndarray, pf: float) -> tuple[float, Optional[np.ndarray]]:
+    """:func:`norm_and_gradient` from one full SVD; the weights are Python
+    floats, applied with one array and one matmul."""
+    u, s, v = svd(x)
+    sigma = s.tolist()
+    top = sigma[0]
+    if top <= 0.0:
+        return 0.0, None
+    ratios = [t / top for t in sigma]
+    # the same power sum as norm_from_floats(sigma, pf), so the same value
+    # bit for bit, and its root is the ratio norm the weights need
+    norm_ratio = norm_from_floats(ratios, pf)
+    value = top * norm_ratio
+    if pf == math.inf:
+        return value, np.outer(u[:, 0], v[:, 0])
+    scale = norm_ratio ** (1.0 - pf)
+    weights = [r ** (pf - 1.0) * scale if r > _SPECTRAL_CUTOFF else 0.0 for r in ratios]
+    return value, (u * np.array(weights)) @ v.T
+
+
+def _gradient_2x2(u1, u2, v1, v2, nu, nv, value, pf) -> Optional[np.ndarray]:
+    """Split-coordinate norm gradient of a nonzero 2x2 matrix with split
+    ``(u1, u2), (v1, v2)`` (:func:`split_2x2`) of lengths ``nu, nv``
+    and norm ``value``; no factorization.
+
+    The singular values are the sum and difference of the split lengths,
+    which makes their matrix derivatives explicit.  Returns None near
+    split degeneracies, and where the powers leave the float range; the
+    factorization path handles both.
+    """
+    s1 = nu + nv
+    if min(nu, nv) < 1e-9 * s1 and min(nu, nv) > 0.0:
+        return None  # nearly equal singular values: let the SVD pick a pair
+    eu = 1.0 / nu if nu > 0.0 else 0.0
+    ev = 1.0 / nv if nv > 0.0 else 0.0
+    uh1, uh2 = u1 * eu, u2 * eu
+    vh1, vh2 = v1 * ev, v2 * ev
+    # d(sigma_1) and d(sigma_2) as matrices, row-major entries
+    m1 = 0.5 * np.array([[uh1 + vh1, vh2 - uh2], [uh2 + vh2, uh1 - vh1]])
+    if pf == math.inf:
+        return m1
+    s2 = abs(nu - nv)
+    try:
+        if s2 <= _SPECTRAL_CUTOFF * s1:
+            c1, c2 = s1 ** (pf - 1.0) / value ** (pf - 1.0), 0.0
+        else:
+            norm = (s1**pf + s2**pf) ** (1.0 / pf)
+            c1, c2 = (s1 / norm) ** (pf - 1.0), (s2 / norm) ** (pf - 1.0)
+    except (OverflowError, ZeroDivisionError):
+        return None  # a power left the float range: the SVD path scales
+    if not 0.0 < c1 < math.inf:
+        return None  # the power sum overflowed, or a power underflowed to 0
+    if c2 == 0.0:
+        return c1 * m1
+    sgn = 1.0 if nu >= nv else -1.0
+    m2 = (0.5 * sgn) * np.array([[uh1 - vh1, -vh2 - uh2], [uh2 - vh2, uh1 + vh1]])
+    return c1 * m1 + c2 * m2
 
 
 def embedding_norm(p: ExponentLike, q: ExponentLike, N: int) -> float:

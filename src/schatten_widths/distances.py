@@ -8,6 +8,10 @@ derivative of the distance in ``x``).
 Solvers by exponent:
 
 * ``q == 2``: Frobenius projection, closed form.
+* a subspace of codimension 1, any ``q``: exact by duality.  The distance
+  is ``|<Z, x>| / ||Z||_{q*}`` for the unit normal ``Z``, and the residual
+  follows the dual norm's gradient at ``Z`` from
+  :func:`core.norm_and_gradient`.
 * ``1 <= q < inf``: iteratively reweighted least squares on the matrix,
   with spectral weights ``(residual residual^T + ridge)^{(q-2)/2}`` and a
   damped, monotone line search.  Convex, so the local solution is global.
@@ -36,15 +40,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import schatten_norm, split_2x2
-from .exponents import as_exponent, is_infinite
+from .core import norm_and_gradient, schatten_norm, split_2x2
+from .exponents import INF, as_exponent, dual_exponent, is_infinite
 from .operators import SubspaceBasis
 
 __all__ = ["DistanceResult", "distance_schatten"]
 
-# singular-value data of the orthonormal complement of codimension-1 bases,
-# keyed by basis identity (bases are reused across many distance calls)
-_CODIM_ONE_CACHE: "weakref.WeakKeyDictionary[SubspaceBasis, tuple]" = (
+# the unit normal matrix of codimension-1 bases, keyed by basis identity
+# (bases are reused across many distance calls)
+_CODIM_ONE_CACHE: "weakref.WeakKeyDictionary[SubspaceBasis, np.ndarray]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -403,36 +407,21 @@ def _codim_one_distance(x: np.ndarray, basis: SubspaceBasis, q) -> DistanceResul
 
     The subspace is the trace-orthogonal complement of a single unit matrix
     ``Z``, so for ``q >= 1`` the distance is ``|<Z, x>| / ||Z||_{q*}`` with
-    ``q*`` the dual exponent, achieved by the dual-norm-achieving direction
-    scaled by the pairing.  For ``q <= 1`` the quasi-ball has the same
-    rank-one extreme points as the nuclear ball, so the nuclear formula
-    ``|<Z, x>| / sigma_1(Z)`` remains exact with a rank-one residual.
+    ``q*`` the dual exponent, achieved by the residual
+    ``<Z, x> / ||Z||_{q*}`` times the gradient of ``||.||_{q*}`` at ``Z``,
+    the point of the ``S_q`` unit sphere that attains the dual norm.  For
+    ``q <= 1`` the quasi-ball has the same rank-one extreme points as the
+    nuclear ball, so the nuclear formula ``|<Z, x>| / sigma_1(Z)`` remains
+    exact with a rank-one residual: ``q* = inf``.
     """
-    cached = _CODIM_ONE_CACHE.get(basis)
-    if cached is None:
+    z = _CODIM_ONE_CACHE.get(basis)
+    if z is None:
         u_full, _, _ = np.linalg.svd(basis.columns, full_matrices=True)
-        z_vec = u_full[:, basis.dim]
-        z_mat = z_vec.reshape(basis.N, basis.N)
-        uz, sz, vzt = np.linalg.svd(z_mat)
-        cached = (z_vec, uz, sz, vzt)
-        _CODIM_ONE_CACHE[basis] = cached
-    z_vec, uz, sz, vzt = cached
-    pairing = float(z_vec @ x.reshape(-1))
-    if is_infinite(q):
-        dual_norm = float(np.sum(sz))
-        gamma = np.ones_like(sz)
-    else:
-        qf = float(q)
-        if qf <= 1.0:
-            dual_norm = float(sz[0])
-            gamma = np.zeros_like(sz)
-            gamma[0] = 1.0
-        else:
-            qstar = qf / (qf - 1.0)
-            dual_norm = float(np.sum(sz**qstar) ** (1.0 / qstar))
-            gamma = (sz / dual_norm) ** (qstar - 1.0)
-    achiever = (uz * gamma) @ vzt / dual_norm
-    residual = pairing * achiever
+        z = u_full[:, basis.dim].reshape(basis.N, basis.N)
+        _CODIM_ONE_CACHE[basis] = z
+    pairing = float(z.reshape(-1) @ x.reshape(-1))
+    dual_norm, achiever = norm_and_gradient(z, INF if q <= 1 else dual_exponent(q))
+    residual = (pairing / dual_norm) * achiever
     coefficients = basis.coefficients(x - residual)
     return DistanceResult(
         value=abs(pairing) / dual_norm,

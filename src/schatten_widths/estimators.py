@@ -15,9 +15,11 @@ Methods:
 
 The ``pg-search`` estimators share one search: score a list of candidate
 subspaces or approximants with cheap ascents, refine the best one, and
-re-evaluate a few finalists with the full ascent.  Their only search
-options are ``restarts`` (the full ascent's start count) and ``seed``;
-the budgets are fixed:
+re-evaluate a few finalists with the full ascent.  A subspace's score is
+also floored by a fixed probe battery, whose dual-norm achievers come
+from :func:`core.norm_and_gradient`.  The only search options are
+``restarts`` (the full ascent's start count) and ``seed``; the budgets
+are fixed:
 
 * cheap ascents: 3 starts, 60 iterations (80 in the direct Gelfand search);
 * full ascents and ``operator_norm_estimate``: 250 iterations (400 in
@@ -40,16 +42,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ascent import (
-    AscentResult,
-    default_starts,
-    norm_and_gradient,
-    norm_gradient,
-    sup_ratio_ascent,
-)
-from .core import EmbeddingSpec, schatten_norm, svd
+from .ascent import AscentResult, default_starts, sup_ratio_ascent
+from .core import EmbeddingSpec, norm_and_gradient, schatten_norm, svd
 from .distances import distance_schatten
-from .exponents import dual_exponent, exponent_float, is_infinite
+from .exponents import INF, dual_exponent, exponent_float
 from .operators import (
     OperatorOnMatrices,
     SubspaceBasis,
@@ -127,7 +123,7 @@ def operator_norm_estimate(
     n_gauss = max(1, restarts - 5)
     starts = default_starts(spec.N, rng, n_gaussian=n_gauss, n_rank_one=2)
     result = sup_ratio_ascent(
-        _norm_objective(operator, spec.q), spec.p, spec.N, starts, max_iter=_FINAL_ITER
+        _norm_objective(operator, spec.q), spec.p, starts, max_iter=_FINAL_ITER
     )
     return Estimate(
         value=result.value,
@@ -150,16 +146,12 @@ def operator_norm_estimate(
 # ---------------------------------------------------------------------------
 
 
-def hilbert_exact(
-    spec: EmbeddingSpec, operator: Optional[OperatorOnMatrices] = None
-) -> np.ndarray:
-    """All ``N^2`` s-numbers for the ``p = q = 2`` case, where the three
-    scales coincide with the singular values of the representation."""
+def hilbert_exact(spec: EmbeddingSpec) -> np.ndarray:
+    """All ``N^2`` s-numbers of the identity for ``p = q = 2``, where the
+    three scales coincide with the singular values of its representation."""
     if not (spec.p == 2 and spec.q == 2):
         raise ValueError("exact singular-value s-numbers need p = q = 2")
-    if operator is None:
-        operator = identity_operator(spec.N)
-    _, s, _ = svd(operator.matrix)
+    _, s, _ = svd(identity_operator(spec.N).matrix)
     return s
 
 
@@ -199,7 +191,7 @@ def _distance_objective(basis: SubspaceBasis, q, warm: dict):
         warm["ok"] = warm.get("ok", True) and res.converged
         if res.value <= 0:
             return 0.0, None
-        return res.value, norm_gradient(res.residual, q)
+        return res.value, norm_and_gradient(res.residual, q)[1]
 
     return objective
 
@@ -218,7 +210,7 @@ def _sup_over_sphere(
     starts = default_starts(
         spec.N, rng, n_gaussian=n_gauss, n_rank_one=n_rank, extra=extra_starts
     )
-    return sup_ratio_ascent(objective, spec.p, spec.N, starts, max_iter=max_iter)
+    return sup_ratio_ascent(objective, spec.p, starts, max_iter=max_iter)
 
 
 def _coordinate_masks(N: int, m: int) -> list[np.ndarray]:
@@ -354,45 +346,19 @@ def _kolmogorov_candidates(
     return bases
 
 
-def _top_rank_one(m: np.ndarray) -> Optional[np.ndarray]:
-    u, s, v = svd(m)
-    if s[0] <= 0:
-        return None
-    return np.outer(u[:, 0], v[:, 0])
-
-
-def _dual_achiever(m: np.ndarray, p) -> Optional[np.ndarray]:
-    """Direction maximizing ``<m, X>`` over the Schatten-``p`` unit sphere.
-
-    ``U diag((sigma/sigma_1)^{p*-1}) V^T`` with ``p*`` the dual exponent;
-    for ``p <= 1`` the maximizer is the top rank-one, which the probe
-    battery already holds, so None is returned.
-    """
-    if not is_infinite(p) and p <= 1:
-        return None
-    u, s, v = svd(m)
-    if s[0] <= 0:
-        return None
-    if is_infinite(p):
-        gamma = np.ones_like(s)
-    else:
-        pf = float(p)
-        pstar = pf / (pf - 1.0)
-        gamma = (s / s[0]) ** (pstar - 1.0)
-    return (u * gamma) @ v.T
-
-
 def _probe_ratio(spec: EmbeddingSpec, basis: SubspaceBasis) -> float:
     """Best distance ratio over a fixed battery of structured probes.
 
-    The battery holds the matrix units, the identity, the Frobenius
-    complement of the subspace (each complement direction, its top
-    rank-one part, and seeded complement mixtures).  The complement
-    rank-ones matter most: at codimension one they are exact extremizers
-    of the distance ratio for every exponent, because a linear functional
-    on a Schatten ball peaks on the top singular pair of its kernel's
-    normal.  Each probe ratio is the objective at an explicit matrix,
-    hence a sound lower bound for the supremum.
+    The battery holds the matrix units, the identity, and the Frobenius
+    complement of the subspace: each complement direction and three
+    seeded complement mixtures, each with the points of the ``S_p`` unit
+    sphere that best pair with it, from :func:`core.norm_and_gradient`
+    (the top rank-one part, and for ``p > 1`` the dual-norm gradient).
+    Those achievers matter most: at codimension one the distance is a
+    multiple of the pairing with the subspace's normal ``Z``, so the
+    achiever for ``Z`` is an exact extremizer of the ratio.  Each probe
+    ratio is the objective at an explicit matrix, hence a sound lower
+    bound for the supremum.
     """
     N, p, q = spec.N, spec.p, spec.q
     full = N * N
@@ -409,6 +375,8 @@ def _probe_ratio(spec: EmbeddingSpec, basis: SubspaceBasis) -> float:
         else:
             u_all, _, _ = np.linalg.svd(basis.columns, full_matrices=True)
             complement = u_all[:, basis.dim:]
+        # dual exponents whose norm gradients are the achievers
+        duals = (INF,) if p <= 1 else (INF, dual_exponent(p))
         rng = np.random.default_rng(20240817)
         mixtures = [complement[:, k] for k in range(complement.shape[1])]
         for _ in range(3):
@@ -417,12 +385,10 @@ def _probe_ratio(spec: EmbeddingSpec, basis: SubspaceBasis) -> float:
         for column in mixtures:
             mat = column.reshape(N, N)
             probes.append(mat)
-            rank_one = _top_rank_one(mat)
-            if rank_one is not None:
-                probes.append(rank_one)
-            achiever = _dual_achiever(mat, p)
-            if achiever is not None:
-                probes.append(achiever)
+            for r in duals:
+                achiever = norm_and_gradient(mat, r)[1]
+                if achiever is not None:
+                    probes.append(achiever)
     best = 0.0
     for probe in probes:
         denom = schatten_norm(probe, p)

@@ -65,15 +65,16 @@ def identity_operator(N: int) -> OperatorOnMatrices:
     return OperatorOnMatrices(np.eye(N * N), N)
 
 
-def orthonormal_columns(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def orthonormal_columns(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span of ``a`` (possibly rank
-    deficient), via pivoted Gram-Schmidt on the QR factors."""
+    deficient), via pivoted Gram-Schmidt on the QR factors; a column whose
+    QR pivot is below ``1e-12`` of the largest counts as dependent."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] == 0:
         return np.zeros((a.shape[0], 0))
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
-    keep = diag > tol * (diag.max() if diag.size else 1.0)
+    keep = diag > 1e-12 * (diag.max() if diag.size else 1.0)
     return q[:, keep]
 
 
@@ -113,9 +114,9 @@ class SubspaceBasis:
         return self.columns.T.reshape(self.dim, self.N, self.N)
 
 
-def subspace_from_matrices(mats, N: int, tol: float = 1e-12) -> SubspaceBasis:
+def subspace_from_matrices(mats, N: int) -> SubspaceBasis:
     """Orthonormalize a list of ``N x N`` matrices into a subspace basis."""
     if not mats:
         return SubspaceBasis(np.zeros((N * N, 0)), N)
     a = np.column_stack([vec(m) for m in mats])
-    return SubspaceBasis(orthonormal_columns(a, tol), N)
+    return SubspaceBasis(orthonormal_columns(a), N)

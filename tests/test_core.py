@@ -38,7 +38,7 @@ def _reference_norm(a: np.ndarray, p) -> float:
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5])
-def test_jacobi_svd_reconstructs_and_is_orthogonal(N):
+def test_svd_reconstructs_and_is_orthogonal(N):
     rng = np.random.default_rng(7 * N)
     for _ in range(20):
         a = rng.standard_normal((N, N))
@@ -50,12 +50,28 @@ def test_jacobi_svd_reconstructs_and_is_orthogonal(N):
         assert np.all(sigma >= 0)
 
 
-def test_jacobi_svd_handles_rank_deficiency():
+def test_svd_handles_rank_deficiency():
     rng = np.random.default_rng(11)
     a = np.outer(rng.standard_normal(4), rng.standard_normal(4))
     _, sigma, _ = svd(a)
     assert sigma[0] > 0
     assert np.all(sigma[1:] <= 1e-10 * sigma[0])
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_svd_is_one_lapack_call(N, monkeypatch):
+    calls = []
+    lapack_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(None)
+        return lapack_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for a in (np.random.default_rng(N).standard_normal((N, N)), np.eye(N), np.zeros((N, N))):
+        calls.clear()
+        svd(a)
+        assert len(calls) == 1
 
 
 def test_singular_values_match_lapack():
@@ -104,6 +120,11 @@ def test_schatten_norm_orthogonal_invariance():
         assert schatten_norm(q1 @ a @ q2, p) == pytest.approx(schatten_norm(a, p), rel=1e-10)
 
 
+#: ||1e-300 * diag(1, 1)||_{1/2000} = 2^2000 * 1e-300: representable,
+#: though the power sum's root 2^2000 is not
+TWO_TO_THE_2000_TIMES_1E_300 = 2.0**1000 * (2.0**1000 * 1e-300)
+
+
 @pytest.mark.parametrize(
     "a, p, expected",
     [
@@ -113,10 +134,21 @@ def test_schatten_norm_orthogonal_invariance():
         # subnormal entries, whose squares underflow to zero
         (1e-310 * np.eye(3), "1/2", 9e-310),
         (1e308 * np.eye(2), "2", math.sqrt(2.0) * 1e308),
+        # a small exponent: the power sum's root overflows, the norm does not
+        (1e-300 * np.eye(2), "1/2000", TWO_TO_THE_2000_TIMES_1E_300),
+        (1e-300 * np.diag([1.0, 1.0, 0.0]), "1/2000", TWO_TO_THE_2000_TIMES_1E_300),
     ],
 )
 def test_schatten_norm_at_extreme_scales(a, p, expected):
     assert schatten_norm(a, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_schatten_norm_of_a_stack_whose_root_overflows():
+    # one matrix takes the log-space root, the other the direct one
+    stack = np.stack([1e-300 * np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 0.0, 0.0])])
+    norms = schatten_norm(stack, "1/2000")
+    assert norms[0] == pytest.approx(TWO_TO_THE_2000_TIMES_1E_300, rel=1e-12, abs=0.0)
+    assert norms[1] == 1.0
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -215,7 +247,7 @@ def test_schatten_norm_accepts_array_likes(a, expected):
 
 
 def test_svd_2x2_whose_half_sums_overflow():
-    # (a00 + a11) / 2 overflows in the closed form; LAPACK scales
+    # (a00 + a11) / 2 would overflow in the 2x2 split; LAPACK scales
     a = 1e308 * np.eye(2)
     u, sigma, v = svd(a)
     assert np.array_equal(sigma, [1e308, 1e308])

@@ -71,10 +71,12 @@ def test_identity_widths_are_one_for_small_indices():
 # of that order or of a search budget moves these values.  At N = 3 the
 # counts also follow the last bits of the LAPACK singular values: a full
 # SVD and a values-only SVD of one 3x3 matrix differ there for most
-# matrices, and the norm objective takes its value from the full one.
+# matrices, and the norm objective takes its value from the full one.  The
+# three Kolmogorov finalists all reach 1/2 + 6e-13 and differ by under
+# 2e-14 relative, so its winner label follows the last bits too.
 SEARCH_PINS = [
     (estimate_kolmogorov, EmbeddingSpec("1", "inf", 2, n=3), 0.5000000000005868,
-     {"candidates": 8, "search_rounds": 16, "winner": "split-rotation", "quasi_inner": False},
+     {"candidates": 8, "search_rounds": 16, "winner": "split-reflection", "quasi_inner": False},
      True),
     (estimate_approx, EmbeddingSpec("1", "inf", 2, n=3), 0.9949521602699152,
      {"candidates": 9, "winner": "random-proj-0"}, True),

@@ -2,9 +2,17 @@
 import numpy as np
 import pytest
 
-from schatten_widths.core import EmbeddingSpec
+from schatten_widths.core import EmbeddingSpec, schatten_norm
+from schatten_widths.distances import distance_schatten
 from schatten_widths.estimators import estimate_gelfand
-from schatten_widths.oracle import DEFAULT_ORACLE_SEED, load_frozen_battery, net_oracle
+from schatten_widths.exponents import exponent_float
+from schatten_widths.operators import SubspaceBasis, orthonormal_columns
+from schatten_widths.oracle import (
+    DEFAULT_ORACLE_SEED,
+    _DistanceNet,
+    load_frozen_battery,
+    net_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +121,24 @@ def test_distance_net_point_is_pinned():
     # above reaches
     est = net_oracle(EmbeddingSpec("1", "inf", 2, n=2), "kolmogorov", h=0.25)
     assert est.value == pytest.approx(0.9953368024752356, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", ["2", "1/2", "inf"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", ["1", "inf"])
+def test_distance_net_agrees_with_distance_schatten(q, m, p):
+    # the nets' own nuclear and spectral solvers, for frames of one and
+    # two columns, against the package's N = 2 distance solvers
+    rng = np.random.default_rng(2103)
+    X = rng.standard_normal((40, 4))
+    B = orthonormal_columns(rng.standard_normal((4, m)))
+    basis = SubspaceBasis(B, 2)
+    expected = max(
+        distance_schatten(x.reshape(2, 2), basis, q).value / schatten_norm(x.reshape(2, 2), p)
+        for x in X
+    )
+    net = _DistanceNet(X, exponent_float(p), exponent_float(q))
+    assert net(B) == pytest.approx(expected, rel=1e-7, abs=0.0)
 
 
 def test_net_oracle_guards_its_domain():
