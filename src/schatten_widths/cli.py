@@ -16,19 +16,21 @@ Outputs are deterministic: identical configuration (including seed)
 produces byte-identical CSV, floats are rendered with ``%.12g``, and no
 timestamps are emitted.  Exponents are parsed as exact rationals
 (``4/3``) or ``inf`` so regime boundaries never drift through floats.
-JSON payloads carry a ``schema_version``; CSV carries the configuration
-and the regime constants in ``#`` comment headers.  A CSV field that
-holds a comma (the regime label ``n in (lo, hi]``) is quoted by the
+JSON payloads carry a ``schema_version`` and are built in full before
+they are written.  CSV carries the configuration and the regime constants
+in ``#`` comment headers, and its rows are written one by one as they are
+made, so an envelope sweep of any length runs in flat memory.  A CSV field
+that holds a comma (the regime label ``n in (lo, hi]``) is quoted by the
 ``csv`` module, so read the output with a CSV parser, not by splitting
-lines on commas.  When ``--output`` is
-a relative path it lands in ``$SCHATTEN_WIDTHS_OUTPUT_DIR`` if that is
-set, else the working directory.
+lines on commas.  When ``--output`` is a relative path it lands in
+``$SCHATTEN_WIDTHS_OUTPUT_DIR`` if that is set, else the working
+directory.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import itertools
 import json
 import math
@@ -37,14 +39,14 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import acceptance
 from .certificates import lower_certificates, upper_certificates, verify_certificate
 from .core import EmbeddingSpec
-from .envelope import DEFAULT_CONSTANTS, ConstantsRegistry, EnvelopeValue, envelope_profile
+from .envelope import DEFAULT_CONSTANTS, ConstantsRegistry, envelope_profile
 from .estimators import (
     estimate_approx,
     estimate_gelfand,
@@ -130,7 +132,10 @@ class RunConfig:
 
 
 def _fmt(x) -> str:
-    """Render a float deterministically (round-trippable %.12g)."""
+    """Render a float deterministically as %.12g.
+
+    Twelve significant digits do not round-trip a double (that takes 17);
+    the CSV pins depend on this format, so it stays."""
     return "%.12g" % float(x)
 
 
@@ -156,32 +161,48 @@ def _json_safe(obj):
 # ---------------------------------------------------------------------------
 
 
-def _envelope_rows(config: RunConfig) -> Iterator[dict]:
-    """One row per index, made as it is written: an N = 256 sweep has
-    65,536 rows, which held at once as dicts take about 70 MB."""
+class _Table(NamedTuple):
+    """A command's output: column names, one list per row in column order,
+    and (``--format json`` only) one ``detail`` object per row."""
+
+    fields: Sequence[str]
+    rows: Iterable[list]
+    details: Optional[Sequence] = None
+
+
+_ENVELOPE_FIELDS = (
+    "kind", "p", "q", "N", "n",
+    "value_lower", "value_upper", "regime", "sharpness", "log_factor", "notes",
+)
+_BOUNDS_FIELDS = (
+    "kind", "p", "q", "N", "n", "direction", "method", "value", "exact_constant", "witness",
+)
+_VERIFY_FIELDS = ("verified", "max_ratio", "verify_samples")
+_ESTIMATE_FIELDS = (
+    "kind", "p", "q", "N", "n", "value", "method", "restarts", "seed", "converged",
+)
+_RECOVERY_FIELDS = ("m", "worst_error", "envelope", "ratio")
+
+
+def _envelope_rows(config: RunConfig) -> _Table:
+    """One row per index, made from the profile's sweep as it is written,
+    so no sweep is ever held in memory whole."""
     N = config.N
     lo, hi = config.n_range if config.n_range is not None else (1, N * N)
     lo, hi = max(lo, 1), min(hi, N * N)
     if lo > hi:
         raise ValueError(f"empty index range after clipping to 1..{N * N}")
     prof = envelope_profile(config.kind, config.p, config.q, N, config.constants)
-    return (_envelope_row(config, n, prof.value(n)) for n in range(lo, hi + 1))
-
-
-def _envelope_row(config: RunConfig, n: int, ev: EnvelopeValue) -> dict:
-    return {
-        "kind": config.kind,
-        "p": format_exponent(config.p),
-        "q": format_exponent(config.q),
-        "N": config.N,
-        "n": n,
-        "value_lower": _fmt(ev.value_lower),
-        "value_upper": _fmt(ev.value_upper),
-        "regime": ev.regime,
-        "sharpness": ev.sharpness,
-        "log_factor": int(ev.log_factor),
-        "notes": "|".join(ev.notes),
-    }
+    kind, p, q = config.kind, format_exponent(config.p), format_exponent(config.q)
+    rows = (
+        [
+            kind, p, q, N, n,
+            _fmt(ev.value_lower), _fmt(ev.value_upper),
+            ev.regime, ev.sharpness, int(ev.log_factor), "|".join(ev.notes),
+        ]
+        for n, ev in enumerate(prof.sweep(lo, hi), lo)
+    )
+    return _Table(_ENVELOPE_FIELDS, rows)
 
 
 def _witness_text(witness: dict) -> str:
@@ -192,56 +213,39 @@ def _witness_text(witness: dict) -> str:
     return ";".join(parts)
 
 
-def _bounds_rows(config: RunConfig) -> list[dict]:
+def _bounds_rows(config: RunConfig) -> _Table:
     spec = EmbeddingSpec(config.p, config.q, config.N, config.n)
     certs = upper_certificates(spec, config.kind) + lower_certificates(spec, config.kind)
+    p, q = format_exponent(config.p), format_exponent(config.q)
     rows = []
     for cert in certs:
-        row = {
-            "kind": config.kind,
-            "p": format_exponent(config.p),
-            "q": format_exponent(config.q),
-            "N": config.N,
-            "n": config.n,
-            "direction": cert.direction,
-            "method": cert.method,
-            "value": _fmt(cert.value),
-            "exact_constant": int(cert.exact_constant),
-            "witness": _witness_text(cert.witness),
-        }
+        row = [
+            config.kind, p, q, config.N, config.n, cert.direction, cert.method,
+            _fmt(cert.value), int(cert.exact_constant), _witness_text(cert.witness),
+        ]
         if config.verify:
             report = verify_certificate(cert, samples=config.samples, seed=config.seed)
-            row["verified"] = int(report.passed)
-            row["max_ratio"] = _fmt(report.max_ratio)
-            row["verify_samples"] = report.samples
+            row += [int(report.passed), _fmt(report.max_ratio), report.samples]
         rows.append(row)
-    return rows
+    fields = _BOUNDS_FIELDS + _VERIFY_FIELDS if config.verify else _BOUNDS_FIELDS
+    return _Table(fields, rows)
 
 
-def _estimate_rows(config: RunConfig) -> list[dict]:
+def _estimate_rows(config: RunConfig) -> _Table:
     needs_index = config.kind != "norm"
     spec = EmbeddingSpec(config.p, config.q, config.N, config.n if needs_index else None)
     fn = _ESTIMATORS[config.kind]
     est = fn(spec, restarts=config.restarts, seed=config.seed)
-    return [
-        {
-            "kind": est.snumber_kind,
-            "p": format_exponent(config.p),
-            "q": format_exponent(config.q),
-            "N": config.N,
-            "n": config.n if needs_index else "",
-            "value": _fmt(est.value),
-            "method": est.method,
-            "restarts": est.restarts,
-            "seed": est.seed,
-            "converged": int(est.converged),
-            "_detail": est.detail,  # JSON output only; stripped from CSV
-        }
+    row = [
+        est.snumber_kind, format_exponent(config.p), format_exponent(config.q), config.N,
+        config.n if needs_index else "", _fmt(est.value), est.method, est.restarts,
+        est.seed, int(est.converged),
     ]
+    return _Table(_ESTIMATE_FIELDS, [row], [est.detail])
 
 
-def _recovery_rows(config: RunConfig) -> list[dict]:
-    rows = []
+def _recovery_rows(config: RunConfig) -> _Table:
+    rows, details = [], []
     for m in config.m_list:
         res = worst_case_error(
             config.N,
@@ -253,20 +257,15 @@ def _recovery_rows(config: RunConfig) -> list[dict]:
             tol=config.tol,
         )
         comp = compare_to_envelope(res)
-        rows.append(
+        rows.append([m, _fmt(res.worst_error), _fmt(comp.envelope), _fmt(comp.ratio)])
+        details.append(
             {
-                "m": m,
-                "worst_error": _fmt(res.worst_error),
-                "envelope": _fmt(comp.envelope),
-                "ratio": _fmt(comp.ratio),
-                "_detail": {
-                    "errors": list(res.errors),
-                    "labels": list(res.labels),
-                    "diagnostics": res.diagnostics,
-                },
+                "errors": list(res.errors),
+                "labels": list(res.labels),
+                "diagnostics": res.diagnostics,
             }
         )
-    return rows
+    return _Table(_RECOVERY_FIELDS, rows, details)
 
 
 # ---------------------------------------------------------------------------
@@ -285,27 +284,18 @@ def _header_lines(config: RunConfig) -> list[str]:
     return lines
 
 
-def _emit_csv(config: RunConfig, rows: Iterable[dict]) -> str:
-    buf = io.StringIO()
-    for line in _header_lines(config):
-        buf.write(line + "\n")
-    rows = iter(rows)
-    first = next(rows)
-    fieldnames = [k for k in first if not k.startswith("_")]
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in itertools.chain([first], rows):
-        writer.writerow({k: row[k] for k in fieldnames})
-    return buf.getvalue()
+def _emit_csv(config: RunConfig, fields: Sequence[str], rows: Iterable[list], out: TextIO) -> None:
+    out.write("".join(line + "\n" for line in _header_lines(config)))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows(rows)
 
 
-def _emit_json(config: RunConfig, rows: Iterable[dict]) -> str:
-    payload_rows = []
-    for row in rows:
-        out = {k: v for k, v in row.items() if not k.startswith("_")}
-        if "_detail" in row:
-            out["detail"] = _json_safe(row["_detail"])
-        payload_rows.append(out)
+def _json_text(config: RunConfig, table: _Table) -> str:
+    payload_rows = [dict(zip(table.fields, row)) for row in table.rows]
+    if table.details is not None:
+        for row, detail in zip(payload_rows, table.details):
+            row["detail"] = _json_safe(detail)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": config.command,
@@ -326,13 +316,16 @@ def _resolve_output(path_text: str) -> Path:
     return path
 
 
-def _write(config: RunConfig, text: str) -> None:
-    if config.output is None:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path_text: Optional[str]) -> Iterator[TextIO]:
+    """Standard output, or the ``--output`` file, created on entry."""
+    if path_text is None:
+        yield sys.stdout
         return
-    path = _resolve_output(config.output)
+    path = _resolve_output(path_text)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as fh:
+        yield fh
     print(f"wrote {path}")
 
 
@@ -363,10 +356,8 @@ def _run_suite(config: RunConfig) -> int:
                 for r in results
             ],
         }
-        path = _resolve_output(config.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {path}")
+        with _output(config.output) as out:
+            out.write(json.dumps(report, indent=2) + "\n")
     return 1 if failed else 0
 
 
@@ -382,9 +373,17 @@ def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
     if config.command == "suite":
         return _run_suite(config)
-    rows = _ROW_BUILDERS[config.command](config)
-    text = _emit_csv(config, rows) if config.fmt == "csv" else _emit_json(config, rows)
-    _write(config, text)
+    table = _ROW_BUILDERS[config.command](config)
+    if config.fmt == "json":
+        text = _json_text(config, table)
+        with _output(config.output) as out:
+            out.write(text)
+        return 0
+    # make the first row before the output file, so an error leaves none
+    rows = iter(table.rows)
+    first = list(itertools.islice(rows, 1))
+    with _output(config.output) as out:
+        _emit_csv(config, table.fields, itertools.chain(first, rows), out)
     return 0
 
 

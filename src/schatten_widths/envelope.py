@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import EmbeddingSpec, as_int, as_matrix_side
 from .exponents import (
@@ -325,53 +325,65 @@ class EnvelopeProfile:
         """Right endpoints of the regimes (the last one is N^2)."""
         return [seg.end for seg in self.segments]
 
-    def _segment_at(self, n: int) -> tuple[int, _Segment, float]:
+    def sweep(self, first: int, last: int) -> Iterator[EnvelopeValue]:
+        """Values at ``n = first..last``, made one regime segment at a time.
+
+        Everything fixed within a segment (its carried floor and cap, regime
+        label, notes and row functions) is resolved once per segment.  The
+        range is clipped to the segments; ``value`` checks a single index.
+        """
+        kind = self.kind
+        cap_lower, cap_upper = self._cap_lower, self._cap_upper
+        floor_lower, floor_upper = self._floor_lower, self._floor_upper
+        isclose = math.isclose
         lo = 0.0
-        for i, seg in enumerate(self.segments):
-            if n <= seg.end:
-                return i, seg, lo
+        for seg, seg_floor, seg_cap in zip(self.segments, self._floors, self._caps):
+            start, stop = max(first, int(lo) + 1), min(last, int(seg.end))
+            regime = f"{self.case}/{seg.tag} n in ({lo:g}, {seg.end:g}]"
             lo = seg.end
-        return len(self.segments) - 1, self.segments[-1], lo  # unreachable for valid n
+            if start > stop:
+                continue
+            lower_fn, upper_fn = seg.lower, seg.upper
+            sharpness, constants, log_factor = seg.sharpness, seg.constants, seg.log_factor
+            notes = seg.notes + self.case_notes
+            lifted_notes = notes + ("monotone-lift",)
+            lifted_sharpness = GAP if sharpness == EXACT else sharpness
+            for n in range(start, stop + 1):
+                raw_lower = lower_fn(n)
+                raw_upper = upper_fn(n)
+                lower = max(raw_lower, seg_floor)
+                upper = min(raw_upper, seg_cap)
+                lower = min(cap_lower, max(lower, floor_lower))
+                upper = min(cap_upper, max(upper, floor_upper))
+                # where the two sides meet, separately rounded formulas can
+                # cross by an ulp; keep the documented order exact
+                upper = max(upper, lower)
+                if isclose(lower, raw_lower, rel_tol=1e-12, abs_tol=0.0) and isclose(
+                    upper, raw_upper, rel_tol=1e-12, abs_tol=0.0
+                ):
+                    row_notes, row_sharpness = notes, sharpness
+                else:
+                    row_notes = lifted_notes
+                    row_sharpness = lifted_sharpness if lower != upper else sharpness
+                yield EnvelopeValue(
+                    snumber_kind=kind,
+                    value_lower=lower,
+                    value_upper=upper,
+                    regime=regime,
+                    sharpness=row_sharpness,
+                    constants_used=constants,
+                    log_factor=log_factor,
+                    notes=row_notes,
+                )
 
     def value(self, n: int) -> EnvelopeValue:
         n_int = as_int(n)
         if n_int is None or not 1 <= n_int <= self.N**2:
             raise ValueError(f"index n must satisfy 1 <= n <= N^2 = {self.N ** 2}, got {n!r}")
-        n = n_int
-        idx, seg, lo = self._segment_at(n)
-        raw_lower = seg.lower(n)
-        raw_upper = seg.upper(n)
-        lower = max(raw_lower, self._floors[idx])
-        upper = min(raw_upper, self._caps[idx])
-        lower = min(self._cap_lower, max(lower, self._floor_lower))
-        upper = min(self._cap_upper, max(upper, self._floor_upper))
-        # where the two sides meet, separately rounded formulas can cross
-        # by an ulp; keep the documented order exact
-        upper = max(upper, lower)
-        notes = seg.notes + self.case_notes
-        sharpness = seg.sharpness
-        if not math.isclose(lower, raw_lower, rel_tol=1e-12, abs_tol=0.0) or not math.isclose(
-            upper, raw_upper, rel_tol=1e-12, abs_tol=0.0
-        ):
-            notes = notes + ("monotone-lift",)
-            if sharpness == EXACT and lower != upper:
-                sharpness = GAP
-        regime = f"{self.case}/{seg.tag} n in ({lo:g}, {seg.end:g}]"
-        return EnvelopeValue(
-            snumber_kind=self.kind,
-            value_lower=lower,
-            value_upper=upper,
-            regime=regime,
-            sharpness=sharpness,
-            constants_used=seg.constants,
-            log_factor=seg.log_factor,
-            notes=notes,
-        )
+        return next(self.sweep(n_int, n_int))
 
-    def values(self, indices: Optional[Iterable[int]] = None) -> list[EnvelopeValue]:
-        if indices is None:
-            indices = range(1, self.N**2 + 1)
-        return [self.value(n) for n in indices]
+    def values(self) -> list[EnvelopeValue]:
+        return list(self.sweep(1, self.N**2))
 
 
 # ---------------------------------------------------------------------------

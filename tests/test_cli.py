@@ -1,6 +1,8 @@
 """Command-line interface: determinism, formats, file output, exit codes."""
 import csv
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -85,6 +87,71 @@ def test_envelope_n_range_clips_and_rejects_empty(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+# sha256 of ``envelope -p 1 -q 2 -N 128 --kind <kind>``, as pinned for the
+# benchmark's closed-form workload
+ENVELOPE_128_SHA256 = {
+    "approximation": "3b7d21671275f5d7d4c83c6672d7a7962855a09ca477f5d3a1f330c541f90678",
+    "gelfand": "ffca1561a26f41de49cec78eb1cd6787a010afa9403f202a4669a6deabc79233",
+    "kolmogorov": "83c32184e5ec47e8c6be2b40bd89ca9b2fc1363e5a01fdb520af01bebf887c4e",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENVELOPE_128_SHA256))
+def test_envelope_128_bytes_are_pinned(capsys, tmp_path, kind):
+    target = tmp_path / "env.csv"
+    argv = ["envelope", "-p", "1", "-q", "2", "-N", "128", "--kind", kind]
+    code, out, _ = _run(capsys, argv + ["--output", str(target)])
+    assert code == 0 and out == f"wrote {target}\n"
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ENVELOPE_128_SHA256[kind]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["envelope", "-p", "4/3", "-q", "4", "-N", "6", "--kind", "approximation"],
+        ["bounds", "-p", "2", "-q", "1", "-N", "4", "-n", "5", "--verify", "--samples", "20"],
+    ],
+    ids=["envelope", "bounds-verify"],
+)
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    target = tmp_path / "out.csv"
+    code, _, _ = _run(capsys, argv + ["--output", str(target)])
+    assert code == 0
+    assert target.read_bytes() == out.encode()
+
+
+def test_empty_n_range_with_output_makes_no_file(capsys, tmp_path):
+    target = tmp_path / "sub" / "env.csv"
+    code, out, err = _run(
+        capsys,
+        ["envelope", "-p", "2", "-q", "2", "-N", "3",
+         "--n-range", "12:15", "--output", str(target)],
+    )
+    assert code == 2 and out == ""
+    assert "error:" in err
+    assert not target.exists()
+
+
+def test_envelope_sweep_streams_in_flat_memory(capsys, tmp_path):
+    # 65,536 rows (about 10 MB of CSV) are written as they are made
+    target = tmp_path / "env.csv"
+    tracemalloc.start()
+    try:
+        code = main(
+            ["envelope", "-p", "1", "-q", "2", "-N", "256", "--kind", "gelfand",
+             "--output", str(target)]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert target.stat().st_size > 5_000_000
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------

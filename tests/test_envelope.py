@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schatten_widths.acceptance import EXPONENT_GRID
 from schatten_widths.core import EmbeddingSpec
 from schatten_widths.envelope import (
     DEFAULT_CONSTANTS,
@@ -201,6 +202,27 @@ def test_every_profile_is_non_increasing_with_lower_below_upper(kind, p, q, N):
         assert val.value_upper <= prev.value_upper
     for val in values:
         assert val.value_lower <= val.value_upper
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    p=st.sampled_from(EXPONENT_GRID),
+    q=st.sampled_from(EXPONENT_GRID),
+    N=st.integers(1, 24),
+    data=st.data(),
+)
+def test_sweeps_agree_with_single_index_values(kind, p, q, N, data):
+    prof = envelope_profile(kind, p, q, N)
+    full = N * N
+    singles = [prof.value(n) for n in range(1, full + 1)]
+    assert prof.values() == singles  # dataclass ==: every field
+    # ranges that start in one regime and end in the next
+    for end in prof.boundaries():
+        last_in = int(end)
+        first = data.draw(st.integers(max(1, last_in - 3), last_in), label="first")
+        last = data.draw(st.integers(min(last_in + 1, full), min(last_in + 3, full)), label="last")
+        assert list(prof.sweep(first, last)) == singles[first - 1 : last]
 
 
 @pytest.mark.parametrize("p,N,n", [("1/2", 22, 463), ("1/3", 13, 157)])
