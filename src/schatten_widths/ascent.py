@@ -17,7 +17,8 @@ Norms and their gradients come from the norm layer: objectives built on
 a norm take both from :func:`core.norm_and_gradient`, one factorization
 (or one 2x2 split) per point.  A trial point then costs that plus one
 values-only SVD for its ``p``-norm, and each iteration one more for the
-``p``-gradient at the iterate.
+``p``-gradient at the iterate.  Over a subspace, each step is projected
+onto it, which takes no factorization.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .core import norm_and_gradient, schatten_norm
 from .exponents import exponent_float
-from .operators import orthonormal_columns
+from .operators import SubspaceBasis, orthonormal_columns
 
 __all__ = [
     "AscentResult",
@@ -96,12 +97,16 @@ def sup_ratio_ascent(
     starts: Sequence[np.ndarray],
     *,
     max_iter: int = 300,
+    subspace: Optional[SubspaceBasis] = None,
 ) -> AscentResult:
     """Maximize ``objective(X) / ||X||_p`` from each start.
 
     ``objective(X)`` must return ``(value, gradient)`` for nonzero ``X``;
     a ``None`` gradient ends that start's ascent at its current value
-    (used by objectives that are flat or nonsmooth at the iterate).
+    (used by objectives that are flat or nonsmooth at the iterate), and so
+    does a ``p``-norm gradient that leaves the float range.  A ``subspace``
+    restricts the supremum to its members: each step direction is
+    projected onto it, so the starts must lie in it.
     """
     pf = exponent_float(p)
     best_value = -math.inf
@@ -135,7 +140,13 @@ def sup_ratio_ascent(
                 if value - window[0] <= 1e-9 * max(value, 1e-30):
                     converged = True
                     break
-            direction = grad / value - norm_and_gradient(x, pf)[1]
+            p_grad = norm_and_gradient(x, pf)[1]
+            if p_grad is None:
+                converged = True
+                break
+            direction = grad / value - p_grad
+            if subspace is not None:
+                direction = subspace.member(subspace.coefficients(direction))
             dir_scale = float(np.linalg.norm(direction, "fro"))
             if dir_scale < 1e-13:
                 converged = True

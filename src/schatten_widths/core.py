@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -72,6 +73,8 @@ RANK_CUTOFF = 1e-12
 #: norm gradient: for ``p < 1``, ``sigma^{p-1}`` blows up at the spectrum's
 #: edge.
 _SPECTRAL_CUTOFF = 1e-8
+# the log of the largest float: math.exp raises above it
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +349,25 @@ def _norm_and_gradient_svd(x: np.ndarray, pf: float) -> tuple[float, Optional[np
     if top <= 0.0:
         return 0.0, None
     ratios = [t / top for t in sigma]
-    # the same power sum as norm_from_floats(sigma, pf), so the same value
-    # bit for bit, and its root is the ratio norm the weights need
-    norm_ratio = norm_from_floats(ratios, pf)
-    value = top * norm_ratio
-    if pf == math.inf:
-        return value, np.outer(u[:, 0], v[:, 0])
-    scale = norm_ratio ** (1.0 - pf)
+    try:
+        # the same power sum as norm_from_floats(sigma, pf), so the same
+        # value bit for bit, and its root is the ratio norm the weights need
+        norm_ratio = norm_from_floats(ratios, pf)
+    except OverflowError:
+        # a small exponent can overflow the ratio norm although the norm,
+        # scaled by a tiny top singular value, is representable: take the
+        # weights' scale, the ratio norm to the power 1 - p, in log space
+        value = norm_from_floats(sigma, pf)
+        log_scale = (1.0 - pf) * (math.log(value) - math.log(top))
+        scale = math.exp(log_scale) if log_scale < _LOG_FLOAT_MAX else math.inf
+    else:
+        value = top * norm_ratio
+        if pf == math.inf:
+            return value, np.outer(u[:, 0], v[:, 0])
+        scale = norm_ratio ** (1.0 - pf)
     weights = [r ** (pf - 1.0) * scale if r > _SPECTRAL_CUTOFF else 0.0 for r in ratios]
+    if max(weights) == math.inf:
+        return value, None  # the gradient is not representable
     return value, (u * np.array(weights)) @ v.T
 
 

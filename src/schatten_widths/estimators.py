@@ -15,9 +15,11 @@ Methods:
 
 The ``pg-search`` estimators share one search: score a list of candidate
 subspaces or approximants with cheap ascents, refine the best one, and
-re-evaluate a few finalists with the full ascent.  A subspace's score is
-also floored by a fixed probe battery, whose dual-norm achievers come
-from :func:`core.norm_and_gradient`.  The only search options are
+re-evaluate a few finalists with the full ascent.  A Kolmogorov
+subspace's score is also floored by a fixed probe battery, whose
+dual-norm achievers come from :func:`core.norm_and_gradient`.  The
+direct Gelfand search runs the ascent on each candidate subspace
+itself.  The only search options are
 ``restarts`` (the full ascent's start count) and ``seed``; the budgets
 are fixed:
 
@@ -28,7 +30,8 @@ are fixed:
   rounds of frame perturbation that stop after 8 rounds without gain;
 * approximation numbers: 2 random projections among the candidates, then
   5 rounds of adversarial refinement;
-* direct Gelfand search: 20 rounds of frame perturbation.
+* direct Gelfand search: the two coordinate subspaces, then 20 rounds of
+  frame perturbation.
 
 Scope: quasi-norm codomains (``q < 1``) are supported on the diagonal
 ``p == q`` only, where sound anchor candidates exist; the inner distance
@@ -213,18 +216,19 @@ def _sup_over_sphere(
     return sup_ratio_ascent(objective, spec.p, starts, max_iter=max_iter)
 
 
-def _coordinate_masks(N: int, m: int) -> list[np.ndarray]:
-    """Index sets for coordinate subspaces: row-major and column-major."""
+def _coordinate_subspaces(N: int, m: int) -> list[tuple[str, SubspaceBasis]]:
+    """The labelled spans of the first ``m`` matrix units, row-major and
+    column-major."""
     full = N * N
     row_major = list(range(m))
     col_major = [i * N + j for j in range(N) for i in range(N)][:m]
-    masks = []
-    for order in (row_major, col_major):
+    subspaces = []
+    for label, order in (("coords-row", row_major), ("coords-col", col_major)):
         sel = np.zeros((full, len(order)))
         for k, idx in enumerate(order):
             sel[idx, k] = 1.0
-        masks.append(sel)
-    return masks
+        subspaces.append((label, SubspaceBasis(sel, N)))
+    return subspaces
 
 
 def _random_frame(rng: np.random.Generator, full: int, m: int) -> np.ndarray:
@@ -322,9 +326,7 @@ def _kolmogorov_candidates(
 ) -> list[tuple[str, SubspaceBasis]]:
     N = spec.N
     full = N * N
-    bases: list[tuple[str, SubspaceBasis]] = []
-    for label, sel in zip(("coords-row", "coords-col"), _coordinate_masks(N, m)):
-        bases.append((label, SubspaceBasis(sel, N)))
+    bases = _coordinate_subspaces(N, m)
     # identity-direction-first frame: the flat-spectrum direction matters
     # for codomain exponents below the domain's.  The off-diagonal units
     # come next, then the diagonal units E_ii (i < N-1), which complete
@@ -657,45 +659,15 @@ def _sup_ratio_on_subspace(
     *,
     n_starts: int,
     max_iter: int,
-) -> float:
+) -> AscentResult:
     """Maximize ``||X||_q / ||X||_p`` over nonzero ``X`` in the subspace,
-    by ascent in the coefficient coordinates."""
-    p, q = exponent_float(spec.p), exponent_float(spec.q)
+    from the normalized all-ones coefficients and Gaussian coefficients."""
     dim = basis.dim
-    best = 0.0
-    for s in range(n_starts):
-        z = rng.standard_normal(dim) if s else np.ones(dim) / math.sqrt(dim)
-        x = basis.member(z)
-        np_x = schatten_norm(x, p)
-        if np_x <= 0:
-            continue
-        value = schatten_norm(x, q) / np_x
-        step = 0.3
-        for _ in range(max_iter):
-            x = basis.member(z)
-            nq, gq = norm_and_gradient(x, q)
-            npn, gp = norm_and_gradient(x, p)
-            grad = basis.columns.T @ vec(gq / nq - gp / npn)
-            gn = float(np.linalg.norm(grad))
-            if gn < 1e-12:
-                break
-            accepted = False
-            while step >= 1e-10:
-                trial = z + step * grad / gn
-                xt = basis.member(trial)
-                npt = schatten_norm(xt, p)
-                if npt > 0:
-                    vt = schatten_norm(xt, q) / npt
-                    if vt > value * (1 + 1e-14):
-                        z, value = trial / np.linalg.norm(trial), vt
-                        step = min(step * 1.3, 1.0)
-                        accepted = True
-                        break
-                step *= 0.5
-            if not accepted:
-                break
-        best = max(best, value)
-    return best
+    coeffs = [np.ones(dim) / math.sqrt(dim)]
+    coeffs += [rng.standard_normal(dim) for _ in range(1, n_starts)]
+    return sup_ratio_ascent(_norm_objective(None, spec.q), spec.p,
+                            [basis.member(z) for z in coeffs],
+                            max_iter=max_iter, subspace=basis)
 
 
 def estimate_gelfand(
@@ -709,7 +681,9 @@ def estimate_gelfand(
     Banach exponents reduce exactly to a Kolmogorov estimate for the dual
     embedding.  The diagonal ``p == q < 1`` is exactly 1 (every restriction
     of the identity has norm 1).  Other quasi-norm domains run a direct,
-    experimental search over low-codimension subspaces."""
+    experimental search over subspaces of codimension ``n - 1``, scored by
+    ascents of ``||X||_q / ||X||_p`` on each; ``converged`` is the final
+    ascent's flag."""
     n = spec.require_index()
     p, q, N = spec.p, spec.q, spec.N
     if p == 2 and q == 2:
@@ -737,31 +711,26 @@ def estimate_gelfand(
             "quasi-norm codomains are supported on the diagonal p == q only"
         )
     rng = np.random.default_rng(seed)
-    full = N * N
-    dim = full - (n - 1)
 
     def cheap(basis: SubspaceBasis) -> float:
         return _sup_ratio_on_subspace(
             spec, basis, rng, n_starts=_CHEAP_STARTS, max_iter=_GELFAND_CHEAP_ITER
-        )
+        ).value
 
-    best, basis = math.inf, SubspaceBasis(_random_frame(rng, full, dim), N)
-    for sel in _coordinate_masks(N, dim):
-        cand = SubspaceBasis(sel, N)
-        val = cheap(cand)
-        if val < best:
-            best, basis = val, cand
-    best, basis = _perturbation_descent(cheap, (best, basis), rng, _GELFAND_ROUNDS)
+    scored = _score(_coordinate_subspaces(N, N * N - n + 1), cheap)
+    best, basis = _perturbation_descent(
+        cheap, (scored[0][0], scored[0][2]), rng, _GELFAND_ROUNDS
+    )
     final = _sup_ratio_on_subspace(
         spec, basis, rng, n_starts=restarts, max_iter=_GELFAND_FINAL_ITER
     )
     return Estimate(
-        value=max(best, final),
+        value=max(best, final.value),
         snumber_kind="gelfand",
         method="pg-search",
         spec=spec,
         restarts=restarts,
         seed=seed,
-        converged=False,
+        converged=final.converged,
         detail={"experimental": True, "search_rounds": _GELFAND_ROUNDS},
     )

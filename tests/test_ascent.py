@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from schatten_widths.acceptance import EXPONENT_GRID
 from schatten_widths.ascent import default_starts, sup_ratio_ascent
 from schatten_widths.core import embedding_norm, norm_and_gradient, schatten_norm
+from schatten_widths.operators import SubspaceBasis, orthonormal_columns, subspace_from_matrices
 
 
 def _finite_difference_gradient(x, p, h=1e-6):
@@ -129,6 +130,25 @@ def test_norm_gradient_at_extreme_scales(x, p, expected):
     assert np.allclose(norm_and_gradient(x, p)[1], expected, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("x", [1e-300 * np.eye(2), 1e-300 * np.diag([1.0, 1.0, 0.0])])
+def test_norm_gradient_is_none_where_its_weights_overflow(x):
+    # ||X||_{1/2000} = 1e-300 * 2^2000 is representable; the gradient's top
+    # weight, (sigma_1 / ||X||)^(p-1) = 2^1999, is not
+    value, grad = norm_and_gradient(x, "1/2000")
+    assert value == schatten_norm(x, "1/2000") == pytest.approx(1.1481306952741e302, rel=1e-12)
+    assert grad is None
+
+
+def test_ascent_ends_a_start_at_a_none_p_gradient():
+    # the start's unit-norm scaling is 2^-1060 * I, whose 1/1060-norm
+    # gradient has top weight 2^1059
+    x = 2.0**-1070 * np.eye(2)
+    assert norm_and_gradient(x / schatten_norm(x, "1/1060"), "1/1060")[1] is None
+    res = sup_ratio_ascent(lambda y: norm_and_gradient(y, "1"), "1/1060", [x])
+    assert res.converged and res.iterations == 1 and res.evaluations == 1
+    assert res.value == schatten_norm(res.maximizer, "1")
+
+
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_norm_gradient_rejects_non_finite_entries(N, bad):
@@ -191,3 +211,46 @@ def test_ascent_handles_none_gradient_and_rejects_empty_starts():
     assert res.converged
     with pytest.raises(ValueError):
         sup_ratio_ascent(flat, "2", [np.zeros((2, 2))])
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_subspace_ascent_stays_in_the_subspace(t):
+    # members a*I + b*(J + t*K) of this plane, with the rotation J and the
+    # reflection K = diag(1, -1), have the split lengths |(a, b)| and |b t|;
+    # their S_2/S_1 ratio peaks at a = 0, at sqrt((1 + t^2) / 2).  At t = 0
+    # every member is a scaled rotation, with ratio 2^(-1/2).  Over the
+    # whole space the sup is 1, at rank one
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+    plane = subspace_from_matrices([np.eye(2), rotation + t * np.diag([1.0, -1.0])], 2)
+    rng = np.random.default_rng(7)
+    starts = [plane.member(z) for z in ([1.0, 0.0], *rng.standard_normal((3, 2)))]
+
+    def objective(x):
+        return norm_and_gradient(x, "2")
+
+    res = sup_ratio_ascent(objective, "1", starts, subspace=plane)
+    assert res.value == pytest.approx(((1.0 + t * t) / 2.0) ** 0.5, rel=1e-12, abs=0.0)
+    assert res.converged
+    x = res.maximizer
+    assert np.abs(x - plane.member(plane.coefficients(x))).max() <= 1e-12
+    whole = sup_ratio_ascent(objective, "1", default_starts(2, rng))
+    assert whole.value == pytest.approx(1.0, rel=1e-12)
+
+
+def test_subspace_ascent_factors_each_point_once_per_use(monkeypatch):
+    # the same LAPACK budget as the whole-space norm ascent: the
+    # projection onto the subspace takes no factorization
+    calls = []
+    lapack_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(None)
+        return lapack_svd(*args, **kwargs)
+
+    rng = np.random.default_rng(11)
+    frame = SubspaceBasis(orthonormal_columns(rng.standard_normal((9, 5))), 3)
+    starts = [frame.member(z) for z in rng.standard_normal((4, 5))]
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    res = sup_ratio_ascent(lambda x: norm_and_gradient(x, "2"), "1/2", starts, subspace=frame)
+    budget = 2 * res.evaluations + res.iterations + len(starts)
+    assert 0 < len(calls) <= budget

@@ -210,6 +210,19 @@ def test_estimate_norm_runs_without_an_index(capsys):
     assert row[9] == "1"  # converged
 
 
+def test_estimate_prints_the_direct_gelfand_ascent_flag(capsys):
+    # the direct (quasi-norm domain) Gelfand search reports whether its
+    # final ascent converged
+    code, out, _ = _run(
+        capsys,
+        ["estimate", "--kind", "gelfand", "-p", "1/2", "-q", "1", "-N", "2", "-n", "3"],
+    )
+    assert code == 0
+    row = _csv_rows(out)[1]
+    assert row[0] == "gelfand" and row[6] == "pg-search"
+    assert row[9] == "1"  # converged
+
+
 def test_estimate_width_requires_an_index(capsys):
     code, _, err = _run(
         capsys, ["estimate", "-p", "1", "-q", "2", "-N", "2", "--kind", "kolmogorov"]

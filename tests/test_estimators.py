@@ -80,8 +80,8 @@ SEARCH_PINS = [
      True),
     (estimate_approx, EmbeddingSpec("1", "inf", 2, n=3), 0.9949521602699152,
      {"candidates": 9, "winner": "random-proj-0"}, True),
-    (estimate_gelfand, EmbeddingSpec("1/2", "2", 2, n=3), 0.42795554621286025,
-     {"experimental": True, "search_rounds": 20}, False),
+    (estimate_gelfand, EmbeddingSpec("1/2", "2", 2, n=3), 0.35777282832218754,
+     {"experimental": True, "search_rounds": 20}, True),
     (operator_norm_estimate, EmbeddingSpec("1/2", "2", 3), 1.0000000000000002,
      {"iterations": 89, "evaluations": 156, "start_index": 3}, True),
 ]
