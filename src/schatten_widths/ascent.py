@@ -14,11 +14,14 @@ ratios peak.  Results are certified lower bounds on the supremum in every
 case: each reported value is the ratio at an explicit matrix.
 
 Norms and their gradients come from the norm layer: objectives built on
-a norm take both from :func:`core.norm_and_gradient`, one factorization
-(or one 2x2 split) per point.  A trial point then costs that plus one
-values-only SVD for its ``p``-norm, and each iteration one more for the
-``p``-gradient at the iterate.  Over a subspace, each step is projected
-onto it, which takes no factorization.
+a norm take both from :func:`core.norm_and_deferred_gradient`, one
+factorization (or one 2x2 split) per point, with the gradient deferred.
+Most trial points of the backtracking are rejected, so a trial costs a
+value only: the objective's value plus one values-only SVD for its
+``p``-norm.  The objective's gradient is formed only at the points the
+ascent accepts (and at each start), and each iteration takes one more
+factorization for the ``p``-gradient at the iterate.  Over a subspace,
+each step is projected onto it, which takes no factorization.
 """
 from __future__ import annotations
 
@@ -92,7 +95,7 @@ def default_starts(
 
 
 def sup_ratio_ascent(
-    objective: Callable[[np.ndarray], tuple[float, Optional[np.ndarray]]],
+    objective: Callable[[np.ndarray], tuple[float, Callable[[], Optional[np.ndarray]]]],
     p,
     starts: Sequence[np.ndarray],
     *,
@@ -101,12 +104,15 @@ def sup_ratio_ascent(
 ) -> AscentResult:
     """Maximize ``objective(X) / ||X||_p`` from each start.
 
-    ``objective(X)`` must return ``(value, gradient)`` for nonzero ``X``;
-    a ``None`` gradient ends that start's ascent at its current value
-    (used by objectives that are flat or nonsmooth at the iterate), and so
-    does a ``p``-norm gradient that leaves the float range.  A ``subspace``
-    restricts the supremum to its members: each step direction is
-    projected onto it, so the starts must lie in it.
+    ``objective(X)`` must return ``(value, gradient)`` for nonzero ``X``,
+    where ``gradient`` is a zero-argument callable that returns the
+    objective's gradient at ``X``, or ``None``.  The ascent calls it once
+    at each start and once at each accepted trial point, never at a
+    rejected one.  A ``None`` gradient ends that start's ascent at its
+    current value (used by objectives that are flat or nonsmooth at the
+    iterate), and so does a ``p``-norm gradient that leaves the float
+    range.  A ``subspace`` restricts the supremum to its members: each
+    step direction is projected onto it, so the starts must lie in it.
     """
     pf = exponent_float(p)
     best_value = -math.inf
@@ -122,8 +128,9 @@ def sup_ratio_ascent(
         if not scale > 0:
             continue
         x = x / scale
-        value, grad = objective(x)
+        value, gradient = objective(x)
         evaluations += 1
+        grad = gradient()
         step = 0.5
         stalled = 0
         converged = False
@@ -158,11 +165,11 @@ def sup_ratio_ascent(
                 trial_norm = schatten_norm(trial, pf)
                 if trial_norm > 0:
                     trial = trial / trial_norm
-                    trial_value, trial_grad = objective(trial)
+                    trial_value, trial_gradient = objective(trial)
                     evaluations += 1
                     if trial_value > value * (1 + 1e-14):
                         improvement = (trial_value - value) / max(trial_value, 1e-30)
-                        x, value, grad = trial, trial_value, trial_grad
+                        x, value, grad = trial, trial_value, trial_gradient()
                         step = min(step * 1.3, 1.0)
                         accepted = True
                         stalled = stalled + 1 if improvement < _STALL_GAIN else 0

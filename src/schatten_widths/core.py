@@ -13,12 +13,15 @@ arithmetic.  Stacks keep the vectorized ``norm_from_singular_values``.
 Where a small exponent overflows the power sum's root although the norm
 is representable, the root is taken in log space.
 
-``norm_and_gradient`` is the one source of norm gradients, and so of the
-dual-norm achievers that the searches and the codimension-one distance
-use.  The 2x2 norm and gradient have closed forms on the
-rotation/reflection split :func:`split_2x2`, which the N = 2 distance
-solvers and the net oracle share; they are several times faster than
-LAPACK, where a closed-form full 2x2 SVD is not.  A one-sided Jacobi
+``norm_and_deferred_gradient`` is the one source of norm gradients, and
+so of the dual-norm achievers that the searches and the codimension-one
+distance use.  It returns the norm at once and the gradient as a
+callable, so that a search pays for a gradient only where it uses one;
+``norm_and_gradient`` forms that gradient at once.  The 2x2 norm and
+gradient have closed forms on the rotation/reflection split
+:func:`split_2x2`, which the N = 2 distance solvers and the net oracle
+share; they are several times faster than LAPACK, where a closed-form
+full 2x2 SVD is not.  A one-sided Jacobi
 iteration would resolve tiny singular values to high relative accuracy,
 but every rank decision and quasi-norm here drops values below
 ``RANK_CUTOFF * sigma_1``, so that accuracy would go unused; LAPACK is
@@ -32,7 +35,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +60,7 @@ __all__ = [
     "embedding_norm",
     "hull_decompose",
     "littlewood_check",
+    "norm_and_deferred_gradient",
     "norm_and_gradient",
     "norm_from_singular_values",
     "pi2_embedding",
@@ -322,6 +326,28 @@ def norm_and_gradient(x: np.ndarray, p) -> tuple[float, Optional[np.ndarray]]:
     point of the ``S_p`` unit sphere that attains ``<z, X> = ||z||_{p*}``
     (for ``p <= 1``, take ``p* = inf``): the searches' dual-norm achievers
     are these gradients.
+
+    This is :func:`norm_and_deferred_gradient` with its gradient formed at
+    once.
+    """
+    value, gradient = norm_and_deferred_gradient(x, p)
+    return value, gradient()
+
+
+def norm_and_deferred_gradient(
+    x: np.ndarray, p
+) -> tuple[float, Callable[[], Optional[np.ndarray]]]:
+    """``||x||_p`` now, and a zero-argument callable that forms the
+    gradient of :func:`norm_and_gradient` when called.
+
+    The value costs what :func:`schatten_norm` costs, and is the same float
+    as :func:`norm_and_gradient`'s: the 2x2 split, or for ``N >= 3`` the
+    full SVD, whose singular vectors the gradient reuses (a values-only SVD
+    would differ in the last bits).  The callable applies the weights and
+    the matmul, or the 2x2 closed form with its SVD fallback; it returns
+    None at the zero matrix and where :func:`norm_and_gradient` does.  It
+    reads ``x`` when called, so ``x`` must not change in between.  An
+    ascent that rejects most trial points never forms their gradients.
     """
     pf = exponent_float(p)
     x = np.asarray(x, dtype=float)
@@ -332,22 +358,27 @@ def norm_and_gradient(x: np.ndarray, p) -> tuple[float, Optional[np.ndarray]]:
         if closed is not None:
             value, split = closed
             if value <= 0.0:
-                return 0.0, None
-            grad = _gradient_2x2(*split, value, pf)
-            if grad is None:
-                grad = _norm_and_gradient_svd(x, pf)[1]
-            return value, grad
+                return 0.0, lambda: None
+
+            def gradient() -> Optional[np.ndarray]:
+                grad = _gradient_2x2(*split, value, pf)
+                return _norm_and_gradient_svd(x, pf)[1]() if grad is None else grad
+
+            return value, gradient
     return _norm_and_gradient_svd(x, pf)
 
 
-def _norm_and_gradient_svd(x: np.ndarray, pf: float) -> tuple[float, Optional[np.ndarray]]:
-    """:func:`norm_and_gradient` from one full SVD; the weights are Python
-    floats, applied with one array and one matmul."""
+def _norm_and_gradient_svd(
+    x: np.ndarray, pf: float
+) -> tuple[float, Callable[[], Optional[np.ndarray]]]:
+    """:func:`norm_and_deferred_gradient` from one full SVD; the weights
+    are Python floats, applied with one array and one matmul when the
+    gradient is called."""
     u, s, v = svd(x)
     sigma = s.tolist()
     top = sigma[0]
     if top <= 0.0:
-        return 0.0, None
+        return 0.0, lambda: None
     ratios = [t / top for t in sigma]
     try:
         # the same power sum as norm_from_floats(sigma, pf), so the same
@@ -363,12 +394,16 @@ def _norm_and_gradient_svd(x: np.ndarray, pf: float) -> tuple[float, Optional[np
     else:
         value = top * norm_ratio
         if pf == math.inf:
-            return value, np.outer(u[:, 0], v[:, 0])
+            return value, lambda: np.outer(u[:, 0], v[:, 0])
         scale = norm_ratio ** (1.0 - pf)
-    weights = [r ** (pf - 1.0) * scale if r > _SPECTRAL_CUTOFF else 0.0 for r in ratios]
-    if max(weights) == math.inf:
-        return value, None  # the gradient is not representable
-    return value, (u * np.array(weights)) @ v.T
+
+    def gradient() -> Optional[np.ndarray]:
+        weights = [r ** (pf - 1.0) * scale if r > _SPECTRAL_CUTOFF else 0.0 for r in ratios]
+        if max(weights) == math.inf:
+            return None  # the gradient is not representable
+        return (u * np.array(weights)) @ v.T
+
+    return value, gradient
 
 
 def _gradient_2x2(u1, u2, v1, v2, nu, nv, value, pf) -> Optional[np.ndarray]:

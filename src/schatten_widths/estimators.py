@@ -46,7 +46,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ascent import AscentResult, default_starts, sup_ratio_ascent
-from .core import EmbeddingSpec, norm_and_gradient, schatten_norm, svd
+from .core import (
+    EmbeddingSpec,
+    norm_and_deferred_gradient,
+    norm_and_gradient,
+    schatten_norm,
+    svd,
+)
 from .distances import distance_schatten
 from .exponents import INF, dual_exponent, exponent_float
 from .operators import (
@@ -101,11 +107,16 @@ class Estimate:
 def _norm_objective(op: Optional[OperatorOnMatrices], q):
     qf = exponent_float(q)
     if op is None:
-        return lambda x: norm_and_gradient(x, qf)
+        return lambda x: norm_and_deferred_gradient(x, qf)
 
     def objective(x: np.ndarray):
-        value, grad = norm_and_gradient(op.apply(x), qf)
-        return value, None if grad is None else op.apply_adjoint(grad)
+        value, image_gradient = norm_and_deferred_gradient(op.apply(x), qf)
+
+        def gradient():
+            grad = image_gradient()
+            return None if grad is None else op.apply_adjoint(grad)
+
+        return value, gradient
 
     return objective
 
@@ -193,8 +204,8 @@ def _distance_objective(basis: SubspaceBasis, q, warm: dict):
         warm["w"] = res.coefficients
         warm["ok"] = warm.get("ok", True) and res.converged
         if res.value <= 0:
-            return 0.0, None
-        return res.value, norm_and_gradient(res.residual, q)[1]
+            return 0.0, lambda: None
+        return res.value, lambda: norm_and_gradient(res.residual, q)[1]
 
     return objective
 

@@ -540,8 +540,8 @@ def _frame_search(
 ) -> tuple[float, np.ndarray, int]:
     """Minimize a frame functional over the Grassmannian of m-planes."""
     frames: list[np.ndarray] = list(_seed_frames(m))
-    n_random = max(96, int(round((10.0 if m == 1 else 16.0) / h)))
-    while len(frames) < n_random + len(_seed_frames(m)):
+    n_frames = len(frames) + max(96, int(round((10.0 if m == 1 else 16.0) / h)))
+    while len(frames) < n_frames:
         q = _orth(rng.standard_normal((4, m)))
         if q is not None:
             frames.append(q)

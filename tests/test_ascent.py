@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from schatten_widths.acceptance import EXPONENT_GRID
 from schatten_widths.ascent import default_starts, sup_ratio_ascent
-from schatten_widths.core import embedding_norm, norm_and_gradient, schatten_norm
+from schatten_widths.core import (
+    embedding_norm,
+    norm_and_deferred_gradient,
+    norm_and_gradient,
+    schatten_norm,
+)
 from schatten_widths.operators import SubspaceBasis, orthonormal_columns, subspace_from_matrices
 
 
@@ -144,7 +149,7 @@ def test_ascent_ends_a_start_at_a_none_p_gradient():
     # gradient has top weight 2^1059
     x = 2.0**-1070 * np.eye(2)
     assert norm_and_gradient(x / schatten_norm(x, "1/1060"), "1/1060")[1] is None
-    res = sup_ratio_ascent(lambda y: norm_and_gradient(y, "1"), "1/1060", [x])
+    res = sup_ratio_ascent(lambda y: norm_and_deferred_gradient(y, "1"), "1/1060", [x])
     assert res.converged and res.iterations == 1 and res.evaluations == 1
     assert res.value == schatten_norm(res.maximizer, "1")
 
@@ -176,7 +181,7 @@ def test_ascent_recovers_the_embedding_norm(p, q):
     N = 3
 
     def objective(x):
-        return schatten_norm(x, q), norm_and_gradient(x, q)[1]
+        return schatten_norm(x, q), lambda: norm_and_gradient(x, q)[1]
 
     starts = default_starts(N, np.random.default_rng(0))
     res = sup_ratio_ascent(objective, p, starts)
@@ -196,7 +201,7 @@ def test_ascent_result_is_a_certified_lower_bound():
     rng = np.random.default_rng(3)
 
     def objective(x):
-        return schatten_norm(x, "1"), norm_and_gradient(x, "1")[1]
+        return schatten_norm(x, "1"), lambda: norm_and_gradient(x, "1")[1]
 
     res = sup_ratio_ascent(objective, "2", default_starts(N, rng))
     assert res.value <= embedding_norm("2", "1", N) * (1 + 1e-12)
@@ -204,7 +209,7 @@ def test_ascent_result_is_a_certified_lower_bound():
 
 def test_ascent_handles_none_gradient_and_rejects_empty_starts():
     def flat(x):
-        return 1.0, None
+        return 1.0, lambda: None
 
     res = sup_ratio_ascent(flat, "2", [np.eye(2)])
     assert res.value == pytest.approx(1.0)
@@ -226,7 +231,7 @@ def test_subspace_ascent_stays_in_the_subspace(t):
     starts = [plane.member(z) for z in ([1.0, 0.0], *rng.standard_normal((3, 2)))]
 
     def objective(x):
-        return norm_and_gradient(x, "2")
+        return norm_and_deferred_gradient(x, "2")
 
     res = sup_ratio_ascent(objective, "1", starts, subspace=plane)
     assert res.value == pytest.approx(((1.0 + t * t) / 2.0) ** 0.5, rel=1e-12, abs=0.0)
@@ -251,6 +256,7 @@ def test_subspace_ascent_factors_each_point_once_per_use(monkeypatch):
     frame = SubspaceBasis(orthonormal_columns(rng.standard_normal((9, 5))), 3)
     starts = [frame.member(z) for z in rng.standard_normal((4, 5))]
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    res = sup_ratio_ascent(lambda x: norm_and_gradient(x, "2"), "1/2", starts, subspace=frame)
+    res = sup_ratio_ascent(lambda x: norm_and_deferred_gradient(x, "2"), "1/2", starts,
+                           subspace=frame)
     budget = 2 * res.evaluations + res.iterations + len(starts)
     assert 0 < len(calls) <= budget

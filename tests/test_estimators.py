@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from schatten_widths.core import EmbeddingSpec, embedding_norm
+from schatten_widths import estimators
+from schatten_widths.ascent import sup_ratio_ascent
+from schatten_widths.core import EmbeddingSpec, embedding_norm, schatten_norm
 from schatten_widths.estimators import (
     estimate_approx,
     estimate_gelfand,
@@ -111,6 +113,58 @@ def test_norm_ascent_factors_each_point_once_per_use(monkeypatch):
     est = operator_norm_estimate(EmbeddingSpec("1/2", "2", 3))
     budget = 2 * est.detail["evaluations"] + est.detail["iterations"] + est.restarts
     assert 0 < len(calls) <= budget
+
+
+def test_ascent_forms_gradients_only_at_starts_and_accepted_points(monkeypatch):
+    # a trial point costs a value: the ascent calls an objective's gradient
+    # at each start and at each accepted trial, never at a rejected one.  A
+    # trial is accepted when its value beats the current one by 1e-14
+    runs = []
+
+    def recording_ascent(objective, p, starts, **kwargs):
+        points = []  # [x, value, gradient formed], one per evaluation
+
+        def recording(x):
+            value, gradient = objective(x)
+            point = [x, value, False]
+            points.append(point)
+
+            def formed():
+                point[2] = True
+                return gradient()
+
+            return value, formed
+
+        result = sup_ratio_ascent(recording, p, starts, **kwargs)
+        runs.append((p, starts, points, result))
+        return result
+
+    monkeypatch.setattr(estimators, "sup_ratio_ascent", recording_ascent)
+    estimate_kolmogorov(EmbeddingSpec("1", "2", 2, n=3))
+    assert runs
+    formed = starts_seen = iterations = evaluations = 0
+    for p, starts, points, result in runs:
+        heads = [s / schatten_norm(s, p) for s in map(np.asarray, starts)]
+        expected, current, k = [], 0.0, 0
+        for x, value, _ in points:
+            if k < len(heads) and np.array_equal(x, heads[k]):
+                k += 1
+                current = value
+                expected.append(True)
+            elif value > current * (1 + 1e-14):
+                current = value
+                expected.append(True)
+            else:
+                expected.append(False)
+        assert k == len(heads)
+        assert [point[2] for point in points] == expected
+        assert sum(expected) <= len(heads) + result.iterations
+        formed += sum(expected)
+        starts_seen += len(heads)
+        iterations += result.iterations
+        evaluations += result.evaluations
+    assert starts_seen < formed <= starts_seen + iterations
+    assert formed < evaluations
 
 
 def test_kolmogorov_at_the_last_index_is_exact():

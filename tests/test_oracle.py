@@ -7,9 +7,11 @@ from schatten_widths.distances import distance_schatten
 from schatten_widths.estimators import estimate_gelfand
 from schatten_widths.exponents import exponent_float
 from schatten_widths.operators import SubspaceBasis, orthonormal_columns
+from schatten_widths import oracle
 from schatten_widths.oracle import (
     DEFAULT_ORACLE_SEED,
     _DistanceNet,
+    _frame_search,
     load_frozen_battery,
     net_oracle,
 )
@@ -139,6 +141,23 @@ def test_distance_net_agrees_with_distance_schatten(q, m, p):
     )
     net = _DistanceNet(X, exponent_float(p), exponent_float(q))
     assert net(B) == pytest.approx(expected, rel=1e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_frame_search_builds_its_seed_frames_once(monkeypatch, m):
+    # at m = 3 each build takes eight full SVDs
+    builds = []
+    seed_frames = oracle._seed_frames
+
+    def counting(m):
+        builds.append(m)
+        return seed_frames(m)
+
+    monkeypatch.setattr(oracle, "_seed_frames", counting)
+    value, frame, evaluated = _frame_search(
+        lambda B: float(B[0, 0] ** 2), m, np.random.default_rng(0), 0.5)
+    assert builds == [m]
+    assert frame.shape == (4, m) and evaluated > 96
 
 
 def test_net_oracle_guards_its_domain():
