@@ -23,11 +23,8 @@ from .core import (
 from .envelope import (
     DEFAULT_CONSTANTS,
     ConstantsRegistry,
-    CritExponents,
     EnvelopeProfile,
     EnvelopeValue,
-    conjectured_envelope,
-    crit_exponents,
     envelope_profile,
     recovery_envelope,
 )

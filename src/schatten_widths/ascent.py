@@ -18,10 +18,11 @@ a norm take both from :func:`core.norm_and_deferred_gradient`, one
 factorization (or one 2x2 split) per point, with the gradient deferred.
 Most trial points of the backtracking are rejected, so a trial costs a
 value only: the objective's value plus one values-only SVD for its
-``p``-norm.  The objective's gradient is formed only at the points the
-ascent accepts (and at each start), and each iteration takes one more
-factorization for the ``p``-gradient at the iterate.  Over a subspace,
-each step is projected onto it, which takes no factorization.
+``p``-norm.  The objective's gradient is formed only where the ascent
+builds a step direction, at a start or an accepted point, and each
+iteration takes one more factorization for the ``p``-gradient there.
+Over a subspace, each step is projected onto it, which takes no
+factorization.
 """
 from __future__ import annotations
 
@@ -106,13 +107,14 @@ def sup_ratio_ascent(
 
     ``objective(X)`` must return ``(value, gradient)`` for nonzero ``X``,
     where ``gradient`` is a zero-argument callable that returns the
-    objective's gradient at ``X``, or ``None``.  The ascent calls it once
-    at each start and once at each accepted trial point, never at a
-    rejected one.  A ``None`` gradient ends that start's ascent at its
-    current value (used by objectives that are flat or nonsmooth at the
-    iterate), and so does a ``p``-norm gradient that leaves the float
-    range.  A ``subspace`` restricts the supremum to its members: each
-    step direction is projected onto it, so the starts must lie in it.
+    objective's gradient at ``X``, or ``None``.  The ascent calls it at
+    most once per start or accepted trial point, just before it builds a
+    step from there, and never at a rejected trial.  A ``None`` gradient
+    ends that start's ascent at its current value (used by objectives
+    that are flat or nonsmooth at the iterate), and so does a ``p``-norm
+    gradient that leaves the float range.  A ``subspace`` restricts the
+    supremum to its members: each step direction is projected onto it,
+    so the starts must lie in it.
     """
     pf = exponent_float(p)
     best_value = -math.inf
@@ -130,14 +132,13 @@ def sup_ratio_ascent(
         x = x / scale
         value, gradient = objective(x)
         evaluations += 1
-        grad = gradient()
         step = 0.5
         stalled = 0
         converged = False
         window: list[float] = []
         for _ in range(max_iter):
             total_iterations += 1
-            if grad is None or value <= 0:
+            if value <= 0:
                 converged = True
                 break
             # plateau cut: negligible total progress over a trailing window
@@ -147,7 +148,8 @@ def sup_ratio_ascent(
                 if value - window[0] <= 1e-9 * max(value, 1e-30):
                     converged = True
                     break
-            p_grad = norm_and_gradient(x, pf)[1]
+            grad = gradient()
+            p_grad = None if grad is None else norm_and_gradient(x, pf)[1]
             if p_grad is None:
                 converged = True
                 break
@@ -169,7 +171,7 @@ def sup_ratio_ascent(
                     evaluations += 1
                     if trial_value > value * (1 + 1e-14):
                         improvement = (trial_value - value) / max(trial_value, 1e-30)
-                        x, value, grad = trial, trial_value, trial_gradient()
+                        x, value, gradient = trial, trial_value, trial_gradient
                         step = min(step * 1.3, 1.0)
                         accepted = True
                         stalled = stalled + 1 if improvement < _STALL_GAIN else 0

@@ -36,7 +36,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
@@ -53,10 +52,10 @@ from .estimators import (
     estimate_kolmogorov,
     operator_norm_estimate,
 )
-from .exponents import Exponent, as_exponent, format_exponent
+from .exponents import as_exponent, format_exponent
 from .recovery import compare_to_envelope, worst_case_error
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "SCHATTEN_WIDTHS_OUTPUT_DIR"
@@ -74,61 +73,30 @@ _ESTIMATORS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of one command-line run.
-
-    ``run(config)`` consumes this; the argparse layer only translates
-    flags into a ``RunConfig`` so programmatic callers can skip the
-    parser entirely.
-    """
-
-    command: str
-    p: Optional[Exponent] = None
-    q: Optional[Exponent] = None
-    N: Optional[int] = None
-    n: Optional[int] = None
-    n_range: Optional[tuple[int, int]] = None
-    kind: str = "approximation"
-    constants: ConstantsRegistry = field(default_factory=lambda: DEFAULT_CONSTANTS)
-    seed: int = 0
-    budget: int = 12
-    m_list: tuple[int, ...] = ()
-    tol: float = 1e-6
-    samples: int = 200
-    verify: bool = False
-    restarts: int = 6
-    checks: tuple[int, ...] = ()
-    fmt: str = "csv"
-    output: Optional[str] = None
-
-    def config_line(self) -> str:
-        """Deterministic one-line rendering of the run parameters."""
-        parts = [f"command={self.command}"]
-        if self.p is not None:
-            parts.append(f"p={format_exponent(self.p)}")
-        if self.q is not None:
-            parts.append(f"q={format_exponent(self.q)}")
-        if self.N is not None:
-            parts.append(f"N={self.N}")
-        if self.n is not None:
-            parts.append(f"n={self.n}")
-        if self.n_range is not None:
-            parts.append(f"n={self.n_range[0]}:{self.n_range[1]}")
-        if self.command in ("envelope", "bounds", "estimate"):
-            parts.append(f"kind={self.kind}")
-        if self.command == "recovery":
-            parts.append("m=" + ",".join(str(m) for m in self.m_list))
-            parts.append(f"budget={self.budget}")
-            parts.append(f"tol={_fmt(self.tol)}")
-        if self.command == "bounds" and self.verify:
-            parts.append(f"verify=1 samples={self.samples}")
-        if self.command == "estimate":
-            parts.append(f"restarts={self.restarts}")
-        if self.command == "suite" and self.checks:
-            parts.append("checks=" + ",".join(str(c) for c in self.checks))
-        parts.append(f"seed={self.seed}")
-        return " ".join(parts)
+def _config_line(args: argparse.Namespace) -> str:
+    """Deterministic one-line rendering of the run parameters."""
+    command = args.command
+    parts = [f"command={command}"]
+    if command != "suite":
+        parts += [f"p={format_exponent(args.p)}", f"q={format_exponent(args.q)}", f"N={args.N}"]
+    if command in ("bounds", "estimate") and args.n is not None:
+        parts.append(f"n={args.n}")
+    if command == "envelope" and args.n_range is not None:
+        parts.append(f"n={args.n_range[0]}:{args.n_range[1]}")
+    if command in ("envelope", "bounds", "estimate"):
+        parts.append(f"kind={args.kind}")
+    if command == "recovery":
+        parts.append("m=" + ",".join(str(m) for m in args.m_list))
+        parts.append(f"budget={args.budget}")
+        parts.append(f"tol={_fmt(args.tol)}")
+    if command == "bounds" and args.verify:
+        parts.append(f"verify=1 samples={args.samples}")
+    if command == "estimate":
+        parts.append(f"restarts={args.restarts}")
+    if command == "suite" and args.checks:
+        parts.append("checks=" + ",".join(str(c) for c in args.checks))
+    parts.append(f"seed={args.seed}")
+    return " ".join(parts)
 
 
 def _fmt(x) -> str:
@@ -184,16 +152,16 @@ _ESTIMATE_FIELDS = (
 _RECOVERY_FIELDS = ("m", "worst_error", "envelope", "ratio")
 
 
-def _envelope_rows(config: RunConfig) -> _Table:
+def _envelope_rows(args: argparse.Namespace) -> _Table:
     """One row per index, made from the profile's sweep as it is written,
     so no sweep is ever held in memory whole."""
-    N = config.N
-    lo, hi = config.n_range if config.n_range is not None else (1, N * N)
+    N = args.N
+    lo, hi = args.n_range if args.n_range is not None else (1, N * N)
     lo, hi = max(lo, 1), min(hi, N * N)
     if lo > hi:
         raise ValueError(f"empty index range after clipping to 1..{N * N}")
-    prof = envelope_profile(config.kind, config.p, config.q, N, config.constants)
-    kind, p, q = config.kind, format_exponent(config.p), format_exponent(config.q)
+    prof = envelope_profile(args.kind, args.p, args.q, N, args.constants)
+    kind, p, q = args.kind, format_exponent(args.p), format_exponent(args.q)
     rows = (
         [
             kind, p, q, N, n,
@@ -213,48 +181,48 @@ def _witness_text(witness: dict) -> str:
     return ";".join(parts)
 
 
-def _bounds_rows(config: RunConfig) -> _Table:
-    spec = EmbeddingSpec(config.p, config.q, config.N, config.n)
-    certs = upper_certificates(spec, config.kind) + lower_certificates(spec, config.kind)
-    p, q = format_exponent(config.p), format_exponent(config.q)
+def _bounds_rows(args: argparse.Namespace) -> _Table:
+    spec = EmbeddingSpec(args.p, args.q, args.N, args.n)
+    certs = upper_certificates(spec, args.kind) + lower_certificates(spec, args.kind)
+    p, q = format_exponent(args.p), format_exponent(args.q)
     rows = []
     for cert in certs:
         row = [
-            config.kind, p, q, config.N, config.n, cert.direction, cert.method,
+            args.kind, p, q, args.N, args.n, cert.direction, cert.method,
             _fmt(cert.value), int(cert.exact_constant), _witness_text(cert.witness),
         ]
-        if config.verify:
-            report = verify_certificate(cert, samples=config.samples, seed=config.seed)
+        if args.verify:
+            report = verify_certificate(cert, samples=args.samples, seed=args.seed)
             row += [int(report.passed), _fmt(report.max_ratio), report.samples]
         rows.append(row)
-    fields = _BOUNDS_FIELDS + _VERIFY_FIELDS if config.verify else _BOUNDS_FIELDS
+    fields = _BOUNDS_FIELDS + _VERIFY_FIELDS if args.verify else _BOUNDS_FIELDS
     return _Table(fields, rows)
 
 
-def _estimate_rows(config: RunConfig) -> _Table:
-    needs_index = config.kind != "norm"
-    spec = EmbeddingSpec(config.p, config.q, config.N, config.n if needs_index else None)
-    fn = _ESTIMATORS[config.kind]
-    est = fn(spec, restarts=config.restarts, seed=config.seed)
+def _estimate_rows(args: argparse.Namespace) -> _Table:
+    needs_index = args.kind != "norm"
+    spec = EmbeddingSpec(args.p, args.q, args.N, args.n if needs_index else None)
+    fn = _ESTIMATORS[args.kind]
+    est = fn(spec, restarts=args.restarts, seed=args.seed)
     row = [
-        est.snumber_kind, format_exponent(config.p), format_exponent(config.q), config.N,
-        config.n if needs_index else "", _fmt(est.value), est.method, est.restarts,
+        est.snumber_kind, format_exponent(args.p), format_exponent(args.q), args.N,
+        args.n if needs_index else "", _fmt(est.value), est.method, est.restarts,
         est.seed, int(est.converged),
     ]
     return _Table(_ESTIMATE_FIELDS, [row], [est.detail])
 
 
-def _recovery_rows(config: RunConfig) -> _Table:
+def _recovery_rows(args: argparse.Namespace) -> _Table:
     rows, details = [], []
-    for m in config.m_list:
+    for m in args.m_list:
         res = worst_case_error(
-            config.N,
-            config.p,
-            config.q,
+            args.N,
+            args.p,
+            args.q,
             m,
-            test_budget=config.budget,
-            seed=config.seed,
-            tol=config.tol,
+            test_budget=args.budget,
+            seed=args.seed,
+            tol=args.tol,
         )
         comp = compare_to_envelope(res)
         rows.append([m, _fmt(res.worst_error), _fmt(comp.envelope), _fmt(comp.ratio)])
@@ -273,37 +241,39 @@ def _recovery_rows(config: RunConfig) -> _Table:
 # ---------------------------------------------------------------------------
 
 
-def _header_lines(config: RunConfig) -> list[str]:
+def _header_lines(args: argparse.Namespace) -> list[str]:
     lines = [
-        f"# schatten-widths {config.command}",
+        f"# schatten-widths {args.command}",
         f"# schema_version: {SCHEMA_VERSION}",
-        f"# config: {config.config_line()}",
+        f"# config: {_config_line(args)}",
     ]
-    if config.command == "envelope":
-        lines.append(f"# constants: {config.constants.describe()}")
+    if args.command == "envelope":
+        lines.append(f"# constants: {args.constants.describe()}")
     return lines
 
 
-def _emit_csv(config: RunConfig, fields: Sequence[str], rows: Iterable[list], out: TextIO) -> None:
-    out.write("".join(line + "\n" for line in _header_lines(config)))
+def _emit_csv(
+    args: argparse.Namespace, fields: Sequence[str], rows: Iterable[list], out: TextIO
+) -> None:
+    out.write("".join(line + "\n" for line in _header_lines(args)))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fields)
     writer.writerows(rows)
 
 
-def _json_text(config: RunConfig, table: _Table) -> str:
+def _json_text(args: argparse.Namespace, table: _Table) -> str:
     payload_rows = [dict(zip(table.fields, row)) for row in table.rows]
     if table.details is not None:
         for row, detail in zip(payload_rows, table.details):
             row["detail"] = _json_safe(detail)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "command": config.command,
-        "config": config.config_line(),
+        "command": args.command,
+        "config": _config_line(args),
         "rows": payload_rows,
     }
-    if config.command == "envelope":
-        payload["constants"] = config.constants.describe()
+    if args.command == "envelope":
+        payload["constants"] = args.constants.describe()
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -334,16 +304,16 @@ def _output(path_text: Optional[str]) -> Iterator[TextIO]:
 # ---------------------------------------------------------------------------
 
 
-def _run_suite(config: RunConfig) -> int:
-    numbers = config.checks or acceptance.check_numbers()
+def _run_suite(args: argparse.Namespace) -> int:
+    numbers = args.checks or acceptance.check_numbers()
     results = acceptance.run_suite(numbers, echo=print)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    if config.output is not None:
+    if args.output is not None:
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": "suite",
-            "config": config.config_line(),
+            "config": _config_line(args),
             "results": [
                 {
                     "number": r.number,
@@ -356,7 +326,7 @@ def _run_suite(config: RunConfig) -> int:
                 for r in results
             ],
         }
-        with _output(config.output) as out:
+        with _output(args.output) as out:
             out.write(json.dumps(report, indent=2) + "\n")
     return 1 if failed else 0
 
@@ -369,21 +339,21 @@ _ROW_BUILDERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit code."""
-    if config.command == "suite":
-        return _run_suite(config)
-    table = _ROW_BUILDERS[config.command](config)
-    if config.fmt == "json":
-        text = _json_text(config, table)
-        with _output(config.output) as out:
+def run(args: argparse.Namespace) -> int:
+    """Execute a parsed command line; returns the process exit code."""
+    if args.command == "suite":
+        return _run_suite(args)
+    table = _ROW_BUILDERS[args.command](args)
+    if args.fmt == "json":
+        text = _json_text(args, table)
+        with _output(args.output) as out:
             out.write(text)
         return 0
     # make the first row before the output file, so an error leaves none
     rows = iter(table.rows)
     first = list(itertools.islice(rows, 1))
-    with _output(config.output) as out:
-        _emit_csv(config, table.fields, itertools.chain(first, rows), out)
+    with _output(args.output) as out:
+        _emit_csv(args, table.fields, itertools.chain(first, rows), out)
     return 0
 
 
@@ -454,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="JSON file overriding the regime constants",
     )
+    env.set_defaults(seed=0)
     _add_common_output(env)
 
     bounds = subparsers.add_parser("bounds", help="all applicable certificates at one index")
@@ -513,45 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    constants = DEFAULT_CONSTANTS
-    if getattr(args, "constants", None):
-        constants = ConstantsRegistry.from_json_dict(
-            json.loads(Path(args.constants).expanduser().read_text())
-        )
-    needs_index = args.command == "bounds" or (
-        args.command == "estimate" and args.kind != "norm"
-    )
-    if needs_index and getattr(args, "n", None) is None:
-        raise ValueError(f"{args.command} with kind={getattr(args, 'kind', '?')} requires -n")
-    return RunConfig(
-        command=args.command,
-        p=getattr(args, "p", None),
-        q=getattr(args, "q", None),
-        N=getattr(args, "N", None),
-        n=getattr(args, "n", None),
-        n_range=getattr(args, "n_range", None),
-        kind=getattr(args, "kind", "approximation"),
-        constants=constants,
-        seed=getattr(args, "seed", 0),
-        budget=getattr(args, "budget", 12),
-        m_list=getattr(args, "m_list", ()),
-        tol=getattr(args, "tol", 1e-6),
-        samples=getattr(args, "samples", 200),
-        verify=getattr(args, "verify", False),
-        restarts=getattr(args, "restarts", 6),
-        checks=getattr(args, "checks", ()),
-        fmt=getattr(args, "fmt", "csv"),
-        output=getattr(args, "output", None),
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
+        if args.command == "envelope":
+            args.constants = (
+                ConstantsRegistry.from_json_dict(
+                    json.loads(Path(args.constants).expanduser().read_text())
+                )
+                if args.constants
+                else DEFAULT_CONSTANTS
+            )
+        if args.command == "estimate" and args.kind != "norm" and args.n is None:
+            raise ValueError(f"estimate with kind={args.kind} requires -n")
+        return run(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

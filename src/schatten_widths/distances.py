@@ -35,7 +35,6 @@ scaled back exactly.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,12 +44,6 @@ from .exponents import INF, as_exponent, dual_exponent, is_infinite
 from .operators import SubspaceBasis
 
 __all__ = ["DistanceResult", "distance_schatten"]
-
-# the unit normal matrix of codimension-1 bases, keyed by basis identity
-# (bases are reused across many distance calls)
-_CODIM_ONE_CACHE: "weakref.WeakKeyDictionary[SubspaceBasis, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
 
 _IRLS_RIDGE = 1e-10
 _SOLVE_TOL = 1e-9
@@ -414,11 +407,7 @@ def _codim_one_distance(x: np.ndarray, basis: SubspaceBasis, q) -> DistanceResul
     nuclear ball, so the nuclear formula ``|<Z, x>| / sigma_1(Z)`` remains
     exact with a rank-one residual: ``q* = inf``.
     """
-    z = _CODIM_ONE_CACHE.get(basis)
-    if z is None:
-        u_full, _, _ = np.linalg.svd(basis.columns, full_matrices=True)
-        z = u_full[:, basis.dim].reshape(basis.N, basis.N)
-        _CODIM_ONE_CACHE[basis] = z
+    z = basis.complement[:, 0].reshape(basis.N, basis.N)
     pairing = float(z.reshape(-1) @ x.reshape(-1))
     dual_norm, achiever = norm_and_gradient(z, INF if q <= 1 else dual_exponent(q))
     residual = (pairing / dual_norm) * achiever

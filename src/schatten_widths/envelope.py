@@ -21,6 +21,12 @@ the raw piecewise formulas, neither of which weakens any bound:
 
 All regime comparisons use exact rational exponent arithmetic, so dual
 pairs of envelopes agree bitwise.
+
+Rows where the paper leaves open which side is sharp carry the two bounds
+it proves: the approximation ``transition`` row (a sqrt(log N) upper
+factor), the ``intermediate`` rows for ``2 < p < q`` and the Gelfand
+``small-index`` row for ``p < 1 < 2 < q`` (all ``gap``), and the
+Kolmogorov row for ``q < 1``, ``q < p`` (``existence-only``).
 """
 from __future__ import annotations
 
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .core import EmbeddingSpec, as_int, as_matrix_side
+from .core import as_int, as_matrix_side
 from .exponents import (
     Exponent,
     ExponentLike,
@@ -43,24 +49,19 @@ from .exponents import (
 
 __all__ = [
     "ConstantsRegistry",
-    "CritExponents",
     "EnvelopeValue",
     "EnvelopeProfile",
-    "conjectured_envelope",
-    "crit_exponents",
     "envelope_profile",
     "recovery_envelope",
     "SNUMBER_KINDS",
     "EXACT",
     "GAP",
     "EXISTENCE_ONLY",
-    "CONJECTURED",
 ]
 
 EXACT = "exact-asymptotic"
 GAP = "gap"
 EXISTENCE_ONLY = "existence-only"
-CONJECTURED = "conjectured"
 
 SNUMBER_KINDS = ("approximation", "gelfand", "kolmogorov", "recovery")
 
@@ -151,43 +152,6 @@ class ConstantsRegistry:
 
 
 DEFAULT_CONSTANTS = ConstantsRegistry()
-
-
-# ---------------------------------------------------------------------------
-# critical exponents
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CritExponents:
-    """Polynomial orders that bound the transition window of the index axis.
-
-    ``alpha = max(3 - 2/p, 1 + 2/q)`` and ``beta = min(3 - 2/p, 1 + 2/q)``;
-    they coincide exactly when ``1/p + 1/q = 1``.
-    """
-
-    alpha: Fraction
-    beta: Fraction
-
-    @property
-    def coincide(self) -> bool:
-        return self.alpha == self.beta
-
-
-def _formal_crit(p: Exponent, q: Exponent) -> CritExponents:
-    left = 3 - 2 * inv(p)
-    right = 1 + 2 * inv(q)
-    return CritExponents(alpha=max(left, right), beta=min(left, right))
-
-
-def crit_exponents(p: ExponentLike, q: ExponentLike) -> CritExponents:
-    """Critical window exponents for ``1 <= p <= 2 <= q <= inf``."""
-    pe, qe = as_exponent(p), as_exponent(q)
-    if not (1 <= pe <= 2):
-        raise ValueError(f"critical exponents need 1 <= p <= 2, got p={format_exponent(pe)}")
-    if not (qe >= 2):
-        raise ValueError(f"critical exponents need q >= 2, got q={format_exponent(qe)}")
-    return _formal_crit(pe, qe)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +565,9 @@ def _approx_item2(
 ) -> tuple[str, list[_Segment], tuple[str, ...]]:
     """Rows for the square ``1 <= p <= 2 <= q <= inf`` (canonical orientation)."""
     ip, iq = inv(p), inv(q)
-    crit = _formal_crit(p, q)
-    alpha, beta = crit.alpha, crit.beta
+    # the transition window's polynomial orders; equal on a dual pair
+    alpha = max(3 - 2 * ip, 1 + 2 * iq)
+    beta = min(3 - 2 * ip, 1 + 2 * iq)
     c = reg.universal()
     full = N * N
     t_small = float((1 - c) * full)
@@ -772,104 +737,3 @@ def recovery_envelope(p: ExponentLike, q: ExponentLike, N: int, m: int) -> Envel
         sharpness=EXACT,
     )
 
-
-# ---------------------------------------------------------------------------
-# conjectured extensions
-# ---------------------------------------------------------------------------
-
-
-def conjectured_envelope(spec: EmbeddingSpec, which: int) -> EnvelopeValue:
-    """Conjectured (unproven) envelope pieces, tagged ``sharpness="conjectured"``.
-
-    ``which`` selects the statement:
-
-    1. approximation upper ``N^(alpha/2-2) sqrt(N^2-n+1)`` in the transition
-       window, for ``1 < p <= q < inf``;
-    2. Gelfand upper matching the known intermediate lower bound, for
-       ``2 <= p <= q <= inf``;
-    3. Gelfand lower ``min(1, N/n)^(1/p-1/2)`` at small indices for
-       ``0 < p <= 1 <= 2 <= q``;
-    4. Kolmogorov lower ``max(1, (N^2-n+1)/N)^(1/q-1/p)`` at every index for
-       ``0 < q <= 1, q <= p``.
-
-    Conjectured uppers come with ``value_lower = 0``; conjectured lowers with
-    ``value_upper`` equal to the (always valid) embedding norm.
-    """
-    p, q, N = spec.p, spec.q, spec.N
-    n = spec.require_index()
-    ip, iq = inv(p), inv(q)
-    c = DEFAULT_CONSTANTS.universal()
-    full = N * N
-    r = full - n + 1
-    if which == 1:
-        if not (1 < p <= q) or is_infinite(q):
-            raise ValueError("conjecture 1 needs 1 < p <= q < inf")
-        alpha = _formal_crit(p, q).alpha
-        lo_cut = float((1 - c) * full)
-        hi_cut = full - float(c) * npower(N, alpha) + 1.0
-        if not lo_cut <= n <= hi_cut:
-            raise ValueError(
-                f"conjecture 1 covers the window [{lo_cut:g}, {hi_cut:g}], got n={n}"
-            )
-        value = npower(N, alpha / 2 - 2) * math.sqrt(r)
-        return EnvelopeValue(
-            "approximation",
-            0.0,
-            value,
-            f"conjectured/transition n in [{lo_cut:g}, {hi_cut:g}]",
-            CONJECTURED,
-            constants_used=(f"c_universal={c}",),
-            notes=("conjectured upper bound without the log factor",),
-        )
-    if which == 2:
-        if not (2 <= p <= q):
-            raise ValueError("conjecture 2 needs 2 <= p <= q <= inf")
-        lo_cut = float((1 - c) * full)
-        hi_cut = full - float(c) * npower(N, 1 + 2 * iq) + 1.0
-        if not lo_cut <= n <= hi_cut:
-            raise ValueError(
-                f"conjecture 2 covers the window [{lo_cut:g}, {hi_cut:g}], got n={n}"
-            )
-        value = 1.0 if p == q else (r / full) ** float((ip - iq) / (1 - 2 * iq))
-        return EnvelopeValue(
-            "gelfand",
-            0.0,
-            value,
-            f"conjectured/intermediate n in [{lo_cut:g}, {hi_cut:g}]",
-            CONJECTURED,
-            constants_used=(f"c_universal={c}",),
-            notes=("conjectured upper bound matching the known lower bound",),
-        )
-    if which == 3:
-        if not (p <= 1 and q >= 2):
-            raise ValueError("conjecture 3 needs 0 < p <= 1 and 2 <= q <= inf")
-        hi_cut = float((1 - c) * full)
-        if not n <= hi_cut:
-            raise ValueError(f"conjecture 3 covers n <= {hi_cut:g}, got n={n}")
-        value = min(1.0, N / n) ** float(ip - _HALF)
-        from .core import embedding_norm
-
-        return EnvelopeValue(
-            "gelfand",
-            value,
-            embedding_norm(p, q, N),
-            f"conjectured/small-index n <= {hi_cut:g}",
-            CONJECTURED,
-            constants_used=(f"c_universal={c}",),
-            notes=("conjectured lower bound matching the known upper bound",),
-        )
-    if which == 4:
-        if not (q < 1 and q <= p):
-            raise ValueError("conjecture 4 needs 0 < q < 1 and q <= p")
-        value = max(1.0, r / N) ** float(iq - ip)
-        from .core import embedding_norm
-
-        return EnvelopeValue(
-            "kolmogorov",
-            value,
-            embedding_norm(p, q, N),
-            "conjectured/every-index",
-            CONJECTURED,
-            notes=("conjectured index-wise lower bound matching the known upper",),
-        )
-    raise ValueError(f"conjecture selector must be 1, 2, 3 or 4, got {which!r}")

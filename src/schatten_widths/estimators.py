@@ -6,8 +6,8 @@ Methods:
 
 * ``pg-search`` — projected-gradient sup ascent combined with a candidate
   search over approximants/subspaces (the generic path);
-* ``hilbert-exact`` — exact singular values of the representation, used
-  when both exponents are 2;
+* ``hilbert-exact`` — both exponents are 2, where the identity is an
+  isometry of ``S_2`` and every s-number is 1;
 * ``dual-reduction`` — Gelfand numbers computed as Kolmogorov numbers of
   the dual embedding (exact identity for Banach exponents);
 * ``identity-exact`` — the diagonal quasi-norm Gelfand case, where every
@@ -51,14 +51,12 @@ from .core import (
     norm_and_deferred_gradient,
     norm_and_gradient,
     schatten_norm,
-    svd,
 )
 from .distances import distance_schatten
 from .exponents import INF, dual_exponent, exponent_float
 from .operators import (
     OperatorOnMatrices,
     SubspaceBasis,
-    identity_operator,
     orthonormal_columns,
     subspace_from_matrices,
     vec,
@@ -69,7 +67,6 @@ __all__ = [
     "estimate_approx",
     "estimate_gelfand",
     "estimate_kolmogorov",
-    "hilbert_exact",
     "operator_norm_estimate",
 ]
 
@@ -155,20 +152,6 @@ def operator_norm_estimate(
     )
 
 
-# ---------------------------------------------------------------------------
-# exact Hilbert-case values
-# ---------------------------------------------------------------------------
-
-
-def hilbert_exact(spec: EmbeddingSpec) -> np.ndarray:
-    """All ``N^2`` s-numbers of the identity for ``p = q = 2``, where the
-    three scales coincide with the singular values of its representation."""
-    if not (spec.p == 2 and spec.q == 2):
-        raise ValueError("exact singular-value s-numbers need p = q = 2")
-    _, s, _ = svd(identity_operator(spec.N).matrix)
-    return s
-
-
 def _reduced(inner: Estimate, spec: EmbeddingSpec, kind: str, head: dict,
              method: Optional[str] = None) -> Estimate:
     """``inner``, an estimate of an equal quantity, reported as the ``kind``
@@ -179,10 +162,11 @@ def _reduced(inner: Estimate, spec: EmbeddingSpec, kind: str, head: dict,
 
 
 def _hilbert_estimate(spec: EmbeddingSpec, kind: str, seed: int) -> Estimate:
-    values = hilbert_exact(spec)
-    n = spec.require_index()
+    """At ``p = q = 2`` the identity is an isometry of ``S_2``, so every
+    s-number of all three scales is exactly 1."""
+    spec.require_index()
     return Estimate(
-        value=float(values[n - 1]),
+        value=1.0,
         snumber_kind=kind,
         method="hilbert-exact",
         spec=spec,
@@ -383,11 +367,7 @@ def _probe_ratio(spec: EmbeddingSpec, basis: SubspaceBasis) -> float:
             probes.append(e)
     probes.append(np.eye(N))
     if basis.dim < full:
-        if basis.dim == 0:
-            complement = np.eye(full)
-        else:
-            u_all, _, _ = np.linalg.svd(basis.columns, full_matrices=True)
-            complement = u_all[:, basis.dim:]
+        complement = basis.complement
         # dual exponents whose norm gradients are the achievers
         duals = (INF,) if p <= 1 else (INF, dual_exponent(p))
         rng = np.random.default_rng(20240817)

@@ -8,6 +8,7 @@ those coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,14 @@ class SubspaceBasis:
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Frobenius-orthogonal projection coefficients of ``x``."""
         return self.columns.T @ vec(x)
+
+    @cached_property
+    def complement(self) -> np.ndarray:
+        """Orthonormal frame of the Frobenius orthogonal complement, shape
+        ``(N^2, N^2 - dim)``; computed once per basis."""
+        if self.dim == 0:
+            return np.eye(self.N * self.N)
+        return np.linalg.svd(self.columns, full_matrices=True)[0][:, self.dim:]
 
     def basis_matrices(self) -> np.ndarray:
         """The basis columns as a stack of matrices, shape ``(dim, N, N)``."""

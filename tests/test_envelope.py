@@ -7,13 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schatten_widths.acceptance import EXPONENT_GRID
-from schatten_widths.core import EmbeddingSpec
 from schatten_widths.envelope import (
     DEFAULT_CONSTANTS,
     ConstantsRegistry,
     EnvelopeValue,
-    conjectured_envelope,
-    crit_exponents,
     envelope_profile,
     recovery_envelope,
 )
@@ -116,27 +113,33 @@ def test_constants_must_lie_strictly_inside_unit_interval(bad):
 # ---------------------------------------------------------------------------
 
 
+def _tags(prof):
+    return [seg.tag for seg in prof.segments]
+
+
 def test_crit_exponents_on_a_dual_pair_coincide():
-    ce = crit_exponents("4/3", "4")
-    assert ce.alpha == Fraction(3, 2)
-    assert ce.beta == Fraction(3, 2)
-    assert ce.coincide
+    # the approximation transition window of the square 1 <= p <= 2 <= q
+    # ends at N^2 - c N^alpha + 1, the intermediate row at N^2 - c N^beta + 1,
+    # alpha = max(3 - 2/p, 1 + 2/q) and beta = min(...); on the dual pair
+    # (4/3, 4) both are 3/2, so the intermediate row is empty
+    prof = envelope_profile("approximation", "4/3", "4", 16)
+    assert _tags(prof) == ["small-index", "transition", "large-index"]
+    assert "degenerate-range: intermediate" in prof.case_notes
+    assert prof.boundaries() == pytest.approx([128.0, 257 - 0.5 * 16**1.5, 256.0], rel=1e-15)
 
 
 def test_crit_exponents_extremes_and_ordering():
-    ce = crit_exponents("1", "inf")
-    assert (ce.alpha, ce.beta) == (Fraction(1), Fraction(1))
-    ce = crit_exponents("2", "2")
-    assert (ce.alpha, ce.beta) == (Fraction(2), Fraction(2))
-    ce = crit_exponents("1", "2")
-    assert ce.alpha == Fraction(2) and ce.beta == Fraction(1)
-    assert not ce.coincide
-
-
-@pytest.mark.parametrize("p,q", [("1/2", "2"), ("4", "inf"), ("1", "3/2")])
-def test_crit_exponents_reject_out_of_domain(p, q):
-    with pytest.raises(ValueError):
-        crit_exponents(p, q)
+    # off the dual pair alpha = 5/3 > beta = 3/2: all four rows remain
+    prof = envelope_profile("approximation", "3/2", "4", 16)
+    assert _tags(prof) == ["small-index", "transition", "intermediate", "large-index"]
+    assert not any(note.startswith("degenerate-range") for note in prof.case_notes)
+    assert prof.boundaries() == pytest.approx(
+        [128.0, 257 - 0.5 * 16 ** (5 / 3), 257 - 0.5 * 16**1.5, 256.0], rel=1e-15
+    )
+    # at p = 1 the log factor is removable: no transition row
+    prof = envelope_profile("approximation", "1", "inf", 16)
+    assert _tags(prof) == ["small-index", "intermediate", "large-index"]
+    assert prof.boundaries() == [128.0, 249.0, 256.0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,42 +315,3 @@ def test_recovery_envelope_validates_domain():
     with pytest.raises(ValueError):
         recovery_envelope("1", "2", 0, 0)
 
-
-# ---------------------------------------------------------------------------
-# conjectured extensions
-# ---------------------------------------------------------------------------
-
-
-def test_conjectured_pieces_are_labelled_and_pinned():
-    v1 = conjectured_envelope(EmbeddingSpec("2", "2", 4, n=9), 1)
-    assert v1.sharpness == "conjectured"
-    assert v1.value_lower == 0.0
-    assert v1.value_upper == pytest.approx(2.0**-0.5)
-
-    v2 = conjectured_envelope(EmbeddingSpec("2", "4", 4, n=10), 2)
-    assert v2.snumber_kind == "gelfand"
-    assert v2.value_upper == pytest.approx(0.6614378277661477)
-
-    v3 = conjectured_envelope(EmbeddingSpec("1", "inf", 4, n=4), 3)
-    assert (v3.value_lower, v3.value_upper) == (1.0, 1.0)
-
-    v4 = conjectured_envelope(EmbeddingSpec("1", "1/2", 4, n=7), 4)
-    assert v4.snumber_kind == "kolmogorov"
-    assert v4.value_lower == pytest.approx(2.5)
-    assert v4.value_upper == pytest.approx(4.0)
-
-
-@pytest.mark.parametrize(
-    "which,spec",
-    [
-        (1, EmbeddingSpec("1", "2", 4, n=8)),  # needs p > 1
-        (1, EmbeddingSpec("2", "2", 4, n=3)),  # outside the window
-        (2, EmbeddingSpec("1", "4", 4, n=10)),
-        (3, EmbeddingSpec("2", "inf", 4, n=4)),
-        (4, EmbeddingSpec("1", "2", 4, n=7)),
-        (5, EmbeddingSpec("1", "1/2", 4, n=7)),
-    ],
-)
-def test_conjectured_envelope_rejects_out_of_domain(which, spec):
-    with pytest.raises(ValueError):
-        conjectured_envelope(spec, which)

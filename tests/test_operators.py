@@ -98,3 +98,23 @@ def test_subspace_from_matrices_deduplicates_span():
     mats = basis.basis_matrices()
     assert len(mats) == 2
     assert np.allclose(vec(mats[0]), basis.columns[:, 0])
+
+
+@pytest.mark.parametrize("N,dim", [(2, 1), (2, 3), (3, 4)])
+def test_subspace_complement_is_an_orthonormal_cached_frame(N, dim):
+    rng = np.random.default_rng(5)
+    basis = SubspaceBasis(orthonormal_columns(rng.standard_normal((N * N, dim))), N)
+    comp = basis.complement
+    assert comp.shape == (N * N, N * N - dim)
+    assert np.allclose(comp.T @ comp, np.eye(N * N - dim), atol=1e-12)
+    assert np.allclose(basis.columns.T @ comp, 0.0, atol=1e-12)
+    assert basis.complement is comp
+    # an equal but distinct basis computes its own frame
+    twin = SubspaceBasis(basis.columns.copy(), N)
+    assert twin.complement is not comp
+    assert np.array_equal(twin.complement, comp)
+
+
+def test_subspace_complement_of_the_zero_subspace_is_the_identity():
+    basis = SubspaceBasis(np.zeros((9, 0)), 3)
+    assert np.array_equal(basis.complement, np.eye(9))
