@@ -13,6 +13,11 @@ Methods:
 * ``identity-exact`` — the diagonal quasi-norm Gelfand case, where every
   restriction of the identity has norm exactly 1.
 
+One function, ``_closed_form``, decides the ``hilbert-exact``,
+``identity-exact`` and ``dual-reduction`` cases and the approximation
+numbers' reductions for all three width estimators, and rejects the
+inputs no search handles; an estimator searches only where it finds none.
+
 The ``pg-search`` estimators share one search: score a list of candidate
 subspaces or approximants with cheap ascents, refine the best one, and
 re-evaluate a few finalists with the full ascent.  A Kolmogorov
@@ -48,6 +53,7 @@ import numpy as np
 from .ascent import AscentResult, default_starts, sup_ratio_ascent
 from .core import (
     EmbeddingSpec,
+    as_int,
     norm_and_deferred_gradient,
     norm_and_gradient,
     schatten_norm,
@@ -118,23 +124,27 @@ def _norm_objective(op: Optional[OperatorOnMatrices], q):
     return objective
 
 
+def _require_restarts(restarts) -> None:
+    count = as_int(restarts)
+    if count is None or count < 1:
+        raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
+
+
 def operator_norm_estimate(
     spec: EmbeddingSpec,
-    operator: Optional[OperatorOnMatrices] = None,
     *,
     restarts: int = 6,
     seed: int = 0,
 ) -> Estimate:
-    """Estimate ``sup ||T X||_q / ||X||_p`` by multi-start gradient ascent.
-
-    ``operator=None`` means the embedding itself (``T = id``), for which
-    the start battery contains exact maximizers of both norm regimes.
-    """
+    """Estimate the embedding's norm ``sup ||X||_q / ||X||_p`` by
+    multi-start gradient ascent; the start battery contains exact
+    maximizers of both norm regimes."""
+    _require_restarts(restarts)
     rng = np.random.default_rng(seed)
     n_gauss = max(1, restarts - 5)
     starts = default_starts(spec.N, rng, n_gaussian=n_gauss, n_rank_one=2)
     result = sup_ratio_ascent(
-        _norm_objective(operator, spec.q), spec.p, starts, max_iter=_FINAL_ITER
+        _norm_objective(None, spec.q), spec.p, starts, max_iter=_FINAL_ITER
     )
     return Estimate(
         value=result.value,
@@ -152,29 +162,51 @@ def operator_norm_estimate(
     )
 
 
-def _reduced(inner: Estimate, spec: EmbeddingSpec, kind: str, head: dict,
-             method: Optional[str] = None) -> Estimate:
-    """``inner``, an estimate of an equal quantity, reported as the ``kind``
-    number of ``spec``: ``head`` comes first in its detail, and ``method``
-    replaces its method when given."""
-    return replace(inner, snumber_kind=kind, spec=spec, method=method or inner.method,
-                   detail={**head, **inner.detail})
+def _closed_form(spec: EmbeddingSpec, kind: str, restarts: int, seed: int
+                 ) -> Optional[Estimate]:
+    """The ``kind`` number of ``spec`` from an exact value or an exact
+    reduction, or None where the search must run; raises where no search
+    is sound.
 
-
-def _hilbert_estimate(spec: EmbeddingSpec, kind: str, seed: int) -> Estimate:
-    """At ``p = q = 2`` the identity is an isometry of ``S_2``, so every
-    s-number of all three scales is exactly 1."""
-    spec.require_index()
-    return Estimate(
-        value=1.0,
-        snumber_kind=kind,
-        method="hilbert-exact",
-        spec=spec,
-        restarts=0,
-        seed=seed,
-        converged=True,
-        detail={},
-    )
+    Exact: ``p = q = 2``, where the identity is an isometry of ``S_2``, and
+    Gelfand numbers at ``p == q < 1``, where every restriction of the
+    identity has norm 1.  Reductions: Gelfand numbers for Banach exponents
+    to the dual embedding's Kolmogorov numbers; approximation numbers at
+    ``n = 1`` to the norm, and with a Frobenius codomain (domain) to the
+    Kolmogorov (Gelfand) numbers.
+    """
+    n = spec.require_index()
+    _require_restarts(restarts)
+    p, q = spec.p, spec.q
+    if (p == 2 and q == 2) or (kind == "gelfand" and p == q and p < 1):
+        hilbert = p == 2
+        return Estimate(value=1.0, snumber_kind=kind, spec=spec, restarts=0, seed=seed,
+                        method="hilbert-exact" if hilbert else "identity-exact",
+                        converged=True,
+                        detail={} if hilbert else {"reduction": "identity-restriction-norm"})
+    if kind == "gelfand" and p >= 1 and q >= 1:
+        dual_spec = EmbeddingSpec(dual_exponent(q), dual_exponent(p), spec.N, n)
+        inner = estimate_kolmogorov(dual_spec, restarts=restarts, seed=seed)
+        dual = (str(dual_spec.p), str(dual_spec.q))
+        return replace(inner, snumber_kind=kind, spec=spec, method="dual-reduction",
+                       detail={"dual": dual, **inner.detail})
+    if q < 1 and p != q:
+        raise NotImplementedError(
+            "quasi-norm codomains are supported on the diagonal p == q only"
+        )
+    if kind != "approximation":
+        return None
+    if n == 1:
+        reduction, estimator = "index-1-is-norm", operator_norm_estimate
+    elif q == 2:
+        reduction, estimator = "hilbert-codomain", estimate_kolmogorov
+    elif p == 2:
+        reduction, estimator = "hilbert-domain", estimate_gelfand
+    else:
+        return None
+    inner = estimator(spec, restarts=restarts, seed=seed)
+    return replace(inner, snumber_kind=kind, spec=spec,
+                   detail={"reduction": reduction, **inner.detail})
 
 
 # ---------------------------------------------------------------------------
@@ -405,29 +437,15 @@ def _evaluate_subspace(
     *,
     n_starts: int,
     max_iter: int,
-    extra_starts: Sequence[np.ndarray] = (),
-) -> tuple[AscentResult, bool]:
+) -> tuple[float, bool]:
+    """``(value, converged)`` of the sup distance ratio over ``basis``: the
+    larger of the ascent's value and the probe battery's, and the ascent's
+    flag together with every inner distance solve's."""
     warm: dict = {}
-    objective = _distance_objective(basis, spec.q, warm)
-    result = _sup_over_sphere(
-        objective,
-        spec,
-        rng,
-        n_starts=n_starts,
-        max_iter=max_iter,
-        extra_starts=extra_starts,
-    )
-    probe = _probe_ratio(spec, basis)
-    if probe > result.value:
-        result = AscentResult(
-            value=probe,
-            maximizer=result.maximizer,
-            converged=result.converged,
-            iterations=result.iterations,
-            evaluations=result.evaluations,
-            start_index=-1,
-        )
-    return result, bool(warm.get("ok", True))
+    result = _sup_over_sphere(_distance_objective(basis, spec.q, warm), spec, rng,
+                              n_starts=n_starts, max_iter=max_iter)
+    value = max(result.value, _probe_ratio(spec, basis))
+    return value, result.converged and bool(warm.get("ok", True))
 
 
 def estimate_kolmogorov(
@@ -441,29 +459,18 @@ def estimate_kolmogorov(
     dimension ``n - 1``, searched by coordinate anchors, random frames,
     and adaptive frame perturbation, with the finalists re-evaluated at
     full ascent budget."""
-    n = spec.require_index()
-    p, q, N = spec.p, spec.q, spec.N
-    if q < 1 and p != q:
-        raise NotImplementedError(
-            "quasi-norm codomains are supported on the diagonal p == q only"
-        )
-    if p == 2 and q == 2:
-        return _hilbert_estimate(spec, "kolmogorov", seed)
-
+    if (exact := _closed_form(spec, "kolmogorov", restarts, seed)) is not None:
+        return exact
+    N = spec.N
     rng = np.random.default_rng(seed)
-    m = n - 1
-    quasi_inner = q < 1
+    m = spec.n - 1
 
     def cheap(basis: SubspaceBasis) -> float:
-        return _evaluate_subspace(
-            spec, basis, rng, n_starts=_CHEAP_STARTS, max_iter=_CHEAP_ITER
-        )[0].value
+        return _evaluate_subspace(spec, basis, rng, n_starts=_CHEAP_STARTS,
+                                  max_iter=_CHEAP_ITER)[0]
 
     def full(basis: SubspaceBasis) -> tuple[float, bool]:
-        result, inner_ok = _evaluate_subspace(
-            spec, basis, rng, n_starts=restarts, max_iter=_FINAL_ITER
-        )
-        return result.value, result.converged and inner_ok
+        return _evaluate_subspace(spec, basis, rng, n_starts=restarts, max_iter=_FINAL_ITER)
 
     if m == 0:
         value, converged = full(SubspaceBasis(np.zeros((N * N, 0)), N))
@@ -489,7 +496,7 @@ def estimate_kolmogorov(
         restarts=restarts,
         seed=seed,
         converged=converged,
-        detail={**detail, "quasi_inner": quasi_inner},
+        detail={**detail, "quasi_inner": spec.q < 1},
     )
 
 
@@ -584,29 +591,13 @@ def estimate_approx(
     residual norm ``sup_X ||X - A(X)||_q / ||X||_p`` over candidate maps
     ``A`` of rank below ``n``.
 
-    When one side is the Frobenius class, the exact coincidences with the
-    width scales are used instead of a direct rank search (domain
-    exponent 2: Gelfand; codomain exponent 2: Kolmogorov)."""
-    n = spec.require_index()
-    p, q = spec.p, spec.q
-    if q < 1 and p != q:
-        raise NotImplementedError(
-            "quasi-norm codomains are supported on the diagonal p == q only"
-        )
-    if p == 2 and q == 2:
-        return _hilbert_estimate(spec, "approximation", seed)
-    if n == 1:
-        base = operator_norm_estimate(spec, restarts=restarts, seed=seed)
-        return _reduced(base, spec, "approximation", {"reduction": "index-1-is-norm"})
-    if q == 2:
-        inner = estimate_kolmogorov(spec, restarts=restarts, seed=seed)
-        return _reduced(inner, spec, "approximation", {"reduction": "hilbert-codomain"})
-    if p == 2 and q >= 1:
-        inner = estimate_gelfand(spec, restarts=restarts, seed=seed)
-        return _reduced(inner, spec, "approximation", {"reduction": "hilbert-domain"})
-
+    At ``n = 1``, or when one side is the Frobenius class, the exact
+    coincidences with the norm and the width scales are used instead of a
+    direct rank search (see ``_closed_form``)."""
+    if (exact := _closed_form(spec, "approximation", restarts, seed)) is not None:
+        return exact
     rng = np.random.default_rng(seed)
-    rank = n - 1
+    rank = spec.n - 1
 
     def residual_sup(op: OperatorOnMatrices, n_starts: int, max_iter: int) -> AscentResult:
         return _sup_over_sphere(
@@ -675,32 +666,10 @@ def estimate_gelfand(
     experimental search over subspaces of codimension ``n - 1``, scored by
     ascents of ``||X||_q / ||X||_p`` on each; ``converged`` is the final
     ascent's flag."""
-    n = spec.require_index()
-    p, q, N = spec.p, spec.q, spec.N
-    if p == 2 and q == 2:
-        return _hilbert_estimate(spec, "gelfand", seed)
-    if p == q and p < 1:
-        return Estimate(
-            value=1.0,
-            snumber_kind="gelfand",
-            method="identity-exact",
-            spec=spec,
-            restarts=0,
-            seed=seed,
-            converged=True,
-            detail={"reduction": "identity-restriction-norm"},
-        )
-    if p >= 1 and q >= 1:
-        dual_spec = EmbeddingSpec(dual_exponent(q), dual_exponent(p), N, n)
-        inner = estimate_kolmogorov(dual_spec, restarts=restarts, seed=seed)
-        dual = (str(dual_spec.p), str(dual_spec.q))
-        return _reduced(inner, spec, "gelfand", {"dual": dual}, method="dual-reduction")
-
+    if (exact := _closed_form(spec, "gelfand", restarts, seed)) is not None:
+        return exact
     # direct search over codimension-(n-1) subspaces; experimental
-    if q < 1 and p != q:
-        raise NotImplementedError(
-            "quasi-norm codomains are supported on the diagonal p == q only"
-        )
+    N = spec.N
     rng = np.random.default_rng(seed)
 
     def cheap(basis: SubspaceBasis) -> float:
@@ -708,7 +677,7 @@ def estimate_gelfand(
             spec, basis, rng, n_starts=_CHEAP_STARTS, max_iter=_GELFAND_CHEAP_ITER
         ).value
 
-    scored = _score(_coordinate_subspaces(N, N * N - n + 1), cheap)
+    scored = _score(_coordinate_subspaces(N, N * N - spec.n + 1), cheap)
     best, basis = _perturbation_descent(
         cheap, (scored[0][0], scored[0][2]), rng, _GELFAND_ROUNDS
     )

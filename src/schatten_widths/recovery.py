@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import as_int, as_matrix_side, schatten_norm
 from .envelope import recovery_envelope
-from .exponents import Exponent, as_exponent, format_exponent
+from .exponents import Exponent, as_exponent
 
 __all__ = [
     "DecoderResult",
@@ -237,16 +237,9 @@ def worst_case_error(
     optimal scheme the envelope quantifies over is at least that good).
     ``m = 0`` means no information: the decode is 0 for every instance.
     """
+    recovery_envelope(p, q, N, m)  # validates the regime, N and m
     pe, qe = as_exponent(p), as_exponent(q)
-    if not (pe <= 1 and pe < qe <= 2):
-        raise ValueError(
-            "recovery regime needs 0 < p <= 1 and p < q <= 2, got "
-            f"p={format_exponent(pe)}, q={format_exponent(qe)}"
-        )
-    m_int = as_int(m)
-    if m_int is None or not 0 <= m_int <= N * N:
-        raise ValueError(f"measurement count m must satisfy 0 <= m <= N^2, got {m!r}")
-    m = m_int
+    N, m = as_matrix_side(N), as_int(m)
     if test_budget < 3:
         raise ValueError("test_budget must cover the mandatory instances (>= 3)")
     rng = np.random.default_rng(seed)

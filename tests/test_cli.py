@@ -231,6 +231,17 @@ def test_estimate_width_requires_an_index(capsys):
     assert "requires -n" in err
 
 
+@pytest.mark.parametrize("kind", ["norm", "kolmogorov"])
+def test_estimate_rejects_a_non_positive_restart_count(capsys, kind):
+    code, out, err = _run(
+        capsys,
+        ["estimate", "--kind", kind, "-p", "1", "-q", "2", "-N", "2", "-n", "3",
+         "--restarts", "0"],
+    )
+    assert code == 2 and out == ""
+    assert "error: restarts must be a positive integer" in err
+
+
 def test_estimate_json_carries_detail(capsys):
     code, out, _ = _run(
         capsys,
@@ -264,6 +275,12 @@ def test_recovery_sweep_endpoints(capsys):
     assert first[0] == "0" and first[1] == "1" and first[2] == "1"
     assert last[0] == "9"
     assert float(last[1]) <= 1e-8  # full information: exact recovery
+
+
+def test_recovery_rejects_an_empty_matrix_side(capsys):
+    code, out, err = _run(capsys, ["recovery", "-p", "1", "-q", "2", "-N", "0", "--m-list", "0"])
+    assert code == 2 and out == ""
+    assert "error: N must be a positive integer" in err
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from schatten_widths.estimators import (
     estimate_kolmogorov,
     operator_norm_estimate,
 )
-from schatten_widths.operators import OperatorOnMatrices
 
 
 # ---------------------------------------------------------------------------
@@ -27,18 +26,6 @@ def test_norm_estimate_matches_the_closed_form(p, q):
     assert est.value == pytest.approx(embedding_norm(p, q, 3), rel=1e-8)
     assert est.snumber_kind == "operator-norm"
     assert est.method == "pg-search"
-
-
-def test_norm_estimate_accepts_a_custom_operator():
-    # T X = X[0,0] * E00 has norm 1 from the Frobenius class to any target
-    N = 2
-    m = np.zeros((4, 4))
-    m[0, 0] = 1.0
-    op = OperatorOnMatrices(m, N)
-    est = operator_norm_estimate(EmbeddingSpec("2", "2", N), op)
-    assert est.value == pytest.approx(1.0, rel=1e-9)
-    zero = operator_norm_estimate(EmbeddingSpec("2", "2", N), OperatorOnMatrices(np.zeros((4, 4)), N))
-    assert zero.value == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +167,14 @@ def test_kolmogorov_at_the_last_index_is_exact():
 
 
 def test_hilbert_case_is_exact():
-    est = estimate_approx(EmbeddingSpec("2", "2", 3, n=4), seed=0)
-    assert est.value == 1.0
-    assert est.method == "hilbert-exact"
-    assert est.converged
+    for estimator, kind in ((estimate_approx, "approximation"),
+                            (estimate_gelfand, "gelfand"),
+                            (estimate_kolmogorov, "kolmogorov")):
+        est = estimator(EmbeddingSpec("2", "2", 3, n=4), seed=0)
+        assert est.value == 1.0
+        assert est.snumber_kind == kind
+        assert est.method == "hilbert-exact"
+        assert est.converged
 
 
 def test_gelfand_quasi_diagonal_is_exactly_one():
@@ -233,6 +224,18 @@ def test_quasi_codomain_off_diagonal_is_rejected():
         estimate_kolmogorov(EmbeddingSpec("1", "1/2", 2, n=2), seed=0)
     with pytest.raises(NotImplementedError):
         estimate_approx(EmbeddingSpec("2", "3/4", 2, n=2), seed=0)
+    with pytest.raises(NotImplementedError):
+        estimate_gelfand(EmbeddingSpec("1/2", "1/4", 2, n=2), seed=0)
+
+
+@pytest.mark.parametrize("restarts", [0, -3, True, 2.0])
+@pytest.mark.parametrize("estimator", [estimate_approx, estimate_gelfand,
+                                       estimate_kolmogorov, operator_norm_estimate])
+def test_restarts_must_be_a_positive_integer(estimator, restarts):
+    # also where an exact value needs no search (p = q = 2)
+    for p in ("1", "2"):
+        with pytest.raises(ValueError, match="restarts must be a positive integer"):
+            estimator(EmbeddingSpec(p, "2", 2, n=3), restarts=restarts)
 
 
 def test_same_seed_reproduces_the_estimate():

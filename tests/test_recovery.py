@@ -163,6 +163,9 @@ def test_worst_case_error_validates_its_regime():
         worst_case_error(4, "1", "2", -1)
     with pytest.raises(ValueError):
         worst_case_error(4, "1", "2", 4, test_budget=2)
+    for N in (0, -3, 2.5, True):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            worst_case_error(N, "1", "2", 0)
 
 
 def test_no_information_means_error_one():
