@@ -19,10 +19,14 @@ timestamps are emitted.  Exponents are parsed as exact rationals
 JSON payloads carry a ``schema_version`` and are built in full before
 they are written.  CSV carries the configuration and the regime constants
 in ``#`` comment headers, and its rows are written one by one as they are
-made, so an envelope sweep of any length runs in flat memory.  A CSV field
-that holds a comma (the regime label ``n in (lo, hi]``) is quoted by the
-``csv`` module, so read the output with a CSV parser, not by splitting
-lines on commas.  When ``--output`` is a relative path it lands in
+made, so an envelope sweep of any length runs in flat memory.  An envelope
+row is a line template: its fixed fields (kind, exponents and N before the
+index; regime, sharpness, log factor and notes after the two values) are
+rendered by the ``csv`` module once per run and once per regime segment,
+and each row formats only its index and its two values.  A CSV field that
+holds a comma (the regime label ``n in (lo, hi]``) is quoted by the ``csv``
+module, so read the output with a CSV parser, not by splitting lines on
+commas.  When ``--output`` is a relative path it lands in
 ``$SCHATTEN_WIDTHS_OUTPUT_DIR`` if that is set, else the working
 directory.
 """
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -45,7 +50,7 @@ import numpy as np
 from . import acceptance
 from .certificates import lower_certificates, upper_certificates, verify_certificate
 from .core import EmbeddingSpec
-from .envelope import DEFAULT_CONSTANTS, ConstantsRegistry, envelope_profile
+from .envelope import DEFAULT_CONSTANTS, ConstantsRegistry, EnvelopeValue, envelope_profile
 from .estimators import (
     estimate_approx,
     estimate_gelfand,
@@ -131,11 +136,13 @@ def _json_safe(obj):
 
 class _Table(NamedTuple):
     """A command's output: column names, one list per row in column order,
-    and (``--format json`` only) one ``detail`` object per row."""
+    (``--format json`` only) one ``detail`` object per row, and optionally
+    the CSV body as finished lines, which then stand in for ``rows``."""
 
     fields: Sequence[str]
     rows: Iterable[list]
     details: Optional[Sequence] = None
+    lines: Optional[Iterable[str]] = None
 
 
 _ENVELOPE_FIELDS = (
@@ -152,25 +159,52 @@ _ESTIMATE_FIELDS = (
 _RECOVERY_FIELDS = ("m", "worst_error", "envelope", "ratio")
 
 
+def _csv_line(fields: Sequence) -> str:
+    """``fields`` as the CSV writer renders them, without the line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
+
+
+def _envelope_tail(ev: EnvelopeValue) -> list:
+    """The four envelope fields after the two values; fixed within a segment."""
+    return [ev.regime, ev.sharpness, int(ev.log_factor), "|".join(ev.notes)]
+
+
+def _envelope_lines(head: list, values: Iterable[tuple[int, EnvelopeValue]]) -> Iterator[str]:
+    """CSV body lines of ``(n, EnvelopeValue)`` pairs from a line template.
+
+    The prefix (``head`` plus the comma before n) is rendered once and each
+    distinct tail once, both by the ``csv`` module; a row then formats only
+    its index and its two ``%.12g`` values, which hold no comma, quote or
+    newline and so never need quoting."""
+    prefix = _csv_line(head) + ","
+    suffixes: dict[tuple, str] = {}
+    for n, ev in values:
+        key = (ev.regime, ev.sharpness, ev.log_factor, ev.notes)
+        suffix = suffixes.get(key)
+        if suffix is None:
+            suffix = suffixes[key] = "," + _csv_line(_envelope_tail(ev)) + "\n"
+        yield f"{prefix}{n},{_fmt(ev.value_lower)},{_fmt(ev.value_upper)}{suffix}"
+
+
 def _envelope_rows(args: argparse.Namespace) -> _Table:
     """One row per index, made from the profile's sweep as it is written,
-    so no sweep is ever held in memory whole."""
+    so no sweep is ever held in memory whole.  The CSV body comes from the
+    line template of ``_envelope_lines``; ``--format json`` reads ``rows``."""
     N = args.N
+    prof = envelope_profile(args.kind, args.p, args.q, N, args.constants)
     lo, hi = args.n_range if args.n_range is not None else (1, N * N)
-    lo, hi = max(lo, 1), min(hi, N * N)
+    hi = min(hi, N * N)
     if lo > hi:
         raise ValueError(f"empty index range after clipping to 1..{N * N}")
-    prof = envelope_profile(args.kind, args.p, args.q, N, args.constants)
-    kind, p, q = args.kind, format_exponent(args.p), format_exponent(args.q)
+    head = [args.kind, format_exponent(args.p), format_exponent(args.q), N]
     rows = (
-        [
-            kind, p, q, N, n,
-            _fmt(ev.value_lower), _fmt(ev.value_upper),
-            ev.regime, ev.sharpness, int(ev.log_factor), "|".join(ev.notes),
-        ]
+        [*head, n, _fmt(ev.value_lower), _fmt(ev.value_upper), *_envelope_tail(ev)]
         for n, ev in enumerate(prof.sweep(lo, hi), lo)
     )
-    return _Table(_ENVELOPE_FIELDS, rows)
+    lines = _envelope_lines(head, enumerate(prof.sweep(lo, hi), lo))
+    return _Table(_ENVELOPE_FIELDS, rows, lines=lines)
 
 
 def _witness_text(witness: dict) -> str:
@@ -252,13 +286,16 @@ def _header_lines(args: argparse.Namespace) -> list[str]:
     return lines
 
 
-def _emit_csv(
-    args: argparse.Namespace, fields: Sequence[str], rows: Iterable[list], out: TextIO
-) -> None:
+def _emit_csv(args: argparse.Namespace, table: _Table, body: Iterable, out: TextIO) -> None:
+    """Header comments, the column names, then ``body``: the table's
+    finished lines if it has them, else its rows."""
     out.write("".join(line + "\n" for line in _header_lines(args)))
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows(rows)
+    writer.writerow(table.fields)
+    if table.lines is None:
+        writer.writerows(body)
+    else:
+        out.writelines(body)
 
 
 def _json_text(args: argparse.Namespace, table: _Table) -> str:
@@ -350,10 +387,10 @@ def run(args: argparse.Namespace) -> int:
             out.write(text)
         return 0
     # make the first row before the output file, so an error leaves none
-    rows = iter(table.rows)
-    first = list(itertools.islice(rows, 1))
+    body = iter(table.rows if table.lines is None else table.lines)
+    first = list(itertools.islice(body, 1))
     with _output(args.output) as out:
-        _emit_csv(args, table.fields, itertools.chain(first, rows), out)
+        _emit_csv(args, table, itertools.chain(first, body), out)
     return 0
 
 
@@ -416,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_n_range,
         default=None,
         metavar="LO:HI",
-        help="index range (default 1:N^2); clipped to the valid range",
+        help="index range, LO >= 1 (default 1:N^2); HI is clipped to N^2",
     )
     env.add_argument(
         "--constants",

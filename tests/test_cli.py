@@ -1,12 +1,15 @@
 """Command-line interface: determinism, formats, file output, exit codes."""
 import csv
 import hashlib
+import io
+import itertools
 import json
 import tracemalloc
 
 import pytest
 
-from schatten_widths.cli import OUTPUT_DIR_ENV, main
+from schatten_widths.cli import OUTPUT_DIR_ENV, build_parser, main, run
+from schatten_widths.envelope import DEFAULT_CONSTANTS
 
 
 def _run(capsys, argv):
@@ -87,6 +90,65 @@ def test_envelope_n_range_clips_and_rejects_empty(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_envelope_rejects_an_empty_matrix_side_before_the_range(capsys):
+    code, out, err = _run(capsys, ["envelope", "-p", "1", "-q", "2", "-N", "0"])
+    assert code == 2 and out == ""
+    assert "error: N must be a positive integer, got 0" in err
+
+
+_QUOTING_EXPONENTS = ("1/2", "1", "4/3", "2", "4", "inf")
+# full ranges, and ranges that start inside a regime segment (the last one
+# runs past N^2 and is clipped)
+_QUOTING_RANGES = (
+    (1, None), (2, None), (2, "3:4"), (3, None), (3, "5:9"),
+    (16, "37:41"), (16, "122:140"), (16, "250:300"),
+)
+
+
+@pytest.mark.parametrize("kind", ["approximation", "gelfand", "kolmogorov"])
+def test_envelope_csv_body_is_the_csv_writer_of_the_json_rows(capsys, kind):
+    # the CSV body is rendered from a line template; it must be byte for
+    # byte what the csv module writes for the rows of --format json.  One
+    # parser serves the whole grid (building it is most of a small run).
+    parser = build_parser()
+    tails = []
+    for p, q in itertools.product(_QUOTING_EXPONENTS, repeat=2):
+        for N, n_range in _QUOTING_RANGES:
+            argv = ["envelope", "-p", p, "-q", q, "-N", str(N), "--kind", kind]
+            if n_range is not None:
+                argv += ["--n-range", n_range]
+            args = parser.parse_args(argv)
+            args.constants = DEFAULT_CONSTANTS
+            assert run(args) == 0
+            out = capsys.readouterr().out
+            args.fmt = "json"
+            assert run(args) == 0
+            payload = json.loads(capsys.readouterr().out)
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(payload["rows"][0].keys())
+            writer.writerows(row.values() for row in payload["rows"])
+            body = "".join(l for l in out.splitlines(True) if not l.startswith("#"))
+            assert body == expected.getvalue(), argv
+            tails += [(p, q, N, row["notes"]) for row in payload["rows"]]
+    # the grid holds lifted rows and notes that the writer has to quote
+    if kind == "approximation":
+        assert any(t[:3] == ("1/2", "4/3", 2) and t[3].endswith("monotone-lift") for t in tails)
+    if kind == "kolmogorov":
+        assert any(t[:3] == ("1", "1/2", 2) and "," in t[3] for t in tails)
+
+
+def test_envelope_json_bytes_are_pinned(capsys):
+    argv = ["envelope", "-p", "1/2", "-q", "4/3", "-N", "8", "--kind", "approximation",
+            "--format", "json"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "0b5373e91e572dedff2a32bdb802c266340908478c67b89a3c74e472bfa9ce7d"
+    )
 
 
 # sha256 of ``envelope -p 1 -q 2 -N 128 --kind <kind>``, as pinned for the
