@@ -24,6 +24,9 @@ Solvers by exponent:
   the problem is nonconvex, so the value is an upper bound on the true
   distance and ``converged`` only reflects stabilization.
 
+A warm-started solve that ends above ``||x||_q`` returns the feasible
+point ``Y = 0`` instead: a local solver can stay near a bad start.
+
 At ``N = 2`` closed-form solvers on the 2x2 split coordinates replace the
 iterations.  The budgets are fixed: IRLS stops after 80 iterations, or
 after two steps in a row that gain less than 1e-9 relative; the homotopy
@@ -565,6 +568,23 @@ def _spectral_homotopy(
     )
 
 
+def _not_above_zero(
+    res: DistanceResult, x: np.ndarray, qf: float, warm_start: np.ndarray | None
+) -> DistanceResult:
+    """``res``, or the feasible point ``Y = 0`` where a warm-started solve
+    ended above ``||x||_q``: the quasi-norm solvers are local, and a start
+    near a stationary point (such as the Frobenius projection of a
+    rank-one ``x``) can keep them there at up to several times the
+    distance.  Cold solves are returned as they are."""
+    if warm_start is None:
+        return res
+    norm = schatten_norm(x, qf)
+    if res.value <= norm:
+        return res
+    return replace(res, value=norm, residual=x.copy(),
+                   coefficients=np.zeros_like(res.coefficients))
+
+
 def distance_schatten(
     x: np.ndarray,
     basis: SubspaceBasis,
@@ -597,7 +617,8 @@ def distance_schatten(
         # they run unscaled while neither matters.
         e_max = 1000.0 / qf if 2.0 < qf < math.inf else 500.0
         if -min(20.0, e_max) <= math.log2(sp.scale) <= e_max:
-            return _distance_2x2(sp, x, basis, qf, warm_start)
+            return _not_above_zero(_distance_2x2(sp, x, basis, qf, warm_start), x, qf,
+                                   warm_start)
     # The solvers below carry absolute floors and powers of the residual's
     # singular values or Gram matrix, so they run on x / 2**e, whose
     # largest entry lies in [0.5, 1): scaling by a power of two is exact,
@@ -611,14 +632,16 @@ def distance_schatten(
         return replace(res, value=math.ldexp(res.value, e), residual=np.ldexp(res.residual, e),
                        coefficients=np.ldexp(res.coefficients, e))
     if basis.N == 2:
-        return _distance_2x2(sp, x, basis, qf, warm_start)
-    if is_infinite(q):
+        res = _distance_2x2(sp, x, basis, qf, warm_start)
+    elif is_infinite(q):
         start = warm_start
         if start is None:
             start = basis.coefficients(x)
-        return _spectral_homotopy(x, basis, start)
-    start = warm_start
-    if start is None and qf >= 1:
-        # Frobenius projection is a sound convex-case warm start.
-        start = basis.coefficients(x)
-    return _irls(x, basis, qf, start)
+        res = _spectral_homotopy(x, basis, start)
+    else:
+        start = warm_start
+        if start is None and qf >= 1:
+            # Frobenius projection is a sound convex-case warm start.
+            start = basis.coefficients(x)
+        res = _irls(x, basis, qf, start)
+    return _not_above_zero(res, x, qf, warm_start)

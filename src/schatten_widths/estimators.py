@@ -8,44 +8,50 @@ Methods:
   search over approximants/subspaces (the generic path);
 * ``hilbert-exact`` — both exponents are 2, where the identity is an
   isometry of ``S_2`` and every s-number is 1;
-* ``dual-reduction`` — Gelfand numbers computed as Kolmogorov numbers of
-  the dual embedding (exact identity for Banach exponents);
-* ``identity-exact`` — the diagonal quasi-norm Gelfand case, where every
-  restriction of the identity has norm exactly 1.
+* ``identity-exact`` — width numbers whose searched pair is diagonal,
+  where every restriction of the identity has norm exactly 1, and
+  Kolmogorov numbers at ``p == q < 1`` with ``n <= N``.
 
-One function, ``_closed_form``, decides the ``hilbert-exact``,
-``identity-exact`` and ``dual-reduction`` cases and the approximation
-numbers' reductions for all three width estimators, and rejects the
-inputs no search handles; an estimator searches only where it finds none.
+One function, ``_closed_form``, decides the exact cases and the
+approximation numbers' reductions for all three width estimators, and
+rejects the inputs no search handles; an estimator searches only where it
+finds none.
 
-The ``pg-search`` estimators share one search: score a list of candidate
-subspaces or approximants with cheap ascents, refine the best one, and
-re-evaluate a few finalists with the full ascent.  A Kolmogorov
-subspace's score is also floored by a fixed probe battery, whose
-dual-norm achievers come from :func:`core.norm_and_gradient`.  The
-direct Gelfand search runs the ascent on each candidate subspace
-itself.  The only search options are
-``restarts`` (the full ascent's start count) and ``seed``; the budgets
-are fixed:
+Gelfand and Kolmogorov numbers share one search over subspaces.  The
+``n``-th Gelfand number of ``S_a -> S_b`` is the least, over subspaces
+``L`` of codimension ``n - 1``, of ``sup_{X in L} ||X||_b / ||X||_a``.  For
+``q >= 1`` the quotient norm of ``S_q / F`` is dual to the ``S_{q*}`` norm
+on the annihilator of ``F`` (Hahn-Banach), and for ``p < 1`` the ``S_p``
+ball's convex hull is the ``S_1`` ball, so the Kolmogorov numbers are
+Gelfand numbers: ``d_n(S_p -> S_q) = c_n(S_{q*} -> S_{max(p,1)*})``, and the
+search runs at that pair.  Only the quasi diagonal ``p == q < 1`` with
+``n > N`` keeps the primal search over subspaces ``F`` of dimension
+``n - 1``, scored by ``sup_X dist_q(X, F) / ||X||_p`` with an inner
+distance solve at every ascent point and floored by a fixed probe
+battery.
 
-* cheap ascents: 3 starts, 60 iterations (80 in the direct Gelfand search);
-* full ascents and ``operator_norm_estimate``: 250 iterations (400 in
-  the direct Gelfand search);
-* Kolmogorov numbers: 3 random frames among the candidates, then 16
-  rounds of frame perturbation that stop after 8 rounds without gain;
+The search scores a list of candidate subspaces with cheap ascents,
+perturbs the best frame, and re-evaluates a few finalists with the full
+ascent.  The only search options are ``restarts`` (the full ascent's
+start count) and ``seed``; the budgets are fixed:
+
+* cheap ascents: 3 starts, 60 iterations;
+* full ascents and ``operator_norm_estimate``: 250 iterations;
+* width searches: 3 random frames among the candidates, then 16 rounds
+  of frame perturbation that stop after 8 rounds without gain; an ascent
+  on a subspace of codimension below ``N`` adds 3 rank-one starts;
 * approximation numbers: 2 random projections among the candidates, then
-  5 rounds of adversarial refinement;
-* direct Gelfand search: the two coordinate subspaces, then 20 rounds of
-  frame perturbation.
+  5 rounds of adversarial refinement.
 
 Scope: quasi-norm codomains (``q < 1``) are supported on the diagonal
-``p == q`` only, where sound anchor candidates exist; the inner distance
-solves are then local and the search is flagged in ``detail``.
+``p == q`` only; the inner distance solves are then local and the search
+is flagged in ``detail``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,13 +85,12 @@ __all__ = [
 _CHEAP_STARTS = 3
 _CHEAP_ITER = 60
 _FINAL_ITER = 250
-_KOLMOGOROV_ROUNDS = 16
-_KOLMOGOROV_RANDOM_FRAMES = 3
+_SEARCH_ROUNDS = 16
+_SEARCH_PATIENCE = 8
+_RANDOM_FRAMES = 3
+_RANK_ONE_STARTS = 3
 _APPROX_REFINE_ROUNDS = 5
 _APPROX_RANDOM_MAPS = 2
-_GELFAND_ROUNDS = 20
-_GELFAND_CHEAP_ITER = 80
-_GELFAND_FINAL_ITER = 400
 
 
 @dataclass(frozen=True)
@@ -162,40 +167,55 @@ def operator_norm_estimate(
     )
 
 
+def _width_pair(spec: EmbeddingSpec, kind: str):
+    """The pair ``(a, b)`` whose Gelfand search gives the ``kind`` width of
+    ``spec``: ``(p, q)`` for Gelfand numbers, and ``(q*, max(p, 1)*)`` for
+    Kolmogorov numbers with ``q >= 1``; None for Kolmogorov numbers at
+    ``p == q < 1``, which keep the distance search."""
+    p, q = spec.p, spec.q
+    if kind == "gelfand":
+        return p, q
+    if q < 1:
+        return None
+    return dual_exponent(q), dual_exponent(max(p, 1))
+
+
 def _closed_form(spec: EmbeddingSpec, kind: str, restarts: int, seed: int
                  ) -> Optional[Estimate]:
     """The ``kind`` number of ``spec`` from an exact value or an exact
     reduction, or None where the search must run; raises where no search
     is sound.
 
-    Exact: ``p = q = 2``, where the identity is an isometry of ``S_2``, and
-    Gelfand numbers at ``p == q < 1``, where every restriction of the
-    identity has norm 1.  Reductions: Gelfand numbers for Banach exponents
-    to the dual embedding's Kolmogorov numbers; approximation numbers at
-    ``n = 1`` to the norm, and with a Frobenius codomain (domain) to the
-    Kolmogorov (Gelfand) numbers.
+    Exact: ``p = q = 2``, where the identity is an isometry of ``S_2``;
+    Gelfand and Kolmogorov numbers whose searched pair ``(a, b)`` has
+    ``a == b``, where every restriction of the identity has norm 1; and
+    Kolmogorov numbers at ``p == q < 1`` with ``n <= N``, where the
+    annihilator of ``F`` holds a rank-one ``X`` and ``||X - Y||_p >=
+    ||X - Y||_inf >= <X - Y, X> / ||X||_1 = ||X||_p`` for ``Y`` in ``F``.
+    Reductions: approximation numbers at ``n = 1`` to the norm, and with a
+    Frobenius codomain (domain) to the Kolmogorov (Gelfand) numbers.
     """
     n = spec.require_index()
     _require_restarts(restarts)
     p, q = spec.p, spec.q
-    if (p == 2 and q == 2) or (kind == "gelfand" and p == q and p < 1):
-        hilbert = p == 2
-        return Estimate(value=1.0, snumber_kind=kind, spec=spec, restarts=0, seed=seed,
-                        method="hilbert-exact" if hilbert else "identity-exact",
-                        converged=True,
-                        detail={} if hilbert else {"reduction": "identity-restriction-norm"})
-    if kind == "gelfand" and p >= 1 and q >= 1:
-        dual_spec = EmbeddingSpec(dual_exponent(q), dual_exponent(p), spec.N, n)
-        inner = estimate_kolmogorov(dual_spec, restarts=restarts, seed=seed)
-        dual = (str(dual_spec.p), str(dual_spec.q))
-        return replace(inner, snumber_kind=kind, spec=spec, method="dual-reduction",
-                       detail={"dual": dual, **inner.detail})
     if q < 1 and p != q:
         raise NotImplementedError(
             "quasi-norm codomains are supported on the diagonal p == q only"
         )
+    if p == 2 and q == 2:
+        return Estimate(value=1.0, snumber_kind=kind, method="hilbert-exact", spec=spec,
+                        restarts=0, seed=seed, converged=True, detail={})
     if kind != "approximation":
-        return None
+        pair = _width_pair(spec, kind)
+        if pair is None and n <= spec.N:
+            reduction = "rank-one-annihilator"
+        elif pair is not None and pair[0] == pair[1]:
+            reduction = "identity-restriction-norm"
+        else:
+            return None
+        return Estimate(value=1.0, snumber_kind=kind, method="identity-exact", spec=spec,
+                        restarts=0, seed=seed, converged=True,
+                        detail={"reduction": reduction})
     if n == 1:
         reduction, estimator = "index-1-is-norm", operator_norm_estimate
     elif q == 2:
@@ -306,28 +326,29 @@ def _perturb_basis(
     return SubspaceBasis(orthonormal_columns(basis.columns + tau * g), basis.N)
 
 
-def _perturbation_descent(evaluate, start, rng, rounds, rel_gain=0.0, patience=None):
+def _perturbation_descent(evaluate, start, rng):
     """Adaptive random descent over frames from ``start = (value, basis)``.
 
     Each round perturbs the best frame at scale ``tau`` and keeps the trial
-    when its value drops below ``(1 - rel_gain)`` times the best; ``tau``
-    grows after a gain and shrinks otherwise.  ``patience`` rounds in a row
-    without a gain end the search.  Returns the best ``(value, basis)``.
+    when its value drops below ``1 - 1e-4`` times the best; ``tau`` grows
+    after a gain and shrinks otherwise.  The search ends after
+    ``_SEARCH_ROUNDS`` rounds, or ``_SEARCH_PATIENCE`` rounds in a row
+    without a gain.  Returns the best ``(value, basis)``.
     """
     best_val, best = start
     tau = 0.3
     misses = 0
-    for _ in range(rounds):
+    for _ in range(_SEARCH_ROUNDS):
         trial = _perturb_basis(best, tau, rng)
         value = evaluate(trial)
-        if value < best_val * (1 - rel_gain):
+        if value < best_val * (1 - 1e-4):
             best_val, best = value, trial
             tau = min(tau * 1.2, 0.8)
             misses = 0
         else:
             tau = max(tau * 0.7, 1e-3)
             misses += 1
-            if misses == patience:
+            if misses == _SEARCH_PATIENCE:
                 break
     return best_val, best
 
@@ -344,14 +365,12 @@ def _best_finalist(finalists, evaluate) -> tuple[float, str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Kolmogorov numbers
+# Gelfand and Kolmogorov numbers
 # ---------------------------------------------------------------------------
 
 
-def _kolmogorov_candidates(
-    spec: EmbeddingSpec, m: int, rng: np.random.Generator
-) -> list[tuple[str, SubspaceBasis]]:
-    N = spec.N
+def _subspace_candidates(N: int, m: int, rng: np.random.Generator
+                         ) -> list[tuple[str, SubspaceBasis]]:
     full = N * N
     bases = _coordinate_subspaces(N, m)
     # identity-direction-first frame: the flat-spectrum direction matters
@@ -365,14 +384,36 @@ def _kolmogorov_candidates(
         e = np.zeros((N, N))
         e[i, j] = 1.0
         mats.append(e)
-    if m >= 1:
-        bases.append(("identity-first", subspace_from_matrices(mats[:m], N)))
+    bases.append(("identity-first", subspace_from_matrices(mats[:m], N)))
     for label, family in zip(("split-rotation", "split-reflection"),
                              _split_families(N)):
         bases.append((label, subspace_from_matrices(family[:m], N)))
-    for k in range(_KOLMOGOROV_RANDOM_FRAMES):
+    for k in range(_RANDOM_FRAMES):
         bases.append((f"random-{k}", SubspaceBasis(_random_frame(rng, full, m), N)))
     return bases
+
+
+def _sup_ratio_on_subspace(a, b, basis: SubspaceBasis, rng: np.random.Generator,
+                           n_starts: int, max_iter: int) -> tuple[float, bool]:
+    """``(value, converged)`` of the ascent of ``||X||_b / ||X||_a`` over
+    nonzero ``X`` in the subspace, from the normalized all-ones coefficients
+    and Gaussian coefficients.  Where the codimension is below ``N`` it adds
+    rank-one members ``u v^T``, with ``u`` orthogonal to ``W v`` for every
+    normal ``W``: at ``a <= b`` they attain the sup, 1, while the ascent
+    alone stalls near the quasi-norm cusp."""
+    N, dim = basis.N, basis.dim
+    coeffs = [np.ones(dim) / math.sqrt(dim)]
+    coeffs += [rng.standard_normal(dim) for _ in range(1, n_starts)]
+    starts = [basis.member(z) for z in coeffs]
+    normals = basis.complement.T.reshape(-1, N, N)
+    if len(normals) < N:
+        for _ in range(_RANK_ONE_STARTS):
+            v = rng.standard_normal(N)
+            u = np.linalg.svd(np.vstack([np.zeros(N), normals @ v]))[2][-1]
+            starts.append(basis.member(basis.coefficients(np.outer(u, v))))
+    result = sup_ratio_ascent(_norm_objective(None, b), a, starts,
+                              max_iter=max_iter, subspace=basis)
+    return result.value, result.converged
 
 
 def _probe_ratio(spec: EmbeddingSpec, basis: SubspaceBasis) -> float:
@@ -380,17 +421,14 @@ def _probe_ratio(spec: EmbeddingSpec, basis: SubspaceBasis) -> float:
 
     The battery holds the matrix units, the identity, and the Frobenius
     complement of the subspace: each complement direction and three
-    seeded complement mixtures, each with the points of the ``S_p`` unit
-    sphere that best pair with it, from :func:`core.norm_and_gradient`
-    (the top rank-one part, and for ``p > 1`` the dual-norm gradient).
-    Those achievers matter most: at codimension one the distance is a
-    multiple of the pairing with the subspace's normal ``Z``, so the
-    achiever for ``Z`` is an exact extremizer of the ratio.  Each probe
-    ratio is the objective at an explicit matrix, hence a sound lower
-    bound for the supremum.
+    seeded complement mixtures, each with its top rank-one part from
+    :func:`core.norm_and_gradient`, the point of the nuclear unit sphere
+    that best pairs with it.  At codimension one that point is an exact
+    extremizer of the ratio.  The quasi-norm distance solves are local, so
+    each probe keeps the smaller of a cold solve and one started at its
+    Frobenius projection.
     """
     N, p, q = spec.N, spec.p, spec.q
-    full = N * N
     probes: list[np.ndarray] = []
     for i in range(N):
         for j in range(N):
@@ -398,46 +436,31 @@ def _probe_ratio(spec: EmbeddingSpec, basis: SubspaceBasis) -> float:
             e[i, j] = 1.0
             probes.append(e)
     probes.append(np.eye(N))
-    if basis.dim < full:
-        complement = basis.complement
-        # dual exponents whose norm gradients are the achievers
-        duals = (INF,) if p <= 1 else (INF, dual_exponent(p))
-        rng = np.random.default_rng(20240817)
-        mixtures = [complement[:, k] for k in range(complement.shape[1])]
-        for _ in range(3):
-            z = rng.standard_normal(complement.shape[1])
-            mixtures.append(complement @ (z / np.linalg.norm(z)))
-        for column in mixtures:
-            mat = column.reshape(N, N)
-            probes.append(mat)
-            for r in duals:
-                achiever = norm_and_gradient(mat, r)[1]
-                if achiever is not None:
-                    probes.append(achiever)
+    complement = basis.complement
+    rng = np.random.default_rng(20240817)
+    mixtures = [complement[:, k] for k in range(complement.shape[1])]
+    for _ in range(3):
+        z = rng.standard_normal(complement.shape[1])
+        mixtures.append(complement @ (z / np.linalg.norm(z)))
+    for column in mixtures:
+        mat = column.reshape(N, N)
+        probes.append(mat)
+        achiever = norm_and_gradient(mat, INF)[1]
+        if achiever is not None:
+            probes.append(achiever)
     best = 0.0
     for probe in probes:
         denom = schatten_norm(probe, p)
         if not denom > 0:
             continue
-        res = distance_schatten(probe, basis, q)
-        value = res.value
-        if q < 1 and basis.dim > 0:
-            alt = distance_schatten(
-                probe, basis, q, warm_start=basis.coefficients(probe)
-            )
-            value = min(value, alt.value)
-        best = max(best, value / denom)
+        cold = distance_schatten(probe, basis, q)
+        warm = distance_schatten(probe, basis, q, warm_start=basis.coefficients(probe))
+        best = max(best, min(cold.value, warm.value) / denom)
     return best
 
 
-def _evaluate_subspace(
-    spec: EmbeddingSpec,
-    basis: SubspaceBasis,
-    rng: np.random.Generator,
-    *,
-    n_starts: int,
-    max_iter: int,
-) -> tuple[float, bool]:
+def _evaluate_subspace(spec: EmbeddingSpec, basis: SubspaceBasis, rng: np.random.Generator,
+                       n_starts: int, max_iter: int) -> tuple[float, bool]:
     """``(value, converged)`` of the sup distance ratio over ``basis``: the
     larger of the ascent's value and the probe battery's, and the ascent's
     flag together with every inner distance solve's."""
@@ -448,56 +471,86 @@ def _evaluate_subspace(
     return value, result.converged and bool(warm.get("ok", True))
 
 
+def _width_search(spec: EmbeddingSpec, kind: str, restarts: int, seed: int) -> Estimate:
+    """The search behind both width estimators.
+
+    At the searched pair ``(a, b)`` it looks for the subspace ``L`` of
+    codimension ``n - 1`` with the least ``sup_L ||X||_b / ||X||_a``; on
+    the quasi diagonal it looks for the subspace ``F`` of dimension
+    ``n - 1`` with the least ``sup_X dist_q(X, F) / ||X||_p``.  Candidates
+    are scored with cheap ascents, the best frame is perturbed, and the
+    finalists are re-evaluated at full budget.
+    """
+    N, n = spec.N, spec.n
+    rng = np.random.default_rng(seed)
+    pair = _width_pair(spec, kind)
+    if pair is None:
+        m, pair, evaluate = n - 1, (spec.p, spec.q), partial(_evaluate_subspace, spec)
+    else:
+        m, evaluate = N * N - n + 1, partial(_sup_ratio_on_subspace, *pair)
+
+    def cheap(basis: SubspaceBasis) -> float:
+        return evaluate(basis, rng, _CHEAP_STARTS, _CHEAP_ITER)[0]
+
+    def full(basis: SubspaceBasis) -> tuple[float, bool]:
+        return evaluate(basis, rng, restarts, _FINAL_ITER)
+
+    if m == N * N:
+        value, converged = full(SubspaceBasis(np.eye(m), N))
+        detail = {"candidates": 1, "winner": "whole-space"}
+    else:
+        candidates = _subspace_candidates(N, m, rng)
+        scored = _score(candidates, cheap)
+        _, perturbed = _perturbation_descent(cheap, (scored[0][0], scored[0][2]), rng)
+        finalists = [("perturbed", perturbed), scored[0][1:]]
+        if len(scored) > 1 and scored[1][0] < 1.15 * scored[0][0]:
+            finalists.append(scored[1][1:])
+        value, winner, converged = _best_finalist(finalists, full)
+        detail = {"candidates": len(candidates), "search_rounds": _SEARCH_ROUNDS,
+                  "winner": winner}
+    detail["pair"] = tuple(map(str, pair))
+    if kind == "kolmogorov":
+        detail["quasi_inner"] = spec.q < 1
+    return Estimate(value=value, snumber_kind=kind, method="pg-search", spec=spec,
+                    restarts=restarts, seed=seed, converged=converged, detail=detail)
+
+
+def estimate_gelfand(
+    spec: EmbeddingSpec,
+    *,
+    restarts: int = 6,
+    seed: int = 0,
+) -> Estimate:
+    """Estimate the ``n``-th Gelfand number: the least achievable
+    ``sup_{X in L} ||X||_q / ||X||_p`` over candidate subspaces ``L`` of
+    codimension ``n - 1``, searched by coordinate, identity-first and
+    transpose-split frames, random frames, and adaptive frame perturbation,
+    with the finalists re-evaluated at full ascent budget.  The diagonal
+    ``p == q`` is exactly 1 (every restriction of the identity has norm
+    1)."""
+    if (exact := _closed_form(spec, "gelfand", restarts, seed)) is not None:
+        return exact
+    return _width_search(spec, "gelfand", restarts, seed)
+
+
 def estimate_kolmogorov(
     spec: EmbeddingSpec,
     *,
     restarts: int = 6,
     seed: int = 0,
 ) -> Estimate:
-    """Estimate the ``n``-th Kolmogorov number: the best achievable
-    ``sup_X dist_q(X, E) / ||X||_p`` over candidate subspaces ``E`` of
-    dimension ``n - 1``, searched by coordinate anchors, random frames,
-    and adaptive frame perturbation, with the finalists re-evaluated at
-    full ascent budget."""
+    """Estimate the ``n``-th Kolmogorov number ``inf_F sup_X dist_q(X, F) /
+    ||X||_p`` over subspaces ``F`` of dimension ``n - 1``.
+
+    For ``q >= 1`` this is the Gelfand number of ``S_{q*} -> S_{max(p,1)*}``
+    (the sup over ``X`` equals the sup of ``||Z||_{max(p,1)*} / ||Z||_{q*}``
+    over the annihilator of ``F``), found by the Gelfand search at that
+    pair; ``detail["pair"]`` names it.  On the quasi diagonal ``p == q < 1``
+    the value is exactly 1 for ``n <= N``; above, the search runs over
+    ``F`` itself with inner distance solves (``detail["quasi_inner"]``)."""
     if (exact := _closed_form(spec, "kolmogorov", restarts, seed)) is not None:
         return exact
-    N = spec.N
-    rng = np.random.default_rng(seed)
-    m = spec.n - 1
-
-    def cheap(basis: SubspaceBasis) -> float:
-        return _evaluate_subspace(spec, basis, rng, n_starts=_CHEAP_STARTS,
-                                  max_iter=_CHEAP_ITER)[0]
-
-    def full(basis: SubspaceBasis) -> tuple[float, bool]:
-        return _evaluate_subspace(spec, basis, rng, n_starts=restarts, max_iter=_FINAL_ITER)
-
-    if m == 0:
-        value, converged = full(SubspaceBasis(np.zeros((N * N, 0)), N))
-        detail = {"candidates": 1, "winner": "zero-subspace"}
-    else:
-        candidates = _kolmogorov_candidates(spec, m, rng)
-        scored = _score(candidates, cheap)
-        _, perturbed = _perturbation_descent(
-            cheap, (scored[0][0], scored[0][2]), rng, _KOLMOGOROV_ROUNDS,
-            rel_gain=1e-4, patience=8,
-        )
-        finalists = [("perturbed", perturbed), scored[0][1:]]
-        if len(scored) > 1 and scored[1][0] < 1.15 * scored[0][0]:
-            finalists.append(scored[1][1:])
-        value, winner, converged = _best_finalist(finalists, full)
-        detail = {"candidates": len(candidates), "search_rounds": _KOLMOGOROV_ROUNDS,
-                  "winner": winner}
-    return Estimate(
-        value=value,
-        snumber_kind="kolmogorov",
-        method="pg-search",
-        spec=spec,
-        restarts=restarts,
-        seed=seed,
-        converged=converged,
-        detail={**detail, "quasi_inner": spec.q < 1},
-    )
+    return _width_search(spec, "kolmogorov", restarts, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -626,71 +679,4 @@ def estimate_approx(
         seed=seed,
         converged=converged,
         detail={"candidates": len(candidates), "winner": winner},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Gelfand numbers
-# ---------------------------------------------------------------------------
-
-
-def _sup_ratio_on_subspace(
-    spec: EmbeddingSpec,
-    basis: SubspaceBasis,
-    rng: np.random.Generator,
-    *,
-    n_starts: int,
-    max_iter: int,
-) -> AscentResult:
-    """Maximize ``||X||_q / ||X||_p`` over nonzero ``X`` in the subspace,
-    from the normalized all-ones coefficients and Gaussian coefficients."""
-    dim = basis.dim
-    coeffs = [np.ones(dim) / math.sqrt(dim)]
-    coeffs += [rng.standard_normal(dim) for _ in range(1, n_starts)]
-    return sup_ratio_ascent(_norm_objective(None, spec.q), spec.p,
-                            [basis.member(z) for z in coeffs],
-                            max_iter=max_iter, subspace=basis)
-
-
-def estimate_gelfand(
-    spec: EmbeddingSpec,
-    *,
-    restarts: int = 6,
-    seed: int = 0,
-) -> Estimate:
-    """Estimate the ``n``-th Gelfand number.
-
-    Banach exponents reduce exactly to a Kolmogorov estimate for the dual
-    embedding.  The diagonal ``p == q < 1`` is exactly 1 (every restriction
-    of the identity has norm 1).  Other quasi-norm domains run a direct,
-    experimental search over subspaces of codimension ``n - 1``, scored by
-    ascents of ``||X||_q / ||X||_p`` on each; ``converged`` is the final
-    ascent's flag."""
-    if (exact := _closed_form(spec, "gelfand", restarts, seed)) is not None:
-        return exact
-    # direct search over codimension-(n-1) subspaces; experimental
-    N = spec.N
-    rng = np.random.default_rng(seed)
-
-    def cheap(basis: SubspaceBasis) -> float:
-        return _sup_ratio_on_subspace(
-            spec, basis, rng, n_starts=_CHEAP_STARTS, max_iter=_GELFAND_CHEAP_ITER
-        ).value
-
-    scored = _score(_coordinate_subspaces(N, N * N - spec.n + 1), cheap)
-    best, basis = _perturbation_descent(
-        cheap, (scored[0][0], scored[0][2]), rng, _GELFAND_ROUNDS
-    )
-    final = _sup_ratio_on_subspace(
-        spec, basis, rng, n_starts=restarts, max_iter=_GELFAND_FINAL_ITER
-    )
-    return Estimate(
-        value=max(best, final.value),
-        snumber_kind="gelfand",
-        method="pg-search",
-        spec=spec,
-        restarts=restarts,
-        seed=seed,
-        converged=final.converged,
-        detail={"experimental": True, "search_rounds": _GELFAND_ROUNDS},
     )

@@ -129,6 +129,25 @@ def test_warm_start_is_accepted_and_does_not_hurt():
     assert warm.value <= cold.value * (1 + 1e-8)
 
 
+@pytest.mark.parametrize("N", [2, 3])
+def test_bad_quasi_norm_warm_start_never_ends_above_the_zero_point(N):
+    # x = E_11 against a subspace holding E_11 + E_22: started at the
+    # Frobenius projection, the residual diag(1/2, -1/2) is a stationary
+    # point of the S_1/2 distance at twice ||x||_1/2, where the local
+    # solvers (2x2 split descent, IRLS) stay; Y = 0 is feasible at ||x||_1/2
+    e = np.eye(N)
+    mats = [np.outer(e[0], e[0]) + np.outer(e[1], e[1]),
+            np.outer(e[0], e[1]) + np.outer(e[1], e[0])]
+    if N == 3:
+        mats += [np.outer(e[2], e[2]), np.outer(e[0], e[2])]
+    basis = subspace_from_matrices(mats, N)
+    x = np.outer(e[0], e[0])
+    res = distance_schatten(x, basis, "1/2", warm_start=basis.coefficients(x))
+    assert res.value <= schatten_norm(x, "1/2")
+    assert res.value == pytest.approx(schatten_norm(res.residual, "1/2"), rel=1e-12)
+    assert np.allclose(res.residual, x - basis.member(res.coefficients), atol=1e-12)
+
+
 @pytest.mark.parametrize(
     "q, index, value",
     [("1/2", 0, 5.416271929235769), ("1", 5, 1.32191793793694), ("inf", 10, 0.8574656161645653)],

@@ -5,6 +5,7 @@ import pytest
 from schatten_widths import estimators
 from schatten_widths.ascent import sup_ratio_ascent
 from schatten_widths.core import EmbeddingSpec, embedding_norm, schatten_norm
+from schatten_widths.exponents import dual_exponent
 from schatten_widths.estimators import (
     estimate_approx,
     estimate_gelfand,
@@ -60,16 +61,18 @@ def test_identity_widths_are_one_for_small_indices():
 # counts also follow the last bits of the LAPACK singular values: a full
 # SVD and a values-only SVD of one 3x3 matrix differ there for most
 # matrices, and the norm objective takes its value from the full one.  The
-# three Kolmogorov finalists all reach 1/2 + 6e-13 and differ by under
-# 2e-14 relative, so its winner label follows the last bits too.
+# Kolmogorov number of S_1 -> S_inf is searched as the Gelfand number of
+# the same pair (its dual); both width values are the exact ones.
 SEARCH_PINS = [
-    (estimate_kolmogorov, EmbeddingSpec("1", "inf", 2, n=3), 0.5000000000005868,
-     {"candidates": 8, "search_rounds": 16, "winner": "split-reflection", "quasi_inner": False},
+    (estimate_kolmogorov, EmbeddingSpec("1", "inf", 2, n=3), 0.5,
+     {"candidates": 8, "search_rounds": 16, "winner": "perturbed", "pair": ("1", "inf"),
+      "quasi_inner": False},
      True),
     (estimate_approx, EmbeddingSpec("1", "inf", 2, n=3), 0.9949521602699152,
      {"candidates": 9, "winner": "random-proj-0"}, True),
-    (estimate_gelfand, EmbeddingSpec("1/2", "2", 2, n=3), 0.35777282832218754,
-     {"experimental": True, "search_rounds": 20}, True),
+    (estimate_gelfand, EmbeddingSpec("1/2", "2", 2, n=3), 0.3535533905932738,
+     {"candidates": 8, "search_rounds": 16, "winner": "perturbed", "pair": ("1/2", "2")},
+     True),
     (operator_norm_estimate, EmbeddingSpec("1/2", "2", 3), 1.0000000000000002,
      {"iterations": 89, "evaluations": 156, "start_index": 3}, True),
 ]
@@ -184,12 +187,71 @@ def test_gelfand_quasi_diagonal_is_exactly_one():
     assert est.converged
 
 
-def test_gelfand_banach_goes_through_the_dual():
-    est = estimate_gelfand(EmbeddingSpec("1", "inf", 2, n=2), seed=0)
-    assert est.method == "dual-reduction"
-    assert est.detail["dual"] == ("1", "inf")  # self-dual pair, swapped
-    est = estimate_gelfand(EmbeddingSpec("4/3", "4", 2, n=2), seed=0)
-    assert est.detail["dual"] == ("4/3", "4")
+@pytest.mark.parametrize("p, q", [("1", "inf"), ("2", "1"), ("1/2", "2"), ("4/3", "4")])
+def test_kolmogorov_is_the_gelfand_search_on_the_annihilator(p, q):
+    # d_n(S_p -> S_q) = c_n(S_q* -> S_max(p,1)*) for q >= 1: one search
+    spec = EmbeddingSpec(p, q, 2, n=3)
+    dual = EmbeddingSpec(dual_exponent(spec.q), dual_exponent(max(spec.p, 1)), 2, n=3)
+    kolmogorov = estimate_kolmogorov(spec, seed=3)
+    gelfand = estimate_gelfand(dual, seed=3)
+    assert kolmogorov.value == gelfand.value
+    assert kolmogorov.detail == {**gelfand.detail, "quasi_inner": False}
+    assert kolmogorov.detail["pair"] == (str(dual.p), str(dual.q))
+
+
+# (estimator, (p, q, N, n), exact value): the last index at N = 3, where
+# d_9 = N^(1/q - 1/max(p,1)) for p <= q and 1 for p >= q; the first
+# indices n <= N with p < 1 <= q, where every subspace of codimension
+# below N holds a rank-one matrix of ratio 1; and an oracle point
+ANCHORS = [
+    (estimate_kolmogorov, ("1", "inf", 3, 9), 1 / 3),
+    (estimate_kolmogorov, ("1", "2", 3, 9), 3**-0.5),
+    (estimate_kolmogorov, ("2", "1", 3, 9), 1.0),
+    (estimate_gelfand, ("1/2", "1", 3, 2), 1.0),
+    (estimate_gelfand, ("1/2", "2", 3, 3), 1.0),
+    (estimate_gelfand, ("1/2", "2", 2, 3), 0.3535534),  # net oracle
+]
+
+
+@pytest.mark.parametrize("estimator, args, exact", ANCHORS)
+def test_width_searches_reach_the_exact_anchors(estimator, args, exact):
+    p, q, N, n = args
+    est = estimator(EmbeddingSpec(p, q, N, n=n), seed=0)
+    assert est.method == "pg-search"
+    assert est.value == pytest.approx(exact, abs=1e-6)
+
+
+def test_only_the_quasi_diagonal_kolmogorov_search_solves_distances(monkeypatch):
+    calls = []
+    solve = estimators.distance_schatten
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "distance_schatten", spy)
+    for estimator, args in ((estimate_kolmogorov, ("1", "inf", 2, 2)),
+                            (estimate_kolmogorov, ("1/2", "2", 2, 3)),
+                            (estimate_kolmogorov, ("1/2", "1/2", 2, 2)),
+                            (estimate_gelfand, ("1/2", "1", 2, 3)),
+                            (estimate_gelfand, ("4/3", "4", 2, 2)),
+                            (estimate_approx, ("inf", "2", 2, 2)),
+                            (estimate_approx, ("2", "inf", 2, 3)),
+                            (estimate_approx, ("1", "1", 2, 2))):
+        p, q, N, n = args
+        estimator(EmbeddingSpec(p, q, N, n=n), seed=0)
+    assert calls == []
+    estimate_kolmogorov(EmbeddingSpec("1/2", "1/2", 2, n=4), seed=0)
+    assert calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kolmogorov_quasi_diagonal_is_exactly_one_up_to_n_equals_N(n):
+    # the annihilator of F holds a rank-one X with ||X - Y||_p >= ||X||_p
+    est = estimate_kolmogorov(EmbeddingSpec("1/2", "1/2", 3, n=n), seed=0)
+    assert est.value == 1.0
+    assert est.method == "identity-exact"
+    assert est.converged
 
 
 def test_approx_index_one_is_the_norm():
