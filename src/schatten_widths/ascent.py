@@ -1,10 +1,10 @@
 """Projected supergradient ascent for ratios ``objective(X) / ||X||_p``.
 
-The outer problems solved here maximize a 1-homogeneous objective (an
-image norm, or a distance to a subspace) over the Schatten-``p`` unit
-sphere.  Iterates stay on the sphere; steps follow the gradient of
-``log objective - log ||X||_p``, whose stationary points are the ratio's
-critical points, with multiplicative backtracking on the step size.
+The outer problems solved here maximize a 1-homogeneous objective (such
+as an image norm) over the Schatten-``p`` unit sphere.  Iterates stay on
+the sphere; steps follow the gradient of ``log objective - log
+||X||_p``, whose stationary points are the ratio's critical points,
+with multiplicative backtracking on the step size.
 
 For ``p >= 1`` the sphere-constrained problem is well behaved; for
 quasi-norms ``p < 1`` the same iteration runs with a spectral cutoff in

@@ -24,8 +24,8 @@ Solvers by exponent:
   the problem is nonconvex, so the value is an upper bound on the true
   distance and ``converged`` only reflects stabilization.
 
-A warm-started solve that ends above ``||x||_q`` returns the feasible
-point ``Y = 0`` instead: a local solver can stay near a bad start.
+Solves take no start from the caller: IRLS and the homotopy start at the
+Frobenius projection, or at zero for ``q < 1``.
 
 At ``N = 2`` closed-form solvers on the 2x2 split coordinates replace the
 iterations.  The budgets are fixed: IRLS stops after 80 iterations, or
@@ -95,9 +95,9 @@ def _closed_form_frobenius(x: np.ndarray, basis: SubspaceBasis) -> DistanceResul
 class _SplitPair:
     """Scalar Gram data for ``w -> (|u0 - Au w|, |v0 - Av w|)``, ``dim <= 2``.
 
-    Everything is unrolled to plain floats: these solvers sit in the innermost
-    loop of the ratio searches, where numpy's per-call overhead on 2-vectors
-    dominates the actual arithmetic.
+    Everything is unrolled to plain floats: these solvers serve the direct
+    ``N = 2`` distance calls and the net oracle's cross-check, where
+    numpy's per-call overhead on 2-vectors would dominate the arithmetic.
     """
 
     __slots__ = ("m", "cu", "cv", "bu1", "bu2", "bv1", "bv2",
@@ -342,7 +342,7 @@ def _minimax_bisect_m2(sp: _SplitPair) -> tuple[float, float]:
     return best[0], best[1]
 
 
-def _grid_min_m1(sp: _SplitPair, qf: float, extra: tuple[float, ...]) -> tuple[float, float]:
+def _grid_min_m1(sp: _SplitPair, qf: float) -> tuple[float, float]:
     """Global 1-dof minimization by bracketed grid plus golden polish.
 
     Used for quasi-norm exponents, where descent alone can stall on the
@@ -353,7 +353,7 @@ def _grid_min_m1(sp: _SplitPair, qf: float, extra: tuple[float, ...]) -> tuple[f
     known squared value.
     """
     t_frob = -(sp.bu1 + sp.bv1) / (sp.au11 + sp.av11)
-    cands = [0.0, t_frob, *extra, *_branch_crossings(sp)]
+    cands = [0.0, t_frob, *_branch_crossings(sp)]
     best_t, v0 = 0.0, math.inf
     for t in cands:
         val = sp.value(qf, t, 0.0)
@@ -429,14 +429,8 @@ def _distance_2x2(
     x: np.ndarray,
     basis: SubspaceBasis,
     qf: float,
-    w0: np.ndarray | None,
 ) -> DistanceResult:
-    if w0 is not None:
-        s1, s2 = float(w0[0]), (float(w0[1]) if sp.m == 2 else 0.0)
-    elif qf >= 1.0:
-        s1, s2 = sp.frobenius_start()
-    else:
-        s1 = s2 = 0.0
+    s1, s2 = sp.frobenius_start()
 
     if qf == 1.0:
         if sp.m == 1:
@@ -449,12 +443,12 @@ def _distance_2x2(
     elif qf > 1.0:
         _, w1, w2 = _descent_scalar(sp, qf, s1, s2, _SOLVE_MAX_ITER)
     elif sp.m == 1:
-        w1, w2 = _grid_min_m1(sp, qf, (s1,))
+        w1, w2 = _grid_min_m1(sp, qf)
     else:
         # quasi-norm, 2 dof: several local starts plus the rank-one
         # (minimax) candidate, keep the best
         m1, m2 = _minimax_bisect_m2(sp)
-        starts = [(s1, s2), sp.frobenius_start(), (m1, m2)]
+        starts = [(0.0, 0.0), (s1, s2), (m1, m2)]
         best_val, w1, w2 = math.inf, 0.0, 0.0
         for c1, c2 in starts:
             val, r1, r2 = _descent_scalar(sp, qf, c1, c2, 60)
@@ -548,7 +542,7 @@ def _irls(
 def _spectral_homotopy(
     x: np.ndarray,
     basis: SubspaceBasis,
-    w0: np.ndarray | None,
+    w0: np.ndarray,
 ) -> DistanceResult:
     w = w0
     total = 0
@@ -568,29 +562,10 @@ def _spectral_homotopy(
     )
 
 
-def _not_above_zero(
-    res: DistanceResult, x: np.ndarray, qf: float, warm_start: np.ndarray | None
-) -> DistanceResult:
-    """``res``, or the feasible point ``Y = 0`` where a warm-started solve
-    ended above ``||x||_q``: the quasi-norm solvers are local, and a start
-    near a stationary point (such as the Frobenius projection of a
-    rank-one ``x``) can keep them there at up to several times the
-    distance.  Cold solves are returned as they are."""
-    if warm_start is None:
-        return res
-    norm = schatten_norm(x, qf)
-    if res.value <= norm:
-        return res
-    return replace(res, value=norm, residual=x.copy(),
-                   coefficients=np.zeros_like(res.coefficients))
-
-
 def distance_schatten(
     x: np.ndarray,
     basis: SubspaceBasis,
     q,
-    *,
-    warm_start: np.ndarray | None = None,
 ) -> DistanceResult:
     """Distance from ``x`` to the subspace in the Schatten-``q`` norm."""
     q = as_exponent(q)
@@ -617,8 +592,7 @@ def distance_schatten(
         # they run unscaled while neither matters.
         e_max = 1000.0 / qf if 2.0 < qf < math.inf else 500.0
         if -min(20.0, e_max) <= math.log2(sp.scale) <= e_max:
-            return _not_above_zero(_distance_2x2(sp, x, basis, qf, warm_start), x, qf,
-                                   warm_start)
+            return _distance_2x2(sp, x, basis, qf)
     # The solvers below carry absolute floors and powers of the residual's
     # singular values or Gram matrix, so they run on x / 2**e, whose
     # largest entry lies in [0.5, 1): scaling by a power of two is exact,
@@ -626,22 +600,12 @@ def distance_schatten(
     # At N = 2 only inputs outside the range above pay for this.
     e = math.frexp(float(np.max(np.abs(x))))[1]
     if e:
-        res = distance_schatten(
-            np.ldexp(x, -e), basis, q,
-            warm_start=None if warm_start is None else np.ldexp(warm_start, -e))
+        res = distance_schatten(np.ldexp(x, -e), basis, q)
         return replace(res, value=math.ldexp(res.value, e), residual=np.ldexp(res.residual, e),
                        coefficients=np.ldexp(res.coefficients, e))
     if basis.N == 2:
-        res = _distance_2x2(sp, x, basis, qf, warm_start)
-    elif is_infinite(q):
-        start = warm_start
-        if start is None:
-            start = basis.coefficients(x)
-        res = _spectral_homotopy(x, basis, start)
-    else:
-        start = warm_start
-        if start is None and qf >= 1:
-            # Frobenius projection is a sound convex-case warm start.
-            start = basis.coefficients(x)
-        res = _irls(x, basis, qf, start)
-    return _not_above_zero(res, x, qf, warm_start)
+        return _distance_2x2(sp, x, basis, qf)
+    if is_infinite(q):
+        return _spectral_homotopy(x, basis, basis.coefficients(x))
+    # the Frobenius projection is a sound start in the convex case
+    return _irls(x, basis, qf, basis.coefficients(x) if qf >= 1 else None)

@@ -10,7 +10,8 @@ Methods:
   isometry of ``S_2`` and every s-number is 1;
 * ``identity-exact`` — width numbers whose searched pair is diagonal,
   where every restriction of the identity has norm exactly 1, and
-  Kolmogorov numbers at ``p == q < 1`` with ``n <= N``.
+  Kolmogorov numbers on the quasi diagonal ``p == q < 1``, where a rank-one
+  member of every annihilator stays at distance 1 (see ``_closed_form``).
 
 One function, ``_closed_form``, decides the exact cases and the
 approximation numbers' reductions for all three width estimators, and
@@ -24,11 +25,7 @@ Gelfand and Kolmogorov numbers share one search over subspaces.  The
 on the annihilator of ``F`` (Hahn-Banach), and for ``p < 1`` the ``S_p``
 ball's convex hull is the ``S_1`` ball, so the Kolmogorov numbers are
 Gelfand numbers: ``d_n(S_p -> S_q) = c_n(S_{q*} -> S_{max(p,1)*})``, and the
-search runs at that pair.  Only the quasi diagonal ``p == q < 1`` with
-``n > N`` keeps the primal search over subspaces ``F`` of dimension
-``n - 1``, scored by ``sup_X dist_q(X, F) / ||X||_p`` with an inner
-distance solve at every ascent point and floored by a fixed probe
-battery.
+search runs at that pair.  No estimator solves a subspace distance.
 
 The search scores a list of candidate subspaces with cheap ascents,
 perturbs the best frame, and re-evaluates a few finalists with the full
@@ -44,8 +41,7 @@ start count) and ``seed``; the budgets are fixed:
   5 rounds of adversarial refinement.
 
 Scope: quasi-norm codomains (``q < 1``) are supported on the diagonal
-``p == q`` only; the inner distance solves are then local and the search
-is flagged in ``detail``.
+``p == q`` only, where every width number is exactly 1.
 """
 from __future__ import annotations
 
@@ -62,10 +58,8 @@ from .core import (
     as_int,
     norm_and_deferred_gradient,
     norm_and_gradient,
-    schatten_norm,
 )
-from .distances import distance_schatten
-from .exponents import INF, dual_exponent, exponent_float
+from .exponents import dual_exponent, exponent_float
 from .operators import (
     OperatorOnMatrices,
     SubspaceBasis,
@@ -170,13 +164,10 @@ def operator_norm_estimate(
 def _width_pair(spec: EmbeddingSpec, kind: str):
     """The pair ``(a, b)`` whose Gelfand search gives the ``kind`` width of
     ``spec``: ``(p, q)`` for Gelfand numbers, and ``(q*, max(p, 1)*)`` for
-    Kolmogorov numbers with ``q >= 1``; None for Kolmogorov numbers at
-    ``p == q < 1``, which keep the distance search."""
+    Kolmogorov numbers with ``q >= 1``."""
     p, q = spec.p, spec.q
     if kind == "gelfand":
         return p, q
-    if q < 1:
-        return None
     return dual_exponent(q), dual_exponent(max(p, 1))
 
 
@@ -189,9 +180,12 @@ def _closed_form(spec: EmbeddingSpec, kind: str, restarts: int, seed: int
     Exact: ``p = q = 2``, where the identity is an isometry of ``S_2``;
     Gelfand and Kolmogorov numbers whose searched pair ``(a, b)`` has
     ``a == b``, where every restriction of the identity has norm 1; and
-    Kolmogorov numbers at ``p == q < 1`` with ``n <= N``, where the
-    annihilator of ``F`` holds a rank-one ``X`` and ``||X - Y||_p >=
-    ||X - Y||_inf >= <X - Y, X> / ||X||_1 = ||X||_p`` for ``Y`` in ``F``.
+    Kolmogorov numbers at ``p == q < 1``, every ``n``.  There ``F`` has
+    dimension ``n - 1 < N^2``, so its annihilator holds a nonzero ``Z``.
+    Let ``X = u v^T`` for ``Z``'s top singular pair: ``||X||_p = 1`` and
+    ``<X, Z> = ||Z||_inf``.  Every ``Y`` in ``F`` has ``<Y, Z> = 0``, so
+    ``||X - Y||_p >= ||X - Y||_1 >= <X - Y, Z> / ||Z||_inf = 1``.  Hence
+    ``d_n >= 1``, and ``d_n <= d_1 = ||id|| = 1``.
     Reductions: approximation numbers at ``n = 1`` to the norm, and with a
     Frobenius codomain (domain) to the Kolmogorov (Gelfand) numbers.
     """
@@ -206,13 +200,13 @@ def _closed_form(spec: EmbeddingSpec, kind: str, restarts: int, seed: int
         return Estimate(value=1.0, snumber_kind=kind, method="hilbert-exact", spec=spec,
                         restarts=0, seed=seed, converged=True, detail={})
     if kind != "approximation":
-        pair = _width_pair(spec, kind)
-        if pair is None and n <= spec.N:
+        if kind == "kolmogorov" and q < 1:
             reduction = "rank-one-annihilator"
-        elif pair is not None and pair[0] == pair[1]:
-            reduction = "identity-restriction-norm"
         else:
-            return None
+            a, b = _width_pair(spec, kind)
+            if a != b:
+                return None
+            reduction = "identity-restriction-norm"
         return Estimate(value=1.0, snumber_kind=kind, method="identity-exact", spec=spec,
                         restarts=0, seed=seed, converged=True,
                         detail={"reduction": reduction})
@@ -232,18 +226,6 @@ def _closed_form(spec: EmbeddingSpec, kind: str, restarts: int, seed: int
 # ---------------------------------------------------------------------------
 # shared search machinery
 # ---------------------------------------------------------------------------
-
-
-def _distance_objective(basis: SubspaceBasis, q, warm: dict):
-    def objective(x: np.ndarray):
-        res = distance_schatten(x, basis, q, warm_start=warm.get("w"))
-        warm["w"] = res.coefficients
-        warm["ok"] = warm.get("ok", True) and res.converged
-        if res.value <= 0:
-            return 0.0, lambda: None
-        return res.value, lambda: norm_and_gradient(res.residual, q)[1]
-
-    return objective
 
 
 def _sup_over_sphere(
@@ -416,78 +398,19 @@ def _sup_ratio_on_subspace(a, b, basis: SubspaceBasis, rng: np.random.Generator,
     return result.value, result.converged
 
 
-def _probe_ratio(spec: EmbeddingSpec, basis: SubspaceBasis) -> float:
-    """Best distance ratio over a fixed battery of structured probes.
-
-    The battery holds the matrix units, the identity, and the Frobenius
-    complement of the subspace: each complement direction and three
-    seeded complement mixtures, each with its top rank-one part from
-    :func:`core.norm_and_gradient`, the point of the nuclear unit sphere
-    that best pairs with it.  At codimension one that point is an exact
-    extremizer of the ratio.  The quasi-norm distance solves are local, so
-    each probe keeps the smaller of a cold solve and one started at its
-    Frobenius projection.
-    """
-    N, p, q = spec.N, spec.p, spec.q
-    probes: list[np.ndarray] = []
-    for i in range(N):
-        for j in range(N):
-            e = np.zeros((N, N))
-            e[i, j] = 1.0
-            probes.append(e)
-    probes.append(np.eye(N))
-    complement = basis.complement
-    rng = np.random.default_rng(20240817)
-    mixtures = [complement[:, k] for k in range(complement.shape[1])]
-    for _ in range(3):
-        z = rng.standard_normal(complement.shape[1])
-        mixtures.append(complement @ (z / np.linalg.norm(z)))
-    for column in mixtures:
-        mat = column.reshape(N, N)
-        probes.append(mat)
-        achiever = norm_and_gradient(mat, INF)[1]
-        if achiever is not None:
-            probes.append(achiever)
-    best = 0.0
-    for probe in probes:
-        denom = schatten_norm(probe, p)
-        if not denom > 0:
-            continue
-        cold = distance_schatten(probe, basis, q)
-        warm = distance_schatten(probe, basis, q, warm_start=basis.coefficients(probe))
-        best = max(best, min(cold.value, warm.value) / denom)
-    return best
-
-
-def _evaluate_subspace(spec: EmbeddingSpec, basis: SubspaceBasis, rng: np.random.Generator,
-                       n_starts: int, max_iter: int) -> tuple[float, bool]:
-    """``(value, converged)`` of the sup distance ratio over ``basis``: the
-    larger of the ascent's value and the probe battery's, and the ascent's
-    flag together with every inner distance solve's."""
-    warm: dict = {}
-    result = _sup_over_sphere(_distance_objective(basis, spec.q, warm), spec, rng,
-                              n_starts=n_starts, max_iter=max_iter)
-    value = max(result.value, _probe_ratio(spec, basis))
-    return value, result.converged and bool(warm.get("ok", True))
-
-
 def _width_search(spec: EmbeddingSpec, kind: str, restarts: int, seed: int) -> Estimate:
     """The search behind both width estimators.
 
     At the searched pair ``(a, b)`` it looks for the subspace ``L`` of
-    codimension ``n - 1`` with the least ``sup_L ||X||_b / ||X||_a``; on
-    the quasi diagonal it looks for the subspace ``F`` of dimension
-    ``n - 1`` with the least ``sup_X dist_q(X, F) / ||X||_p``.  Candidates
-    are scored with cheap ascents, the best frame is perturbed, and the
-    finalists are re-evaluated at full budget.
+    codimension ``n - 1`` with the least ``sup_L ||X||_b / ||X||_a``.
+    Candidates are scored with cheap ascents, the best frame is perturbed,
+    and the finalists (the perturbed frame only where it moved) are
+    re-evaluated at full budget.
     """
-    N, n = spec.N, spec.n
+    N = spec.N
     rng = np.random.default_rng(seed)
     pair = _width_pair(spec, kind)
-    if pair is None:
-        m, pair, evaluate = n - 1, (spec.p, spec.q), partial(_evaluate_subspace, spec)
-    else:
-        m, evaluate = N * N - n + 1, partial(_sup_ratio_on_subspace, *pair)
+    m, evaluate = N * N - spec.n + 1, partial(_sup_ratio_on_subspace, *pair)
 
     def cheap(basis: SubspaceBasis) -> float:
         return evaluate(basis, rng, _CHEAP_STARTS, _CHEAP_ITER)[0]
@@ -502,15 +425,15 @@ def _width_search(spec: EmbeddingSpec, kind: str, restarts: int, seed: int) -> E
         candidates = _subspace_candidates(N, m, rng)
         scored = _score(candidates, cheap)
         _, perturbed = _perturbation_descent(cheap, (scored[0][0], scored[0][2]), rng)
-        finalists = [("perturbed", perturbed), scored[0][1:]]
+        finalists = [scored[0][1:]]
+        if perturbed is not scored[0][2]:
+            finalists.insert(0, ("perturbed", perturbed))
         if len(scored) > 1 and scored[1][0] < 1.15 * scored[0][0]:
             finalists.append(scored[1][1:])
         value, winner, converged = _best_finalist(finalists, full)
         detail = {"candidates": len(candidates), "search_rounds": _SEARCH_ROUNDS,
                   "winner": winner}
     detail["pair"] = tuple(map(str, pair))
-    if kind == "kolmogorov":
-        detail["quasi_inner"] = spec.q < 1
     return Estimate(value=value, snumber_kind=kind, method="pg-search", spec=spec,
                     restarts=restarts, seed=seed, converged=converged, detail=detail)
 
@@ -546,8 +469,7 @@ def estimate_kolmogorov(
     (the sup over ``X`` equals the sup of ``||Z||_{max(p,1)*} / ||Z||_{q*}``
     over the annihilator of ``F``), found by the Gelfand search at that
     pair; ``detail["pair"]`` names it.  On the quasi diagonal ``p == q < 1``
-    the value is exactly 1 for ``n <= N``; above, the search runs over
-    ``F`` itself with inner distance solves (``detail["quasi_inner"]``)."""
+    the value is exactly 1 at every ``n`` (see ``_closed_form``)."""
     if (exact := _closed_form(spec, "kolmogorov", restarts, seed)) is not None:
         return exact
     return _width_search(spec, "kolmogorov", restarts, seed)

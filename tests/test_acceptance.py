@@ -4,10 +4,11 @@ Check 1 (exact norm agreement, about 2 s) runs the norm ascent on the
 49 exponent pairs at each of N = 2, 3, 4; at N = 2 that exercises the
 closed-form 2x2 norm and gradient.  Checks 2 (identity s-numbers) and 3
 (quasi-norm domain collapse) run the three width estimators at N = 2 in
-a few seconds: Kolmogorov numbers with q >= 1 are searched on the
-annihilator, without inner distance solves.  Checks 4 and 5 (the
-certificate checks), 7 (envelope structure) and 8 (interpolation and
-convex-hull decompositions) take a few seconds each.  Check 6 (under
+a few seconds: no estimator solves a subspace distance, since Kolmogorov
+numbers with q >= 1 are searched on the annihilator and those at
+p = q < 1 are exactly 1.  Checks 4 and 5 (the certificate checks), 7
+(envelope structure) and 8 (interpolation and convex-hull
+decompositions) take a few seconds each.  Check 6 (under
 1 s) calibrates the Kolmogorov and approximation estimators at N = 2
 against the frozen net-oracle battery.  Check 9 takes longer and runs
 through ``schatten-widths suite``.

@@ -321,6 +321,20 @@ def test_estimate_json_carries_detail(capsys):
     assert "winner" in row["detail"]
 
 
+def test_estimate_reports_the_exact_quasi_diagonal_kolmogorov_number(capsys):
+    # every Kolmogorov number of S_1/2 -> S_1/2 is 1, also above n = N
+    code, out, _ = _run(
+        capsys,
+        ["estimate", "--kind", "kolmogorov", "-p", "1/2", "-q", "1/2", "-N", "3", "-n", "6",
+         "--format", "json"],
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert float(row["value"]) == 1.0
+    assert row["method"] == "identity-exact"
+    assert row["detail"] == {"reduction": "rank-one-annihilator"}
+
+
 # ---------------------------------------------------------------------------
 # recovery
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from schatten_widths import estimators
+from schatten_widths import distances, estimators
 from schatten_widths.ascent import sup_ratio_ascent
 from schatten_widths.core import EmbeddingSpec, embedding_norm, schatten_norm
 from schatten_widths.exponents import dual_exponent
@@ -65,13 +65,12 @@ def test_identity_widths_are_one_for_small_indices():
 # the same pair (its dual); both width values are the exact ones.
 SEARCH_PINS = [
     (estimate_kolmogorov, EmbeddingSpec("1", "inf", 2, n=3), 0.5,
-     {"candidates": 8, "search_rounds": 16, "winner": "perturbed", "pair": ("1", "inf"),
-      "quasi_inner": False},
+     {"candidates": 8, "search_rounds": 16, "winner": "split-rotation", "pair": ("1", "inf")},
      True),
     (estimate_approx, EmbeddingSpec("1", "inf", 2, n=3), 0.9949521602699152,
      {"candidates": 9, "winner": "random-proj-0"}, True),
     (estimate_gelfand, EmbeddingSpec("1/2", "2", 2, n=3), 0.3535533905932738,
-     {"candidates": 8, "search_rounds": 16, "winner": "perturbed", "pair": ("1/2", "2")},
+     {"candidates": 8, "search_rounds": 16, "winner": "split-rotation", "pair": ("1/2", "2")},
      True),
     (operator_norm_estimate, EmbeddingSpec("1/2", "2", 3), 1.0000000000000002,
      {"iterations": 89, "evaluations": 156, "start_index": 3}, True),
@@ -195,7 +194,7 @@ def test_kolmogorov_is_the_gelfand_search_on_the_annihilator(p, q):
     kolmogorov = estimate_kolmogorov(spec, seed=3)
     gelfand = estimate_gelfand(dual, seed=3)
     assert kolmogorov.value == gelfand.value
-    assert kolmogorov.detail == {**gelfand.detail, "quasi_inner": False}
+    assert kolmogorov.detail == gelfand.detail
     assert kolmogorov.detail["pair"] == (str(dual.p), str(dual.q))
 
 
@@ -221,18 +220,22 @@ def test_width_searches_reach_the_exact_anchors(estimator, args, exact):
     assert est.value == pytest.approx(exact, abs=1e-6)
 
 
-def test_only_the_quasi_diagonal_kolmogorov_search_solves_distances(monkeypatch):
+def test_no_estimator_solves_a_distance(monkeypatch):
+    # every width search scores subspaces by norm ratios alone, and the
+    # quasi diagonal p = q < 1 is exact
     calls = []
-    solve = estimators.distance_schatten
+    solve = distances.distance_schatten
 
     def spy(*args, **kwargs):
         calls.append(None)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(estimators, "distance_schatten", spy)
+    monkeypatch.setattr(distances, "distance_schatten", spy)
+    assert not hasattr(estimators, "distance_schatten")
     for estimator, args in ((estimate_kolmogorov, ("1", "inf", 2, 2)),
                             (estimate_kolmogorov, ("1/2", "2", 2, 3)),
                             (estimate_kolmogorov, ("1/2", "1/2", 2, 2)),
+                            (estimate_kolmogorov, ("1/2", "1/2", 2, 4)),
                             (estimate_gelfand, ("1/2", "1", 2, 3)),
                             (estimate_gelfand, ("4/3", "4", 2, 2)),
                             (estimate_approx, ("inf", "2", 2, 2)),
@@ -241,16 +244,17 @@ def test_only_the_quasi_diagonal_kolmogorov_search_solves_distances(monkeypatch)
         p, q, N, n = args
         estimator(EmbeddingSpec(p, q, N, n=n), seed=0)
     assert calls == []
-    estimate_kolmogorov(EmbeddingSpec("1/2", "1/2", 2, n=4), seed=0)
-    assert calls
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_kolmogorov_quasi_diagonal_is_exactly_one_up_to_n_equals_N(n):
-    # the annihilator of F holds a rank-one X with ||X - Y||_p >= ||X||_p
-    est = estimate_kolmogorov(EmbeddingSpec("1/2", "1/2", 3, n=n), seed=0)
+@pytest.mark.parametrize("p", ["1/2", "3/4"])
+@pytest.mark.parametrize("N, n", [(N, n) for N in (2, 3) for n in range(1, N * N + 1)])
+def test_kolmogorov_quasi_diagonal_is_exactly_one_at_every_index(N, n, p):
+    # the annihilator of F holds a nonzero Z, whose top singular pair
+    # X = u v^T has ||X - Y||_p >= <X - Y, Z> / ||Z||_inf = 1 for Y in F
+    est = estimate_kolmogorov(EmbeddingSpec(p, p, N, n=n), seed=0)
     assert est.value == 1.0
     assert est.method == "identity-exact"
+    assert est.detail == {"reduction": "rank-one-annihilator"}
     assert est.converged
 
 
