@@ -35,14 +35,7 @@ from .certificates import (
     upper_certificates,
     verify_certificate,
 )
-from .operators import (
-    OperatorOnMatrices,
-    SubspaceBasis,
-    identity_operator,
-    subspace_from_matrices,
-    unvec,
-    vec,
-)
+from .operators import SubspaceBasis, subspace_from_matrices, unvec, vec
 from .distances import distance_schatten
 from .estimators import (
     Estimate,

@@ -81,6 +81,12 @@ class CheckResult:
         )
 
 
+def _at(where: str) -> str:
+    """``at where`` for the worst point of a check; a check records none
+    when nothing deviates, and then every point is the worst."""
+    return f"at {where or 'every point'}"
+
+
 # ---------------------------------------------------------------------------
 # 1. exact norm agreement
 # ---------------------------------------------------------------------------
@@ -100,7 +106,7 @@ def _check_exact_norm_agreement() -> tuple[bool, str]:
                 worst, worst_at = rel, spec.describe()
     return worst <= 1e-6, (
         f"{runs} embeddings; worst |estimate/exact - 1| = {worst:.3g} "
-        f"at {worst_at} (tolerance 1e-06)"
+        f"{_at(worst_at)} (tolerance 1e-06)"
     )
 
 
@@ -121,7 +127,7 @@ def _check_identity_snumbers() -> tuple[bool, str]:
                 if dev > worst:
                     worst, worst_at = dev, f"{fn.__name__}, p=q={sym}, n={n}"
     return worst <= 0.02, (
-        f"{runs} estimates; worst |value - 1| = {worst:.3g} at {worst_at} (tolerance 0.02)"
+        f"{runs} estimates; worst |value - 1| = {worst:.3g} {_at(worst_at)} (tolerance 0.02)"
     )
 
 
@@ -145,7 +151,8 @@ def _check_quasi_range_collapse() -> tuple[bool, str]:
                     if dev > worst:
                         worst, worst_at = dev, f"{fn.__name__}, ({ps},1), n={n}, {tag}"
     return worst <= 0.05, (
-        f"16 quasi-norm estimates; worst deviation {worst:.3g} at {worst_at} (tolerance 0.05)"
+        f"16 quasi-norm estimates; worst deviation {worst:.3g} {_at(worst_at)} "
+        "(tolerance 0.05)"
     )
 
 
@@ -250,7 +257,7 @@ def _check_oracle_calibration() -> tuple[bool, str]:
             worst, worst_at = dev, f"{pt['kind']} at ({pt['p']},{pt['q']}), n={pt['n']}"
     return worst <= tol, (
         f"{count} battery points (oracle resolution h={h:g}); "
-        f"worst relative deviation {worst:.3g} at {worst_at} (tolerance {tol:g})"
+        f"worst relative deviation {worst:.3g} {_at(worst_at)} (tolerance {tol:g})"
     )
 
 

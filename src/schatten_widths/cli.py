@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -521,8 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "envelope":
             args.constants = (
@@ -535,7 +543,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "estimate" and args.kind != "norm" and args.n is None:
             raise ValueError(f"estimate with kind={args.kind} requires -n")
         return run(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, NotImplementedError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

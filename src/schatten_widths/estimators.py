@@ -8,15 +8,14 @@ Methods:
   search over approximants/subspaces (the generic path);
 * ``hilbert-exact`` — both exponents are 2, where the identity is an
   isometry of ``S_2`` and every s-number is 1;
-* ``identity-exact`` — width numbers whose searched pair is diagonal,
-  where every restriction of the identity has norm exactly 1, and
-  Kolmogorov numbers on the quasi diagonal ``p == q < 1``, where a rank-one
-  member of every annihilator stays at distance 1 (see ``_closed_form``).
+* ``identity-exact`` — the pairs where every s-number is exactly 1:
+  Gelfand numbers on the diagonal ``p == q``, and Kolmogorov and
+  approximation numbers on ``p <= q <= max(p, 1)`` (see ``_closed_form``).
 
 One function, ``_closed_form``, decides the exact cases and the
-approximation numbers' reductions for all three width estimators, and
-rejects the inputs no search handles; an estimator searches only where it
-finds none.
+approximation numbers' reductions for all three estimators, and rejects
+the inputs no search handles; an estimator searches only where it finds
+none.
 
 Gelfand and Kolmogorov numbers share one search over subspaces.  The
 ``n``-th Gelfand number of ``S_a -> S_b`` is the least, over subspaces
@@ -27,10 +26,12 @@ ball's convex hull is the ``S_1`` ball, so the Kolmogorov numbers are
 Gelfand numbers: ``d_n(S_p -> S_q) = c_n(S_{q*} -> S_{max(p,1)*})``, and the
 search runs at that pair.  No estimator solves a subspace distance.
 
-The search scores a list of candidate subspaces with cheap ascents,
-perturbs the best frame, and re-evaluates a few finalists with the full
-ascent.  The only search options are ``restarts`` (the full ascent's
-start count) and ``seed``; the budgets are fixed:
+The search scores a list of candidate subspaces (approximants, for the
+approximation numbers, held as plain ``N^2 x N^2`` arrays in ``vec``
+coordinates) with cheap ascents, perturbs or refines the best one, and
+re-evaluates a few finalists with the full ascent.  The only search
+options are ``restarts`` (the full ascent's start count) and ``seed``; the
+budgets are fixed:
 
 * cheap ascents: 3 starts, 60 iterations;
 * full ascents and ``operator_norm_estimate``: 250 iterations;
@@ -40,8 +41,9 @@ start count) and ``seed``; the budgets are fixed:
 * approximation numbers: 2 random projections among the candidates, then
   5 rounds of adversarial refinement.
 
-Scope: quasi-norm codomains (``q < 1``) are supported on the diagonal
-``p == q`` only, where every width number is exactly 1.
+Scope: quasi-norm codomains (``q < 1``) are supported where the value is
+exactly 1: ``p <= q`` for Kolmogorov and approximation numbers, and
+``p == q`` for Gelfand numbers.
 """
 from __future__ import annotations
 
@@ -60,13 +62,7 @@ from .core import (
     norm_and_gradient,
 )
 from .exponents import dual_exponent, exponent_float
-from .operators import (
-    OperatorOnMatrices,
-    SubspaceBasis,
-    orthonormal_columns,
-    subspace_from_matrices,
-    vec,
-)
+from .operators import SubspaceBasis, orthonormal_columns, subspace_from_matrices
 
 __all__ = [
     "Estimate",
@@ -106,21 +102,8 @@ class Estimate:
 # ---------------------------------------------------------------------------
 
 
-def _norm_objective(op: Optional[OperatorOnMatrices], q):
-    qf = exponent_float(q)
-    if op is None:
-        return lambda x: norm_and_deferred_gradient(x, qf)
-
-    def objective(x: np.ndarray):
-        value, image_gradient = norm_and_deferred_gradient(op.apply(x), qf)
-
-        def gradient():
-            grad = image_gradient()
-            return None if grad is None else op.apply_adjoint(grad)
-
-        return value, gradient
-
-    return objective
+def _norm_objective(q):
+    return partial(norm_and_deferred_gradient, p=exponent_float(q))
 
 
 def _require_restarts(restarts) -> None:
@@ -143,7 +126,7 @@ def operator_norm_estimate(
     n_gauss = max(1, restarts - 5)
     starts = default_starts(spec.N, rng, n_gaussian=n_gauss, n_rank_one=2)
     result = sup_ratio_ascent(
-        _norm_objective(None, spec.q), spec.p, starts, max_iter=_FINAL_ITER
+        _norm_objective(spec.q), spec.p, starts, max_iter=_FINAL_ITER
     )
     return Estimate(
         value=result.value,
@@ -175,41 +158,46 @@ def _closed_form(spec: EmbeddingSpec, kind: str, restarts: int, seed: int
                  ) -> Optional[Estimate]:
     """The ``kind`` number of ``spec`` from an exact value or an exact
     reduction, or None where the search must run; raises where no search
-    is sound.
+    is sound (``q < 1`` with ``q < p``, and Gelfand numbers at ``q < 1``
+    off the diagonal).
 
-    Exact: ``p = q = 2``, where the identity is an isometry of ``S_2``;
-    Gelfand and Kolmogorov numbers whose searched pair ``(a, b)`` has
-    ``a == b``, where every restriction of the identity has norm 1; and
-    Kolmogorov numbers at ``p == q < 1``, every ``n``.  There ``F`` has
-    dimension ``n - 1 < N^2``, so its annihilator holds a nonzero ``Z``.
-    Let ``X = u v^T`` for ``Z``'s top singular pair: ``||X||_p = 1`` and
-    ``<X, Z> = ||Z||_inf``.  Every ``Y`` in ``F`` has ``<Y, Z> = 0``, so
-    ``||X - Y||_p >= ||X - Y||_1 >= <X - Y, Z> / ||Z||_inf = 1``.  Hence
-    ``d_n >= 1``, and ``d_n <= d_1 = ||id|| = 1``.
+    Exact: ``p = q = 2``, where the identity is an isometry of ``S_2``, and
+    the value 1 wherever the identity's restrictions or an annihilator pin
+    it.  Gelfand numbers on ``p == q``: every restriction of the identity
+    has norm 1.  Kolmogorov numbers on ``p <= q <= max(p, 1)``: for
+    ``q >= 1`` that is ``q == max(p, 1)``, whose searched pair is diagonal;
+    for ``q < 1``, ``F`` has dimension ``n - 1 < N^2``, so its annihilator
+    holds a nonzero ``Z``.  Let ``X = u v^T`` for ``Z``'s top singular pair:
+    ``||X||_p = 1`` and ``<X, Z> = ||Z||_inf``.  Every ``Y`` in ``F`` has
+    ``<Y, Z> = 0``, so ``||X - Y||_q >= ||X - Y||_1 >= <X - Y, Z> /
+    ||Z||_inf = 1``.  Either way ``d_n >= 1``, and ``d_n <= d_1 = ||id|| =
+    1``.  Approximation numbers on the same pairs: ``d_n <= a_n <= ||id||``.
     Reductions: approximation numbers at ``n = 1`` to the norm, and with a
     Frobenius codomain (domain) to the Kolmogorov (Gelfand) numbers.
     """
     n = spec.require_index()
     _require_restarts(restarts)
     p, q = spec.p, spec.q
-    if q < 1 and p != q:
+    if q < 1 and (q < p or (kind == "gelfand" and p != q)):
         raise NotImplementedError(
-            "quasi-norm codomains are supported on the diagonal p == q only"
+            "quasi-norm codomains are supported for p <= q only, and for "
+            "Gelfand numbers on the diagonal p == q only"
         )
     if p == 2 and q == 2:
         return Estimate(value=1.0, snumber_kind=kind, method="hilbert-exact", spec=spec,
                         restarts=0, seed=seed, converged=True, detail={})
-    if kind != "approximation":
-        if kind == "kolmogorov" and q < 1:
+    if p == q if kind == "gelfand" else p <= q <= max(p, 1):
+        if kind == "approximation":
+            reduction = "width-sandwich"
+        elif kind == "kolmogorov" and q < 1:
             reduction = "rank-one-annihilator"
         else:
-            a, b = _width_pair(spec, kind)
-            if a != b:
-                return None
             reduction = "identity-restriction-norm"
         return Estimate(value=1.0, snumber_kind=kind, method="identity-exact", spec=spec,
                         restarts=0, seed=seed, converged=True,
                         detail={"reduction": reduction})
+    if kind != "approximation":
+        return None
     if n == 1:
         reduction, estimator = "index-1-is-norm", operator_norm_estimate
     elif q == 2:
@@ -226,23 +214,6 @@ def _closed_form(spec: EmbeddingSpec, kind: str, restarts: int, seed: int
 # ---------------------------------------------------------------------------
 # shared search machinery
 # ---------------------------------------------------------------------------
-
-
-def _sup_over_sphere(
-    objective,
-    spec: EmbeddingSpec,
-    rng: np.random.Generator,
-    *,
-    n_starts: int,
-    max_iter: int,
-    extra_starts: Sequence[np.ndarray] = (),
-) -> AscentResult:
-    n_gauss = max(1, n_starts // 2)
-    n_rank = max(1, n_starts - n_gauss)
-    starts = default_starts(
-        spec.N, rng, n_gaussian=n_gauss, n_rank_one=n_rank, extra=extra_starts
-    )
-    return sup_ratio_ascent(objective, spec.p, starts, max_iter=max_iter)
 
 
 def _coordinate_subspaces(N: int, m: int) -> list[tuple[str, SubspaceBasis]]:
@@ -393,7 +364,7 @@ def _sup_ratio_on_subspace(a, b, basis: SubspaceBasis, rng: np.random.Generator,
             v = rng.standard_normal(N)
             u = np.linalg.svd(np.vstack([np.zeros(N), normals @ v]))[2][-1]
             starts.append(basis.member(basis.coefficients(np.outer(u, v))))
-    result = sup_ratio_ascent(_norm_objective(None, b), a, starts,
+    result = sup_ratio_ascent(_norm_objective(b), a, starts,
                               max_iter=max_iter, subspace=basis)
     return result.value, result.converged
 
@@ -468,8 +439,9 @@ def estimate_kolmogorov(
     For ``q >= 1`` this is the Gelfand number of ``S_{q*} -> S_{max(p,1)*}``
     (the sup over ``X`` equals the sup of ``||Z||_{max(p,1)*} / ||Z||_{q*}``
     over the annihilator of ``F``), found by the Gelfand search at that
-    pair; ``detail["pair"]`` names it.  On the quasi diagonal ``p == q < 1``
-    the value is exactly 1 at every ``n`` (see ``_closed_form``)."""
+    pair; ``detail["pair"]`` names it.  On ``p <= q <= max(p, 1)``, quasi
+    codomains included, the value is exactly 1 at every ``n`` (see
+    ``_closed_form``)."""
     if (exact := _closed_form(spec, "kolmogorov", restarts, seed)) is not None:
         return exact
     return _width_search(spec, "kolmogorov", restarts, seed)
@@ -480,34 +452,57 @@ def estimate_kolmogorov(
 # ---------------------------------------------------------------------------
 
 
-def _mask_operator(N: int, order: Sequence[int], rank: int, scale: float = 1.0
-                   ) -> OperatorOnMatrices:
-    full = N * N
-    m = np.zeros((full, full))
-    for idx in order[:rank]:
-        m[idx, idx] = scale
-    return OperatorOnMatrices(m, N)
+def _residual_objective(A: np.ndarray, q):
+    """The objective ``X -> ||X - A(X)||_q`` of the approximant ``A``, an
+    ``N^2 x N^2`` array in ``vec`` coordinates, with its deferred gradient
+    ``(I - A)^T`` applied to the norm's gradient at the residual."""
+    qf = exponent_float(q)
+    residual = np.eye(len(A)) - A
+    N = math.isqrt(len(A))
+
+    def objective(x: np.ndarray):
+        value, image_gradient = norm_and_deferred_gradient(
+            (residual @ x.reshape(-1)).reshape(N, N), qf)
+
+        def gradient():
+            grad = image_gradient()
+            return None if grad is None else (residual.T @ grad.reshape(-1)).reshape(N, N)
+
+        return value, gradient
+
+    return objective
 
 
-def _approx_candidates(
-    spec: EmbeddingSpec, rank: int, rng: np.random.Generator
-) -> list[tuple[str, OperatorOnMatrices]]:
-    N = spec.N
+def _residual_sup(spec: EmbeddingSpec, A: np.ndarray, rng: np.random.Generator,
+                  n_starts: int, max_iter: int, extra: Sequence[np.ndarray] = ()
+                  ) -> AscentResult:
+    """The ascent of ``||X - A(X)||_q / ||X||_p`` from ``n_starts`` starts,
+    half Gaussian and half rank-one, plus ``extra``."""
+    n_gauss = max(1, n_starts // 2)
+    starts = default_starts(spec.N, rng, n_gaussian=n_gauss,
+                            n_rank_one=max(1, n_starts - n_gauss), extra=extra)
+    return sup_ratio_ascent(_residual_objective(A, spec.q), spec.p, starts,
+                            max_iter=max_iter)
+
+
+def _approx_candidates(N: int, rank: int, rng: np.random.Generator
+                       ) -> list[tuple[str, np.ndarray]]:
+    """The labelled starting approximants of rank ``rank``: zero, kept
+    coordinates (column- and row-major) and random projections, each also
+    at half scale."""
     full = N * N
-    zero = OperatorOnMatrices(np.zeros((full, full)), N)
-    cands: list[tuple[str, OperatorOnMatrices]] = [("zero", zero)]
+    cands = [("zero", np.zeros((full, full)))]
     col_order = [i * N + j for j in range(N) for i in range(N)]
-    row_order = list(range(full))
-    for label, order in (("col-keep", col_order), ("row-keep", row_order)):
+    for label, order in (("col-keep", col_order), ("row-keep", list(range(full)))):
+        keep = np.zeros(full)
+        keep[order[:rank]] = 1.0
         for scale in (1.0, 0.5):
-            cands.append(
-                (f"{label}@{scale:g}", _mask_operator(N, order, rank, scale))
-            )
+            cands.append((f"{label}@{scale:g}", np.diag(scale * keep)))
     for k in range(_APPROX_RANDOM_MAPS):
         frame = _random_frame(rng, full, rank)
         proj = frame @ frame.T
-        cands.append((f"random-proj-{k}", OperatorOnMatrices(proj, N)))
-        cands.append((f"random-proj-{k}@0.5", OperatorOnMatrices(0.5 * proj, N)))
+        cands.append((f"random-proj-{k}", proj))
+        cands.append((f"random-proj-{k}@0.5", 0.5 * proj))
     return cands
 
 
@@ -517,30 +512,17 @@ def _truncate_rank(matrix: np.ndarray, rank: int) -> np.ndarray:
     return (u * s) @ vt
 
 
-def _adversarial_refine(
-    spec: EmbeddingSpec,
-    operator: OperatorOnMatrices,
-    rank: int,
-    rng: np.random.Generator,
-) -> OperatorOnMatrices:
+def _adversarial_refine(spec: EmbeddingSpec, A: np.ndarray, rank: int,
+                        rng: np.random.Generator) -> np.ndarray:
     """A few rounds of best-response descent: find a near-worst input for
     the current approximant, take a rank-constrained gradient step that
     shrinks the residual on a pool of worst inputs."""
-    matrix = operator.matrix.copy()
     N = spec.N
     pool: list[np.ndarray] = []
     eta = 0.5
     current = None
     for _ in range(_APPROX_REFINE_ROUNDS):
-        op = OperatorOnMatrices(matrix, N)
-        result = _sup_over_sphere(
-            _norm_objective(op.subtract_from_identity(), spec.q),
-            spec,
-            rng,
-            n_starts=_CHEAP_STARTS,
-            max_iter=_CHEAP_ITER,
-            extra_starts=pool[-2:],
-        )
+        result = _residual_sup(spec, A, rng, _CHEAP_STARTS, _CHEAP_ITER, pool[-2:])
         if current is not None and result.value >= current:
             eta *= 0.5
             if eta < 1e-3:
@@ -548,12 +530,11 @@ def _adversarial_refine(
         current = result.value
         worst = result.maximizer
         pool.append(worst)
-        grad_dir = norm_and_gradient(worst - op.apply(worst), spec.q)[1]
+        grad_dir = norm_and_gradient(worst - (A @ worst.reshape(-1)).reshape(N, N), spec.q)[1]
         if grad_dir is None:
             break
-        update = np.outer(vec(grad_dir), vec(worst))
-        matrix = _truncate_rank(matrix + eta * update, rank)
-    return OperatorOnMatrices(matrix, N)
+        A = _truncate_rank(A + eta * np.outer(grad_dir.reshape(-1), worst.reshape(-1)), rank)
+    return A
 
 
 def estimate_approx(
@@ -566,29 +547,25 @@ def estimate_approx(
     residual norm ``sup_X ||X - A(X)||_q / ||X||_p`` over candidate maps
     ``A`` of rank below ``n``.
 
-    At ``n = 1``, or when one side is the Frobenius class, the exact
-    coincidences with the norm and the width scales are used instead of a
-    direct rank search (see ``_closed_form``)."""
+    The search runs only where ``_closed_form`` finds nothing exact: on
+    ``p <= q <= max(p, 1)`` the value is exactly 1, squeezed between the
+    Kolmogorov number and the norm (``width-sandwich``); at ``n = 1``, or
+    when one side is the Frobenius class, the norm and the width scales
+    give it.  Candidate approximants are scored with cheap ascents, the
+    best is refined adversarially, and the refined map and the two best
+    candidates are re-evaluated at full budget."""
     if (exact := _closed_form(spec, "approximation", restarts, seed)) is not None:
         return exact
     rng = np.random.default_rng(seed)
     rank = spec.n - 1
 
-    def residual_sup(op: OperatorOnMatrices, n_starts: int, max_iter: int) -> AscentResult:
-        return _sup_over_sphere(
-            _norm_objective(op.subtract_from_identity(), spec.q),
-            spec,
-            rng,
-            n_starts=n_starts,
-            max_iter=max_iter,
-        )
-
-    def full(op: OperatorOnMatrices) -> tuple[float, bool]:
-        result = residual_sup(op, restarts, _FINAL_ITER)
+    def full(A: np.ndarray) -> tuple[float, bool]:
+        result = _residual_sup(spec, A, rng, restarts, _FINAL_ITER)
         return result.value, result.converged
 
-    candidates = _approx_candidates(spec, rank, rng)
-    scored = _score(candidates, lambda op: residual_sup(op, _CHEAP_STARTS, _CHEAP_ITER).value)
+    candidates = _approx_candidates(spec.N, rank, rng)
+    scored = _score(candidates,
+                    lambda A: _residual_sup(spec, A, rng, _CHEAP_STARTS, _CHEAP_ITER).value)
     refined = _adversarial_refine(spec, scored[0][2], rank, rng)
     finalists = [("refined", refined), *(entry[1:] for entry in scored[:2])]
     value, winner, converged = _best_finalist(finalists, full)

@@ -1,9 +1,7 @@
-"""Linear operators and subspaces on the space of ``N x N`` matrices.
+"""Subspaces of the space of ``N x N`` matrices.
 
-Matrices are vectorized row-major (``vec(X)[i*N + j] = X[i, j]``), so an
-operator on matrix space is an ``N^2 x N^2`` array acting on ``vec``
-coordinates, and a subspace is an orthonormal (Frobenius) column frame in
-those coordinates.
+Matrices are vectorized row-major (``vec(X)[i*N + j] = X[i, j]``), and a
+subspace is an orthonormal (Frobenius) column frame in those coordinates.
 """
 from __future__ import annotations
 
@@ -13,9 +11,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "OperatorOnMatrices",
     "SubspaceBasis",
-    "identity_operator",
     "orthonormal_columns",
     "subspace_from_matrices",
     "unvec",
@@ -31,39 +27,6 @@ def vec(x: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray, N: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
     return np.asarray(v, dtype=float).reshape(N, N)
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorOnMatrices:
-    """A linear map on ``N x N`` matrix space, stored as its ``N^2 x N^2``
-    representation in ``vec`` coordinates."""
-
-    matrix: np.ndarray
-    N: int
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        full = self.N * self.N
-        if m.shape != (full, full):
-            raise ValueError(
-                f"representation must be {full}x{full} for N={self.N}, got {m.shape}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(x), self.N)
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix.T @ vec(y), self.N)
-
-    def subtract_from_identity(self) -> "OperatorOnMatrices":
-        """The residual map ``X -> X - self(X)``."""
-        eye = np.eye(self.N * self.N)
-        return OperatorOnMatrices(eye - self.matrix, self.N)
-
-
-def identity_operator(N: int) -> OperatorOnMatrices:
-    return OperatorOnMatrices(np.eye(N * N), N)
 
 
 def orthonormal_columns(a: np.ndarray) -> np.ndarray:

@@ -3,10 +3,9 @@
 Check 1 (exact norm agreement, about 2 s) runs the norm ascent on the
 49 exponent pairs at each of N = 2, 3, 4; at N = 2 that exercises the
 closed-form 2x2 norm and gradient.  Checks 2 (identity s-numbers) and 3
-(quasi-norm domain collapse) run the three width estimators at N = 2 in
-a few seconds: no estimator solves a subspace distance, since Kolmogorov
-numbers with q >= 1 are searched on the annihilator and those at
-p = q < 1 are exactly 1.  Checks 4 and 5 (the certificate checks), 7
+(quasi-norm domain collapse) run the three width estimators at N = 2 on
+pairs where every value is exactly 1 (p = q, and p <= 1 = q), so they
+take no search and read no deviation.  Checks 4 and 5 (the certificate checks), 7
 (envelope structure) and 8 (interpolation and convex-hull
 decompositions) take a few seconds each.  Check 6 (under
 1 s) calibrates the Kolmogorov and approximation estimators at N = 2
@@ -27,3 +26,11 @@ def test_certificate_checks_pass(number):
     result = run_check(number)
     assert result.number == number
     assert result.passed, result.summary_line()
+
+
+@pytest.mark.parametrize("number, detail", [
+    (2, "48 estimates; worst |value - 1| = 0 at every point (tolerance 0.02)"),
+    (3, "16 quasi-norm estimates; worst deviation 0 at every point (tolerance 0.05)"),
+])
+def test_a_check_without_deviation_names_every_point(number, detail):
+    assert run_check(number).detail == detail

@@ -8,8 +8,7 @@ import tracemalloc
 
 import pytest
 
-from schatten_widths.cli import OUTPUT_DIR_ENV, build_parser, main, run
-from schatten_widths.envelope import DEFAULT_CONSTANTS
+from schatten_widths.cli import OUTPUT_DIR_ENV, main
 
 
 def _run(capsys, argv):
@@ -78,6 +77,19 @@ def test_envelope_respects_a_constants_file(capsys, tmp_path):
     assert rows[2][7].startswith("square/intermediate")
 
 
+def test_a_constants_file_does_not_outlive_its_call(capsys, tmp_path):
+    # main parses with one parser per process; a --constants call must not
+    # leave its registry behind for the next call
+    consts = tmp_path / "consts.json"
+    consts.write_text(json.dumps({"c_universal": "1/4"}))
+    argv = ["envelope", "-p", "1", "-q", "inf", "-N", "4", "--kind", "gelfand"]
+    code, out, _ = _run(capsys, argv + ["--constants", str(consts)])
+    assert code == 0 and "# constants: c_universal=1/4" in out
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[3] == "# constants: c_universal=1/2"
+
+
 def test_envelope_n_range_clips_and_rejects_empty(capsys):
     code, out, _ = _run(
         capsys, ["envelope", "-p", "2", "-q", "2", "-N", "3", "--n-range", "7:99"]
@@ -110,22 +122,18 @@ _QUOTING_RANGES = (
 @pytest.mark.parametrize("kind", ["approximation", "gelfand", "kolmogorov"])
 def test_envelope_csv_body_is_the_csv_writer_of_the_json_rows(capsys, kind):
     # the CSV body is rendered from a line template; it must be byte for
-    # byte what the csv module writes for the rows of --format json.  One
-    # parser serves the whole grid (building it is most of a small run).
-    parser = build_parser()
+    # byte what the csv module writes for the rows of --format json
     tails = []
     for p, q in itertools.product(_QUOTING_EXPONENTS, repeat=2):
         for N, n_range in _QUOTING_RANGES:
             argv = ["envelope", "-p", p, "-q", q, "-N", str(N), "--kind", kind]
             if n_range is not None:
                 argv += ["--n-range", n_range]
-            args = parser.parse_args(argv)
-            args.constants = DEFAULT_CONSTANTS
-            assert run(args) == 0
-            out = capsys.readouterr().out
-            args.fmt = "json"
-            assert run(args) == 0
-            payload = json.loads(capsys.readouterr().out)
+            code, out, _ = _run(capsys, argv)
+            assert code == 0
+            code, text, _ = _run(capsys, argv + ["--format", "json"])
+            assert code == 0
+            payload = json.loads(text)
             expected = io.StringIO()
             writer = csv.writer(expected, lineterminator="\n")
             writer.writerow(payload["rows"][0].keys())
@@ -333,6 +341,28 @@ def test_estimate_reports_the_exact_quasi_diagonal_kolmogorov_number(capsys):
     assert float(row["value"]) == 1.0
     assert row["method"] == "identity-exact"
     assert row["detail"] == {"reduction": "rank-one-annihilator"}
+
+
+def test_estimate_reports_the_exact_quasi_approximation_number(capsys):
+    # p <= q <= 1: d_n = 1 = ||id||, and d_n <= a_n <= ||id||
+    code, out, _ = _run(
+        capsys,
+        ["estimate", "--kind", "approximation", "-p", "1/2", "-q", "3/4", "-N", "3", "-n", "5",
+         "--format", "json"],
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert float(row["value"]) == 1.0
+    assert row["method"] == "identity-exact"
+    assert row["detail"] == {"reduction": "width-sandwich"}
+
+
+def test_estimate_refuses_a_quasi_codomain_below_the_domain(capsys):
+    code, out, err = _run(
+        capsys, ["estimate", "--kind", "kolmogorov", "-p", "1", "-q", "1/2", "-N", "2", "-n", "2"]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: quasi-norm codomains are supported")
 
 
 # ---------------------------------------------------------------------------

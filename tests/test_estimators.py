@@ -5,7 +5,7 @@ import pytest
 from schatten_widths import distances, estimators
 from schatten_widths.ascent import sup_ratio_ascent
 from schatten_widths.core import EmbeddingSpec, embedding_norm, schatten_norm
-from schatten_widths.exponents import dual_exponent
+from schatten_widths.exponents import as_exponent, dual_exponent
 from schatten_widths.estimators import (
     estimate_approx,
     estimate_gelfand,
@@ -69,6 +69,12 @@ SEARCH_PINS = [
      True),
     (estimate_approx, EmbeddingSpec("1", "inf", 2, n=3), 0.9949521602699152,
      {"candidates": 9, "winner": "random-proj-0"}, True),
+    (estimate_approx, EmbeddingSpec("4/3", "inf", 2, n=3), 0.7705371642955792,
+     {"candidates": 9, "winner": "refined"}, True),
+    (estimate_approx, EmbeddingSpec("inf", "4/3", 2, n=2), 1.6773325198140372,
+     {"candidates": 9, "winner": "col-keep@0.5"}, True),
+    (estimate_approx, EmbeddingSpec("1", "inf", 3, n=5), 0.9149167912427325,
+     {"candidates": 9, "winner": "refined"}, True),
     (estimate_gelfand, EmbeddingSpec("1/2", "2", 2, n=3), 0.3535533905932738,
      {"candidates": 8, "search_rounds": 16, "winner": "split-rotation", "pair": ("1/2", "2")},
      True),
@@ -78,12 +84,30 @@ SEARCH_PINS = [
 
 
 @pytest.mark.parametrize("estimator, spec, value, detail, converged", SEARCH_PINS,
-                         ids=["kolmogorov", "approx", "gelfand-direct", "norm"])
+                         ids=["kolmogorov", "approx", "approx-refined", "approx-col-keep",
+                              "approx-n3", "gelfand-direct", "norm"])
 def test_search_results_are_pinned(estimator, spec, value, detail, converged):
     est = estimator(spec)
     assert est.value == pytest.approx(value, rel=1e-12)
     assert list(est.detail.items()) == list(detail.items())
     assert est.converged is converged
+
+
+@pytest.mark.parametrize("q", ["1", "4/3", "inf"])
+def test_residual_objective_is_the_residual_norm_and_its_adjoint_gradient(q):
+    # an approximant is a plain N^2 x N^2 array in vec coordinates; the
+    # gradient carries the norm's gradient at X - A(X) back through I - A^T
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((9, 9))
+    x = rng.standard_normal((3, 3))
+    objective = estimators._residual_objective(A, q)
+    value, gradient = objective(x)
+    assert value == pytest.approx(schatten_norm(x - (A @ x.reshape(-1)).reshape(3, 3), q),
+                                  rel=1e-12)
+    direction = rng.standard_normal((3, 3))
+    h = 1e-6
+    slope = (objective(x + h * direction)[0] - objective(x - h * direction)[0]) / (2 * h)
+    assert np.tensordot(gradient(), direction) == pytest.approx(slope, rel=1e-6)
 
 
 def test_norm_ascent_factors_each_point_once_per_use(monkeypatch):
@@ -240,7 +264,7 @@ def test_no_estimator_solves_a_distance(monkeypatch):
                             (estimate_gelfand, ("4/3", "4", 2, 2)),
                             (estimate_approx, ("inf", "2", 2, 2)),
                             (estimate_approx, ("2", "inf", 2, 3)),
-                            (estimate_approx, ("1", "1", 2, 2))):
+                            (estimate_approx, ("4/3", "inf", 2, 2))):
         p, q, N, n = args
         estimator(EmbeddingSpec(p, q, N, n=n), seed=0)
     assert calls == []
@@ -256,6 +280,31 @@ def test_kolmogorov_quasi_diagonal_is_exactly_one_at_every_index(N, n, p):
     assert est.method == "identity-exact"
     assert est.detail == {"reduction": "rank-one-annihilator"}
     assert est.converged
+
+
+@pytest.mark.parametrize("p, q", [("1/2", "3/4"), ("3/4", "1")])
+@pytest.mark.parametrize("N, n", [(N, n) for N in (2, 3) for n in range(1, N * N + 1)])
+@pytest.mark.parametrize("estimator, reduction", [
+    (estimate_kolmogorov, None), (estimate_approx, "width-sandwich")])
+def test_widths_below_max_p_1_are_exactly_one(estimator, reduction, N, n, p, q):
+    # on p <= q <= max(p, 1), d_n = 1 (rank-one member of the annihilator,
+    # or a diagonal searched pair at q = 1), and d_n <= a_n <= ||id|| = 1
+    est = estimator(EmbeddingSpec(p, q, N, n=n), seed=0)
+    assert est.value == 1.0
+    assert est.method == "identity-exact"
+    if reduction is None:
+        reduction = "rank-one-annihilator" if q == "3/4" else "identity-restriction-norm"
+    assert est.detail == {"reduction": reduction}
+    assert est.converged
+
+
+@pytest.mark.parametrize("p", ["1", "4/3", "inf"])
+def test_approx_on_the_diagonal_is_exactly_one(p):
+    for n in range(1, 10):
+        est = estimate_approx(EmbeddingSpec(p, p, 3, n=n), seed=0)
+        assert est.value == 1.0
+        assert est.method == "identity-exact"
+        assert est.detail == {"reduction": "width-sandwich"}
 
 
 def test_approx_index_one_is_the_norm():
@@ -286,12 +335,16 @@ def test_estimators_require_an_index():
 
 
 def test_quasi_codomain_off_diagonal_is_rejected():
-    with pytest.raises(NotImplementedError):
-        estimate_kolmogorov(EmbeddingSpec("1", "1/2", 2, n=2), seed=0)
-    with pytest.raises(NotImplementedError):
-        estimate_approx(EmbeddingSpec("2", "3/4", 2, n=2), seed=0)
-    with pytest.raises(NotImplementedError):
-        estimate_gelfand(EmbeddingSpec("1/2", "1/4", 2, n=2), seed=0)
+    # q < 1 is refused below the domain (q < p) for every kind, and for
+    # Gelfand numbers everywhere off the diagonal
+    exponents = ("1/4", "1/2", "3/4", "1", "4/3", "2", "inf")
+    cases = [(estimator, p, q)
+             for estimator in (estimate_approx, estimate_gelfand, estimate_kolmogorov)
+             for p in exponents for q in exponents
+             if as_exponent(q) < min(as_exponent(p), 1)]
+    for estimator, p, q in cases + [(estimate_gelfand, "1/2", "3/4")]:
+        with pytest.raises(NotImplementedError):
+            estimator(EmbeddingSpec(p, q, 2, n=2), seed=0)
 
 
 @pytest.mark.parametrize("restarts", [0, -3, True, 2.0])

@@ -1,11 +1,9 @@
-"""Operators and subspaces on matrix space in vec coordinates."""
+"""Subspaces of matrix space in vec coordinates."""
 import numpy as np
 import pytest
 
 from schatten_widths.operators import (
-    OperatorOnMatrices,
     SubspaceBasis,
-    identity_operator,
     orthonormal_columns,
     subspace_from_matrices,
     unvec,
@@ -20,36 +18,6 @@ def test_vec_unvec_round_trip_and_layout():
     assert v.shape == (9,)
     assert v[1 * 3 + 2] == x[1, 2]  # row-major
     assert np.array_equal(unvec(v, 3), x)
-
-
-def test_identity_operator_is_neutral():
-    ident = identity_operator(3)
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((3, 3))
-    assert np.array_equal(ident.apply(x), x)
-    assert np.allclose(ident.subtract_from_identity().matrix, 0.0)
-
-
-def test_operator_shape_validation():
-    with pytest.raises(ValueError):
-        OperatorOnMatrices(np.eye(4), 3)
-
-
-def test_apply_and_adjoint_are_dual_under_frobenius_pairing():
-    rng = np.random.default_rng(3)
-    op = OperatorOnMatrices(rng.standard_normal((9, 9)), 3)
-    x = rng.standard_normal((3, 3))
-    y = rng.standard_normal((3, 3))
-    lhs = np.tensordot(op.apply(x), y)  # <T x, y>
-    rhs = np.tensordot(x, op.apply_adjoint(y))  # <x, T* y>
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_subtract_from_identity_is_the_residual_map():
-    rng = np.random.default_rng(6)
-    op = OperatorOnMatrices(rng.standard_normal((4, 4)), 2)
-    x = rng.standard_normal((2, 2))
-    assert np.allclose(op.subtract_from_identity().apply(x), x - op.apply(x), atol=1e-12)
 
 
 def test_orthonormal_columns_handles_rank_deficiency():
