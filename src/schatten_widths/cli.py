@@ -29,6 +29,11 @@ module, so read the output with a CSV parser, not by splitting lines on
 commas.  When ``--output`` is a relative path it lands in
 ``$SCHATTEN_WIDTHS_OUTPUT_DIR`` if that is set, else the working
 directory.
+
+Exit status: 0 on success, 1 when ``suite`` has a failing check, 2 on
+a usage or input error (an ``error:`` line on standard error), and 141,
+the SIGPIPE status, without a message when the reader of standard output
+closes it early (``| head``).
 """
 from __future__ import annotations
 
@@ -543,6 +548,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "estimate" and args.kind != "norm" and args.n is None:
             raise ValueError(f"estimate with kind={args.kind} requires -n")
         return run(args)
+    except BrokenPipeError:
+        # the reader of standard output left early (``| head``): not a
+        # usage error.  Point stdout at the null device so the final flush
+        # at exit does not raise again, and exit as SIGPIPE would.
+        with contextlib.suppress(OSError, ValueError):  # an in-memory stdout has no fd
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (ValueError, NotImplementedError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,15 +20,31 @@ inner solve into scalar algebra that vectorizes over the whole net:
 * Approximation numbers reduce to one of the above when either side is
   the Frobenius class; other exponent pairs are refused.
 
+The frame search of both paths scores frames in stacks, one stack per
+round: all start frames at once, then in each zoom round the
+perturbations of the three best frames so far.  The frames, their order
+and the tie rule (the frame seen first wins) are those of scoring one
+frame at a time, so values and frame counts do not depend on the
+stacking.  An evaluator works through a stack in tiles
+whose temporaries hold at most ``_CHUNK`` = 2**15 float64 elements
+(256 KB, a share of a core's L2 cache); larger tiles were slower and
+raised the peak memory.  The Frobenius distance net and the restriction
+nets compute each tile with whole-tile array operations (their matrix
+products run frame by frame, so that a frame's value does not depend on
+its stack); the nuclear and spectral distance nets solve one frame at a
+time, because their 48-60 passes over the whole net per frame do not
+shrink in a stack.
+
 Values carry an ``O(h)`` error bar and are deterministic given the seed.
 The cost guard refuses ``N > 2``.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +58,10 @@ __all__ = ["net_oracle", "load_frozen_battery", "DEFAULT_ORACLE_SEED"]
 DEFAULT_ORACLE_SEED = 20240801
 
 _TINY = 1e-300
+
+#: Bound, in float64 elements (256 KB), on each temporary of a stacked
+#: frame evaluation, so that a tile of work stays in a core's L2 cache.
+_CHUNK = 1 << 15
 
 
 def load_frozen_battery() -> dict:
@@ -73,16 +93,20 @@ def _split_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sing_pair(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values (s1 >= s2) of each vectorized 2x2 row."""
-    u, v = _split_parts(X)
-    nu = np.hypot(u[:, 0], u[:, 1])
-    nv = np.hypot(v[:, 0], v[:, 1])
+    """Singular values (s1 >= s2) of vectorized 2x2 matrices.
+
+    ``X`` has shape ``(..., 4)``, entries ``(x00, x01, x10, x11)`` last;
+    the results have shape ``(...)``.
+    """
+    (u1, u2), (v1, v2) = split_2x2(*np.moveaxis(X, -1, 0))
+    nu = np.hypot(u1, u2)
+    nv = np.hypot(v1, v2)
     return nu + nv, np.abs(nu - nv)
 
 
 def _ratio_vec(X: np.ndarray, pf: float, qf: float) -> np.ndarray:
-    """``||X||_q / ||X||_p`` of each vectorized 2x2 row (denominator
-    floored at ``_TINY``)."""
+    """``||X||_q / ||X||_p`` of vectorized 2x2 matrices of shape
+    ``(..., 4)`` (denominator floored at ``_TINY``)."""
     s1, s2 = _sing_pair(X)
     return _schatten_vec(s1, s2, qf) / np.maximum(_schatten_vec(s1, s2, pf), _TINY)
 
@@ -185,31 +209,28 @@ def _seed_directions() -> np.ndarray:
     return np.vstack([_COORD_DIRS, _SPLIT_DIRS, flats])
 
 
-def _orth(columns: np.ndarray) -> Optional[np.ndarray]:
-    """Orthonormalize a (4, m) stack; None if numerically rank deficient."""
+def _orth(columns: np.ndarray) -> np.ndarray:
+    """Orthonormalize a (F, 4, m) stack of frames with one stacked QR.
+
+    Numerically rank-deficient frames (some ``|diag R| < 1e-8``) are
+    dropped; the rest keep their order.
+    """
     q, r = np.linalg.qr(columns)
-    if np.min(np.abs(np.diag(r))) < 1e-8:
-        return None
-    return q
+    return q[np.abs(np.diagonal(r, axis1=-2, axis2=-1)).min(axis=-1) >= 1e-8]
 
 
-def _seed_frames(m: int) -> list[np.ndarray]:
-    """Structured starting frames: coordinate and split-axis spans."""
+def _seed_frames(m: int) -> np.ndarray:
+    """Structured starting frames, (S, 4, m): coordinate and split-axis
+    spans."""
     dirs = np.vstack([_COORD_DIRS, _SPLIT_DIRS])
     if m == 1:
-        return [dirs[i][:, None] for i in range(dirs.shape[0])]
-    frames: list[np.ndarray] = []
+        return dirs[:, :, None]
     if m == 2:
-        for i in range(dirs.shape[0]):
-            for j in range(i + 1, dirs.shape[0]):
-                q = _orth(np.stack([dirs[i], dirs[j]], axis=1))
-                if q is not None:
-                    frames.append(q)
-    elif m == 3:
-        for i in range(dirs.shape[0]):
-            u, _, _ = np.linalg.svd(dirs[i][:, None], full_matrices=True)
-            frames.append(u[:, 1:4])
-    return frames
+        pairs = [np.stack([a, b], axis=1) for a, b in itertools.combinations(dirs, 2)]
+        return _orth(np.stack(pairs))
+    # m == 3: the orthogonal complement of each direction
+    u, _, _ = np.linalg.svd(dirs[:, :, None], full_matrices=True)
+    return u[:, :, 1:4]
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +250,15 @@ class _DistanceNet:
         self.qf = qf
         s1, s2 = _sing_pair(X)
         self.norm_p = np.maximum(_schatten_vec(s1, s2, pf), _TINY)
-        self.X = X
-        self.sq = np.einsum("ij,ij->i", X, X)
-        self.U, self.V = _split_parts(X)
-        self.cu = np.einsum("ij,ij->i", self.U, self.U)
-        self.cv = np.einsum("ij,ij->i", self.V, self.V)
+        if qf == 2.0:
+            # one coordinate per row: ``b @ net`` is the fast layout of
+            # the product, and a tile of net points is four contiguous runs
+            self.net = np.ascontiguousarray(X.T)
+            self.sq = np.einsum("ij,ij->i", X, X)
+        else:
+            self.U, self.V = _split_parts(X)
+            self.cu = np.einsum("ij,ij->i", self.U, self.U)
+            self.cv = np.einsum("ij,ij->i", self.V, self.V)
 
     # -- frame preprocessing ------------------------------------------------
 
@@ -249,11 +274,40 @@ class _DistanceNet:
 
     # -- per-codimension solvers ---------------------------------------------
 
-    def _dist_euclid(self, B: np.ndarray) -> np.ndarray:
-        proj = self.X @ B
-        return np.sqrt(
-            np.maximum(self.sq - np.einsum("ij,ij->i", proj, proj), 0.0)
-        )
+    def _euclid_max(self, B: np.ndarray) -> np.ndarray:
+        """Net-sup of ``dist_2(X, span B) / ||X||_p`` for each frame of a
+        (F, 4, m) stack.
+
+        ``dist_2(X, span B)^2 = ||X||_2^2 - ||B^T X||^2``, on tiles of
+        frames by net points of at most ``_CHUNK`` elements each; a frame
+        whose projections alone outgrow that gets several tiles.  The
+        projections are one matrix product per frame, of a shape fixed by
+        the net and m: one product over a whole tile would let BLAS pick
+        its kernel, and with it the rounding, from the tile's height, and
+        a frame's value would depend on its stack.
+        """
+        F, _, m = B.shape
+        K = self.net.shape[1]
+        step = max(1, _CHUNK // (m * K))
+        width = max(1, _CHUNK // (m * step))
+        coef = B.transpose(0, 2, 1)  # (F, m, 4)
+        best = np.full(F, -np.inf)
+        for f in range(0, F, step):
+            b = coef[f:f + step]
+            for k in range(0, K, width):
+                cols = slice(k, k + width)
+                proj = np.matmul(b, self.net[:, cols])  # (F, m, K)
+                np.square(proj, out=proj)
+                dist = proj[:, 0]
+                for j in range(1, m):
+                    dist += proj[:, j]
+                np.subtract(self.sq[cols], dist, out=dist)
+                np.maximum(dist, 0.0, out=dist)
+                np.sqrt(dist, out=dist)
+                np.divide(dist, self.norm_p[cols], out=dist)
+                top = best[f:f + step]
+                np.maximum(top, dist.max(axis=1), out=top)
+        return best
 
     def _dist_nuclear_m1(self, bu, bv, ru, rv) -> np.ndarray:
         gu = float(bu[:, 0] @ bu[:, 0])
@@ -411,24 +465,22 @@ class _DistanceNet:
 
     # -- public ---------------------------------------------------------------
 
-    def __call__(self, B: np.ndarray) -> float:
+    def __call__(self, B: np.ndarray) -> np.ndarray:
+        """Net-sup value of each frame of a (F, 4, m) stack, shape (F,)."""
         if self.qf == 2.0:
-            dist = self._dist_euclid(B)
+            return self._euclid_max(B)
+        m = B.shape[2]
+        if m > 2:  # pragma: no cover - codim-1 handled by the exact path
+            raise NotImplementedError("frame solver supports m <= 2")
+        if self.qf == 1.0:
+            solve = self._dist_nuclear_m1 if m == 1 else self._dist_nuclear_m2
         else:
-            bu, bv, ru, rv = self._frame_split(B)
-            if B.shape[1] == 1:
-                if self.qf == 1.0:
-                    dist = self._dist_nuclear_m1(bu, bv, ru, rv)
-                else:
-                    dist = self._dist_spectral_m1(bu, bv, ru, rv)
-            elif B.shape[1] == 2:
-                if self.qf == 1.0:
-                    dist = self._dist_nuclear_m2(bu, bv, ru, rv)
-                else:
-                    dist = self._dist_spectral_m2(bu, bv, ru, rv)
-            else:  # pragma: no cover - codim-1 handled by the exact path
-                raise NotImplementedError("frame solver supports m <= 2")
-        return float(np.max(dist / self.norm_p))
+            solve = self._dist_spectral_m1 if m == 1 else self._dist_spectral_m2
+        # one frame at a time: each solve makes 48-60 passes over the
+        # whole net per frame, which a stack would not cut
+        return np.array(
+            [np.max(solve(*self._frame_split(b)) / self.norm_p) for b in B], dtype=float
+        )
 
 
 class _RestrictionNet:
@@ -450,48 +502,63 @@ class _RestrictionNet:
             raise ValueError(f"restriction net expects dim in {{2, 3}}, got {dim}")
         self.thetas = np.arange(0.0, math.pi, h)
 
-    def _rank_ones(self, B: np.ndarray) -> Optional[np.ndarray]:
-        if self.dim == 3:
-            u, _, _ = np.linalg.svd(B, full_matrices=True)
-            z = u[:, 3]
-            a1, a2 = np.cos(self.thetas), np.sin(self.thetas)
-            # rows a with  a^T Z b = 0  pair with  b ⟂ Z^T a
-            c1 = z[0] * a1 + z[2] * a2
-            c2 = z[1] * a1 + z[3] * a2
-            nc = np.hypot(c1, c2)
-            keep = nc > 1e-12
-            if not np.any(keep):
-                return None
-            a1, a2 = a1[keep], a2[keep]
-            b1, b2 = (-c2[keep] / nc[keep]), (c1[keep] / nc[keep])
-            return np.stack([a1 * b1, a1 * b2, a2 * b1, a2 * b2], axis=1)
-        # dim == 2: solve det(w1 A + w2 B) = 0 for the coefficient ray
-        A, C = B[:, 0], B[:, 1]
-        det_a = A[0] * A[3] - A[1] * A[2]
-        det_c = C[0] * C[3] - C[1] * C[2]
-        mix = A[0] * C[3] + C[0] * A[3] - A[1] * C[2] - C[1] * A[2]
-        ws: list[tuple[float, float]] = []
-        if abs(det_c) < 1e-14:
-            ws.append((0.0, 1.0))
-            if abs(mix) > 1e-14:
-                ws.append((1.0, -det_a / mix))
-        else:
-            disc = mix * mix - 4.0 * det_a * det_c
-            if disc >= 0.0:
-                sd = math.sqrt(disc)
-                ws.append((1.0, (-mix + sd) / (2.0 * det_c)))
-                ws.append((1.0, (-mix - sd) / (2.0 * det_c)))
-        if not ws:
-            return None
-        rows = [w1 * A + w2 * C for w1, w2 in ws]
-        return np.stack(rows, axis=0)
+    def _rank_ones_3(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rank-one members of hyperplanes given by their (F, 4) unit
+        normals: (F, R, 4) rows and an (F, R) mask of the rows that exist."""
+        z = normals[:, :, None]
+        a1, a2 = np.cos(self.thetas), np.sin(self.thetas)
+        # rows a with  a^T Z b = 0  pair with  b ⟂ Z^T a
+        c1 = z[:, 0] * a1 + z[:, 2] * a2
+        c2 = z[:, 1] * a1 + z[:, 3] * a2
+        nc = np.hypot(c1, c2)
+        keep = nc > 1e-12
+        nc = np.where(keep, nc, 1.0)
+        b1, b2 = -c2 / nc, c1 / nc
+        return np.stack([a1 * b1, a1 * b2, a2 * b1, a2 * b2], axis=-1), keep
 
-    def __call__(self, B: np.ndarray) -> float:
-        X = self.W @ B.T
-        extra = self._rank_ones(B)
-        if extra is not None:
-            X = np.vstack([X, extra])
-        return float(np.max(_ratio_vec(X, self.pf, self.qf)))
+    def _rank_ones_2(self, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rank-one members of the planes spanned by a (F, 4, 2) stack:
+        (F, 2, 4) rows and an (F, 2) mask of the rows that exist."""
+        # solve det(w1 A + w2 C) = 0 for the coefficient ray
+        A, C = B[:, :, 0], B[:, :, 1]
+        det_a = A[:, 0] * A[:, 3] - A[:, 1] * A[:, 2]
+        det_c = C[:, 0] * C[:, 3] - C[:, 1] * C[:, 2]
+        mix = A[:, 0] * C[:, 3] + C[:, 0] * A[:, 3] - A[:, 1] * C[:, 2] - C[:, 1] * A[:, 2]
+        # |det_c| small: the ray (0, 1), and (1, -det_a / mix) unless mix
+        # vanishes too; otherwise the two real roots (1, w2), if any
+        flat = np.abs(det_c) < 1e-14
+        linear = np.abs(mix) > 1e-14
+        disc = mix * mix - 4.0 * det_a * det_c
+        sd = np.sqrt(np.maximum(disc, 0.0))
+        den = np.where(flat, 1.0, 2.0 * det_c)
+        w1 = np.stack([np.where(flat, 0.0, 1.0), np.ones_like(mix)], axis=1)
+        w2 = np.stack(
+            [
+                np.where(flat, 1.0, (-mix + sd) / den),
+                np.where(flat, -det_a / np.where(linear, mix, 1.0), (-mix - sd) / den),
+            ],
+            axis=1,
+        )
+        keep = np.stack([flat | (disc >= 0.0), np.where(flat, linear, disc >= 0.0)], axis=1)
+        return w1[..., None] * A[:, None] + w2[..., None] * C[:, None], keep
+
+    def __call__(self, B: np.ndarray) -> np.ndarray:
+        """Net-sup value of each frame of a (F, 4, dim) stack, shape (F,)."""
+        if self.dim == 3:
+            normals = np.linalg.svd(B, full_matrices=True)[0][:, :, 3]
+        best = np.empty(B.shape[0])
+        step = max(1, _CHUNK // (4 * (self.W.shape[0] + self.thetas.size)))
+        for f in range(0, B.shape[0], step):
+            tile = slice(f, f + step)
+            # ``W @ B^T`` as one product per frame, (F, K, 4)
+            X = np.matmul(self.W, B[tile].transpose(0, 2, 1))
+            if self.dim == 3:
+                extra, keep = self._rank_ones_3(normals[tile])
+            else:
+                extra, keep = self._rank_ones_2(B[tile])
+            cusp = np.where(keep, _ratio_vec(extra, self.pf, self.qf), -np.inf)
+            best[tile] = np.maximum(_ratio_vec(X, self.pf, self.qf).max(axis=1), cusp.max(axis=1))
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -533,40 +600,38 @@ def _direction_search(
 
 
 def _frame_search(
-    evaluate: Callable[[np.ndarray], float],
+    evaluate: Callable[[np.ndarray], np.ndarray],
     m: int,
     rng: np.random.Generator,
     h: float,
 ) -> tuple[float, np.ndarray, int]:
-    """Minimize a frame functional over the Grassmannian of m-planes."""
-    frames: list[np.ndarray] = list(_seed_frames(m))
-    n_frames = len(frames) + max(96, int(round((10.0 if m == 1 else 16.0) / h)))
-    while len(frames) < n_frames:
-        q = _orth(rng.standard_normal((4, m)))
-        if q is not None:
-            frames.append(q)
+    """Minimize a frame functional over the Grassmannian of m-planes.
 
-    top: list[tuple[float, int, np.ndarray]] = []
-    counter = 0
-
-    def consider(B: np.ndarray) -> None:
-        nonlocal counter
-        top.append((evaluate(B), counter, B))
-        counter += 1
-        top.sort(key=lambda item: (item[0], item[1]))
-        del top[3:]
-
-    for B in frames:
-        consider(B)
+    ``evaluate`` scores a (F, 4, m) stack of orthonormal frames, shape
+    (F,).  The start frames are scored as one stack, then each zoom round
+    perturbs the three best frames so far and scores the round's frames
+    as one stack; ties go to the frame seen first.  Returns the best
+    value, its frame and the number of frames scored.
+    """
+    frames = _seed_frames(m)
+    n_frames = frames.shape[0] + max(96, int(round((10.0 if m == 1 else 16.0) / h)))
+    while frames.shape[0] < n_frames:
+        fresh = _orth(rng.standard_normal((n_frames - frames.shape[0], 4, m)))
+        frames = np.concatenate([frames, fresh])
+    values = evaluate(frames)
+    seen = np.arange(n_frames)
+    top = np.lexsort((seen, values))[:3]
     n_zoom = max(24, int(round(1.6 / h)))
     for tau in (0.6, 0.25, 0.1, 0.04, 0.016):
-        for _, _, B in list(top):
-            for _ in range(n_zoom):
-                q = _orth(B + tau * rng.standard_normal((4, m)))
-                if q is not None:
-                    consider(q)
-    best_val, _, best_frame = top[0]
-    return best_val, best_frame, counter
+        frames, values, seen = frames[top], values[top], seen[top]
+        noise = rng.standard_normal((top.size, n_zoom, 4, m))
+        fresh = _orth((frames[:, None] + tau * noise).reshape(-1, 4, m))
+        frames = np.concatenate([frames, fresh])
+        values = np.concatenate([values, evaluate(fresh)])
+        seen = np.concatenate([seen, n_frames + np.arange(fresh.shape[0])])
+        n_frames += fresh.shape[0]
+        top = np.lexsort((seen, values))[:3]
+    return float(values[top[0]]), frames[top[0]], n_frames
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +655,9 @@ def _kolmogorov_path(pf: float, qf: float, n: int, h: float, rng):
 
         val, _, evaluated = _direction_search(value_fn, rng, h)
         return val, evaluated, {"net_points": evaluated, "exact_inner": True}
-    X = _matrix_net(h, rng)
-    evaluator = _DistanceNet(X, pf, qf)
+    evaluator = _DistanceNet(_matrix_net(h, rng), pf, qf)
     val, _, frames = _frame_search(evaluator, m, rng, h)
-    return val, frames, {"net_points": int(X.shape[0])}
+    return val, frames, {"net_points": int(evaluator.norm_p.size)}
 
 
 def _gelfand_path(pf: float, qf: float, n: int, h: float, rng):

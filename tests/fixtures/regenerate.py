@@ -1,18 +1,27 @@
-"""Regenerate the frozen net-oracle reference values.
+"""Regenerate or check the frozen net-oracle reference values.
 
 The calibration checks compare the fast estimators against net-oracle
 values that were computed once and committed as package data at
 ``src/schatten_widths/data/oracle_battery.json``.  This script recomputes
 that file.  Run it only when the oracle or the battery itself changes,
-and expect a few minutes of runtime:
+and expect a minute or two of runtime:
 
     python3 tests/fixtures/regenerate.py
+
+With ``--check`` it recomputes every point at the file's own resolution
+and seed, compares each value (relative tolerance 1e-12) and frame count
+with the committed one, prints every difference, writes nothing, and
+exits 1 if any point differs:
+
+    python3 tests/fixtures/regenerate.py --check
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
+import sys
 import time
 
 from schatten_widths.core import EmbeddingSpec
@@ -39,33 +48,26 @@ BATTERY = [
     ("kolmogorov", "2", "2", 3, False),
 ]
 
+DEFAULT_OUTPUT = (
+    pathlib.Path(__file__).resolve().parents[2]
+    / "src"
+    / "schatten_widths"
+    / "data"
+    / "oracle_battery.json"
+)
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--h", type=float, default=0.05, help="net resolution")
-    parser.add_argument(
-        "--seed", type=int, default=DEFAULT_ORACLE_SEED, help="sampling seed"
-    )
-    parser.add_argument(
-        "--output",
-        type=pathlib.Path,
-        default=pathlib.Path(__file__).resolve().parents[2]
-        / "src"
-        / "schatten_widths"
-        / "data"
-        / "oracle_battery.json",
-        help="where to write the JSON fixture",
-    )
-    args = parser.parse_args()
+# value tolerance of ``--check``; frame counts must agree exactly
+CHECK_REL = 1e-12
 
+
+def compute(h: float, seed: int) -> list[dict]:
+    """Run the oracle on every battery point, printing one line each."""
     points = []
-    total = 0.0
     for kind, p, q, n, in_battery in BATTERY:
         spec = EmbeddingSpec(p, q, 2, n)
         start = time.perf_counter()
-        est = net_oracle(spec, kind, h=args.h, seed=args.seed)
+        est = net_oracle(spec, kind, h=h, seed=seed)
         elapsed = time.perf_counter() - start
-        total += elapsed
         points.append(
             {
                 "kind": kind,
@@ -84,12 +86,70 @@ def main() -> None:
             f"{kind:<10} p={points[-1]['p']:<4} q={points[-1]['q']:<4} n={n}: "
             f"{est.value:.6f}  ({elapsed:.1f}s, path={est.detail['path']})"
         )
+    return points
 
+
+def differences(committed: list[dict], fresh: list[dict]) -> list[str]:
+    """Lines naming each point whose value or frame count moved."""
+    def key(pt: dict) -> tuple:
+        return pt["kind"], pt["p"], pt["q"], pt["n"]
+
+    old = {key(pt): pt for pt in committed}
+    lines = []
+    for pt in fresh:
+        name = "{} p={} q={} n={}".format(*key(pt))
+        ref = old.pop(key(pt), None)
+        if ref is None:
+            lines.append(f"{name}: not in the committed file")
+            continue
+        if not math.isclose(pt["value"], ref["value"], rel_tol=CHECK_REL, abs_tol=0.0):
+            lines.append(f"{name}: value {pt['value']!r} != committed {ref['value']!r}")
+        if pt["frames"] != ref["frames"]:
+            lines.append(f"{name}: frames {pt['frames']} != committed {ref['frames']}")
+    lines.extend("{} p={} q={} n={}: committed but not recomputed".format(*k) for k in old)
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--h", type=float, default=0.05, help="net resolution")
+    parser.add_argument(
+        "--seed", type=int, default=DEFAULT_ORACLE_SEED, help="sampling seed"
+    )
+    parser.add_argument(
+        "--output",
+        type=pathlib.Path,
+        default=DEFAULT_OUTPUT,
+        help="where to write the JSON fixture (with --check: the file to check)",
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="recompute at the file's h and seed and compare; write nothing",
+    )
+    args = parser.parse_args()
+
+    if args.check:
+        committed = json.loads(args.output.read_text())
+        fresh = compute(committed["h"], committed["seed"])
+        lines = differences(committed["points"], fresh)
+        for line in lines:
+            print(f"MISMATCH {line}")
+        if lines:
+            print(f"{len(lines)} difference(s) from {args.output}")
+            return 1
+        print(f"all {len(fresh)} points reproduce {args.output}")
+        return 0
+
+    start = time.perf_counter()
+    points = compute(args.h, args.seed)
+    total = time.perf_counter() - start
     payload = {"h": args.h, "seed": args.seed, "total_runtime_s": round(total, 1),
                "points": points}
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output} ({total:.1f}s total)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

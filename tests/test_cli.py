@@ -4,10 +4,15 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import schatten_widths
 from schatten_widths.cli import OUTPUT_DIR_ENV, main
 
 
@@ -462,3 +467,53 @@ def test_unreadable_constants_file_is_a_clean_error(capsys, tmp_path):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = _run(
+        capsys, ["envelope", "-p", "1", "-q", "2", "-N", "2", "--output", str(blocker / "x.csv")]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_not_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["envelope", "-p", "1", "-q", "2", "-N", "4"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_envelope_piped_into_head_exits_quietly():
+    # ``schatten-widths envelope -p 1 -q 2 -N 64 | head -1``: the output
+    # (about 0.5 MB) outgrows the pipe buffer, so the writer sees the
+    # closed pipe while it still has rows to write
+    env = dict(os.environ)
+    package_root = str(pathlib.Path(schatten_widths.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schatten_widths.cli", "envelope", "-p", "1", "-q", "2", "-N", "64"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.startswith(b"# schatten-widths envelope")
+    assert code == 141
+    assert err == b""

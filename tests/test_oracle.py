@@ -11,6 +11,7 @@ from schatten_widths import oracle
 from schatten_widths.oracle import (
     DEFAULT_ORACLE_SEED,
     _DistanceNet,
+    _RestrictionNet,
     _frame_search,
     load_frozen_battery,
     net_oracle,
@@ -125,12 +126,29 @@ def test_distance_net_point_is_pinned():
     assert est.value == pytest.approx(0.9953368024752356, rel=1e-12, abs=0.0)
 
 
+# the oracle paths no battery point and no bench job reaches, at the
+# coarsest resolution: the nuclear-distance net at one column and the
+# two-dimensional restriction nets with their rank-one roots
+@pytest.mark.parametrize(
+    "kind,p,q,n,value,frames",
+    [
+        ("kolmogorov", "2", "1", 2, 1.3924665866900414, 464),
+        ("gelfand", "1/2", "1", 3, 0.5, 484),
+        ("gelfand", "2", "4", 3, 0.8408964152537144, 484),
+    ],
+)
+def test_unreached_oracle_paths_are_pinned(kind, p, q, n, value, frames):
+    est = net_oracle(EmbeddingSpec(p, q, 2, n=n), kind, h=0.25)
+    assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert est.restarts == frames
+
+
 @pytest.mark.parametrize("p", ["2", "1/2", "inf"])
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("q", ["1", "inf"])
+@pytest.mark.parametrize("q", ["1", "2", "inf"])
 def test_distance_net_agrees_with_distance_schatten(q, m, p):
-    # the nets' own nuclear and spectral solvers, for frames of one and
-    # two columns, against the package's N = 2 distance solvers
+    # the nets' own Frobenius, nuclear and spectral solvers, for frames of
+    # one and two columns, against the package's N = 2 distance solvers
     rng = np.random.default_rng(2103)
     X = rng.standard_normal((40, 4))
     B = orthonormal_columns(rng.standard_normal((4, m)))
@@ -140,7 +158,107 @@ def test_distance_net_agrees_with_distance_schatten(q, m, p):
         for x in X
     )
     net = _DistanceNet(X, exponent_float(p), exponent_float(q))
-    assert net(B) == pytest.approx(expected, rel=1e-7, abs=0.0)
+    (value,) = net(B[None])
+    assert value == pytest.approx(expected, rel=1e-7, abs=0.0)
+
+
+def _random_frames(count, m, seed=7):
+    return oracle._orth(np.random.default_rng(seed).standard_normal((count, 4, m)))
+
+
+def _assert_stack_matches_single_frames(evaluate, frames):
+    stacked = evaluate(frames)
+    alone = np.array([evaluate(frames[i:i + 1])[0] for i in range(frames.shape[0])])
+    assert stacked.shape == (frames.shape[0],)
+    assert np.array_equal(stacked, alone)  # bit for bit
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", ["1", "2", "inf"])
+def test_distance_net_stack_matches_single_frames(q, m):
+    # a small Gaussian cloud: its sup often sits where the projection onto
+    # the frame is large, so a rounding that depended on the stack would
+    # show (on a matrix net the sup sits near the frame's complement)
+    X = np.random.default_rng(1).standard_normal((40, 4))
+    net = _DistanceNet(X, 0.5, exponent_float(q))
+    # the Frobenius net takes _CHUNK // 40 frames a tile at m = 1, so this
+    # spans two tiles; the nuclear and spectral nets go frame by frame
+    count = oracle._CHUNK // X.shape[0] + 2 if q == "2" else 12
+    _assert_stack_matches_single_frames(net, _random_frames(count, m))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_restriction_net_stack_matches_single_frames(dim):
+    net = _RestrictionNet(dim, 0.5, 1.0, 0.25)
+    frames = _random_frames(oracle._CHUNK // net.W.shape[0] + 2, dim)
+    eye = np.eye(4)
+    if dim == 3:
+        frames[0] = eye[:, [0, 1, 3]]  # the rank-one net drops the angle 0
+    else:
+        frames[0] = oracle._SPLIT_DIRS[:2].T  # rotations: no real rank-one ray
+        frames[1] = eye[:, [3, 0]]  # det(C) = 0 with a linear root
+        frames[2] = eye[:, [0, 1]]  # det(C) = 0 and no linear term
+    _assert_stack_matches_single_frames(net, frames)
+
+
+def test_distance_net_tiles_the_net_points_of_a_wide_frame(monkeypatch):
+    # when one frame's projections outgrow the chunk, the net is split
+    # into column tiles; the value must not move
+    net = _DistanceNet(np.random.default_rng(3).standard_normal((40, 4)), 1.0, 2.0)
+    frames = _random_frames(5, 2)
+    whole = net(frames)
+    monkeypatch.setattr(oracle, "_CHUNK", 24)
+    assert np.array_equal(net(frames), whole)
+
+
+def _frame_search_one_by_one(evaluate, m, rng, h):
+    """The frame search scoring one frame at a time, as it was written
+    before it scored stacks: the reference for :func:`_frame_search`."""
+    frames = list(oracle._seed_frames(m))
+    n_frames = len(frames) + max(96, int(round((10.0 if m == 1 else 16.0) / h)))
+    while len(frames) < n_frames:
+        frames.extend(oracle._orth(rng.standard_normal((1, 4, m))))
+    top = []
+    counter = 0
+
+    def consider(B):
+        nonlocal counter
+        top.append((evaluate(B[None])[0], counter, B))
+        counter += 1
+        top.sort(key=lambda item: (item[0], item[1]))
+        del top[3:]
+
+    for B in frames:
+        consider(B)
+    n_zoom = max(24, int(round(1.6 / h)))
+    for tau in (0.6, 0.25, 0.1, 0.04, 0.016):
+        for _, _, B in list(top):
+            for _ in range(n_zoom):
+                for q in oracle._orth((B + tau * rng.standard_normal((4, m)))[None]):
+                    consider(q)
+    value, _, frame = top[0]
+    return value, frame, counter
+
+
+@pytest.mark.parametrize(
+    "make,m",
+    [
+        (lambda h: _DistanceNet(oracle._matrix_net(h, np.random.default_rng(5)), 1.0, 2.0), 1),
+        (lambda h: _DistanceNet(oracle._matrix_net(h, np.random.default_rng(5)), 1.0, 2.0), 2),
+        (lambda h: _RestrictionNet(2, 2.0, 4.0, h), 2),
+        (lambda h: _RestrictionNet(3, 0.5, 1.0, h), 3),
+    ],
+    ids=["frobenius-m1", "frobenius-m2", "restriction-dim2", "restriction-dim3"],
+)
+def test_stacked_frame_search_repeats_the_one_by_one_search(make, m):
+    h = 0.25
+    evaluate = make(h)
+    value, frame, count = _frame_search(evaluate, m, np.random.default_rng(11), h)
+    ref_value, ref_frame, ref_count = _frame_search_one_by_one(
+        evaluate, m, np.random.default_rng(11), h)
+    assert value == ref_value
+    assert np.array_equal(frame, ref_frame)
+    assert count == ref_count
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -155,7 +273,7 @@ def test_frame_search_builds_its_seed_frames_once(monkeypatch, m):
 
     monkeypatch.setattr(oracle, "_seed_frames", counting)
     value, frame, evaluated = _frame_search(
-        lambda B: float(B[0, 0] ** 2), m, np.random.default_rng(0), 0.5)
+        lambda B: B[:, 0, 0] ** 2, m, np.random.default_rng(0), 0.5)
     assert builds == [m]
     assert frame.shape == (4, m) and evaluated > 96
 
