@@ -219,10 +219,11 @@ def norm_from_floats(sigma: Sequence[float], pf: float) -> float:
 
     The same rule as :func:`norm_from_singular_values`, on Python floats:
     for a single small matrix numpy's per-call overhead costs more than
-    the arithmetic.
+    the arithmetic.  An infinite top singular value (LAPACK's answer for
+    a matrix whose spectral norm overflows) gives ``inf``.
     """
     top = sigma[0]
-    if pf == math.inf or top <= 0.0:
+    if pf == math.inf or top <= 0.0 or top == math.inf:
         return top
     total = 0.0
     for s in sigma:
@@ -262,12 +263,17 @@ def norm_from_singular_values(sigma: np.ndarray, p: ExponentLike) -> np.ndarray:
     Values below ``RANK_CUTOFF * sigma_1`` count as exact zeros: they are
     numerical noise, and for ``p < 1`` the quasi-norm would amplify them
     (``1e-16`` contributes ``1e-8`` at ``p = 1/2``).  The power sum runs
-    over ``sigma / sigma_1``, so it neither overflows nor underflows.
+    over ``sigma / sigma_1``, so it neither overflows nor underflows.  An
+    infinite ``sigma_1`` (the spectral norm overflowed) gives ``inf``.
     """
     pe = as_exponent(p)
     top = sigma[..., 0]
     if is_infinite(pe):
         return top
+    overflow = top == math.inf
+    if np.any(overflow):
+        finite = norm_from_singular_values(np.where(overflow[..., None], 0.0, sigma), pe)
+        return np.where(overflow, math.inf, finite)
     pf = float(pe)
     ratios = sigma / np.where(top > 0.0, top, 1.0)[..., None]
     ratios[ratios <= RANK_CUTOFF] = 0.0
@@ -379,6 +385,8 @@ def _norm_and_gradient_svd(
     top = sigma[0]
     if top <= 0.0:
         return 0.0, lambda: None
+    if top == math.inf:
+        return math.inf, lambda: None  # the spectral norm overflowed
     ratios = [t / top for t in sigma]
     try:
         # the same power sum as norm_from_floats(sigma, pf), so the same

@@ -21,14 +21,28 @@ inner solve into scalar algebra that vectorizes over the whole net:
   the Frobenius class; other exponent pairs are refused.
 
 The frame search of both paths scores frames in stacks, one stack per
-round: all start frames at once, then in each zoom round the
-perturbations of the three best frames so far.  The frames, their order
-and the tie rule (the frame seen first wins) are those of scoring one
-frame at a time, so values and frame counts do not depend on the
-stacking.  An evaluator works through a stack in tiles
-whose temporaries hold at most ``_CHUNK`` = 2**15 float64 elements
-(256 KB, a share of a core's L2 cache); larger tiles were slower and
-raised the peak memory.  The Frobenius distance net and the restriction
+round: the structured seed frames, the random start frames, then in each
+zoom round the perturbations of the three best frames so far.  The
+frames, their order and the tie rule (the frame seen first wins) are
+those of scoring one frame at a time, so values and frame counts do not
+depend on the stacking.
+
+Only the three best frames ever matter, and a frame's net-sup is at
+least the sup over any part of its net.  So every batch after the seeds
+is first screened with the evaluator's ``lower`` bound, and only the
+frames whose bound lies below the largest value of the current top three
+are scored in full.  A frame at or above that bar cannot enter the top
+three: three frames seen earlier are no larger, and they win ties.  The
+bounds are exact lower bounds (the restriction nets' rank-one members;
+every ``_STRIDE``-th point of the Frobenius distance net, deflated by a
+rounding margin), so values, frames and frame counts are those of
+scoring every frame.  The nuclear and spectral distance nets have no
+bound and score every frame.
+
+An evaluator, and its bound, work through a stack in tiles whose
+temporaries hold at most ``_CHUNK`` = 2**15 float64 elements (256 KB, a
+share of a core's L2 cache); larger tiles were slower and raised the
+peak memory.  The Frobenius distance net and the restriction
 nets compute each tile with whole-tile array operations (their matrix
 products run frame by frame, so that a frame's value does not depend on
 its stack); the nuclear and spectral distance nets solve one frame at a
@@ -62,6 +76,14 @@ _TINY = 1e-300
 #: Bound, in float64 elements (256 KB), on each temporary of a stacked
 #: frame evaluation, so that a tile of work stays in a core's L2 cache.
 _CHUNK = 1 << 15
+
+#: The Frobenius distance net's lower bound reads every ``_STRIDE``-th
+#: net point.
+_STRIDE = 16
+
+#: Deflation of each point's ratio in that bound, in units of
+#: ``||X||_2 / ||X||_p`` (see :meth:`_DistanceNet._euclid_lower`).
+_STRIDE_MARGIN = 1e-6
 
 
 def load_frozen_battery() -> dict:
@@ -239,7 +261,12 @@ def _seed_frames(m: int) -> np.ndarray:
 
 
 class _DistanceNet:
-    """Net-sup evaluator ``B -> max_i dist_q(X_i, span B) / ||X_i||_p``."""
+    """Net-sup evaluator ``B -> max_i dist_q(X_i, span B) / ||X_i||_p``.
+
+    ``scored`` counts the frames scored in full.  At ``q = 2`` the
+    evaluator also has ``lower`` (:meth:`_euclid_lower`), an exact lower
+    bound that reads every ``_STRIDE``-th net point.
+    """
 
     def __init__(self, X: np.ndarray, pf: float, qf: float) -> None:
         if qf not in (1.0, 2.0, math.inf):
@@ -248,6 +275,7 @@ class _DistanceNet:
                 f"for low-dimensional subspaces, got q = {qf}"
             )
         self.qf = qf
+        self.scored = 0
         s1, s2 = _sing_pair(X)
         self.norm_p = np.maximum(_schatten_vec(s1, s2, pf), _TINY)
         if qf == 2.0:
@@ -255,10 +283,27 @@ class _DistanceNet:
             # the product, and a tile of net points is four contiguous runs
             self.net = np.ascontiguousarray(X.T)
             self.sq = np.einsum("ij,ij->i", X, X)
+            sub = slice(None, None, _STRIDE)
+            self.sub = (
+                np.ascontiguousarray(self.net[:, sub]),
+                self.sq[sub],
+                self.norm_p[sub],
+                _STRIDE_MARGIN * np.sqrt(self.sq[sub]) / self.norm_p[sub],
+            )
         else:
             self.U, self.V = _split_parts(X)
             self.cu = np.einsum("ij,ij->i", self.U, self.U)
             self.cv = np.einsum("ij,ij->i", self.V, self.V)
+
+    @property
+    def lower(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """The frame screen's lower bound, or None (no screen) at q != 2.
+
+        A property, not an attribute set in ``__init__``: a stored bound
+        method would make each evaluator a reference cycle, which holds
+        its net until the cyclic collector runs.
+        """
+        return self._euclid_lower if self.qf == 2.0 else None
 
     # -- frame preprocessing ------------------------------------------------
 
@@ -274,9 +319,11 @@ class _DistanceNet:
 
     # -- per-codimension solvers ---------------------------------------------
 
-    def _euclid_max(self, B: np.ndarray) -> np.ndarray:
-        """Net-sup of ``dist_2(X, span B) / ||X||_p`` for each frame of a
-        (F, 4, m) stack.
+    @staticmethod
+    def _euclid_max(B, net, sq, norm_p, margin=None) -> np.ndarray:
+        """Net-sup of ``dist_2(X, span B) / ||X||_p - margin`` for each
+        frame of a (F, 4, m) stack, over the (4, K) ``net`` with its
+        squared Frobenius norms ``sq`` and p-norms ``norm_p``.
 
         ``dist_2(X, span B)^2 = ||X||_2^2 - ||B^T X||^2``, on tiles of
         frames by net points of at most ``_CHUNK`` elements each; a frame
@@ -287,7 +334,7 @@ class _DistanceNet:
         a frame's value would depend on its stack.
         """
         F, _, m = B.shape
-        K = self.net.shape[1]
+        K = net.shape[1]
         step = max(1, _CHUNK // (m * K))
         width = max(1, _CHUNK // (m * step))
         coef = B.transpose(0, 2, 1)  # (F, m, 4)
@@ -296,18 +343,41 @@ class _DistanceNet:
             b = coef[f:f + step]
             for k in range(0, K, width):
                 cols = slice(k, k + width)
-                proj = np.matmul(b, self.net[:, cols])  # (F, m, K)
+                proj = np.matmul(b, net[:, cols])  # (F, m, K)
                 np.square(proj, out=proj)
                 dist = proj[:, 0]
                 for j in range(1, m):
                     dist += proj[:, j]
-                np.subtract(self.sq[cols], dist, out=dist)
+                np.subtract(sq[cols], dist, out=dist)
                 np.maximum(dist, 0.0, out=dist)
                 np.sqrt(dist, out=dist)
-                np.divide(dist, self.norm_p[cols], out=dist)
+                np.divide(dist, norm_p[cols], out=dist)
+                if margin is not None:
+                    np.subtract(dist, margin[cols], out=dist)
                 top = best[f:f + step]
                 np.maximum(top, dist.max(axis=1), out=top)
         return best
+
+    def _euclid_lower(self, B: np.ndarray) -> np.ndarray:
+        """Exact lower bound on each ``q = 2`` net-sup value of a
+        (F, 4, m) stack of orthonormal frames: the sup over every
+        ``_STRIDE``-th net point, each point's ratio lowered by
+        ``_STRIDE_MARGIN * ||X||_2 / ||X||_p``.
+
+        The sub-net's projections are products of another shape than the
+        full net's, so they may round differently; every other operation
+        is the same.  A length-4 dot product, in any order, with or
+        without fused multiply-adds, lies within ``4.5e-16 ||X||_2`` of
+        the exact one when ``||b|| = 1``, so the two projections of a
+        point differ by at most ``9e-16 ||X||_2`` per column.  Through the
+        squares, their sum, the subtraction from ``||X||_2^2``, the clip,
+        the root and the division (each a rounded, monotone step), that
+        moves the point's ratio by less than ``1e-7 ||X||_2 / ||X||_p``
+        for ``m <= 3``: the root turns an error of about ``7e-15
+        ||X||_2^2`` in the squared distance into ``9e-8 ||X||_2``.  The
+        margin is ten times that.
+        """
+        return self._euclid_max(B, *self.sub)
 
     def _dist_nuclear_m1(self, bu, bv, ru, rv) -> np.ndarray:
         gu = float(bu[:, 0] @ bu[:, 0])
@@ -467,8 +537,9 @@ class _DistanceNet:
 
     def __call__(self, B: np.ndarray) -> np.ndarray:
         """Net-sup value of each frame of a (F, 4, m) stack, shape (F,)."""
+        self.scored += B.shape[0]
         if self.qf == 2.0:
-            return self._euclid_max(B)
+            return self._euclid_max(B, self.net, self.sq, self.norm_p)
         m = B.shape[2]
         if m > 2:  # pragma: no cover - codim-1 handled by the exact path
             raise NotImplementedError("frame solver supports m <= 2")
@@ -488,11 +559,14 @@ class _RestrictionNet:
 
     The coefficient net is augmented with the subspace's exact rank-one
     members: quasi-norm ratios have cusp maxima on the rank-one variety
-    that a finite smooth net systematically undershoots.
+    that a finite smooth net systematically undershoots.  The ratio over
+    those members alone is :meth:`lower`.  ``scored`` counts the frames
+    scored in full.
     """
 
     def __init__(self, dim: int, pf: float, qf: float, h: float) -> None:
         self.pf, self.qf, self.dim = pf, qf, dim
+        self.scored = 0
         if dim == 2:
             angles = np.arange(0.0, math.pi, h)
             self.W = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -542,22 +616,37 @@ class _RestrictionNet:
         keep = np.stack([flat | (disc >= 0.0), np.where(flat, linear, disc >= 0.0)], axis=1)
         return w1[..., None] * A[:, None] + w2[..., None] * C[:, None], keep
 
-    def __call__(self, B: np.ndarray) -> np.ndarray:
-        """Net-sup value of each frame of a (F, 4, dim) stack, shape (F,)."""
+    def lower(self, B: np.ndarray) -> np.ndarray:
+        """Max ratio over the rank-one members of each frame of a
+        (F, 4, dim) stack, shape (F,); ``-inf`` for a frame without any.
+
+        This is the rank-one part of :meth:`__call__`, computed the same
+        way, so it never exceeds a frame's value.
+        """
         if self.dim == 3:
             normals = np.linalg.svd(B, full_matrices=True)[0][:, :, 3]
         best = np.empty(B.shape[0])
-        step = max(1, _CHUNK // (4 * (self.W.shape[0] + self.thetas.size)))
+        step = max(1, _CHUNK // (4 * self.thetas.size))
         for f in range(0, B.shape[0], step):
             tile = slice(f, f + step)
-            # ``W @ B^T`` as one product per frame, (F, K, 4)
-            X = np.matmul(self.W, B[tile].transpose(0, 2, 1))
             if self.dim == 3:
                 extra, keep = self._rank_ones_3(normals[tile])
             else:
                 extra, keep = self._rank_ones_2(B[tile])
             cusp = np.where(keep, _ratio_vec(extra, self.pf, self.qf), -np.inf)
-            best[tile] = np.maximum(_ratio_vec(X, self.pf, self.qf).max(axis=1), cusp.max(axis=1))
+            best[tile] = cusp.max(axis=1)
+        return best
+
+    def __call__(self, B: np.ndarray) -> np.ndarray:
+        """Net-sup value of each frame of a (F, 4, dim) stack, shape (F,)."""
+        self.scored += B.shape[0]
+        best = self.lower(B)
+        step = max(1, _CHUNK // (4 * self.W.shape[0]))
+        for f in range(0, B.shape[0], step):
+            tile = best[f:f + step]
+            # ``W @ B^T`` as one product per frame, (F, K, 4)
+            X = np.matmul(self.W, B[f:f + step].transpose(0, 2, 1))
+            np.maximum(_ratio_vec(X, self.pf, self.qf).max(axis=1), tile, out=tile)
         return best
 
 
@@ -608,30 +697,52 @@ def _frame_search(
     """Minimize a frame functional over the Grassmannian of m-planes.
 
     ``evaluate`` scores a (F, 4, m) stack of orthonormal frames, shape
-    (F,).  The start frames are scored as one stack, then each zoom round
-    perturbs the three best frames so far and scores the round's frames
-    as one stack; ties go to the frame seen first.  Returns the best
-    value, its frame and the number of frames scored.
+    (F,).  The seed frames are scored as one stack, then the random start
+    frames, then in each zoom round the perturbations of the three best
+    frames so far; ties go to the frame seen first.
+
+    Only the three best frames are kept.  If ``evaluate`` has a
+    ``lower`` callable (a stack to lower bounds on its values; None means
+    no screen), every batch after the seeds is screened with it, and only the frames whose bound
+    lies below the largest value of the top three are scored in full.  A
+    frame at or above that bar cannot enter the top three: the three
+    frames in it were seen earlier and are no larger, and ties go to them.
+    So the result is that of scoring every frame.  Returns the best
+    value, its frame and the number of frames considered, screened ones
+    included.
     """
-    frames = _seed_frames(m)
-    n_frames = frames.shape[0] + max(96, int(round((10.0 if m == 1 else 16.0) / h)))
-    while frames.shape[0] < n_frames:
-        fresh = _orth(rng.standard_normal((n_frames - frames.shape[0], 4, m)))
-        frames = np.concatenate([frames, fresh])
-    values = evaluate(frames)
-    seen = np.arange(n_frames)
-    top = np.lexsort((seen, values))[:3]
+    lower = getattr(evaluate, "lower", None)
+    # the pool: the three best frames so far, their values and their
+    # first-seen indices
+    frames, values, seen = np.empty((0, 4, m)), np.empty(0), np.empty(0, dtype=int)
+    n_frames = 0
+
+    def absorb(fresh: np.ndarray) -> None:
+        nonlocal frames, values, seen, n_frames
+        ids = n_frames + np.arange(fresh.shape[0])
+        n_frames += fresh.shape[0]
+        if lower is not None and values.size == 3:
+            live = ~(lower(fresh) >= values.max())  # a NaN bound is scored
+            fresh, ids = fresh[live], ids[live]
+        if fresh.shape[0]:
+            frames = np.concatenate([frames, fresh])
+            values = np.concatenate([values, evaluate(fresh)])
+            seen = np.concatenate([seen, ids])
+        top = np.lexsort((seen, values))[:3]
+        frames, values, seen = frames[top], values[top], seen[top]
+
+    absorb(_seed_frames(m))  # an empty pool has no bar: all scored
+    need = max(96, int(round((10.0 if m == 1 else 16.0) / h)))
+    starts = _orth(rng.standard_normal((need, 4, m)))
+    while starts.shape[0] < need:
+        more = _orth(rng.standard_normal((need - starts.shape[0], 4, m)))
+        starts = np.concatenate([starts, more])
+    absorb(starts)
     n_zoom = max(24, int(round(1.6 / h)))
     for tau in (0.6, 0.25, 0.1, 0.04, 0.016):
-        frames, values, seen = frames[top], values[top], seen[top]
-        noise = rng.standard_normal((top.size, n_zoom, 4, m))
-        fresh = _orth((frames[:, None] + tau * noise).reshape(-1, 4, m))
-        frames = np.concatenate([frames, fresh])
-        values = np.concatenate([values, evaluate(fresh)])
-        seen = np.concatenate([seen, n_frames + np.arange(fresh.shape[0])])
-        n_frames += fresh.shape[0]
-        top = np.lexsort((seen, values))[:3]
-    return float(values[top[0]]), frames[top[0]], n_frames
+        noise = rng.standard_normal((frames.shape[0], n_zoom, 4, m))
+        absorb(_orth((frames[:, None] + tau * noise).reshape(-1, 4, m)))
+    return float(values[0]), frames[0], n_frames
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +768,8 @@ def _kolmogorov_path(pf: float, qf: float, n: int, h: float, rng):
         return val, evaluated, {"net_points": evaluated, "exact_inner": True}
     evaluator = _DistanceNet(_matrix_net(h, rng), pf, qf)
     val, _, frames = _frame_search(evaluator, m, rng, h)
-    return val, frames, {"net_points": int(evaluator.norm_p.size)}
+    detail = {"net_points": int(evaluator.norm_p.size), "frames_scored": evaluator.scored}
+    return val, frames, detail
 
 
 def _gelfand_path(pf: float, qf: float, n: int, h: float, rng):
@@ -669,7 +781,8 @@ def _gelfand_path(pf: float, qf: float, n: int, h: float, rng):
         return val, evaluated, {"net_points": evaluated, "exact_inner": True}
     evaluator = _RestrictionNet(dim, pf, qf, h)
     val, _, frames = _frame_search(evaluator, dim, rng, h)
-    return val, frames, {"net_points": int(evaluator.W.shape[0])}
+    detail = {"net_points": int(evaluator.W.shape[0]), "frames_scored": evaluator.scored}
+    return val, frames, detail
 
 
 def net_oracle(
@@ -686,10 +799,11 @@ def net_oracle(
     spec:
         Embedding with ``N = 2`` and the index ``n`` set.
     snumber_kind:
-        ``"kolmogorov"``, ``"gelfand"``, or ``"approx"``.  Approximation
-        numbers are served through their exact coincidences with the
-        width scales (Frobenius domain -> Gelfand, Frobenius codomain ->
-        Kolmogorov) and refused otherwise.
+        ``"kolmogorov"``, ``"gelfand"``, or ``"approximation"`` (also
+        spelled ``"approx"``).  Approximation numbers are served through
+        their exact coincidences with the width scales (Frobenius domain
+        -> Gelfand, Frobenius codomain -> Kolmogorov) and refused
+        otherwise.
     h:
         Net resolution in (0, 0.25]; grids step by ``h`` and the
         recorded error bar scales linearly with it.
@@ -702,19 +816,22 @@ def net_oracle(
     Estimate
         ``method="net-oracle"`` with ``detail`` carrying ``h``, the
         heuristic ``error_bar = 2 * max(1, norm) * h``, the path that
-        ran, and net sizes.
+        ran, and net sizes.  ``restarts`` counts the frames (or
+        directions) the search considered, and ``detail["frames_scored"]``
+        those it scored in full; the rest were screened out by a lower
+        bound (see :func:`_frame_search`).
     """
     if spec.N != 2:
         raise ValueError("net oracle is restricted to N = 2 (cost guard)")
     n = spec.require_index()
     if not 0.0 < h <= 0.25:
         raise ValueError(f"net resolution h must lie in (0, 0.25], got {h}")
-    if snumber_kind not in ("approx", "gelfand", "kolmogorov"):
+    if snumber_kind not in ("approx", "approximation", "gelfand", "kolmogorov"):
         raise ValueError(f"unknown s-number kind {snumber_kind!r}")
     pf = float(spec.p)
     qf = float(spec.q)
     path = snumber_kind
-    if snumber_kind == "approx":
+    if snumber_kind in ("approx", "approximation"):
         if pf == 2.0:
             path = "gelfand"
         elif qf == 2.0:
@@ -732,6 +849,7 @@ def net_oracle(
     error_bar = 2.0 * max(1.0, embedding_norm(spec.p, spec.q, spec.N)) * h
     detail = {"h": h, "error_bar": error_bar, "path": path}
     detail.update(extra)
+    detail.setdefault("frames_scored", frames)  # no screen on this path
     return Estimate(
         value=value,
         snumber_kind=snumber_kind,

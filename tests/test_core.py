@@ -12,6 +12,7 @@ from schatten_widths.core import (
     embedding_norm,
     hull_decompose,
     littlewood_check,
+    norm_and_gradient,
     pi2_embedding,
     schatten_norm,
     singular_values,
@@ -149,6 +150,29 @@ def test_schatten_norm_of_a_stack_whose_root_overflows():
     norms = schatten_norm(stack, "1/2000")
     assert norms[0] == pytest.approx(TWO_TO_THE_2000_TIMES_1E_300, rel=1e-12, abs=0.0)
     assert norms[1] == 1.0
+
+
+def _overflowing(N):
+    """Matrices whose spectral norm overflows, though every entry is finite."""
+    if N < 4:
+        return [np.full((N, N), 1e308)]
+    skew = np.full((N, N), 5e307)
+    skew[0, 1] = -5e307 / 3
+    return [np.full((N, N), 1e308), skew]
+
+
+@pytest.mark.parametrize("p", ["1/2", "1", "2", "inf"])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_a_norm_that_overflows_reads_inf_on_every_path(N, p):
+    # LAPACK returns an infinite top singular value here, and its ratio to
+    # itself would read nan; the 2x2 split and its scaled fallback read inf
+    for big in _overflowing(N):
+        assert schatten_norm(big, p) == math.inf
+        assert norm_and_gradient(big, p) == (math.inf, None)
+        norms = schatten_norm(np.stack([big, np.eye(N), big]), p)
+        assert norms[0] == norms[2] == math.inf
+        # the finite member of the stack reads as it does alone
+        assert norms[1] == schatten_norm(np.eye(N)[None], p)[0]
 
 
 @pytest.mark.parametrize("N", [2, 3])

@@ -1,6 +1,11 @@
 """Net-search reference oracle and its frozen calibration battery."""
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schatten_widths.core import EmbeddingSpec, schatten_norm
 from schatten_widths.distances import distance_schatten
@@ -95,6 +100,20 @@ def test_net_oracle_routes_approximation_through_coincidences():
     assert est.detail["path"] == "kolmogorov"
 
 
+@pytest.mark.parametrize("p,q", [("2", "inf"), ("1", "2")])
+def test_net_oracle_takes_the_estimators_name_for_approximation_numbers(p, q):
+    # estimate_approx, envelope_profile and the CLI's --kind say "approximation"
+    spec = EmbeddingSpec(p, q, 2, n=2)
+    long = net_oracle(spec, "approximation", h=0.25)
+    short = net_oracle(spec, "approx", h=0.25)
+    assert long.value == short.value
+    assert long.restarts == short.restarts
+    assert long.detail == short.detail
+    assert long.snumber_kind == "approximation"
+    with pytest.raises(NotImplementedError):
+        net_oracle(EmbeddingSpec("4/3", "4", 2, n=2), "approximation")
+
+
 # the battery points whose nets are cheap at the frozen resolution (about
 # 1 s together): the Frobenius-distance, direction-search and restriction
 # nets, all of them built on the 2x2 rotation/reflection split
@@ -141,6 +160,21 @@ def test_unreached_oracle_paths_are_pinned(kind, p, q, n, value, frames):
     est = net_oracle(EmbeddingSpec(p, q, 2, n=n), kind, h=0.25)
     assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
     assert est.restarts == frames
+    if kind == "kolmogorov":  # the nuclear distance net has no lower bound
+        assert est.detail["frames_scored"] == frames
+    else:
+        assert 0 < est.detail["frames_scored"] < frames
+
+
+@pytest.mark.parametrize(
+    "kind,p,q,n",
+    [("kolmogorov", "1", "2", 1), ("kolmogorov", "1", "2", 4), ("gelfand", "2", "4", 4)],
+)
+def test_paths_without_a_frame_search_score_all_they_consider(kind, p, q, n):
+    # the norm path considers no frames; the direction searches score each
+    # direction exactly
+    est = net_oracle(EmbeddingSpec(p, q, 2, n=n), kind, h=0.25)
+    assert est.detail["frames_scored"] == est.restarts
 
 
 @pytest.mark.parametrize("p", ["2", "1/2", "inf"])
@@ -254,11 +288,97 @@ def test_stacked_frame_search_repeats_the_one_by_one_search(make, m):
     h = 0.25
     evaluate = make(h)
     value, frame, count = _frame_search(evaluate, m, np.random.default_rng(11), h)
+    scored = evaluate.scored
     ref_value, ref_frame, ref_count = _frame_search_one_by_one(
         evaluate, m, np.random.default_rng(11), h)
     assert value == ref_value
     assert np.array_equal(frame, ref_frame)
     assert count == ref_count
+    assert scored < count  # the lower bounds screened some frames out
+
+
+@pytest.mark.parametrize(
+    "make,m",
+    [
+        (lambda: _DistanceNet(np.random.default_rng(5).standard_normal((40, 4)), 1.0, 2.0), 2),
+        (lambda: _RestrictionNet(3, 0.5, 1.0, 0.25), 3),
+    ],
+    ids=["frobenius", "restriction"],
+)
+def test_a_searched_evaluator_is_freed_without_the_cyclic_collector(make, m):
+    # a reference cycle (say, a bound method stored on the evaluator) would
+    # keep each call's net alive until the cyclic collector runs, and
+    # repeated oracle calls would pile their nets up in memory
+    gc.disable()
+    try:
+        evaluate = make()
+        ref = weakref.ref(evaluate)
+        _frame_search(evaluate, m, np.random.default_rng(0), 0.25)
+        del evaluate
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_plain_callable_scores_every_frame():
+    # an evaluator without a lower bound is not screened
+    sizes = []
+
+    def evaluate(B):
+        sizes.append(B.shape[0])
+        return B[:, 0, 0] ** 2
+
+    _, _, count = _frame_search(evaluate, 2, np.random.default_rng(0), 0.25)
+    assert sum(sizes) == count
+
+
+#: exponents for the lower-bound property: quasi-norms, norms and inf
+EXPONENT = st.one_of(st.floats(0.3, 8.0), st.just(math.inf))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    net=st.sampled_from(["distance-1", "distance-2", "restriction-2", "restriction-3"]),
+    p=EXPONENT,
+    q=EXPONENT,
+    seed=st.integers(0, 2**16),
+)
+def test_lower_bounds_never_exceed_the_frame_values(net, p, q, seed):
+    family, m = net.split("-")
+    m = int(m)
+    if family == "distance":
+        # the strided sub-net of a Gaussian cloud and of a matrix net
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((200, 4)) if seed % 2 else oracle._matrix_net(0.25, rng)
+        evaluate = _DistanceNet(X, p, 2.0)
+    else:
+        evaluate = _RestrictionNet(m, p, q, 0.25)
+    frames = _random_frames(40, m, seed)
+    if net == "restriction-2":
+        frames[0] = oracle._SPLIT_DIRS[:2].T  # rotations: no rank-one member
+        frames[1] = np.eye(4)[:, [3, 0]]  # det(C) = 0 with a linear root
+        frames[2] = np.eye(4)[:, [0, 1]]  # det(C) = 0 and no linear term
+    elif net == "restriction-3":
+        frames[0] = np.eye(4)[:, [0, 1, 3]]  # the rank-one net drops the angle 0
+    bounds = evaluate.lower(frames)
+    values = evaluate(frames)
+    assert bounds.shape == values.shape == (frames.shape[0],)
+    assert np.all(bounds <= values)
+    if net == "restriction-2":
+        assert bounds[0] == -np.inf
+
+
+def test_the_strided_bound_is_the_value_less_its_margin():
+    # a one-point net is all stride: the bound is that point's ratio less
+    # the margin, and the margin is far below any gap the screen relies on
+    x = np.random.default_rng(4).standard_normal((1, 4))
+    evaluate = _DistanceNet(x, 1.0, 2.0)
+    frames = _random_frames(8, 2)
+    values = evaluate(frames)
+    weight = np.sqrt(evaluate.sq[0]) / evaluate.norm_p[0]
+    gap = values - evaluate.lower(frames)
+    assert np.all(gap > 0.0)
+    assert np.allclose(gap, oracle._STRIDE_MARGIN * weight, rtol=1e-6, atol=0.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
