@@ -13,27 +13,31 @@ which keeps the search stable near the low-rank matrices where those
 ratios peak.  Results are certified lower bounds on the supremum in every
 case: each reported value is the ratio at an explicit matrix.
 
-Norms and their gradients come from the norm layer: objectives built on
-a norm take both from :func:`core.norm_and_deferred_gradient`, one
-factorization (or one 2x2 split) per point, with the gradient deferred.
+Norms and their gradients come from the norm layer,
+:func:`core.norms_and_deferred_gradients`, and the ascent factors each
+point it scores, a start or a trial, exactly once: one full SVD, or one
+2x2 split at N = 2.  That factorization gives the point's ``p``-norm, so
+its normalized copy on the sphere, and its ``p``-gradient, deferred.
+When the objective is the norm ``||X||_q``, given by its exponent, the
+same factorization gives the value ``||t||_q / ||t||_p`` and its
+gradient; a callable objective is evaluated at the normalized point.
 Most trial points of the backtracking are rejected, so a trial costs a
-value only: the objective's value plus one values-only SVD for its
-``p``-norm.  The objective's gradient is formed only where the ascent
-builds a step direction, at a start or an accepted point, and each
-iteration takes one more factorization for the ``p``-gradient there.
-Over a subspace, each step is projected onto it, which takes no
-factorization.
+value only: the gradients are formed only where the ascent builds a step
+direction, at a start or an accepted point, from the factorization made
+when that point was scored.  Over a subspace, each step is projected
+onto it, which takes no factorization.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import norm_and_gradient, schatten_norm
-from .exponents import exponent_float
+from .core import norms_and_deferred_gradients
+from .exponents import ExponentLike, exponent_float
 from .operators import SubspaceBasis, orthonormal_columns
 
 __all__ = [
@@ -43,6 +47,10 @@ __all__ = [
 ]
 
 _STEP_FLOOR = 1e-12
+# a start's largest entry is scaled up to at least 2^(this - 1): every
+# entry within 2^-53 of it, and every half-sum of the 2x2 split, is then
+# a normal float
+_LEAST_START_EXPONENT = sys.float_info.min_exp + sys.float_info.mant_dig
 # a start ends after this many accepted steps in a row that each gain
 # less than this relative amount
 _STALL_LIMIT = 6
@@ -96,7 +104,8 @@ def default_starts(
 
 
 def sup_ratio_ascent(
-    objective: Callable[[np.ndarray], tuple[float, Callable[[], Optional[np.ndarray]]]],
+    objective: Union[ExponentLike,
+                     Callable[[np.ndarray], tuple[float, Callable[[], Optional[np.ndarray]]]]],
     p,
     starts: Sequence[np.ndarray],
     *,
@@ -105,18 +114,40 @@ def sup_ratio_ascent(
 ) -> AscentResult:
     """Maximize ``objective(X) / ||X||_p`` from each start.
 
-    ``objective(X)`` must return ``(value, gradient)`` for nonzero ``X``,
-    where ``gradient`` is a zero-argument callable that returns the
-    objective's gradient at ``X``, or ``None``.  The ascent calls it at
-    most once per start or accepted trial point, just before it builds a
-    step from there, and never at a rejected trial.  A ``None`` gradient
-    ends that start's ascent at its current value (used by objectives
-    that are flat or nonsmooth at the iterate), and so does a ``p``-norm
-    gradient that leaves the float range.  A ``subspace`` restricts the
-    supremum to its members: each step direction is projected onto it,
-    so the starts must lie in it.
+    The objective is an exponent ``q``, for the norm ``||X||_q``, or a
+    callable.  ``objective(X)`` must return ``(value, gradient)`` for
+    nonzero ``X`` on the ``p``-sphere, where ``gradient`` is a
+    zero-argument callable that returns the objective's gradient at ``X``,
+    or ``None``.  The ascent calls it at most once per start or accepted
+    trial point, just before it builds a step from there, and never at a
+    rejected trial.  A ``None`` gradient ends that start's ascent at its
+    current value (used by objectives that are flat or nonsmooth at the
+    iterate), and so does a ``p``-norm gradient that leaves the float
+    range.  A ``subspace`` restricts the supremum to its members: each
+    step direction is projected onto it, so the starts must lie in it.
+    Each start is first scaled by the power of two that brings its
+    largest entry into ``[2^-969, 1)``, which changes no ratio: below that
+    range a 2x2 split's lengths can be subnormal, and round, which puts
+    the normalized start off the sphere; above it a small-exponent norm
+    can overflow.  A start inside the range is not scaled.
     """
     pf = exponent_float(p)
+    norm_objective = not callable(objective)
+    exponents = (pf, exponent_float(objective)) if norm_objective else (pf,)
+
+    def scored(t: np.ndarray):
+        """``(x, value, gradient, p_gradient)`` at ``t``, from one
+        factorization, or None where ``||t||_p`` is not positive."""
+        norms = norms_and_deferred_gradients(t, exponents)
+        scale, p_gradient = norms[0]
+        if not scale > 0:
+            return None
+        x = t / scale
+        if norm_objective:
+            q_norm, q_gradient = norms[1]
+            return x, q_norm / scale, q_gradient, p_gradient
+        return (x, *objective(x), p_gradient)
+
     best_value = -math.inf
     best_x: Optional[np.ndarray] = None
     best_index = -1
@@ -125,12 +156,12 @@ def sup_ratio_ascent(
     any_converged = False
 
     for index, start in enumerate(starts):
-        x = np.asarray(start, dtype=float)
-        scale = schatten_norm(x, pf)
-        if not scale > 0:
+        t = np.asarray(start, dtype=float)
+        exponent = math.frexp(float(np.abs(t).max()))[1]
+        point = scored(np.ldexp(t, min(max(exponent, _LEAST_START_EXPONENT), 0) - exponent))
+        if point is None:
             continue
-        x = x / scale
-        value, gradient = objective(x)
+        x, value, gradient, p_gradient = point
         evaluations += 1
         step = 0.5
         stalled = 0
@@ -149,7 +180,7 @@ def sup_ratio_ascent(
                     converged = True
                     break
             grad = gradient()
-            p_grad = None if grad is None else norm_and_gradient(x, pf)[1]
+            p_grad = None if grad is None else p_gradient()
             if p_grad is None:
                 converged = True
                 break
@@ -163,15 +194,12 @@ def sup_ratio_ascent(
             direction = direction / dir_scale
             accepted = False
             while step >= _STEP_FLOOR:
-                trial = x + step * direction
-                trial_norm = schatten_norm(trial, pf)
-                if trial_norm > 0:
-                    trial = trial / trial_norm
-                    trial_value, trial_gradient = objective(trial)
+                trial = scored(x + step * direction)
+                if trial is not None:
                     evaluations += 1
-                    if trial_value > value * (1 + 1e-14):
-                        improvement = (trial_value - value) / max(trial_value, 1e-30)
-                        x, value, gradient = trial, trial_value, trial_gradient
+                    if trial[1] > value * (1 + 1e-14):
+                        improvement = (trial[1] - value) / max(trial[1], 1e-30)
+                        x, value, gradient, p_gradient = trial
                         step = min(step * 1.3, 1.0)
                         accepted = True
                         stalled = stalled + 1 if improvement < _STALL_GAIN else 0

@@ -13,10 +13,12 @@ arithmetic.  Stacks keep the vectorized ``norm_from_singular_values``.
 Where a small exponent overflows the power sum's root although the norm
 is representable, the root is taken in log space.
 
-``norm_and_deferred_gradient`` is the one source of norm gradients, and
-so of the dual-norm achievers that the searches and the codimension-one
-distance use.  It returns the norm at once and the gradient as a
-callable, so that a search pays for a gradient only where it uses one;
+``norms_and_deferred_gradients`` is the one source of norm gradients,
+and so of the dual-norm achievers that the searches and the
+codimension-one distance use.  From one factorization of a matrix it
+returns its norm for each of several exponents at once, and each norm's
+gradient as a callable, so that a search pays for a gradient only where
+it uses one; ``norm_and_deferred_gradient`` is its one-exponent case, and
 ``norm_and_gradient`` forms that gradient at once.  The 2x2 norm and
 gradient have closed forms on the rotation/reflection split
 :func:`split_2x2`, which the N = 2 distance solvers and the net oracle
@@ -63,6 +65,7 @@ __all__ = [
     "norm_and_deferred_gradient",
     "norm_and_gradient",
     "norm_from_singular_values",
+    "norms_and_deferred_gradients",
     "pi2_embedding",
     "schatten_norm",
     "singular_values",
@@ -79,6 +82,8 @@ RANK_CUTOFF = 1e-12
 _SPECTRAL_CUTOFF = 1e-8
 # the log of the largest float: math.exp raises above it
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# the least normal float: a power below it has lost bits
+_FLOAT_MIN = sys.float_info.min
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,7 @@ def _as_square_stack(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[-1] < 1:
         raise ValueError("matrix must have at least one row")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -238,22 +243,23 @@ def norm_from_floats(sigma: Sequence[float], pf: float) -> float:
         return math.exp(math.log(top) + math.log(total) / pf)
 
 
-def norm_2x2(entries: Sequence[float], pf: float):
-    """Schatten (quasi-)norm of the 2x2 matrix with row-major ``entries``
-    (Python floats), for a float exponent ``pf``, with no factorization.
+def spectrum_2x2(entries: Sequence[float]):
+    """Singular values of the 2x2 matrix with row-major ``entries`` (Python
+    floats), with no factorization.
 
-    The singular values are the sum and difference of the split lengths
-    (see :func:`split_2x2`).  Returns ``(value, (u1, u2, v1, v2, nu, nv))``,
-    the split and its lengths, or None when the lengths are not finite:
-    every entry feeds both lengths, so that catches NaN and inf entries
-    as well as finite entries whose split lengths overflow.
+    They are the sum and difference of the split lengths (see
+    :func:`split_2x2`).  Returns ``((s1, s2), (u1, u2, v1, v2, nu, nv))``,
+    the singular values with the split and its lengths, or None when the
+    lengths are not finite: every entry feeds both lengths, so that catches
+    NaN and inf entries as well as finite entries whose split lengths
+    overflow.
     """
     (u1, u2), (v1, v2) = split_2x2(*entries)
     nu, nv = math.hypot(u1, u2), math.hypot(v1, v2)
     s1 = nu + nv
     if not math.isfinite(s1):
         return None
-    return norm_from_floats((s1, abs(nu - nv)), pf), (u1, u2, v1, v2, nu, nv)
+    return (s1, abs(nu - nv)), (u1, u2, v1, v2, nu, nv)
 
 
 def norm_from_singular_values(sigma: np.ndarray, p: ExponentLike) -> np.ndarray:
@@ -302,13 +308,13 @@ def schatten_norm(a: np.ndarray, p: ExponentLike) -> float | np.ndarray:
     if a.shape == (2, 2):
         pf = exponent_float(p)
         entries = a.ravel().tolist()
-        closed = norm_2x2(entries, pf)
+        closed = spectrum_2x2(entries)
         if closed is None:
             if not all(map(math.isfinite, entries)):
                 raise ValueError("matrix entries must be finite")
             scale = max(map(abs, entries))
             return scale * schatten_norm(a / scale, pf)
-        return closed[0]
+        return norm_from_floats(closed[0], pf)
     if a.ndim == 2:
         return norm_from_floats(singular_values(a).tolist(), exponent_float(p))
     return norm_from_singular_values(singular_values(a), p)
@@ -344,49 +350,81 @@ def norm_and_deferred_gradient(
     x: np.ndarray, p
 ) -> tuple[float, Callable[[], Optional[np.ndarray]]]:
     """``||x||_p`` now, and a zero-argument callable that forms the
-    gradient of :func:`norm_and_gradient` when called.
+    gradient of :func:`norm_and_gradient` when called: the one-exponent
+    case of :func:`norms_and_deferred_gradients`."""
+    return norms_and_deferred_gradients(x, (p,))[0]
 
-    The value costs what :func:`schatten_norm` costs, and is the same float
-    as :func:`norm_and_gradient`'s: the 2x2 split, or for ``N >= 3`` the
-    full SVD, whose singular vectors the gradient reuses (a values-only SVD
-    would differ in the last bits).  The callable applies the weights and
-    the matmul, or the 2x2 closed form with its SVD fallback; it returns
-    None at the zero matrix and where :func:`norm_and_gradient` does.  It
-    reads ``x`` when called, so ``x`` must not change in between.  An
-    ascent that rejects most trial points never forms their gradients.
+
+def norms_and_deferred_gradients(
+    x: np.ndarray, exponents: Sequence[ExponentLike]
+) -> list[tuple[float, Callable[[], Optional[np.ndarray]]]]:
+    """For each exponent ``p`` of ``exponents``, ``||x||_p`` now and a
+    zero-argument callable that forms the gradient of
+    :func:`norm_and_gradient` when called, all from one factorization.
+
+    The factorization is the 2x2 split (:func:`spectrum_2x2`), or for
+    ``N >= 3`` the full SVD, whose singular vectors the gradients reuse (a
+    values-only SVD would differ in the last bits).  Each value is the
+    float :func:`norm_and_gradient` gives for its exponent, and at N = 2
+    the one :func:`schatten_norm` gives.  A callable applies the weights
+    and the matmul, or the 2x2 closed form with its SVD fallback; it
+    returns None at the zero matrix and where :func:`norm_and_gradient`
+    does.  It reads ``x`` when called, so ``x`` must not change in
+    between.  An ascent that rejects most trial points never forms their
+    gradients.
     """
-    pf = exponent_float(p)
     x = np.asarray(x, dtype=float)
     if x.shape == (2, 2):
-        closed = norm_2x2(x.ravel().tolist(), pf)
+        closed = spectrum_2x2(x.ravel().tolist())
         # non-finite entries, or split lengths that overflow, take the
         # factorization path, which validates and scales
         if closed is not None:
-            value, split = closed
-            if value <= 0.0:
-                return 0.0, lambda: None
-
-            def gradient() -> Optional[np.ndarray]:
-                grad = _gradient_2x2(*split, value, pf)
-                return _norm_and_gradient_svd(x, pf)[1]() if grad is None else grad
-
-            return value, gradient
-    return _norm_and_gradient_svd(x, pf)
-
-
-def _norm_and_gradient_svd(
-    x: np.ndarray, pf: float
-) -> tuple[float, Callable[[], Optional[np.ndarray]]]:
-    """:func:`norm_and_deferred_gradient` from one full SVD; the weights
-    are Python floats, applied with one array and one matmul when the
-    gradient is called."""
+            sigma, split = closed
+            out = []
+            for p in exponents:
+                out.append(_deferred_2x2(x, sigma, split, exponent_float(p)))
+            return out
     u, s, v = svd(x)
     sigma = s.tolist()
+    out = []
+    for p in exponents:
+        out.append(_deferred_svd(u, sigma, v, exponent_float(p)))
+    return out
+
+
+def _no_gradient() -> None:
+    return None
+
+
+def _deferred_2x2(x: np.ndarray, sigma, split, pf: float
+                  ) -> tuple[float, Callable[[], Optional[np.ndarray]]]:
+    """One exponent's value and deferred gradient of the 2x2 matrix ``x``
+    from its singular values and split (:func:`spectrum_2x2`)."""
+    value = norm_from_floats(sigma, pf)
+    if value <= 0.0:
+        return 0.0, _no_gradient
+
+    def gradient() -> Optional[np.ndarray]:
+        grad = _gradient_2x2(*split, value, pf)
+        if grad is None:
+            u, s, v = svd(x)
+            return _deferred_svd(u, s.tolist(), v, pf)[1]()
+        return grad
+
+    return value, gradient
+
+
+def _deferred_svd(u: np.ndarray, sigma: list[float], v: np.ndarray, pf: float
+                  ) -> tuple[float, Callable[[], Optional[np.ndarray]]]:
+    """One exponent's value and deferred gradient from the full SVD
+    ``u diag(sigma) v^T`` of a matrix, with ``sigma`` as Python floats;
+    the weights are Python floats, applied with one array and one matmul
+    when the gradient is called."""
     top = sigma[0]
     if top <= 0.0:
-        return 0.0, lambda: None
+        return 0.0, _no_gradient
     if top == math.inf:
-        return math.inf, lambda: None  # the spectral norm overflowed
+        return math.inf, _no_gradient  # the spectral norm overflowed
     ratios = [t / top for t in sigma]
     try:
         # the same power sum as norm_from_floats(sigma, pf), so the same
@@ -438,12 +476,17 @@ def _gradient_2x2(u1, u2, v1, v2, nu, nv, value, pf) -> Optional[np.ndarray]:
     s2 = abs(nu - nv)
     try:
         if s2 <= _SPECTRAL_CUTOFF * s1:
-            c1, c2 = s1 ** (pf - 1.0) / value ** (pf - 1.0), 0.0
+            numerator, denominator = s1 ** (pf - 1.0), value ** (pf - 1.0)
+            low = min(numerator, denominator)
+            c1, c2 = numerator / denominator, 0.0
         else:
-            norm = (s1**pf + s2**pf) ** (1.0 / pf)
+            low = s2**pf
+            norm = (s1**pf + low) ** (1.0 / pf)
             c1, c2 = (s1 / norm) ** (pf - 1.0), (s2 / norm) ** (pf - 1.0)
     except (OverflowError, ZeroDivisionError):
         return None  # a power left the float range: the SVD path scales
+    if low < _FLOAT_MIN:
+        return None  # a power underflowed, and lost bits: the SVD path scales
     if not 0.0 < c1 < math.inf:
         return None  # the power sum overflowed, or a power underflowed to 0
     if c2 == 0.0:

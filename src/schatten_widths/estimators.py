@@ -102,10 +102,6 @@ class Estimate:
 # ---------------------------------------------------------------------------
 
 
-def _norm_objective(q):
-    return partial(norm_and_deferred_gradient, p=exponent_float(q))
-
-
 def _require_restarts(restarts) -> None:
     count = as_int(restarts)
     if count is None or count < 1:
@@ -125,9 +121,7 @@ def operator_norm_estimate(
     rng = np.random.default_rng(seed)
     n_gauss = max(1, restarts - 5)
     starts = default_starts(spec.N, rng, n_gaussian=n_gauss, n_rank_one=2)
-    result = sup_ratio_ascent(
-        _norm_objective(spec.q), spec.p, starts, max_iter=_FINAL_ITER
-    )
+    result = sup_ratio_ascent(spec.q, spec.p, starts, max_iter=_FINAL_ITER)
     return Estimate(
         value=result.value,
         snumber_kind="operator-norm",
@@ -364,8 +358,7 @@ def _sup_ratio_on_subspace(a, b, basis: SubspaceBasis, rng: np.random.Generator,
             v = rng.standard_normal(N)
             u = np.linalg.svd(np.vstack([np.zeros(N), normals @ v]))[2][-1]
             starts.append(basis.member(basis.coefficients(np.outer(u, v))))
-    result = sup_ratio_ascent(_norm_objective(b), a, starts,
-                              max_iter=max_iter, subspace=basis)
+    result = sup_ratio_ascent(b, a, starts, max_iter=max_iter, subspace=basis)
     return result.value, result.converged
 
 

@@ -1,11 +1,12 @@
-"""Projected ascent on norm ratios and the norm gradient it rides on
-(``core.norm_and_gradient``)."""
+"""Projected ascent on norm ratios and the norm gradients it rides on
+(``core.norms_and_deferred_gradients``)."""
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from schatten_widths.acceptance import EXPONENT_GRID
 from schatten_widths.ascent import default_starts, sup_ratio_ascent
@@ -13,6 +14,7 @@ from schatten_widths.core import (
     embedding_norm,
     norm_and_deferred_gradient,
     norm_and_gradient,
+    norms_and_deferred_gradients,
     schatten_norm,
 )
 from schatten_widths.operators import SubspaceBasis, orthonormal_columns, subspace_from_matrices
@@ -125,6 +127,8 @@ def test_norm_and_gradient_agree_with_the_separate_calls(N, p, rank, k, seed):
         (1e200 * np.array([[1.0, 2.0], [3.0, 4.0]]), "2", None),
         (1e-200 * np.array([[1.0, 2.0], [3.0, 4.0]]), "4", None),
         (1e308 * np.diag([1.0, 0.5]), "1/2", None),
+        # sigma^p is subnormal, so it has lost bits, but not zero
+        (1e-81 * np.array([[1.0, 2.0], [3.0, 4.0]]), "4", None),
     ],
 )
 def test_norm_gradient_at_extreme_scales(x, p, expected):
@@ -244,7 +248,9 @@ def test_subspace_ascent_stays_in_the_subspace(t):
 
 def test_subspace_ascent_factors_each_point_once_per_use(monkeypatch):
     # the same LAPACK budget as the whole-space norm ascent: the
-    # projection onto the subspace takes no factorization
+    # projection onto the subspace takes no factorization.  The norm
+    # objective, given by its exponent, reads both norms from one SVD of a
+    # point; a callable objective takes one more at the normalized point
     calls = []
     lapack_svd = np.linalg.svd
 
@@ -256,7 +262,62 @@ def test_subspace_ascent_factors_each_point_once_per_use(monkeypatch):
     frame = SubspaceBasis(orthonormal_columns(rng.standard_normal((9, 5))), 3)
     starts = [frame.member(z) for z in rng.standard_normal((4, 5))]
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    res = sup_ratio_ascent(lambda x: norm_and_deferred_gradient(x, "2"), "1/2", starts,
-                           subspace=frame)
-    budget = 2 * res.evaluations + res.iterations + len(starts)
-    assert 0 < len(calls) <= budget
+    for objective, per_point in (("2", 1), (lambda x: norm_and_deferred_gradient(x, "2"), 2)):
+        calls.clear()
+        res = sup_ratio_ascent(objective, "1/2", starts, subspace=frame)
+        assert res.evaluations > 0
+        assert len(calls) == per_point * res.evaluations
+
+
+#: The pairs of the scaled-start test: at N = 3, 1/2 -> inf stalls short
+#: of its sup, at a value that follows the start's last bits.
+SCALED_START_PAIRS = [("inf", "1/2"), ("2", "1/2"), ("1", "2")]
+
+
+@pytest.mark.parametrize("p, q", SCALED_START_PAIRS)
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("scale", [1e-322, 1e-300, 1e300])
+def test_ascent_from_a_scaled_start_finds_the_unscaled_value(p, q, N, scale):
+    # the ratio is scale-invariant.  At N = 2 a subnormal start's split
+    # lengths used to round, by 2% at 1e-322, and its normalized copy sat
+    # off the sphere, above the supremum (4.079 against 4 at inf -> 1/2)
+    a = np.array([[-1.0, -0.2, 0.3], [-0.2, 1.0, 0.5], [0.7, -0.1, 0.4]])[:N, :N]
+    unscaled = sup_ratio_ascent(q, p, [a])
+    res = sup_ratio_ascent(q, p, [scale * a])
+    assert res.value == pytest.approx(unscaled.value, rel=1e-12, abs=0.0)
+    assert res.value <= embedding_norm(p, q, N) * (1 + 1e-12)
+    assert schatten_norm(res.maximizer, p) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+#: Relative agreement of a ratio read from one spectrum with the q-norm of
+#: the normalized point; its worst case over 30,000 draws like those below
+#: was 1.2e-14.
+RATIO_RTOL = 1e-13
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    N=st.integers(2, 4),
+    p=st.sampled_from(EXPONENT_GRID + ("1/50", "50")),
+    q=st.sampled_from(EXPONENT_GRID + ("1/50", "50")),
+    k=st.integers(-300, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_factorization_gives_the_ratio_and_both_gradients(N, p, q, k, seed):
+    # the ascent's scoring: ||t||_q / ||t||_p and both gradients from one
+    # factorization of t, against the normalized point t / ||t||_p.  The
+    # spectrum is kept distinct and within a factor 12: near a repeated or
+    # tiny singular value the gradient itself is ill-conditioned, and two
+    # roundings of one matrix give gradients 1e-11 apart
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((N, N)))[0] for _ in range(2))
+    sigma = rng.uniform(1.0, 1.5, N) * 2.0 ** -np.arange(N)
+    t = (q1 * sigma) @ q2.T * 10.0**k
+    (p_norm, p_gradient), (q_norm, q_gradient) = norms_and_deferred_gradients(t, (p, q))
+    assume(math.isfinite(p_norm) and math.isfinite(q_norm))  # else no normalized point
+    x = t / p_norm
+    assert q_norm / p_norm == pytest.approx(schatten_norm(x, q), rel=RATIO_RTOL, abs=0.0)
+    for exponent, gradient in ((p, p_gradient), (q, q_gradient)):
+        reference = norm_and_gradient(x, exponent)[1]
+        assert np.allclose(gradient(), reference, rtol=0.0,
+                           atol=GRADIENT_ATOL * np.abs(reference).max())

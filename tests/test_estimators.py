@@ -58,11 +58,13 @@ def test_identity_widths_are_one_for_small_indices():
 # Each search's value and detail at seed 0.  The seeded random draws
 # (frames, approximants, ascent starts) come in a fixed order, so a change
 # of that order or of a search budget moves these values.  At N = 3 the
-# counts also follow the last bits of the LAPACK singular values: a full
-# SVD and a values-only SVD of one 3x3 matrix differ there for most
-# matrices, and the norm objective takes its value from the full one.  The
+# counts also follow the last bits of the LAPACK singular values: the
+# ascent reads both norms of a point, and so its ratio, from one full SVD
+# of the point before normalization, whose singular values differ there
+# from a values-only SVD's, or from those of the normalized copy.  The
 # Kolmogorov number of S_1 -> S_inf is searched as the Gelfand number of
-# the same pair (its dual); both width values are the exact ones.
+# the same pair (its dual); both width values are the exact ones, and so
+# is the norm's.
 SEARCH_PINS = [
     (estimate_kolmogorov, EmbeddingSpec("1", "inf", 2, n=3), 0.5,
      {"candidates": 8, "search_rounds": 16, "winner": "split-rotation", "pair": ("1", "inf")},
@@ -78,8 +80,8 @@ SEARCH_PINS = [
     (estimate_gelfand, EmbeddingSpec("1/2", "2", 2, n=3), 0.3535533905932738,
      {"candidates": 8, "search_rounds": 16, "winner": "split-rotation", "pair": ("1/2", "2")},
      True),
-    (operator_norm_estimate, EmbeddingSpec("1/2", "2", 3), 1.0000000000000002,
-     {"iterations": 89, "evaluations": 156, "start_index": 3}, True),
+    (operator_norm_estimate, EmbeddingSpec("1/2", "2", 3), 1.0,
+     {"iterations": 89, "evaluations": 144, "start_index": 0}, True),
 ]
 
 
@@ -110,57 +112,80 @@ def test_residual_objective_is_the_residual_norm_and_its_adjoint_gradient(q):
     assert np.tensordot(gradient(), direction) == pytest.approx(slope, rel=1e-6)
 
 
-def test_norm_ascent_factors_each_point_once_per_use(monkeypatch):
-    # the norm objective takes its value and gradient from one SVD; the
-    # ascent adds one SVD per start and per trial point (its p-norm) and
-    # one per step (its p-gradient)
+def _counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that counts its calls."""
     calls = []
-    lapack_svd = np.linalg.svd
+    wrapped = getattr(owner, name)
 
-    def counting_svd(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(None)
-        return lapack_svd(*args, **kwargs)
+        return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_norm_ascent_factors_each_point_once_per_use(monkeypatch):
+    # both norms of a scored point, its normalized copy and both deferred
+    # gradients come from one LAPACK SVD
+    calls = _counting(monkeypatch, np.linalg, "svd")
     est = operator_norm_estimate(EmbeddingSpec("1/2", "2", 3))
-    budget = 2 * est.detail["evaluations"] + est.detail["iterations"] + est.restarts
-    assert 0 < len(calls) <= budget
+    assert len(calls) == est.detail["evaluations"]
+
+
+def test_norm_ascent_splits_each_point_once_at_n2(monkeypatch):
+    # at N = 2 the factorization is one rotation/reflection split; an SVD
+    # is taken only where a gradient falls back to it
+    from schatten_widths import core
+
+    splits = _counting(monkeypatch, core, "spectrum_2x2")
+    est = operator_norm_estimate(EmbeddingSpec("1/2", "2", 2))
+    assert len(splits) == est.detail["evaluations"]
 
 
 def test_ascent_forms_gradients_only_at_starts_and_accepted_points(monkeypatch):
-    # a trial point costs a value: the ascent forms an objective's gradient
-    # only at a start or an accepted trial, and only when it builds a step
-    # from there, so a point after which a cut ends the start forms none.
-    # A trial is accepted when its value beats the current one by 1e-14
+    # a trial point costs a value: the ascent forms a gradient (the
+    # objective's or the p-norm's) only at a start or an accepted trial,
+    # and only when it builds a step from there, so a point after which a
+    # cut ends the start forms none.  A trial is accepted when its value
+    # beats the current one by 1e-14.  The norm objective is an exponent,
+    # so the norm layer is recorded: one call per scored point
+    from schatten_widths import ascent
+
     runs = []
+    layer = ascent.norms_and_deferred_gradients
 
-    def recording_ascent(objective, p, starts, **kwargs):
-        points = []  # [x, value, gradient formed], one per evaluation
+    def recording_layer(t, exponents):
+        norms = layer(t, exponents)
+        (p_norm, _), (q_norm, _) = norms
+        point = [t, q_norm / p_norm, False]
+        runs[-1][2].append(point)
 
-        def recording(x):
-            value, gradient = objective(x)
-            point = [x, value, False]
-            points.append(point)
-
+        def recorded(gradient):
             def formed():
                 point[2] = True
                 return gradient()
 
-            return value, formed
+            return formed
 
-        result = sup_ratio_ascent(recording, p, starts, **kwargs)
-        runs.append((p, starts, points))
-        return result
+        return [(value, recorded(gradient)) for value, gradient in norms]
 
+    def recording_ascent(objective, p, starts, **kwargs):
+        runs.append((p, starts, []))  # [t, value, gradient formed], one per point
+        return sup_ratio_ascent(objective, p, starts, **kwargs)
+
+    monkeypatch.setattr(ascent, "norms_and_deferred_gradients", recording_layer)
     monkeypatch.setattr(estimators, "sup_ratio_ascent", recording_ascent)
     estimate_kolmogorov(EmbeddingSpec("1", "2", 2, n=3))
     assert runs
     formed = candidates = 0
     for p, starts, points in runs:
-        heads = [s / schatten_norm(s, p) for s in map(np.asarray, starts)]
+        # a start is scored after scaling by a power of two: the same
+        # matrix up to that scale
+        heads = [s / np.abs(s).max() for s in map(np.asarray, starts)]
         is_head, candidate, current, k = [], [], 0.0, 0
-        for x, value, _ in points:
-            head = k < len(heads) and np.array_equal(x, heads[k])
+        for t, value, _ in points:
+            head = k < len(heads) and np.array_equal(t / np.abs(t).max(), heads[k])
             accepted = not head and value > current * (1 + 1e-14)
             if head:
                 k += 1
