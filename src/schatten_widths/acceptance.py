@@ -29,7 +29,13 @@ from .certificates import (
     upper_column_zero,
     verify_certificate,
 )
-from .core import EmbeddingSpec, embedding_norm, hull_decompose, littlewood_check
+from .core import (
+    EmbeddingSpec,
+    embedding_norm,
+    hull_decompose,
+    last_snumber,
+    littlewood_check,
+)
 from .envelope import envelope_profile
 from .estimators import (
     estimate_approx,
@@ -266,20 +272,6 @@ def _check_oracle_calibration() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def _profile_endpoint(kind: str, pe, qe, N: int) -> float:
-    """Exact n = N^2 anchor of an envelope profile.
-
-    Gelfand numbers end at the smallest restriction ratio
-    ``min(1, N^(1/q-1/p))``; approximation and Kolmogorov numbers collapse
-    quasi-norm exponents onto 1 first (hyperplane distances for exponents
-    below 1 coincide with the nuclear-norm case).
-    """
-    if kind == "gelfand":
-        return min(1.0, npower(N, inv(qe) - inv(pe)))
-    pt, qt = max(pe, 1), max(qe, 1)
-    return min(1.0, npower(N, inv(qt) - inv(pt)))
-
-
 def _check_envelope_structure() -> tuple[bool, str]:
     """Monotonicity, bounded gap, duality symmetry, endpoint anchors."""
     kinds = ("approximation", "gelfand", "kolmogorov")
@@ -302,7 +294,7 @@ def _check_envelope_structure() -> tuple[bool, str]:
                     if ev.value_lower > 0:
                         worst_ratio = max(worst_ratio, ev.value_upper / ev.value_lower)
                 norm = embedding_norm(pe, qe, N)
-                endpoint = _profile_endpoint(kind, pe, qe, N)
+                endpoint = last_snumber(kind, pe, qe, N)
                 first, last = vals[0], vals[-1]
                 ok = (
                     abs(first.value_upper - norm) <= 1e-12 * norm

@@ -61,6 +61,7 @@ __all__ = [
     "as_square_matrix",
     "embedding_norm",
     "hull_decompose",
+    "last_snumber",
     "littlewood_check",
     "norm_and_deferred_gradient",
     "norm_and_gradient",
@@ -225,7 +226,8 @@ def norm_from_floats(sigma: Sequence[float], pf: float) -> float:
     The same rule as :func:`norm_from_singular_values`, on Python floats:
     for a single small matrix numpy's per-call overhead costs more than
     the arithmetic.  An infinite top singular value (LAPACK's answer for
-    a matrix whose spectral norm overflows) gives ``inf``.
+    a matrix whose spectral norm overflows) gives ``inf``, and so does a
+    norm beyond the float range (a small exponent's, of an O(1) matrix).
     """
     top = sigma[0]
     if pf == math.inf or top <= 0.0 or top == math.inf:
@@ -239,8 +241,10 @@ def norm_from_floats(sigma: Sequence[float], pf: float) -> float:
         return top * total ** (1.0 / pf)
     except OverflowError:
         # a small exponent can overflow the root of a representable norm
-        # (the top singular value is then tiny): take it in log space
-        return math.exp(math.log(top) + math.log(total) / pf)
+        # (the top singular value is then tiny): take it in log space, and
+        # where the norm itself leaves the float range, give inf
+        log_norm = math.log(top) + math.log(total) / pf
+        return math.exp(log_norm) if log_norm < _LOG_FLOAT_MAX else math.inf
 
 
 def spectrum_2x2(entries: Sequence[float]):
@@ -288,10 +292,11 @@ def norm_from_singular_values(sigma: np.ndarray, p: ExponentLike) -> np.ndarray:
         root = total ** (1.0 / pf)
     if np.all(np.isfinite(root)):
         return top * root
-    # as in norm_from_floats, a root that overflows is taken in log space
+    # as in norm_from_floats, a root that overflows is taken in log space,
+    # and a norm beyond the float range is inf
     with np.errstate(divide="ignore", over="ignore"):
         logs = np.log(top) + np.log(total) / pf
-    return np.where(np.isfinite(root), top * root, np.exp(logs))
+        return np.where(np.isfinite(root), top * root, np.exp(logs))
 
 
 def schatten_norm(a: np.ndarray, p: ExponentLike) -> float | np.ndarray:
@@ -426,11 +431,10 @@ def _deferred_svd(u: np.ndarray, sigma: list[float], v: np.ndarray, pf: float
     if top == math.inf:
         return math.inf, _no_gradient  # the spectral norm overflowed
     ratios = [t / top for t in sigma]
-    try:
-        # the same power sum as norm_from_floats(sigma, pf), so the same
-        # value bit for bit, and its root is the ratio norm the weights need
-        norm_ratio = norm_from_floats(ratios, pf)
-    except OverflowError:
+    # the same power sum as norm_from_floats(sigma, pf), so the same value
+    # bit for bit, and its root is the ratio norm the weights need
+    norm_ratio = norm_from_floats(ratios, pf)
+    if norm_ratio == math.inf:
         # a small exponent can overflow the ratio norm although the norm,
         # scaled by a tiny top singular value, is representable: take the
         # weights' scale, the ratio norm to the power 1 - p, in log space
@@ -504,6 +508,29 @@ def embedding_norm(p: ExponentLike, q: ExponentLike, N: int) -> float:
     pe, qe = as_exponent(p), as_exponent(q)
     N = as_matrix_side(N)
     return max(1.0, npower(N, inv(qe) - inv(pe)))
+
+
+def last_snumber(kind: str, p: ExponentLike, q: ExponentLike, N: int) -> float:
+    """The last, ``N^2``-th, ``kind`` number of the identity ``S_p^N -> S_q^N``.
+
+    Gelfand numbers: ``c_{N^2} = min(1, N^(1/q-1/p))``, the least ratio
+    ``||X||_q / ||X||_p`` of one matrix, at a flat spectrum for ``p <= q``
+    and at rank one otherwise.  Kolmogorov and approximation numbers:
+    ``min(1, N^(1/q~-1/p~))`` with ``p~ = max(p, 1)`` and ``q~ = max(q, 1)``.
+    For ``q >= 1``, duality gives ``d_{N^2} = c_{N^2}(S_{q*} -> S_{p~*})``,
+    which is that value, and ``a_{N^2} >= d_{N^2}``.  Two approximants of
+    rank ``N^2 - 1`` attain it: ``id`` minus the Frobenius projection onto
+    span(I) leaves ``X -> (tr X / N) I``, of norm ``N^(1/q-1/p~)`` (Hoelder,
+    and ``||X||_1 <= ||X||_p`` for ``p < 1``), and ``id`` minus a rank-one
+    projection onto span(E_11) leaves ``X -> X_11 E_11``, of norm 1.  For
+    ``q < 1`` the quasi-norm exponents collapse onto 1 (hyperplane
+    distances below 1 coincide with the nuclear-norm case).
+    """
+    pe, qe = as_exponent(p), as_exponent(q)
+    N = as_matrix_side(N)
+    if kind != "gelfand":
+        pe, qe = max(pe, 1), max(qe, 1)
+    return min(1.0, npower(N, inv(qe) - inv(pe)))
 
 
 def pi2_embedding(p: ExponentLike, q: ExponentLike, N: int) -> float:

@@ -10,7 +10,13 @@ Methods:
   isometry of ``S_2`` and every s-number is 1;
 * ``identity-exact`` — the pairs where every s-number is exactly 1:
   Gelfand numbers on the diagonal ``p == q``, and Kolmogorov and
-  approximation numbers on ``p <= q <= max(p, 1)`` (see ``_closed_form``).
+  approximation numbers on ``p <= q <= max(p, 1)`` (see ``_closed_form``);
+* ``anchor-exact`` — the indices the two-sided bounds pin, for all three
+  kinds: 1 at ``n <= N`` for ``p <= q`` (``rank-one-member``), the last
+  index ``n = N^2`` (``last-index``), and the norm at ``n <= rho(N)`` for
+  ``p > q``, with ``rho`` the Hurwitz-Radon number (``hurwitz-radon``).
+  ``detail["reduction"]`` names the proof, and the value costs no array
+  work.
 
 One function, ``_closed_form``, decides the exact cases and the
 approximation numbers' reductions for all three estimators, and rejects
@@ -43,7 +49,9 @@ budgets are fixed:
 
 Scope: quasi-norm codomains (``q < 1``) are supported where the value is
 exactly 1: ``p <= q`` for Kolmogorov and approximation numbers, and
-``p == q`` for Gelfand numbers.
+``p == q`` for Gelfand numbers.  The searches therefore run only at
+``q >= 1``, off the anchors, and approximation numbers search only at
+``p >= 1``: a quasi-norm domain reduces to ``p = 1``.
 """
 from __future__ import annotations
 
@@ -58,6 +66,8 @@ from .ascent import AscentResult, default_starts, sup_ratio_ascent
 from .core import (
     EmbeddingSpec,
     as_int,
+    embedding_norm,
+    last_snumber,
     norm_and_deferred_gradient,
     norm_and_gradient,
 )
@@ -148,26 +158,80 @@ def _width_pair(spec: EmbeddingSpec, kind: str):
     return dual_exponent(q), dual_exponent(max(p, 1))
 
 
+def _hurwitz_radon_number(N: int) -> int:
+    """The Hurwitz-Radon number ``rho(N) = 8a + 2^b`` of ``N = 2^(4a+b)``
+    times an odd number, ``0 <= b <= 3``: the largest dimension of a space
+    of ``N x N`` matrices whose every member is a multiple of an orthogonal
+    matrix."""
+    a, b = divmod((N & -N).bit_length() - 1, 4)
+    return 8 * a + 2**b
+
+
+def _anchor(spec: EmbeddingSpec, kind: str) -> Optional[tuple[float, str]]:
+    """``(value, reduction)`` of a proven anchor at ``spec``, or None; for
+    the specs that pass ``_closed_form``'s refusal and exact pairs, which
+    all have ``q >= 1``.  See ``_closed_form`` for the proofs."""
+    p, q, N, n = spec.p, spec.q, spec.N, spec.n
+    if p <= q and n <= N:
+        return 1.0, "rank-one-member"
+    if n == N * N:
+        return last_snumber(kind, p, q, N), "last-index"
+    if p > q and n <= _hurwitz_radon_number(N):
+        return embedding_norm(p, q, N), "hurwitz-radon"
+    return None
+
+
 def _closed_form(spec: EmbeddingSpec, kind: str, restarts: int, seed: int
                  ) -> Optional[Estimate]:
     """The ``kind`` number of ``spec`` from an exact value or an exact
     reduction, or None where the search must run; raises where no search
     is sound (``q < 1`` with ``q < p``, and Gelfand numbers at ``q < 1``
-    off the diagonal).
+    off the diagonal).  The rules, in order:
 
-    Exact: ``p = q = 2``, where the identity is an isometry of ``S_2``, and
-    the value 1 wherever the identity's restrictions or an annihilator pin
-    it.  Gelfand numbers on ``p == q``: every restriction of the identity
-    has norm 1.  Kolmogorov numbers on ``p <= q <= max(p, 1)``: for
-    ``q >= 1`` that is ``q == max(p, 1)``, whose searched pair is diagonal;
-    for ``q < 1``, ``F`` has dimension ``n - 1 < N^2``, so its annihilator
-    holds a nonzero ``Z``.  Let ``X = u v^T`` for ``Z``'s top singular pair:
-    ``||X||_p = 1`` and ``<X, Z> = ||Z||_inf``.  Every ``Y`` in ``F`` has
-    ``<Y, Z> = 0``, so ``||X - Y||_q >= ||X - Y||_1 >= <X - Y, Z> /
-    ||Z||_inf = 1``.  Either way ``d_n >= 1``, and ``d_n <= d_1 = ||id|| =
-    1``.  Approximation numbers on the same pairs: ``d_n <= a_n <= ||id||``.
-    Reductions: approximation numbers at ``n = 1`` to the norm, and with a
-    Frobenius codomain (domain) to the Kolmogorov (Gelfand) numbers.
+    * ``hilbert-exact``: ``p = q = 2``, where the identity is an isometry
+      of ``S_2``.
+    * ``identity-exact``, the value 1 wherever the identity's restrictions
+      or an annihilator pin it.  Gelfand numbers on ``p == q``: every
+      restriction of the identity has norm 1.  Kolmogorov numbers on
+      ``p <= q <= max(p, 1)``: for ``q >= 1`` that is ``q == max(p, 1)``,
+      whose searched pair is diagonal; for ``q < 1``, ``F`` has dimension
+      ``n - 1 < N^2``, so its annihilator holds a nonzero ``Z``.  Let
+      ``X = u v^T`` for ``Z``'s top singular pair: ``||X||_p = 1`` and
+      ``<X, Z> = ||Z||_inf``.  Every ``Y`` in ``F`` has ``<Y, Z> = 0``, so
+      ``||X - Y||_q >= ||X - Y||_1 >= <X - Y, Z> / ||Z||_inf = 1``.  Either
+      way ``d_n >= 1``, and ``d_n <= d_1 = ||id|| = 1``.  Approximation
+      numbers on the same pairs: ``d_n <= a_n <= ||id||``.
+    * ``anchor-exact``, for all three kinds; every spec left has ``q >= 1``.
+      Each proof bounds the Gelfand number from below by the value, and so
+      the Kolmogorov number, the Gelfand number at its searched pair; the
+      norm or an explicit approximant bounds ``a_n`` from above, and
+      ``a_n >= max(c_n, d_n)`` closes the sandwich.  ``n = 1`` is always an
+      anchor.  ``detail["reduction"]`` names the proof:
+
+      - ``rank-one-member``, ``p <= q`` and ``n <= N``: the value is 1.  A
+        subspace of codimension ``n - 1 < N`` holds a rank-one ``u v^T``
+        (take ``u`` orthogonal to ``W v`` for each of its ``n - 1``
+        normals ``W``), whose ratio is 1, so ``c_n >= 1``; the Kolmogorov
+        number is that Gelfand number at the pair ``(q*, max(p, 1)*)``,
+        again with domain exponent at most the codomain's.  The norm is 1.
+      - ``last-index``, ``n = N^2``: ``core.last_snumber``, whose docstring
+        has the proof and the two attaining approximants.
+      - ``hurwitz-radon``, ``p > q`` and ``n <= rho(N)``: the value is the
+        norm ``N^(1/q-1/p)``.  By Hurwitz and Radon, a ``rho(N)``
+        dimensional space ``H`` of multiples of orthogonal matrices exists
+        (span{I, J} at ``N = 2``, the quaternion multiplications at
+        ``N = 4``), and it meets every subspace of codimension
+        ``n - 1 < rho(N)``.  Its members have flat spectra, so their ratio
+        is the norm: ``c_n >= ||id||``.  The Kolmogorov number is the
+        Gelfand number at ``(q*, p*)``, again with ``q* > p*`` and the same
+        norm.
+    * Approximation numbers reduce, with the inner estimate's method:
+      with a Frobenius codomain (domain) to the Kolmogorov (Gelfand)
+      numbers (``hilbert-codomain``, ``hilbert-domain``), and at
+      ``p < 1 <= q`` to ``p = 1`` (``quasi-domain-collapse``): the ``S_p``
+      ball's convex hull is the ``S_1`` ball, and ``X -> ||X - A(X)||_q``
+      is convex, so each approximant's sup over the ``S_p`` ball is its
+      sup over the ``S_1`` ball.
     """
     n = spec.require_index()
     _require_restarts(restarts)
@@ -190,17 +254,24 @@ def _closed_form(spec: EmbeddingSpec, kind: str, restarts: int, seed: int
         return Estimate(value=1.0, snumber_kind=kind, method="identity-exact", spec=spec,
                         restarts=0, seed=seed, converged=True,
                         detail={"reduction": reduction})
+    if (anchor := _anchor(spec, kind)) is not None:
+        value, reduction = anchor
+        return Estimate(value=value, snumber_kind=kind, method="anchor-exact", spec=spec,
+                        restarts=0, seed=seed, converged=True,
+                        detail={"reduction": reduction})
     if kind != "approximation":
         return None
-    if n == 1:
-        reduction, estimator = "index-1-is-norm", operator_norm_estimate
-    elif q == 2:
+    inner_spec = spec
+    if q == 2:
         reduction, estimator = "hilbert-codomain", estimate_kolmogorov
     elif p == 2:
         reduction, estimator = "hilbert-domain", estimate_gelfand
+    elif p < 1:
+        reduction, estimator = "quasi-domain-collapse", estimate_approx
+        inner_spec = replace(spec, p=1)
     else:
         return None
-    inner = estimator(spec, restarts=restarts, seed=seed)
+    inner = estimator(inner_spec, restarts=restarts, seed=seed)
     return replace(inner, snumber_kind=kind, spec=spec,
                    detail={"reduction": reduction, **inner.detail})
 
@@ -542,9 +613,10 @@ def estimate_approx(
 
     The search runs only where ``_closed_form`` finds nothing exact: on
     ``p <= q <= max(p, 1)`` the value is exactly 1, squeezed between the
-    Kolmogorov number and the norm (``width-sandwich``); at ``n = 1``, or
-    when one side is the Frobenius class, the norm and the width scales
-    give it.  Candidate approximants are scored with cheap ascents, the
+    Kolmogorov number and the norm (``width-sandwich``); the anchors
+    (``n = 1`` among them) are exact; when one side is the Frobenius class
+    the width scales give it, and a quasi-norm domain reduces to ``p = 1``.
+    Candidate approximants are scored with cheap ascents, the
     best is refined adversarially, and the refined map and the two best
     candidates are re-evaluated at full budget."""
     if (exact := _closed_form(spec, "approximation", restarts, seed)) is not None:

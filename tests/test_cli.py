@@ -362,6 +362,25 @@ def test_estimate_reports_the_exact_quasi_approximation_number(capsys):
     assert row["detail"] == {"reduction": "width-sandwich"}
 
 
+@pytest.mark.parametrize("kind, p, q, N, n, method, reduction, value", [
+    ("kolmogorov", "1", "inf", "3", "2", "anchor-exact", "rank-one-member", "1"),
+    ("approximation", "1/2", "4/3", "3", "9", "anchor-exact", "last-index", "0.759835685652"),
+    ("gelfand", "2", "1", "4", "3", "anchor-exact", "hurwitz-radon", "2"),
+    ("approximation", "1/2", "4", "2", "3", "pg-search", "quasi-domain-collapse", None),
+])
+def test_estimate_names_the_anchor_rule(capsys, kind, p, q, N, n, method, reduction, value):
+    code, out, _ = _run(
+        capsys,
+        ["estimate", "--kind", kind, "-p", p, "-q", q, "-N", N, "-n", n, "--format", "json"],
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["method"] == method
+    assert row["detail"]["reduction"] == reduction
+    if value is not None:
+        assert row["value"] == value
+
+
 def test_estimate_refuses_a_quasi_codomain_below_the_domain(capsys):
     code, out, err = _run(
         capsys, ["estimate", "--kind", "kolmogorov", "-p", "1", "-q", "1/2", "-N", "2", "-n", "2"]

@@ -13,6 +13,7 @@ from schatten_widths.core import (
     hull_decompose,
     littlewood_check,
     norm_and_gradient,
+    norms_and_deferred_gradients,
     pi2_embedding,
     schatten_norm,
     singular_values,
@@ -150,6 +151,20 @@ def test_schatten_norm_of_a_stack_whose_root_overflows():
     norms = schatten_norm(stack, "1/2000")
     assert norms[0] == pytest.approx(TWO_TO_THE_2000_TIMES_1E_300, rel=1e-12, abs=0.0)
     assert norms[1] == 1.0
+
+
+# a small exponent's norm of an O(1) matrix beyond the float range:
+# ||I_2||_{1/2000} = 2^2000 and ||I_3||_{1/1060} = 3^1060
+@pytest.mark.parametrize("a, p", [(np.eye(2), "1/2000"), (np.eye(3), "1/1060")])
+def test_schatten_norm_beyond_the_float_range_reads_inf(a, p):
+    assert schatten_norm(a, p) == math.inf
+    assert schatten_norm(a[None], p)[0] == math.inf
+
+
+def test_norms_and_gradients_beyond_the_float_range_read_inf():
+    ((value, gradient),) = norms_and_deferred_gradients(np.eye(3), ["1/1060"])
+    assert value == math.inf
+    assert gradient() is None  # the gradient's weights are not representable
 
 
 def _overflowing(N):

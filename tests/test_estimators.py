@@ -1,9 +1,14 @@
 """Numerical s-number estimators: pins, reductions, determinism."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schatten_widths import distances, estimators
+from schatten_widths.acceptance import EXPONENT_GRID
 from schatten_widths.ascent import sup_ratio_ascent
+from schatten_widths.certificates import lower_certificates, upper_certificates
 from schatten_widths.core import EmbeddingSpec, embedding_norm, schatten_norm
 from schatten_widths.exponents import as_exponent, dual_exponent
 from schatten_widths.estimators import (
@@ -73,8 +78,8 @@ SEARCH_PINS = [
      {"candidates": 9, "winner": "random-proj-0"}, True),
     (estimate_approx, EmbeddingSpec("4/3", "inf", 2, n=3), 0.7705371642955792,
      {"candidates": 9, "winner": "refined"}, True),
-    (estimate_approx, EmbeddingSpec("inf", "4/3", 2, n=2), 1.6773325198140372,
-     {"candidates": 9, "winner": "col-keep@0.5"}, True),
+    (estimate_approx, EmbeddingSpec("inf", "4/3", 2, n=3), 1.0,
+     {"candidates": 9, "winner": "col-keep@1"}, True),
     (estimate_approx, EmbeddingSpec("1", "inf", 3, n=5), 0.9149167912427325,
      {"candidates": 9, "winner": "refined"}, True),
     (estimate_gelfand, EmbeddingSpec("1/2", "2", 2, n=3), 0.3535533905932738,
@@ -250,7 +255,11 @@ def test_kolmogorov_is_the_gelfand_search_on_the_annihilator(p, q):
 # (estimator, (p, q, N, n), exact value): the last index at N = 3, where
 # d_9 = N^(1/q - 1/max(p,1)) for p <= q and 1 for p >= q; the first
 # indices n <= N with p < 1 <= q, where every subspace of codimension
-# below N holds a rank-one matrix of ratio 1; and an oracle point
+# below N holds a rank-one matrix of ratio 1; an oracle point; and two
+# Hurwitz-Radon points at N = 4, where every subspace of codimension
+# n - 1 < 4 meets the quaternion multiplications, whose ratio is the norm.
+# The estimators answer the anchors without a search, so the test runs
+# the search itself
 ANCHORS = [
     (estimate_kolmogorov, ("1", "inf", 3, 9), 1 / 3),
     (estimate_kolmogorov, ("1", "2", 3, 9), 3**-0.5),
@@ -258,15 +267,50 @@ ANCHORS = [
     (estimate_gelfand, ("1/2", "1", 3, 2), 1.0),
     (estimate_gelfand, ("1/2", "2", 3, 3), 1.0),
     (estimate_gelfand, ("1/2", "2", 2, 3), 0.3535534),  # net oracle
+    (estimate_gelfand, ("2", "1", 4, 3), 2.0),
+    (estimate_kolmogorov, ("inf", "4/3", 4, 4), 2**1.5),
 ]
+_KIND = {estimate_gelfand: "gelfand", estimate_kolmogorov: "kolmogorov"}
 
 
 @pytest.mark.parametrize("estimator, args, exact", ANCHORS)
 def test_width_searches_reach_the_exact_anchors(estimator, args, exact):
     p, q, N, n = args
-    est = estimator(EmbeddingSpec(p, q, N, n=n), seed=0)
+    est = estimators._width_search(EmbeddingSpec(p, q, N, n=n), _KIND[estimator], 6, 0)
     assert est.method == "pg-search"
     assert est.value == pytest.approx(exact, abs=1e-6)
+
+
+def _grid_anchors(N):
+    """The N x N Gelfand and Kolmogorov anchors on the exponent grid, as
+    ``{(searched pair, n): [(kind, p, q, exact value), ...]}``."""
+    groups = {}
+    for kind in ("gelfand", "kolmogorov"):
+        for p, q in itertools.product(EXPONENT_GRID, EXPONENT_GRID):
+            for n in range(1, N * N + 1):
+                spec = EmbeddingSpec(p, q, N, n=n)
+                try:
+                    exact = estimators._closed_form(spec, kind, 6, 0)
+                except NotImplementedError:
+                    continue
+                if exact is not None and exact.method == "anchor-exact":
+                    key = (estimators._width_pair(spec, kind), n)
+                    groups.setdefault(key, []).append((kind, p, q, exact.value))
+    return groups
+
+
+N2_ANCHORS = _grid_anchors(2)
+
+
+@pytest.mark.parametrize("key", N2_ANCHORS, ids=lambda key: f"{key[0][0]},{key[0][1]}-n{key[1]}")
+def test_width_search_reaches_every_n2_grid_anchor(key):
+    # a Kolmogorov anchor is graded by the Gelfand search at its searched
+    # pair, which is the search the Kolmogorov estimator runs (see
+    # test_kolmogorov_is_the_gelfand_search_on_the_annihilator)
+    (a, b), n = key
+    est = estimators._width_search(EmbeddingSpec(a, b, 2, n=n), "gelfand", 6, 0)
+    for kind, p, q, exact in N2_ANCHORS[key]:
+        assert est.value == pytest.approx(exact, rel=1e-6), (kind, p, q)
 
 
 def test_no_estimator_solves_a_distance(monkeypatch):
@@ -281,18 +325,20 @@ def test_no_estimator_solves_a_distance(monkeypatch):
 
     monkeypatch.setattr(distances, "distance_schatten", spy)
     assert not hasattr(estimators, "distance_schatten")
-    for estimator, args in ((estimate_kolmogorov, ("1", "inf", 2, 2)),
+    searched = []
+    for estimator, args in ((estimate_kolmogorov, ("1", "inf", 2, 3)),
                             (estimate_kolmogorov, ("1/2", "2", 2, 3)),
                             (estimate_kolmogorov, ("1/2", "1/2", 2, 2)),
                             (estimate_kolmogorov, ("1/2", "1/2", 2, 4)),
                             (estimate_gelfand, ("1/2", "1", 2, 3)),
-                            (estimate_gelfand, ("4/3", "4", 2, 2)),
-                            (estimate_approx, ("inf", "2", 2, 2)),
+                            (estimate_gelfand, ("4/3", "4", 2, 3)),
+                            (estimate_approx, ("inf", "2", 2, 3)),
                             (estimate_approx, ("2", "inf", 2, 3)),
-                            (estimate_approx, ("4/3", "inf", 2, 2))):
+                            (estimate_approx, ("4/3", "inf", 2, 3))):
         p, q, N, n = args
-        estimator(EmbeddingSpec(p, q, N, n=n), seed=0)
+        searched.append(estimator(EmbeddingSpec(p, q, N, n=n), seed=0).method == "pg-search")
     assert calls == []
+    assert searched.count(True) == 7
 
 
 @pytest.mark.parametrize("p", ["1/2", "3/4"])
@@ -333,9 +379,12 @@ def test_approx_on_the_diagonal_is_exactly_one(p):
 
 
 def test_approx_index_one_is_the_norm():
-    est = estimate_approx(EmbeddingSpec("1", "inf", 2, n=1), seed=0)
-    assert est.detail["reduction"] == "index-1-is-norm"
-    assert est.value == pytest.approx(1.0, rel=1e-8)
+    # an anchor for every pair: rank one for p <= q, Hurwitz-Radon otherwise
+    for p, q, reduction in (("1", "inf", "rank-one-member"), ("inf", "1", "hurwitz-radon")):
+        est = estimate_approx(EmbeddingSpec(p, q, 3, n=1), seed=0)
+        assert est.method == "anchor-exact"
+        assert est.detail == {"reduction": reduction}
+        assert est.value == embedding_norm(p, q, 3)
 
 
 def test_approx_frobenius_reductions_are_labelled():
@@ -343,6 +392,132 @@ def test_approx_frobenius_reductions_are_labelled():
     assert est.detail["reduction"] == "hilbert-domain"
     est = estimate_approx(EmbeddingSpec("1", "2", 2, n=3), seed=0)
     assert est.detail["reduction"] == "hilbert-codomain"
+
+
+# ---------------------------------------------------------------------------
+# anchors
+# ---------------------------------------------------------------------------
+
+#: rho(N) for N = 1..16, from N = 2^(4a+b) * odd, rho = 8a + 2^b
+HURWITZ_RADON = (1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1, 9)
+_ESTIMATORS = {"approximation": estimate_approx, "gelfand": estimate_gelfand,
+               "kolmogorov": estimate_kolmogorov}
+
+
+def test_hurwitz_radon_numbers():
+    assert tuple(map(estimators._hurwitz_radon_number, range(1, 17))) == HURWITZ_RADON
+
+
+def _quaternion_units():
+    """Left multiplication by 1, i, j, k on R^4 = H."""
+    units = [np.eye(4)]
+    for signs in (((0, 1, -1), (1, 0, 1), (2, 3, -1), (3, 2, 1)),
+                  ((0, 2, -1), (1, 3, 1), (2, 0, 1), (3, 1, -1)),
+                  ((0, 3, -1), (1, 2, -1), (2, 1, 1), (3, 0, 1))):
+        unit = np.zeros((4, 4))
+        for row, col, sign in signs:
+            unit[row, col] = sign
+        units.append(unit)
+    return units
+
+
+@pytest.mark.parametrize("family", [
+    [np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])],
+    _quaternion_units(),
+], ids=["N2-span-I-J", "N4-quaternions"])
+def test_hurwitz_radon_families_have_flat_spectra(family):
+    # rho(N) independent matrices whose every combination is a multiple of
+    # an orthogonal matrix: its ratio ||X||_q / ||X||_p is the norm
+    N = len(family[0])
+    assert len(family) == HURWITZ_RADON[N - 1]
+    assert np.linalg.matrix_rank(np.array([f.ravel() for f in family])) == len(family)
+    coeffs = np.random.default_rng(41).standard_normal((1000, len(family)))
+    members = np.einsum("kf,fij->kij", coeffs, np.array(family))
+    sigma = np.linalg.svd(members, compute_uv=False)
+    assert np.all(sigma[:, -1] >= sigma[:, 0] * (1 - 1e-12))
+    ratio = schatten_norm(members, "4/3") / schatten_norm(members, "inf")
+    assert ratio == pytest.approx(embedding_norm("inf", "4/3", N), rel=1e-12)
+
+
+def _expected_anchor(kind, p, q, N, n):
+    """``(value, reduction)`` of the anchor at a spec that passes the
+    refusal and the exact pairs, or None: the statements, not the code."""
+    p, q = as_exponent(p), as_exponent(q)
+    inv_p, inv_q = (0.0 if e == np.inf else 1 / float(e) for e in (p, q))
+    if p <= q and n <= N:
+        return 1.0, "rank-one-member"
+    if n == N * N:
+        inv_domain = inv_p if kind == "gelfand" else min(inv_p, 1.0)
+        return min(1.0, N ** (inv_q - inv_domain)), "last-index"
+    if p > q and n <= HURWITZ_RADON[N - 1]:
+        return N ** (inv_q - inv_p), "hurwitz-radon"
+    return None
+
+
+def _exact_before_the_anchors(kind, p, q):
+    """Whether ``_closed_form`` refuses the pair or answers it before the
+    anchors (``hilbert-exact``, ``identity-exact``)."""
+    p, q = as_exponent(p), as_exponent(q)
+    if q < 1 and (q < p or (kind == "gelfand" and p != q)):
+        return True
+    return p == q if kind == "gelfand" else p <= q <= max(p, 1)
+
+
+def _anchor_specs(kind, N):
+    """The specs on the exponent grid at side ``N`` that pass the refusal
+    and the exact pairs."""
+    for p, q in itertools.product(EXPONENT_GRID, EXPONENT_GRID):
+        if not _exact_before_the_anchors(kind, p, q):
+            for n in range(1, N * N + 1):
+                yield EmbeddingSpec(p, q, N, n=n)
+
+
+@pytest.mark.parametrize("kind", ["approximation", "gelfand", "kolmogorov"])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_every_grid_anchor_is_answered_exactly(kind, N):
+    anchors = 0
+    for spec in _anchor_specs(kind, N):
+        expected = _expected_anchor(kind, spec.p, spec.q, N, spec.n)
+        if expected is None:
+            assert estimators._anchor(spec, kind) is None
+            continue
+        anchors += 1
+        est = _ESTIMATORS[kind](spec, seed=0)
+        assert est.method == "anchor-exact"
+        assert est.value == pytest.approx(expected[0], rel=1e-15, abs=0.0)
+        assert est.detail == {"reduction": expected[1]}
+        assert (est.snumber_kind, est.restarts, est.converged) == (kind, 0, True)
+    assert anchors > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["approximation", "gelfand", "kolmogorov"]),
+       p=st.sampled_from(EXPONENT_GRID), q=st.sampled_from(EXPONENT_GRID),
+       N=st.sampled_from([2, 3, 4]))
+def test_anchors_lie_between_the_exact_certificates(kind, p, q, N):
+    # the certificates are independent proofs: no anchor may contradict one
+    if _exact_before_the_anchors(kind, p, q):
+        return
+    for n in range(1, N * N + 1):
+        spec = EmbeddingSpec(p, q, N, n=n)
+        if estimators._anchor(spec, kind) is None:
+            continue
+        value = _ESTIMATORS[kind](spec, seed=0).value
+        lows = [c.value for c in lower_certificates(spec, kind) if c.exact_constant]
+        ups = [c.value for c in upper_certificates(spec, kind) if c.exact_constant]
+        assert max(lows, default=0.0) <= value * (1 + 1e-12)
+        assert value <= min(ups) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("p, q, N, n", [("1/2", "4", 2, 3), ("3/4", "inf", 2, 3)])
+def test_approx_quasi_domain_collapses_onto_p_1(p, q, N, n):
+    # conv(S_p ball) = S_1 ball and X -> ||X - A(X)||_q is convex
+    est = estimate_approx(EmbeddingSpec(p, q, N, n=n), seed=0)
+    base = estimate_approx(EmbeddingSpec("1", q, N, n=n), seed=0)
+    assert est.value == base.value
+    assert est.method == base.method == "pg-search"
+    assert est.detail == {"reduction": "quasi-domain-collapse", **base.detail}
+    assert est.spec.p == as_exponent(p)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +567,7 @@ def test_same_seed_reproduces_the_estimate():
 
 
 def test_estimate_carries_its_provenance():
-    spec = EmbeddingSpec("1", "2", 2, n=2)
+    spec = EmbeddingSpec("1", "2", 2, n=3)
     est = estimate_kolmogorov(spec, restarts=4, seed=9)
     assert est.spec == spec
     assert est.snumber_kind == "kolmogorov"
