@@ -96,8 +96,8 @@ class _SplitPair:
     """Scalar Gram data for ``w -> (|u0 - Au w|, |v0 - Av w|)``, ``dim <= 2``.
 
     Everything is unrolled to plain floats: these solvers serve the direct
-    ``N = 2`` distance calls and the net oracle's cross-check, where
-    numpy's per-call overhead on 2-vectors would dominate the arithmetic.
+    ``N = 2`` distance calls, where numpy's per-call overhead on 2-vectors
+    would dominate the arithmetic.
     """
 
     __slots__ = ("m", "cu", "cv", "bu1", "bu2", "bv1", "bv2",

@@ -13,8 +13,9 @@ Methods:
   approximation numbers on ``p <= q <= max(p, 1)`` (see ``_closed_form``);
 * ``anchor-exact`` — the indices the two-sided bounds pin, for all three
   kinds: 1 at ``n <= N`` for ``p <= q`` (``rank-one-member``), the last
-  index ``n = N^2`` (``last-index``), and the norm at ``n <= rho(N)`` for
-  ``p > q``, with ``rho`` the Hurwitz-Radon number (``hurwitz-radon``).
+  index ``n = N^2`` (``last-index``), the norm at ``n <= rho(N)`` for
+  ``p > q``, with ``rho`` the Hurwitz-Radon number (``hurwitz-radon``),
+  and 1 at ``n >= N^2 - N + 1`` for ``p > q`` (``column-zero``).
   ``detail["reduction"]`` names the proof, and the value costs no array
   work.
 
@@ -178,6 +179,8 @@ def _anchor(spec: EmbeddingSpec, kind: str) -> Optional[tuple[float, str]]:
         return last_snumber(kind, p, q, N), "last-index"
     if p > q and n <= _hurwitz_radon_number(N):
         return embedding_norm(p, q, N), "hurwitz-radon"
+    if p > q and n >= N * N - N + 1:
+        return 1.0, "column-zero"
     return None
 
 
@@ -225,6 +228,14 @@ def _closed_form(spec: EmbeddingSpec, kind: str, restarts: int, seed: int
         is the norm: ``c_n >= ||id||``.  The Kolmogorov number is the
         Gelfand number at ``(q*, p*)``, again with ``q* > p*`` and the same
         norm.
+      - ``column-zero``, ``p > q`` and ``n >= N^2 - N + 1``: the value is 1.
+        The approximant that keeps all columns but the first has rank
+        ``N^2 - N <= n - 1`` and leaves ``X -> X e_1 e_1^T``, a matrix of
+        rank one whose norm ``||X e_1||_2`` is at most ``||X||_inf <=
+        ||X||_p``, so ``a_n <= 1`` (``certificates.upper_column_zero``).
+        Every ratio ``||X||_q / ||X||_p`` is at least 1 for ``p > q``, so
+        ``c_n >= 1``; the Kolmogorov number is the Gelfand number at
+        ``(q*, p*)``, again with ``q* > p*``.
     * Approximation numbers reduce, with the inner estimate's method:
       with a Frobenius codomain (domain) to the Kolmogorov (Gelfand)
       numbers (``hilbert-codomain``, ``hilbert-domain``), and at

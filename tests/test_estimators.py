@@ -78,7 +78,7 @@ SEARCH_PINS = [
      {"candidates": 9, "winner": "random-proj-0"}, True),
     (estimate_approx, EmbeddingSpec("4/3", "inf", 2, n=3), 0.7705371642955792,
      {"candidates": 9, "winner": "refined"}, True),
-    (estimate_approx, EmbeddingSpec("inf", "4/3", 2, n=3), 1.0,
+    (estimate_approx, EmbeddingSpec("inf", "4/3", 3, n=4), 1.681792830507429,
      {"candidates": 9, "winner": "col-keep@1"}, True),
     (estimate_approx, EmbeddingSpec("1", "inf", 3, n=5), 0.9149167912427325,
      {"candidates": 9, "winner": "refined"}, True),
@@ -242,9 +242,13 @@ def test_gelfand_quasi_diagonal_is_exactly_one():
 
 @pytest.mark.parametrize("p, q", [("1", "inf"), ("2", "1"), ("1/2", "2"), ("4/3", "4")])
 def test_kolmogorov_is_the_gelfand_search_on_the_annihilator(p, q):
-    # d_n(S_p -> S_q) = c_n(S_q* -> S_max(p,1)*) for q >= 1: one search
+    # d_n(S_p -> S_q) = c_n(S_q* -> S_max(p,1)*) for q >= 1: one search.
+    # At N = 2 every index with p > q is an anchor, so (2, 1) is searched
+    # at N = 3
     spec = EmbeddingSpec(p, q, 2, n=3)
-    dual = EmbeddingSpec(dual_exponent(spec.q), dual_exponent(max(spec.p, 1)), 2, n=3)
+    if spec.p > spec.q:
+        spec = EmbeddingSpec(p, q, 3, n=6)
+    dual = EmbeddingSpec(dual_exponent(spec.q), dual_exponent(max(spec.p, 1)), spec.N, n=spec.n)
     kolmogorov = estimate_kolmogorov(spec, seed=3)
     gelfand = estimate_gelfand(dual, seed=3)
     assert kolmogorov.value == gelfand.value
@@ -332,7 +336,7 @@ def test_no_estimator_solves_a_distance(monkeypatch):
                             (estimate_kolmogorov, ("1/2", "1/2", 2, 4)),
                             (estimate_gelfand, ("1/2", "1", 2, 3)),
                             (estimate_gelfand, ("4/3", "4", 2, 3)),
-                            (estimate_approx, ("inf", "2", 2, 3)),
+                            (estimate_approx, ("1", "2", 2, 3)),
                             (estimate_approx, ("2", "inf", 2, 3)),
                             (estimate_approx, ("4/3", "inf", 2, 3))):
         p, q, N, n = args
@@ -451,6 +455,8 @@ def _expected_anchor(kind, p, q, N, n):
         return min(1.0, N ** (inv_q - inv_domain)), "last-index"
     if p > q and n <= HURWITZ_RADON[N - 1]:
         return N ** (inv_q - inv_p), "hurwitz-radon"
+    if p > q and n > N * (N - 1):
+        return 1.0, "column-zero"
     return None
 
 
