@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import norm_and_gradient, schatten_norm, split_2x2
+from .core import as_square_matrix, norm_and_gradient, schatten_norm, split_2x2
 from .exponents import INF, as_exponent, dual_exponent, is_infinite
 from .operators import SubspaceBasis
 
@@ -567,9 +567,13 @@ def distance_schatten(
     basis: SubspaceBasis,
     q,
 ) -> DistanceResult:
-    """Distance from ``x`` to the subspace in the Schatten-``q`` norm."""
+    """Distance from ``x`` to the subspace in the Schatten-``q`` norm.
+
+    ``x`` must be a finite matrix of the basis's side; anything else
+    raises ``ValueError``.
+    """
     q = as_exponent(q)
-    x = np.asarray(x, dtype=float)
+    x = as_square_matrix(x)
     if x.shape != (basis.N, basis.N):
         raise ValueError(f"x must be {basis.N}x{basis.N}, got {x.shape}")
     if basis.dim == 0:

@@ -451,7 +451,8 @@ def _width_search(spec: EmbeddingSpec, kind: str, restarts: int, seed: int) -> E
     codimension ``n - 1`` with the least ``sup_L ||X||_b / ||X||_a``.
     Candidates are scored with cheap ascents, the best frame is perturbed,
     and the finalists (the perturbed frame only where it moved) are
-    re-evaluated at full budget.
+    re-evaluated at full budget.  ``n >= 2``: the whole space, ``n = 1``,
+    is always an anchor of :func:`_closed_form`.
     """
     N = spec.N
     rng = np.random.default_rng(seed)
@@ -464,22 +465,17 @@ def _width_search(spec: EmbeddingSpec, kind: str, restarts: int, seed: int) -> E
     def full(basis: SubspaceBasis) -> tuple[float, bool]:
         return evaluate(basis, rng, restarts, _FINAL_ITER)
 
-    if m == N * N:
-        value, converged = full(SubspaceBasis(np.eye(m), N))
-        detail = {"candidates": 1, "winner": "whole-space"}
-    else:
-        candidates = _subspace_candidates(N, m, rng)
-        scored = _score(candidates, cheap)
-        _, perturbed = _perturbation_descent(cheap, (scored[0][0], scored[0][2]), rng)
-        finalists = [scored[0][1:]]
-        if perturbed is not scored[0][2]:
-            finalists.insert(0, ("perturbed", perturbed))
-        if len(scored) > 1 and scored[1][0] < 1.15 * scored[0][0]:
-            finalists.append(scored[1][1:])
-        value, winner, converged = _best_finalist(finalists, full)
-        detail = {"candidates": len(candidates), "search_rounds": _SEARCH_ROUNDS,
-                  "winner": winner}
-    detail["pair"] = tuple(map(str, pair))
+    candidates = _subspace_candidates(N, m, rng)
+    scored = _score(candidates, cheap)
+    _, perturbed = _perturbation_descent(cheap, (scored[0][0], scored[0][2]), rng)
+    finalists = [scored[0][1:]]
+    if perturbed is not scored[0][2]:
+        finalists.insert(0, ("perturbed", perturbed))
+    if len(scored) > 1 and scored[1][0] < 1.15 * scored[0][0]:
+        finalists.append(scored[1][1:])
+    value, winner, converged = _best_finalist(finalists, full)
+    detail = {"candidates": len(candidates), "search_rounds": _SEARCH_ROUNDS,
+              "winner": winner, "pair": tuple(map(str, pair))}
     return Estimate(value=value, snumber_kind=kind, method="pg-search", spec=spec,
                     restarts=restarts, seed=seed, converged=converged, detail=detail)
 

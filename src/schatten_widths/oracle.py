@@ -22,15 +22,18 @@ inside the subspace.
 * Approximation numbers reduce to one of the above when either side is
   the Frobenius class; other exponent pairs are refused.
 
-A subspace of codimension 0 is the norm's matrix net, and one of
-dimension 1 a search over its direction.  The nets of planes and
-hyperplanes are augmented with members known exactly: every rank-one
+The whole space (``n = 1``) is the norm's matrix net; every subspace of
+dimension 1, 2 or 3 is searched by the frame search.  The nets of planes
+and hyperplanes are augmented with members known exactly: every rank-one
 member (without them the net-sup misses the cusp maxima of quasi-norm
 ratios), and, for a hyperplane, its two flat-spectrum members, where it
 meets span{I, J} (multiples of rotations) and the plane of multiples of
 reflections.  A hyperplane meets each of those planes, and a flat
 spectrum's ratio is the norm for ``a > b``: the Hurwitz-Radon argument of
-:func:`.estimators._closed_form`.
+:func:`.estimators._closed_form`.  A line's only members are the multiples
+of its direction, so its value is exact; the last index ``n = 4`` reads
+``min(1, 2^(1/b - 1/a))`` (:func:`.core.last_snumber`) at a seed frame, a
+matrix unit for ``a > b`` or a split axis (flat spectrum) for ``a <= b``.
 
 The frame search scores frames in stacks, one stack per round: the
 structured seed frames, the random start frames, then in each zoom round
@@ -64,7 +67,6 @@ import itertools
 import json
 import math
 from importlib import resources
-from typing import Callable
 
 import numpy as np
 
@@ -198,12 +200,6 @@ _SPLIT_DIRS = (
 )
 
 
-def _seed_directions() -> np.ndarray:
-    """Canonical unit directions: coordinates, split axes, flat rank-ones."""
-    flats = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5]])
-    return np.vstack([_COORD_DIRS, _SPLIT_DIRS, flats])
-
-
 def _orth(columns: np.ndarray) -> np.ndarray:
     """Orthonormalize a (F, 4, m) stack of frames with one stacked QR.
 
@@ -215,9 +211,11 @@ def _orth(columns: np.ndarray) -> np.ndarray:
 
 
 def _seed_frames(m: int) -> np.ndarray:
-    """Structured starting frames, (S, 4, m) for m in {2, 3}: coordinate
+    """Structured starting frames, (S, 4, m) for m in {1, 2, 3}: coordinate
     and split-axis spans."""
     dirs = np.vstack([_COORD_DIRS, _SPLIT_DIRS])
+    if m == 1:
+        return _orth(dirs[:, :, None])
     if m == 2:
         pairs = [np.stack([a, b], axis=1) for a, b in itertools.combinations(dirs, 2)]
         return _orth(np.stack(pairs))
@@ -234,19 +232,23 @@ class _RestrictionNet:
     on the rank-one variety that a finite smooth net systematically
     undershoots, and a hyperplane's two flat-spectrum members, whose ratio
     is the norm for ``p > q``.  The ratio over those members alone is
-    :meth:`lower`.  ``scored`` counts the frames scored in full.
+    :meth:`lower`.  A line's members are the multiples of its direction,
+    so at ``dim = 1`` :meth:`lower` is the exact value and the coefficient
+    net is the one point 1.  ``scored`` counts the frames scored in full.
     """
 
     def __init__(self, dim: int, pf: float, qf: float, h: float) -> None:
         self.pf, self.qf, self.dim = pf, qf, dim
         self.scored = 0
-        if dim == 2:
+        if dim == 1:
+            self.W = np.ones((1, 1))
+        elif dim == 2:
             angles = np.arange(0.0, math.pi, h)
             self.W = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         elif dim == 3:
             self.W = _fibonacci_sphere(max(400, int(round(4.0 / (h * h)))))
         else:
-            raise ValueError(f"restriction net expects dim in {{2, 3}}, got {dim}")
+            raise ValueError(f"restriction net expects dim in {{1, 2, 3}}, got {dim}")
         self.thetas = np.arange(0.0, math.pi, h)
 
     def _rank_ones_3(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,13 +311,15 @@ class _RestrictionNet:
 
     def lower(self, B: np.ndarray) -> np.ndarray:
         """Max ratio over the exactly known members of each frame of a
-        (F, 4, dim) stack, shape (F,): the rank-one members, and at
-        ``dim = 3`` the flat-spectrum ones; ``-inf`` for a plane without
-        a rank-one member.
+        (F, 4, dim) stack, shape (F,): the rank-one members, at ``dim = 3``
+        also the flat-spectrum ones, and at ``dim = 1`` the direction;
+        ``-inf`` for a plane without a rank-one member.
 
         This is the exact part of :meth:`__call__`, computed the same way,
         so it never exceeds a frame's value.
         """
+        if self.dim == 1:
+            return _ratio_vec(B[:, :, 0], self.pf, self.qf)
         if self.dim == 3:
             normals = np.linalg.svd(B, full_matrices=True)[0][:, :, 3]
             best = self._flat_ratios_3(normals)
@@ -350,46 +354,14 @@ class _RestrictionNet:
 # ---------------------------------------------------------------------------
 
 
-def _direction_search(
-    value_fn: Callable[[np.ndarray], np.ndarray],
-    rng: np.random.Generator,
-    h: float,
-) -> tuple[float, np.ndarray, int]:
-    """Minimize an exactly evaluable function over unit vectors in R^4."""
-
-    def normalize(Z: np.ndarray) -> np.ndarray:
-        norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
-        keep = norms > 1e-12
-        return Z[keep] / norms[keep, None]
-
-    n0 = max(4000, int(round(1.5 / h**3)))
-    Z = np.vstack([_seed_directions(), normalize(rng.standard_normal((n0, 4)))])
-    vals = value_fn(Z)
-    evaluated = Z.shape[0]
-    order = np.argsort(vals)
-    best_val = float(vals[order[0]])
-    best_z = Z[order[0]].copy()
-    top = Z[order[:16]]
-    for tau in (4.0 * h, 1.6 * h, 0.6 * h, 0.2 * h, 0.07 * h):
-        cloud = top[:, None, :] + tau * rng.standard_normal((top.shape[0], 1024, 4))
-        Z = normalize(np.vstack([cloud.reshape(-1, 4), top]))
-        vals = value_fn(Z)
-        evaluated += Z.shape[0]
-        order = np.argsort(vals)
-        if float(vals[order[0]]) < best_val:
-            best_val = float(vals[order[0]])
-            best_z = Z[order[0]].copy()
-        top = Z[order[:16]]
-    return best_val, best_z, evaluated
-
-
 def _frame_search(
     evaluate: _RestrictionNet,
     m: int,
     rng: np.random.Generator,
     h: float,
 ) -> tuple[float, np.ndarray, int]:
-    """Minimize a frame functional over the Grassmannian of m-planes.
+    """Minimize a frame functional over the Grassmannian of m-planes,
+    m in {1, 2, 3}.
 
     ``evaluate`` scores a (F, 4, m) stack of orthonormal frames, shape
     (F,).  The seed frames are scored as one stack, then the random start
@@ -446,16 +418,14 @@ def _frame_search(
 
 def _norm_path(pf: float, qf: float, h: float, rng) -> tuple[float, int, dict]:
     X = _matrix_net(h, rng)
-    return float(np.max(_ratio_vec(X, pf, qf))), 0, {"net_points": int(X.shape[0])}
+    value = float(np.max(_ratio_vec(X, pf, qf)))
+    return value, 0, {"net_points": int(X.shape[0]), "frames_scored": 0}
 
 
 def _gelfand_path(pf: float, qf: float, n: int, h: float, rng):
     dim = 4 - (n - 1)
     if dim == 4:
         return _norm_path(pf, qf, h, rng)
-    if dim == 1:
-        val, _, evaluated = _direction_search(lambda Z: _ratio_vec(Z, pf, qf), rng, h)
-        return val, evaluated, {"net_points": evaluated, "exact_inner": True}
     evaluator = _RestrictionNet(dim, pf, qf, h)
     val, _, frames = _frame_search(evaluator, dim, rng, h)
     detail = {"net_points": int(evaluator.W.shape[0]), "frames_scored": evaluator.scored}
@@ -495,8 +465,8 @@ def net_oracle(
         ``method="net-oracle"`` with ``detail`` carrying ``h``, the
         heuristic ``error_bar = 2 * max(1, norm) * h``, the path that
         ran, the ``pair`` whose ratio it searched, and net sizes.
-        ``restarts`` counts the frames (or directions) the search
-        considered, and ``detail["frames_scored"]`` those it scored in
+        ``restarts`` counts the frames the search considered (none on
+        the norm path, ``n = 1``), and ``detail["frames_scored"]`` those it scored in
         full; the rest were screened out by a lower bound (see
         :func:`_frame_search`).
     """
@@ -529,7 +499,6 @@ def net_oracle(
     error_bar = 2.0 * max(1.0, embedding_norm(spec.p, spec.q, spec.N)) * h
     detail = {"h": h, "error_bar": error_bar, "path": path, "pair": tuple(map(str, pair))}
     detail.update(extra)
-    detail.setdefault("frames_scored", frames)  # no screen on this path
     return Estimate(
         value=value,
         snumber_kind=snumber_kind,

@@ -88,6 +88,8 @@ def apply_info_map(info: InfoMap, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"matrix shape {X.shape} does not match the map's ({info.N}, {info.N})"
         )
+    if not np.isfinite(X).all():
+        raise ValueError("matrix entries must be finite")
     return info.as_rows @ X.ravel()
 
 
@@ -104,6 +106,11 @@ class DecoderResult:
     converged: bool
     iterations: int
     residual: float
+
+
+def _require_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _svt(W: np.ndarray, threshold: float) -> np.ndarray:
@@ -134,13 +141,18 @@ def nuclear_decoder(
     once ``||info(z) - y|| <= tol`` and the fixed-point gap ``||z - x||``
     is within ``1e-8 max(1, ||x||)``; ``converged`` reports both tests.
     Deterministic; never raises on non-convergence — the flag, the step
-    count and the residual of the returned ``z`` say so.
+    count and the residual of the returned ``z`` say so.  Non-finite
+    measurements, a ``tol`` that is not positive and finite, and a
+    ``max_iter`` that is not a positive integer raise ``ValueError``.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.shape != (info.m,):
         raise ValueError(f"expected {info.m} measurements, got shape {y.shape}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    if not np.isfinite(y).all():
+        raise ValueError("measurements must be finite")
+    _require_tol(tol)
+    if (steps := as_int(max_iter)) is None or steps < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     N = info.N
     G = info.as_rows
     ynorm = float(np.linalg.norm(y))
@@ -154,11 +166,11 @@ def nuclear_decoder(
 
     v = np.zeros(N * N)
     gamma = 0.5 * float(np.linalg.norm(project(v)))
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, steps + 1):
         x = project(v)
         z = _svt((2.0 * x - v).reshape(N, N), gamma).ravel()
         v += z - x
-        if iterations % 10 and iterations < max_iter:
+        if iterations % 10 and iterations < steps:
             continue
         residual = float(np.linalg.norm(G @ z - y))
         gap = float(np.linalg.norm(z - x))
@@ -240,10 +252,12 @@ def worst_case_error(
     recovery_envelope(p, q, N, m)  # validates the regime, N and m
     pe, qe = as_exponent(p), as_exponent(q)
     N, m = as_matrix_side(N), as_int(m)
-    if test_budget < 3:
-        raise ValueError("test_budget must cover the mandatory instances (>= 3)")
+    if (budget := as_int(test_budget)) is None or budget < 3:
+        raise ValueError("test_budget must be an integer that covers the mandatory "
+                         f"instances (>= 3), got {test_budget!r}")
+    _require_tol(tol)
     rng = np.random.default_rng(seed)
-    battery = _test_battery(N, pe, rng, test_budget)
+    battery = _test_battery(N, pe, rng, budget)
     info = build_info_map(N, m, seed) if m >= 1 else None
 
     errors = []

@@ -4,8 +4,10 @@ The calibration checks compare the fast estimators against net-oracle
 values that were computed once and committed as package data at
 ``src/schatten_widths/data/oracle_battery.json``.  This script recomputes
 that file.  Run it only when the oracle or the battery itself changes.
-Either mode takes about 0.6 s (0.2 s of oracle calls; the rest is the
-interpreter and the imports) on a 2-core Xeon VM at one BLAS thread:
+The timings are printed, not written, so a re-freeze rewrites only the
+values and frame counts that moved.  Either mode takes about 0.5 s
+(0.1 s of oracle calls; the rest is the interpreter and the imports) on
+a 2-core Xeon VM at one BLAS thread:
 
     python3 tests/fixtures/regenerate.py
 
@@ -80,12 +82,11 @@ def compute(h: float, seed: int) -> list[dict]:
                 "error_bar": est.detail["error_bar"],
                 "path": est.detail["path"],
                 "frames": est.restarts,
-                "runtime_s": round(elapsed, 2),
             }
         )
         print(
             f"{kind:<10} p={points[-1]['p']:<4} q={points[-1]['q']:<4} n={n}: "
-            f"{est.value:.6f}  ({elapsed:.1f}s, path={est.detail['path']})"
+            f"{est.value:.6f}  ({elapsed:.3f}s, path={est.detail['path']})"
         )
     return points
 
@@ -145,10 +146,9 @@ def main() -> int:
     start = time.perf_counter()
     points = compute(args.h, args.seed)
     total = time.perf_counter() - start
-    payload = {"h": args.h, "seed": args.seed, "total_runtime_s": round(total, 1),
-               "points": points}
+    payload = {"h": args.h, "seed": args.seed, "points": points}
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output} ({total:.1f}s total)")
+    print(f"wrote {args.output} ({total:.2f}s total)")
     return 0
 
 

@@ -109,6 +109,14 @@ def test_envelope_n_range_clips_and_rejects_empty(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_recovery_reports_a_bad_tolerance_as_a_usage_error(capsys, tol):
+    code, out, err = _run(capsys, ["recovery", "-p", "1", "-q", "2", "-N", "4",
+                                   "--m-list", "4", "--tol", tol])
+    assert code == 2 and out == ""
+    assert "error: tol must be positive and finite" in err
+
+
 def test_envelope_rejects_an_empty_matrix_side_before_the_range(capsys):
     code, out, err = _run(capsys, ["envelope", "-p", "1", "-q", "2", "-N", "0"])
     assert code == 2 and out == ""

@@ -161,6 +161,18 @@ def test_shape_mismatch_raises():
         distance_schatten(np.eye(2), basis, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("q", ["1/2", "1", "3/2", "2", "inf"])
+@pytest.mark.parametrize("N", [2, 3])
+def test_non_finite_input_raises_on_every_path(N, q, bad):
+    rng = np.random.default_rng(5)
+    basis = _random_basis(rng, N, 2)
+    x = rng.standard_normal((N, N))
+    x[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        distance_schatten(x, basis, q)
+
+
 def _assert_homogeneous_at_extreme_scales(N, q, dim=None, rel=1e-8):
     rng = np.random.default_rng(40 + N)
     a = rng.standard_normal((N, N))

@@ -1,6 +1,7 @@
 """Net-search reference oracle and its frozen calibration battery."""
 import functools
 import gc
+import itertools
 import math
 import weakref
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schatten_widths.core import EmbeddingSpec, embedding_norm, schatten_norm
+from schatten_widths.acceptance import EXPONENT_GRID
+from schatten_widths.core import EmbeddingSpec, embedding_norm, last_snumber, schatten_norm
 from schatten_widths.distances import distance_schatten
 from schatten_widths.estimators import estimate_gelfand
 from schatten_widths.exponents import dual_exponent, exponent_float
@@ -138,9 +140,9 @@ def test_net_oracle_takes_the_estimators_name_for_approximation_numbers(p, q):
         net_oracle(EmbeddingSpec("4/3", "4", 2, n=2), "approximation")
 
 
-# every frozen point is cheap at the frozen resolution (about 0.2 s
-# together): the restriction nets, the direction search and the norm net,
-# all of them built on the 2x2 rotation/reflection split
+# every frozen point is cheap at the frozen resolution (about 0.1 s
+# together): the restriction nets of lines, planes and hyperplanes, all of
+# them built on the 2x2 rotation/reflection split
 FROZEN = load_frozen_battery()
 
 
@@ -199,15 +201,22 @@ def test_kolmogorov_numbers_run_the_gelfand_net_at_the_dual_pair():
             net_oracle(EmbeddingSpec("1/2", "3/4", 2, n=n), "kolmogorov", h=0.25)
 
 
-@pytest.mark.parametrize(
-    "kind,p,q,n",
-    [("kolmogorov", "1", "2", 1), ("kolmogorov", "1", "2", 4), ("gelfand", "2", "4", 4)],
-)
+@pytest.mark.parametrize("kind,p,q,n", [("kolmogorov", "1", "2", 1)])
 def test_paths_without_a_frame_search_score_all_they_consider(kind, p, q, n):
-    # the norm path considers no frames; the direction searches score each
-    # direction exactly
+    # the norm path, the whole space, considers no frames
     est = net_oracle(EmbeddingSpec(p, q, 2, n=n), kind, h=0.25)
-    assert est.detail["frames_scored"] == est.restarts
+    assert est.detail["frames_scored"] == est.restarts == 0
+
+
+@pytest.mark.parametrize("p,q", list(itertools.product(EXPONENT_GRID, EXPONENT_GRID)))
+def test_one_dimensional_restrictions_read_the_last_snumber(p, q):
+    # c_4 = min(1, 2^(1/q - 1/p)) is the least ratio of one matrix, at a
+    # split axis (flat spectrum) for p <= q and a matrix unit otherwise:
+    # both are seed frames, and every later line is screened by its exact
+    # value
+    est = net_oracle(EmbeddingSpec(p, q, 2, n=4), "gelfand", h=0.25)
+    assert est.value == pytest.approx(last_snumber("gelfand", p, q, 2), rel=1e-15, abs=0.0)
+    assert 0 < est.detail["frames_scored"] < est.restarts
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,11 +328,12 @@ def _frame_search_one_by_one(evaluate, m, rng, h):
 @pytest.mark.parametrize(
     "make,m",
     [
+        (lambda h: _RestrictionNet(1, 2.0, 4.0, h), 1),
         (lambda h: _RestrictionNet(2, 2.0, 4.0, h), 2),
         (lambda h: _RestrictionNet(3, 0.5, 1.0, h), 3),
         (lambda h: _RestrictionNet(3, math.inf, 2.0, h), 3),
     ],
-    ids=["restriction-dim2", "restriction-dim3", "restriction-dim3-flat"],
+    ids=["restriction-dim1", "restriction-dim2", "restriction-dim3", "restriction-dim3-flat"],
 )
 def test_stacked_frame_search_repeats_the_one_by_one_search(make, m):
     h = 0.25
@@ -364,7 +374,7 @@ EXPONENT = st.one_of(st.floats(0.3, 8.0), st.just(math.inf))
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(
-    dim=st.sampled_from([2, 3]),
+    dim=st.sampled_from([1, 2, 3]),
     p=EXPONENT,
     q=EXPONENT,
     seed=st.integers(0, 2**16),
@@ -376,13 +386,15 @@ def test_lower_bounds_never_exceed_the_frame_values(dim, p, q, seed):
         frames[0] = oracle._SPLIT_DIRS[:2].T  # rotations: no rank-one member
         frames[1] = np.eye(4)[:, [3, 0]]  # det(C) = 0 with a linear root
         frames[2] = np.eye(4)[:, [0, 1]]  # det(C) = 0 and no linear term
-    else:
+    elif dim == 3:
         frames[0] = np.eye(4)[:, [0, 1, 3]]  # the rank-one net drops the angle 0
         frames[1:3] = _FLAT_HOLDERS
     bounds = evaluate.lower(frames)
     values = evaluate(frames)
     assert bounds.shape == values.shape == (frames.shape[0],)
     assert np.all(bounds <= values)
+    if dim == 1:
+        assert np.array_equal(bounds, values)  # a line's value is exact
     if dim == 2:
         assert bounds[0] == -np.inf
 
@@ -399,7 +411,7 @@ def test_every_hyperplane_reads_the_norm_from_its_flat_members(p, q):
     assert np.allclose(bounds, norm, rtol=4e-16, atol=0.0)
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_frame_search_builds_its_seed_frames_once(monkeypatch, m):
     # at m = 3 each build takes eight full SVDs
     builds = []

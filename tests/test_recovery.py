@@ -67,6 +67,14 @@ def test_apply_info_map_is_linear_and_matches_traces():
         apply_info_map(info, np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_apply_info_map_rejects_non_finite_matrices(bad):
+    x = np.eye(3)
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        apply_info_map(build_info_map(3, 5, seed=3), x)
+
+
 def test_same_seed_gives_the_same_map():
     a = build_info_map(3, 4, seed=9)
     b = build_info_map(3, 4, seed=9)
@@ -118,6 +126,29 @@ def test_decoder_validates_measurement_length():
         nuclear_decoder(info, np.ones(4), max_iter=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decoder_rejects_non_finite_measurements(bad):
+    y = np.ones(4)
+    y[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        nuclear_decoder(build_info_map(3, 4, seed=0), y)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 10.0, True, "10"])
+def test_decoder_takes_an_integer_step_cap(max_iter):
+    info = build_info_map(3, 4, seed=0)
+    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+        nuclear_decoder(info, np.ones(4), max_iter=max_iter)
+    res = nuclear_decoder(info, np.ones(4), max_iter=np.int64(10))
+    assert res.iterations == 10
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_decoder_requires_a_positive_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        nuclear_decoder(build_info_map(3, 4, seed=0), np.ones(4), tol)
+
+
 def test_decoder_flags_tell_the_truth_at_the_iteration_cap():
     N = 8
     rng = np.random.default_rng(7)
@@ -166,6 +197,22 @@ def test_worst_case_error_validates_its_regime():
     for N in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="N must be a positive integer"):
             worst_case_error(N, "1", "2", 0)
+
+
+@pytest.mark.parametrize("budget", [3.5, 4.0, True])
+def test_worst_case_error_takes_an_integer_test_budget(budget):
+    with pytest.raises(ValueError, match="test_budget must be an integer"):
+        worst_case_error(4, "1", "2", 4, test_budget=budget)
+    res = worst_case_error(4, "1", "2", 0, test_budget=np.int64(4))
+    assert len(res.errors) == 4
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_worst_case_error_requires_a_positive_finite_tolerance(tol):
+    # m = 0 runs no decode and is refused all the same
+    for m in (0, 4):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            worst_case_error(4, "1", "2", m, tol=tol)
 
 
 def test_no_information_means_error_one():
