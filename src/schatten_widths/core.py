@@ -525,6 +525,12 @@ def last_snumber(kind: str, p: ExponentLike, q: ExponentLike, N: int) -> float:
     projection onto span(E_11) leaves ``X -> X_11 E_11``, of norm 1.  For
     ``q < 1`` the quasi-norm exponents collapse onto 1 (hyperplane
     distances below 1 coincide with the nuclear-norm case).
+
+    For ``p <= q`` the same value is the ``n``-th number at every
+    ``n > N^2 - rho(N)``, with ``rho`` the Hurwitz-Radon number: a
+    ``rho(N)``-dimensional space of multiples of orthogonal matrices, and
+    ``id`` minus the Frobenius projection onto it, attain it there (the
+    ``hurwitz-radon-tail`` anchor of ``estimators._closed_form``).
     """
     pe, qe = as_exponent(p), as_exponent(q)
     N = as_matrix_side(N)

@@ -13,16 +13,19 @@ Methods:
   approximation numbers on ``p <= q <= max(p, 1)`` (see ``_closed_form``);
 * ``anchor-exact`` — the indices the two-sided bounds pin, for all three
   kinds: 1 at ``n <= N`` for ``p <= q`` (``rank-one-member``), the last
-  index ``n = N^2`` (``last-index``), the norm at ``n <= rho(N)`` for
-  ``p > q``, with ``rho`` the Hurwitz-Radon number (``hurwitz-radon``),
-  and 1 at ``n >= N^2 - N + 1`` for ``p > q`` (``column-zero``).
-  ``detail["reduction"]`` names the proof, and the value costs no array
-  work.
+  index ``n = N^2`` (``last-index``), the last index's value at every
+  ``n > N^2 - rho(N)`` for ``p <= q``, with ``rho`` the Hurwitz-Radon
+  number (``hurwitz-radon-tail``), the norm at ``n <= rho(N)`` for
+  ``p > q`` (``hurwitz-radon``), and 1 at ``n >= N^2 - N + 1`` for
+  ``p > q`` (``column-zero``).  ``detail["reduction"]`` names the proof,
+  and the value costs no array work.
 
 One function, ``_closed_form``, decides the exact cases and the
 approximation numbers' reductions for all three estimators, and rejects
 the inputs no search handles; an estimator searches only where it finds
-none.
+none.  At ``N = 2`` it finds one for every spec it accepts, so the
+estimators never search there; the searches themselves stay reachable
+as ``_width_search`` and ``_approx_search``.
 
 Gelfand and Kolmogorov numbers share one search over subspaces.  The
 ``n``-th Gelfand number of ``S_a -> S_b`` is the least, over subspaces
@@ -177,6 +180,8 @@ def _anchor(spec: EmbeddingSpec, kind: str) -> Optional[tuple[float, str]]:
         return 1.0, "rank-one-member"
     if n == N * N:
         return last_snumber(kind, p, q, N), "last-index"
+    if p <= q and n > N * N - _hurwitz_radon_number(N):
+        return last_snumber(kind, p, q, N), "hurwitz-radon-tail"
     if p > q and n <= _hurwitz_radon_number(N):
         return embedding_norm(p, q, N), "hurwitz-radon"
     if p > q and n >= N * N - N + 1:
@@ -219,6 +224,28 @@ def _closed_form(spec: EmbeddingSpec, kind: str, restarts: int, seed: int
         again with domain exponent at most the codomain's.  The norm is 1.
       - ``last-index``, ``n = N^2``: ``core.last_snumber``, whose docstring
         has the proof and the two attaining approximants.
+      - ``hurwitz-radon-tail``, ``p <= q`` and ``n > N^2 - rho(N)``: the
+        value is ``core.last_snumber``, ``N^(1/q-1/p)`` for Gelfand numbers
+        and ``N^(1/q-1/max(p,1))`` for the other two.  Lower bound: by the
+        power-mean inequality, ``||X||_q / ||X||_p >= N^(1/q-1/p)`` for
+        ``p <= q``, so ``c_n`` is at least that, and ``d_n`` at least
+        ``N^(1/q-1/max(p,1))``, the same bound at the searched pair
+        ``(q*, max(p,1)*)``.  Upper bound for the widths: the Hurwitz-Radon
+        space ``H`` (see ``hurwitz-radon``) has codimension
+        ``N^2 - rho(N) <= n - 1``, so it holds a subspace of codimension
+        ``n - 1``.  Every member has a flat spectrum, so the sup of the
+        ratio over ``H`` is ``N^(1/q-1/p)``, and ``N^(1/q-1/max(p,1))`` at
+        the searched pair.
+        Upper bound for ``a_n``: the approximant ``id - P_H``, with ``P_H``
+        the Frobenius projection onto ``H``, has rank ``N^2 - rho(N) <=
+        n - 1``.  Write ``P_H X = sum c_k Q_k`` with ``Q_k`` the orthogonal
+        family spanning ``H``, ``tr(Q_k^T Q_l) = N delta_kl``.  Every
+        ``sum a_k Q_k`` with ``|a| = 1`` is orthogonal, so by Hoelder
+        ``|c| = sup_{|a|=1} <X, sum a_k Q_k> / N <= ||X||_1 / N <=
+        N^(-1/max(p,1)) ||X||_p``, and ``||P_H X||_q = N^(1/q) |c| <=
+        N^(1/q-1/max(p,1)) ||X||_p`` for every ``p`` and ``q``.  At
+        ``N = 2`` (``rho = 2``) the rule covers ``n = 3``, and with the
+        other anchors every spec the estimators accept.
       - ``hurwitz-radon``, ``p > q`` and ``n <= rho(N)``: the value is the
         norm ``N^(1/q-1/p)``.  By Hurwitz and Radon, a ``rho(N)``
         dimensional space ``H`` of multiples of orthogonal matrices exists
@@ -608,26 +635,15 @@ def _adversarial_refine(spec: EmbeddingSpec, A: np.ndarray, rank: int,
     return A
 
 
-def estimate_approx(
-    spec: EmbeddingSpec,
-    *,
-    restarts: int = 6,
-    seed: int = 0,
-) -> Estimate:
-    """Estimate the ``n``-th approximation number: the best achievable
-    residual norm ``sup_X ||X - A(X)||_q / ||X||_p`` over candidate maps
-    ``A`` of rank below ``n``.
+def _approx_search(spec: EmbeddingSpec, restarts: int, seed: int) -> Estimate:
+    """The search behind :func:`estimate_approx`, the counterpart of
+    :func:`_width_search`.
 
-    The search runs only where ``_closed_form`` finds nothing exact: on
-    ``p <= q <= max(p, 1)`` the value is exactly 1, squeezed between the
-    Kolmogorov number and the norm (``width-sandwich``); the anchors
-    (``n = 1`` among them) are exact; when one side is the Frobenius class
-    the width scales give it, and a quasi-norm domain reduces to ``p = 1``.
-    Candidate approximants are scored with cheap ascents, the
-    best is refined adversarially, and the refined map and the two best
-    candidates are re-evaluated at full budget."""
-    if (exact := _closed_form(spec, "approximation", restarts, seed)) is not None:
-        return exact
+    Candidate approximants of rank ``n - 1`` are scored with cheap
+    ascents, the best is refined adversarially, and the refined map and the
+    two best candidates are re-evaluated at full budget.  ``n >= 2``: the
+    first index is always an anchor of :func:`_closed_form`.
+    """
     rng = np.random.default_rng(seed)
     rank = spec.n - 1
 
@@ -651,3 +667,24 @@ def estimate_approx(
         converged=converged,
         detail={"candidates": len(candidates), "winner": winner},
     )
+
+
+def estimate_approx(
+    spec: EmbeddingSpec,
+    *,
+    restarts: int = 6,
+    seed: int = 0,
+) -> Estimate:
+    """Estimate the ``n``-th approximation number: the best achievable
+    residual norm ``sup_X ||X - A(X)||_q / ||X||_p`` over candidate maps
+    ``A`` of rank below ``n``.
+
+    The search runs only where ``_closed_form`` finds nothing exact: on
+    ``p <= q <= max(p, 1)`` the value is exactly 1, squeezed between the
+    Kolmogorov number and the norm (``width-sandwich``); the anchors
+    (``n = 1`` among them) are exact; when one side is the Frobenius class
+    the width scales give it, and a quasi-norm domain reduces to ``p = 1``.
+    Elsewhere :func:`_approx_search` runs."""
+    if (exact := _closed_form(spec, "approximation", restarts, seed)) is not None:
+        return exact
+    return _approx_search(spec, restarts, seed)

@@ -60,6 +60,13 @@ does not depend on its stack.
 
 Values carry an ``O(h)`` error bar and are deterministic given the seed.
 The cost guard refuses ``N > 2``.
+
+At ``N = 2`` the estimators answer every spec they accept from an exact
+anchor of :func:`.estimators._closed_form` and never search, so the
+frozen calibration battery cross-checks those anchors: two independent
+derivations, the anchors' proofs and this net, of the same values.  The
+width search itself is graded against the net by calling
+``estimators._width_search``, past the anchors.
 """
 from __future__ import annotations
 

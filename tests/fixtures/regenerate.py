@@ -2,8 +2,11 @@
 
 The calibration checks compare the fast estimators against net-oracle
 values that were computed once and committed as package data at
-``src/schatten_widths/data/oracle_battery.json``.  This script recomputes
-that file.  Run it only when the oracle or the battery itself changes.
+``src/schatten_widths/data/oracle_battery.json``.  At N = 2 the
+estimators answer every battery point from an exact anchor, without a
+search, so the battery cross-checks those anchors against the net.  This
+script recomputes that file.  Run it only when the oracle or the battery
+itself changes.
 The timings are printed, not written, so a re-freeze rewrites only the
 values and frame counts that moved.  Either mode takes about 0.5 s
 (0.1 s of oracle calls; the rest is the interpreter and the imports) on

@@ -295,10 +295,10 @@ def test_estimate_norm_runs_without_an_index(capsys):
 
 def test_estimate_prints_the_direct_gelfand_ascent_flag(capsys):
     # the direct (quasi-norm domain) Gelfand search reports whether its
-    # final ascent converged
+    # final ascent converged; at N = 2 every index is an anchor
     code, out, _ = _run(
         capsys,
-        ["estimate", "--kind", "gelfand", "-p", "1/2", "-q", "1", "-N", "2", "-n", "3"],
+        ["estimate", "--kind", "gelfand", "-p", "1/2", "-q", "1", "-N", "3", "-n", "8"],
     )
     assert code == 0
     row = _csv_rows(out)[1]
@@ -326,9 +326,11 @@ def test_estimate_rejects_a_non_positive_restart_count(capsys, kind):
 
 
 def test_estimate_json_carries_detail(capsys):
+    # a searched point (at N = 2 every index is an anchor); at seed 0 the
+    # search reads 1/sqrt(2), the sup over its winner span{I, E_12 - E_21}
     code, out, _ = _run(
         capsys,
-        ["estimate", "-p", "1", "-q", "2", "-N", "2", "-n", "3",
+        ["estimate", "-p", "1", "-q", "2", "-N", "3", "-n", "8",
          "--kind", "kolmogorov", "--format", "json"],
     )
     assert code == 0
@@ -374,7 +376,9 @@ def test_estimate_reports_the_exact_quasi_approximation_number(capsys):
     ("kolmogorov", "1", "inf", "3", "2", "anchor-exact", "rank-one-member", "1"),
     ("approximation", "1/2", "4/3", "3", "9", "anchor-exact", "last-index", "0.759835685652"),
     ("gelfand", "2", "1", "4", "3", "anchor-exact", "hurwitz-radon", "2"),
-    ("approximation", "1/2", "4", "2", "3", "pg-search", "quasi-domain-collapse", None),
+    ("approximation", "1/2", "4", "2", "3", "anchor-exact", "hurwitz-radon-tail",
+     "0.594603557501"),
+    ("approximation", "3/4", "inf", "3", "4", "pg-search", "quasi-domain-collapse", None),
 ])
 def test_estimate_names_the_anchor_rule(capsys, kind, p, q, N, n, method, reduction, value):
     code, out, _ = _run(

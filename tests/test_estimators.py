@@ -1,5 +1,6 @@
 """Numerical s-number estimators: pins, reductions, determinism."""
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from schatten_widths import distances, estimators
 from schatten_widths.acceptance import EXPONENT_GRID
 from schatten_widths.ascent import sup_ratio_ascent
 from schatten_widths.certificates import lower_certificates, upper_certificates
-from schatten_widths.core import EmbeddingSpec, embedding_norm, schatten_norm
+from schatten_widths.core import EmbeddingSpec, embedding_norm, last_snumber, schatten_norm
 from schatten_widths.exponents import as_exponent, dual_exponent
 from schatten_widths.estimators import (
     estimate_approx,
@@ -38,10 +39,17 @@ def test_norm_estimate_matches_the_closed_form(p, q):
 # pinned width values
 # ---------------------------------------------------------------------------
 
+#: The search behind each estimator at its default budget, called past
+#: ``_closed_form``: at N = 2 the estimators answer every spec exactly
+#: without one
+SEARCH = {kind: partial(estimators._width_search, kind=kind, restarts=6, seed=0)
+          for kind in ("gelfand", "kolmogorov")}
+SEARCH["approximation"] = partial(estimators._approx_search, restarts=6, seed=0)
+
 
 def test_kolmogorov_pinned_value_trace_to_frobenius():
     # third width of S_1 -> S_2 at N = 2 equals 1/sqrt(2)
-    est = estimate_kolmogorov(EmbeddingSpec("1", "2", 2, n=3), seed=0)
+    est = SEARCH["kolmogorov"](EmbeddingSpec("1", "2", 2, n=3))
     assert est.value == pytest.approx(2.0**-0.5, rel=1e-6)
     assert est.method == "pg-search"
     assert est.converged
@@ -69,20 +77,22 @@ def test_identity_widths_are_one_for_small_indices():
 # from a values-only SVD's, or from those of the normalized copy.  The
 # Kolmogorov number of S_1 -> S_inf is searched as the Gelfand number of
 # the same pair (its dual); both width values are the exact ones, and so
-# is the norm's.
+# is the norm's.  The N = 2, n = 3 points are the searches themselves (the
+# estimators answer them with the ``hurwitz-radon-tail`` anchor): the two
+# approximation searches read above the exact 1/2 and 2^(-3/4).
 SEARCH_PINS = [
-    (estimate_kolmogorov, EmbeddingSpec("1", "inf", 2, n=3), 0.5,
+    (SEARCH["kolmogorov"], EmbeddingSpec("1", "inf", 2, n=3), 0.5,
      {"candidates": 8, "search_rounds": 16, "winner": "split-rotation", "pair": ("1", "inf")},
      True),
-    (estimate_approx, EmbeddingSpec("1", "inf", 2, n=3), 0.9949521602699152,
+    (SEARCH["approximation"], EmbeddingSpec("1", "inf", 2, n=3), 0.9949521602699152,
      {"candidates": 9, "winner": "random-proj-0"}, True),
-    (estimate_approx, EmbeddingSpec("4/3", "inf", 2, n=3), 0.7705371642955792,
+    (SEARCH["approximation"], EmbeddingSpec("4/3", "inf", 2, n=3), 0.7705371642955792,
      {"candidates": 9, "winner": "refined"}, True),
     (estimate_approx, EmbeddingSpec("inf", "4/3", 3, n=4), 1.681792830507429,
      {"candidates": 9, "winner": "col-keep@1"}, True),
     (estimate_approx, EmbeddingSpec("1", "inf", 3, n=5), 0.9149167912427325,
      {"candidates": 9, "winner": "refined"}, True),
-    (estimate_gelfand, EmbeddingSpec("1/2", "2", 2, n=3), 0.3535533905932738,
+    (SEARCH["gelfand"], EmbeddingSpec("1/2", "2", 2, n=3), 0.3535533905932738,
      {"candidates": 8, "search_rounds": 16, "winner": "split-rotation", "pair": ("1/2", "2")},
      True),
     (operator_norm_estimate, EmbeddingSpec("1/2", "2", 3), 1.0,
@@ -181,7 +191,7 @@ def test_ascent_forms_gradients_only_at_starts_and_accepted_points(monkeypatch):
 
     monkeypatch.setattr(ascent, "norms_and_deferred_gradients", recording_layer)
     monkeypatch.setattr(estimators, "sup_ratio_ascent", recording_ascent)
-    estimate_kolmogorov(EmbeddingSpec("1", "2", 2, n=3))
+    SEARCH["kolmogorov"](EmbeddingSpec("1", "2", 2, n=3))
     assert runs
     formed = candidates = 0
     for p, starts, points in runs:
@@ -243,11 +253,8 @@ def test_gelfand_quasi_diagonal_is_exactly_one():
 @pytest.mark.parametrize("p, q", [("1", "inf"), ("2", "1"), ("1/2", "2"), ("4/3", "4")])
 def test_kolmogorov_is_the_gelfand_search_on_the_annihilator(p, q):
     # d_n(S_p -> S_q) = c_n(S_q* -> S_max(p,1)*) for q >= 1: one search.
-    # At N = 2 every index with p > q is an anchor, so (2, 1) is searched
-    # at N = 3
-    spec = EmbeddingSpec(p, q, 2, n=3)
-    if spec.p > spec.q:
-        spec = EmbeddingSpec(p, q, 3, n=6)
+    # At N = 2 every index is an anchor, so the pairs are searched at N = 3
+    spec = EmbeddingSpec(p, q, 3, n=6)
     dual = EmbeddingSpec(dual_exponent(spec.q), dual_exponent(max(spec.p, 1)), spec.N, n=spec.n)
     kolmogorov = estimate_kolmogorov(spec, seed=3)
     gelfand = estimate_gelfand(dual, seed=3)
@@ -322,8 +329,10 @@ def test_width_search_reaches_every_n2_grid_anchor(key):
 
 
 def test_no_estimator_solves_a_distance(monkeypatch):
-    # every width search scores subspaces by norm ratios alone, and the
-    # quasi diagonal p = q < 1 is exact
+    # every search scores subspaces or approximants by norm ratios alone,
+    # and the quasi diagonal p = q < 1 is exact.  At N = 2 the estimators
+    # answer every spec without a search, so the searches are called past
+    # them; an approximation number with a Frobenius side is a width
     calls = []
     solve = distances.distance_schatten
 
@@ -334,15 +343,15 @@ def test_no_estimator_solves_a_distance(monkeypatch):
     monkeypatch.setattr(distances, "distance_schatten", spy)
     assert not hasattr(estimators, "distance_schatten")
     searched = []
-    for estimator, args in ((estimate_kolmogorov, ("1", "inf", 2, 3)),
-                            (estimate_kolmogorov, ("1/2", "2", 2, 3)),
+    for estimator, args in ((SEARCH["kolmogorov"], ("1", "inf", 2, 3)),
+                            (SEARCH["kolmogorov"], ("1/2", "2", 2, 3)),
                             (estimate_kolmogorov, ("1/2", "1/2", 2, 2)),
                             (estimate_kolmogorov, ("1/2", "1/2", 2, 4)),
-                            (estimate_gelfand, ("1/2", "1", 2, 3)),
-                            (estimate_gelfand, ("4/3", "4", 2, 3)),
-                            (estimate_approx, ("1", "2", 2, 3)),
-                            (estimate_approx, ("2", "inf", 2, 3)),
-                            (estimate_approx, ("4/3", "inf", 2, 3))):
+                            (SEARCH["gelfand"], ("1/2", "1", 2, 3)),
+                            (SEARCH["gelfand"], ("4/3", "4", 2, 3)),
+                            (SEARCH["kolmogorov"], ("1", "2", 2, 3)),
+                            (SEARCH["gelfand"], ("2", "inf", 2, 3)),
+                            (SEARCH["approximation"], ("4/3", "inf", 2, 3))):
         p, q, N, n = args
         searched.append(estimator(EmbeddingSpec(p, q, N, n=n), seed=0).method == "pg-search")
     assert calls == []
@@ -396,9 +405,10 @@ def test_approx_index_one_is_the_norm():
 
 
 def test_approx_frobenius_reductions_are_labelled():
-    est = estimate_approx(EmbeddingSpec("2", "inf", 2, n=3), seed=0)
+    # at N = 2 every index is an anchor
+    est = estimate_approx(EmbeddingSpec("2", "inf", 3, n=8), seed=0)
     assert est.detail["reduction"] == "hilbert-domain"
-    est = estimate_approx(EmbeddingSpec("1", "2", 2, n=3), seed=0)
+    est = estimate_approx(EmbeddingSpec("1", "2", 3, n=8), seed=0)
     assert est.detail["reduction"] == "hilbert-codomain"
 
 
@@ -429,10 +439,14 @@ def _quaternion_units():
     return units
 
 
-@pytest.mark.parametrize("family", [
+#: the Hurwitz-Radon families of N = 2 and N = 4, rho(N) matrices each
+HURWITZ_RADON_FAMILIES = pytest.mark.parametrize("family", [
     [np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])],
     _quaternion_units(),
 ], ids=["N2-span-I-J", "N4-quaternions"])
+
+
+@HURWITZ_RADON_FAMILIES
 def test_hurwitz_radon_families_have_flat_spectra(family):
     # rho(N) independent matrices whose every combination is a multiple of
     # an orthogonal matrix: its ratio ||X||_q / ||X||_p is the norm
@@ -447,16 +461,55 @@ def test_hurwitz_radon_families_have_flat_spectra(family):
     assert ratio == pytest.approx(embedding_norm("inf", "4/3", N), rel=1e-12)
 
 
+@HURWITZ_RADON_FAMILIES
+def test_hurwitz_radon_complement_attains_the_tail_approximation_number(family):
+    # id - P_H, with P_H the Frobenius projection onto the family's span H,
+    # has rank N^2 - rho(N) and leaves P_H X, whose q-norm is at most
+    # N^(1/q - 1/max(p, 1)) ||X||_p (Hoelder against H's orthogonal
+    # members): the hurwitz-radon-tail value of a_n at p <= q.  E_11 = e_1
+    # e_1^T (rank one) attains the bound at p <= 1, and I, a member of H, at
+    # p >= 1
+    N, rho = len(family[0]), len(family)
+    frame = np.array([f.ravel() for f in family]).T / np.sqrt(N)
+    assert np.allclose(frame.T @ frame, np.eye(rho), rtol=0.0, atol=1e-15)
+    proj = frame @ frame.T
+    assert np.linalg.matrix_rank(np.eye(N * N) - proj) == N * N - rho
+
+    def project(xs):
+        return (xs.reshape(len(xs), -1) @ proj).reshape(xs.shape)
+
+    rng = np.random.default_rng(43)
+    u, v = rng.standard_normal((2, 500, N))
+    samples = np.concatenate([rng.standard_normal((500, N, N)), np.einsum("ki,kj->kij", u, v)])
+    unit = np.zeros((N, N))
+    unit[0, 0] = 1.0
+    attainers = np.array([unit, np.eye(N)])
+    for p, q in itertools.product(EXPONENT_GRID, EXPONENT_GRID):
+        if as_exponent(p) > as_exponent(q):
+            continue
+        inv_p, inv_q = (0.0 if e == np.inf else 1 / float(e) for e in map(as_exponent, (p, q)))
+        bound = N ** (inv_q - min(inv_p, 1.0))
+        if as_exponent(q) >= 1:
+            assert bound == pytest.approx(last_snumber("approximation", p, q, N), rel=1e-15)
+        ratios = schatten_norm(project(samples), q) / schatten_norm(samples, p)
+        assert ratios.max() <= bound * (1 + 1e-12), (p, q)
+        attained = schatten_norm(project(attainers), q) / schatten_norm(attainers, p)
+        assert attained[0 if as_exponent(p) <= 1 else 1] == pytest.approx(bound, rel=1e-12)
+
+
 def _expected_anchor(kind, p, q, N, n):
     """``(value, reduction)`` of the anchor at a spec that passes the
     refusal and the exact pairs, or None: the statements, not the code."""
     p, q = as_exponent(p), as_exponent(q)
     inv_p, inv_q = (0.0 if e == np.inf else 1 / float(e) for e in (p, q))
+    inv_domain = inv_p if kind == "gelfand" else min(inv_p, 1.0)
+    last = min(1.0, N ** (inv_q - inv_domain))
     if p <= q and n <= N:
         return 1.0, "rank-one-member"
     if n == N * N:
-        inv_domain = inv_p if kind == "gelfand" else min(inv_p, 1.0)
-        return min(1.0, N ** (inv_q - inv_domain)), "last-index"
+        return last, "last-index"
+    if p <= q and n > N * N - HURWITZ_RADON[N - 1]:
+        return last, "hurwitz-radon-tail"
     if p > q and n <= HURWITZ_RADON[N - 1]:
         return N ** (inv_q - inv_p), "hurwitz-radon"
     if p > q and n > N * (N - 1):
@@ -519,9 +572,10 @@ def test_anchors_lie_between_the_exact_certificates(kind, p, q, N):
         assert value <= min(ups) * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("p, q, N, n", [("1/2", "4", 2, 3), ("3/4", "inf", 2, 3)])
+@pytest.mark.parametrize("p, q, N, n", [("1/2", "4", 3, 4), ("3/4", "inf", 3, 4)])
 def test_approx_quasi_domain_collapses_onto_p_1(p, q, N, n):
-    # conv(S_p ball) = S_1 ball and X -> ||X - A(X)||_q is convex
+    # conv(S_p ball) = S_1 ball and X -> ||X - A(X)||_q is convex; at
+    # N = 2 every index is an anchor
     est = estimate_approx(EmbeddingSpec(p, q, N, n=n), seed=0)
     base = estimate_approx(EmbeddingSpec("1", q, N, n=n), seed=0)
     assert est.value == base.value
@@ -577,7 +631,7 @@ def test_same_seed_reproduces_the_estimate():
 
 
 def test_estimate_carries_its_provenance():
-    spec = EmbeddingSpec("1", "2", 2, n=3)
+    spec = EmbeddingSpec("1", "2", 3, n=8)
     est = estimate_kolmogorov(spec, restarts=4, seed=9)
     assert est.spec == spec
     assert est.snumber_kind == "kolmogorov"

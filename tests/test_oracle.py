@@ -12,10 +12,9 @@ from hypothesis import given, settings, strategies as st
 from schatten_widths.acceptance import EXPONENT_GRID
 from schatten_widths.core import EmbeddingSpec, embedding_norm, last_snumber, schatten_norm
 from schatten_widths.distances import distance_schatten
-from schatten_widths.estimators import estimate_gelfand
 from schatten_widths.exponents import dual_exponent, exponent_float
 from schatten_widths.operators import SubspaceBasis
-from schatten_widths import oracle
+from schatten_widths import estimators, oracle
 from schatten_widths.oracle import (
     DEFAULT_ORACLE_SEED,
     _RestrictionNet,
@@ -58,7 +57,9 @@ def test_frozen_battery_shape_and_provenance():
 #   I / 4 in vec coordinates, so their mean squared distance to a plane F
 #   is 1/2, and F = span{I, J} attains it at every u v^T.  A quasi-norm
 #   domain collapses onto p = 1, and the approximation number with a
-#   Frobenius codomain is the Kolmogorov number.
+#   Frobenius codomain is the Kolmogorov number;
+# - every n = 3 with p <= q, Kolmogorov (4/3, 2) among them: the last
+#   index's value, attained by span{I, J} (``hurwitz-radon-tail``).
 PROVEN = {
     ("kolmogorov", "1", "2", 2): 1.0,
     ("kolmogorov", "1", "2", 3): 2.0**-0.5,
@@ -74,25 +75,28 @@ PROVEN = {
     ("gelfand", "2", "4", 2): 1.0,
     ("gelfand", "1/2", "1", 2): 1.0,
     ("kolmogorov", "2", "2", 3): 1.0,
+    ("kolmogorov", "4/3", "2", 3): 2.0**-0.25,
 }
 
 
 def test_frozen_battery_contains_exactly_known_values():
     data = load_frozen_battery()
     values = {(pt["kind"], pt["p"], pt["q"], pt["n"]): pt["value"] for pt in data["points"]}
-    # the one frozen point without a proof here: Kolmogorov (4/3, 2), n = 3
-    assert set(values) - set(PROVEN) == {("kolmogorov", "4/3", "2", 3)}
+    assert set(values) == set(PROVEN)
     for key, exact in PROVEN.items():
         assert values[key] == pytest.approx(exact, rel=1e-9, abs=0.0), key
 
 
 def test_frozen_extra_points_match_the_search_estimators():
+    # the estimators answer these anchors without a search, so the search
+    # is called past them
     data = load_frozen_battery()
     extras = [pt for pt in data["points"] if not pt["battery"] and pt["kind"] == "gelfand"]
     assert extras
     for pt in extras:
         spec = EmbeddingSpec(pt["p"], pt["q"], 2, n=pt["n"])
-        est = estimate_gelfand(spec, seed=0)
+        est = estimators._width_search(spec, "gelfand", 6, 0)
+        assert est.method == "pg-search"
         assert est.value == pytest.approx(pt["value"], abs=pt["error_bar"])
 
 
@@ -217,6 +221,26 @@ def test_one_dimensional_restrictions_read_the_last_snumber(p, q):
     est = net_oracle(EmbeddingSpec(p, q, 2, n=4), "gelfand", h=0.25)
     assert est.value == pytest.approx(last_snumber("gelfand", p, q, 2), rel=1e-15, abs=0.0)
     assert 0 < est.detail["frames_scored"] < est.restarts
+
+
+def test_planes_read_the_hurwitz_radon_tail_anchors():
+    # at n = 3 with p <= q the estimators answer every width from the
+    # hurwitz-radon-tail anchor, last_snumber, without a search: the net
+    # agrees with each of them (the power-mean bound, attained on span{I, J})
+    checked = 0
+    for kind in ("gelfand", "kolmogorov"):
+        for p, q in itertools.product(EXPONENT_GRID, EXPONENT_GRID):
+            spec = EmbeddingSpec(p, q, 2, n=3)
+            try:
+                exact = estimators._closed_form(spec, kind, 6, 0)
+            except NotImplementedError:
+                continue
+            if exact.detail.get("reduction") != "hurwitz-radon-tail":
+                continue
+            est = net_oracle(spec, kind, h=0.25)
+            assert est.value == pytest.approx(exact.value, rel=1e-12, abs=0.0), (kind, p, q)
+            checked += 1
+    assert checked == 38
 
 
 @functools.lru_cache(maxsize=None)
