@@ -30,16 +30,24 @@ def unvec(v: np.ndarray, N: int) -> np.ndarray:
 
 
 def orthonormal_columns(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column span of ``a`` (possibly rank
-    deficient), via pivoted Gram-Schmidt on the QR factors; a column whose
-    QR pivot is below ``1e-12`` of the largest counts as dependent."""
+    """Orthonormal basis for the column span of ``a``, which may be rank
+    deficient.
+
+    Full-rank input gets the ``Q`` factor of its QR decomposition.  When a
+    diagonal entry of ``R`` falls below ``1e-12`` of the largest, a column
+    depends on the ones before it, and an unpivoted ``Q`` would lose any
+    independent column after it; the basis is then the left singular
+    vectors whose singular values are at least ``1e-12`` of the largest.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] == 0:
         return np.zeros((a.shape[0], 0))
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
-    keep = diag > 1e-12 * (diag.max() if diag.size else 1.0)
-    return q[:, keep]
+    if diag.min() > 1e-12 * diag.max():
+        return q
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, s > 1e-12 * s[0]]
 
 
 @dataclass(frozen=True, eq=False)

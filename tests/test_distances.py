@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schatten_widths import distances
 from schatten_widths.core import schatten_norm
 from schatten_widths.distances import distance_schatten
 from schatten_widths.operators import SubspaceBasis, orthonormal_columns, subspace_from_matrices
@@ -109,6 +110,76 @@ def test_one_dimensional_subspace_matches_a_grid_search(q):
         brute = min(schatten_norm(x - t * unit, q) for t in ts)
         assert res.value == pytest.approx(brute, rel=2e-3, abs=2e-3)
         assert res.value <= brute * (1 + 1e-6) or res.value == pytest.approx(brute, abs=1e-3)
+
+
+@pytest.mark.parametrize("q", ["1/2", "1"])
+def test_one_dimensional_subspace_matches_a_grid_search_on_rank_one_directions(q):
+    # a rank-one direction has equal split lengths, so the rank-one
+    # crossings' quadratic has a leading coefficient of rounding noise;
+    # read as a quadratic, it put the crossing at 4e16 instead of -1.38
+    # and the q = 1 solve missed the minimum by up to 15%
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        basis = subspace_from_matrices([np.outer(*rng.standard_normal((2, 2)))], 2)
+        x = rng.standard_normal((2, 2))
+        res = distance_schatten(x, basis, q)
+        reach = 3.0 * np.linalg.norm(x)
+        ts = basis.coefficients(x)[0] + np.linspace(-reach, reach, 8001)
+        brute = schatten_norm(x - ts[:, None, None] * basis.basis_matrices()[0], q).min()
+        assert res.value <= brute * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("q", ["1/2", "1", "inf"])
+def test_two_dimensional_subspace_matches_a_grid_search(q):
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        basis = _random_basis(rng, 2, 2)
+        x = rng.standard_normal((2, 2))
+        res = distance_schatten(x, basis, q)
+        reach = 3.0 * np.linalg.norm(x)
+        s = np.linspace(-reach, reach, 161)
+        w = basis.coefficients(x) + np.stack(np.meshgrid(s, s), axis=-1).reshape(-1, 2)
+        brute = schatten_norm(x - np.einsum("gk,kij->gij", w, basis.basis_matrices()), q).min()
+        assert res.value <= brute * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("q", EXPONENTS)
+@pytest.mark.parametrize("N", [2, 3])
+def test_the_whole_space_has_distance_zero(q, N):
+    # at N = 2 the split solver read two of the four columns and raised a
+    # matmul mismatch; at N = 3 IRLS read 1.5e-9 at q = 1/2
+    rng = np.random.default_rng(31)
+    basis = _random_basis(rng, N, N * N)
+    x = rng.standard_normal((N, N))
+    res = distance_schatten(x, basis, q)
+    assert res.value == 0.0
+    assert not res.residual.any()
+    assert np.array_equal(res.coefficients, basis.coefficients(x))
+    assert res.converged and res.iterations == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("q", ["1/2", "1", "4", "inf"])
+def test_two_by_two_flags_count_evaluations_and_closed_brackets(monkeypatch, q, dim):
+    calls = []
+    original = distances.norm_from_floats
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(distances, "norm_from_floats", counted)
+    rng = np.random.default_rng(37)
+    basis = _random_basis(rng, 2, dim)
+    x = rng.standard_normal((2, 2))
+    res = distance_schatten(x, basis, q)
+    assert res.converged
+    assert res.iterations == len(calls) > 0
+    # a polish that may take one golden-section step closes no bracket
+    monkeypatch.setattr(distances, "_GOLDEN_STEPS", 1)
+    capped = distance_schatten(x, basis, q)
+    assert not capped.converged
+    assert capped.iterations < res.iterations
 
 
 def test_quasi_norm_solver_is_an_upper_bound_and_stable():

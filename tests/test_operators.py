@@ -1,6 +1,7 @@
 """Subspaces of matrix space in vec coordinates."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schatten_widths.operators import (
     SubspaceBasis,
@@ -30,6 +31,42 @@ def test_orthonormal_columns_handles_rank_deficiency():
     # same span
     assert np.allclose(q @ (q.T @ a), a, atol=1e-10)
     assert orthonormal_columns(np.zeros((5, 0))).shape == (5, 0)
+
+
+def test_an_independent_column_after_a_dependent_one_is_kept():
+    # an unpivoted QR reads a zero diagonal entry at the repeated column
+    # and dropped e_3 with it, although the rank is 2
+    q = orthonormal_columns(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    assert q.shape == (3, 2)
+    assert np.allclose(q @ q.T, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+
+
+def test_full_rank_input_gets_its_qr_factor():
+    a = np.random.default_rng(3).standard_normal((9, 4))
+    assert np.array_equal(orthonormal_columns(a), np.linalg.qr(a)[0])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(rows=st.integers(1, 9), kinds=st.lists(st.sampled_from(["new", "copy", "mix", "zero"]),
+                                              min_size=1, max_size=9),
+       seed=st.integers(0, 2**32 - 1))
+def test_orthonormal_columns_span_the_input_at_its_rank(rows, kinds, seed):
+    rng = np.random.default_rng(seed)
+    cols = []
+    for kind in kinds:
+        if kind == "new" or not cols:
+            cols.append(rng.standard_normal(rows) if kind != "zero" else np.zeros(rows))
+        elif kind == "copy":
+            cols.append(cols[rng.integers(len(cols))].copy())
+        elif kind == "mix":
+            cols.append(np.column_stack(cols) @ rng.standard_normal(len(cols)))
+        else:
+            cols.append(np.zeros(rows))
+    a = np.column_stack(cols)
+    q = orthonormal_columns(a)
+    assert q.shape == (rows, np.linalg.matrix_rank(a))
+    assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+    assert np.allclose(q @ (q.T @ a), a, atol=1e-10 * max(1.0, np.abs(a).max()))
 
 
 def test_subspace_basis_requires_orthonormal_columns():
