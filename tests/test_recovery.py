@@ -161,6 +161,45 @@ def test_decoder_flags_tell_the_truth_at_the_iteration_cap():
     assert res.residual == float(np.linalg.norm(apply_info_map(info, res.matrix) - y))
 
 
+def _rank_deficient_map(case: str) -> InfoMap:
+    rng = np.random.default_rng(13)
+    rows = build_info_map(4, 8, seed=3).matrices
+    if case == "duplicate-row":
+        return InfoMap(np.concatenate([rows, rows[:1]]), seed=3)
+    if case == "near-duplicate-row":
+        nudge = 1e-12 * rng.standard_normal((1, 4, 4))
+        return InfoMap(np.concatenate([rows, rows[:1] + nudge]), seed=3)
+    return build_info_map(4, 20, seed=3)  # m = 20 > N^2 = 16
+
+
+@pytest.mark.parametrize("case", ["duplicate-row", "near-duplicate-row", "more-rows-than-entries"])
+def test_decoder_handles_rank_deficient_information_maps(case):
+    # dependent rows make the Gram matrix singular or ill-conditioned; the
+    # projection goes through its pseudo-inverse, and x stays feasible
+    info = _rank_deficient_map(case)
+    rng = np.random.default_rng(7)
+    x = np.outer(rng.standard_normal(4), rng.standard_normal(4))
+    y = apply_info_map(info, x)
+    res = nuclear_decoder(info, y)
+    assert res.converged
+    assert res.iterations <= 200
+    assert res.residual <= 1e-6
+    assert schatten_norm(res.matrix, 1) <= schatten_norm(x, 1) + 1e-6
+    if info.m > 16:  # injective: the decode is x itself
+        assert np.allclose(res.matrix, x, atol=1e-7)
+
+
+def test_decoder_solves_an_exactly_singular_gram_matrix():
+    # two copies of the E_11 measurement: G G^T has no inverse at all
+    units = np.zeros((3, 2, 2))
+    units[0, 0, 0] = units[1, 0, 0] = units[2, 1, 1] = 1.0
+    res = nuclear_decoder(InfoMap(units, seed=0), np.array([1.0, 1.0, 1.0]))
+    assert res.converged
+    assert np.allclose(np.diag(res.matrix), [1.0, 1.0], atol=1e-6)
+    # the nuclear norm is at least the trace, 2, which the identity attains
+    assert schatten_norm(res.matrix, 1) == pytest.approx(2.0, abs=1e-6)
+
+
 @pytest.mark.parametrize("m", [8, 24, 64])
 def test_every_battery_decode_is_feasible_without_nuclear_excess(m):
     # x itself is feasible, so the minimizer's nuclear norm is at most x's
@@ -248,6 +287,30 @@ def test_error_decays_with_more_measurements():
     values = [r.worst_error for r in results]
     assert values[2] < values[0]
     assert values[2] < 0.6  # clearly into the decay regime
+
+
+# N = 8, (p, q) = (1, 2), seed 11, 12 instances: per m, the zero-fallback
+# count and the worst error
+_SWEEP = {
+    4: (7, 1.0),
+    8: (6, 1.0),
+    16: (3, 0.739314597324248),
+    24: (1, 0.6201128705770652),
+    32: (0, 0.47128565771105607),
+    48: (0, 0.3252040764303361),
+}
+
+
+def test_decoder_sweep_is_pinned_and_converges_in_few_steps():
+    total_iterations = 0
+    for m, (fallbacks, worst) in _SWEEP.items():
+        res = worst_case_error(8, 1, 2, m, test_budget=12, seed=11)
+        assert res.diagnostics["fallbacks_to_zero"] == fallbacks, m
+        assert res.diagnostics["non_converged"] == 0, m
+        assert res.worst_error == pytest.approx(worst, rel=1e-6), m
+        total_iterations += res.diagnostics["total_iterations"]
+    # plain Douglas-Rachford takes 11,590 steps here, the relaxed 7,430
+    assert total_iterations <= 9000
 
 
 def test_compare_to_envelope_fields_are_consistent():
