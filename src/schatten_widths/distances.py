@@ -3,42 +3,70 @@
 ``distance_schatten(x, basis, q)`` returns ``min_w ||x - basis(w)||_q``
 together with the minimizing residual, which is what gradient-based outer
 searches need (the envelope theorem makes the residual's norm gradient the
-derivative of the distance in ``x``).
+derivative of the distance in ``x``).  For ``q >= 1`` it also returns a
+lower bound: by Hahn–Banach, ``dist_q(x, F) = max |<x, Z>| / ||Z||_{q*}``
+over the annihilator ``Z in F-perp``, so every such ``Z`` bounds the
+distance from below.
 
-Solvers by exponent:
+Solvers, in the order of dispatch:
 
-* the whole matrix space: distance 0, no solve.
-* ``q == 2``: Frobenius projection, closed form.
-* a subspace of codimension 1, any ``q``: exact by duality.  The distance
-  is ``|<Z, x>| / ||Z||_{q*}`` for the unit normal ``Z``, and the residual
-  follows the dual norm's gradient at ``Z`` from
-  :func:`core.norm_and_gradient`.
-* ``N = 2``, any other ``q``: one bracketed line search on the 2x2 split
-  coordinates (:func:`_distance_2x2`).  ``||R||_q >= min(1, 2^(1/q - 1/2))
-  ||R||_F`` confines the minimizer to a disk around the Frobenius
-  coefficients, searched by a grid of 8 cells, the points where the
-  objective can kink and a golden-section polish to 1e-8 of the disk's
-  radius (at most 60 steps), nested for two coefficients.
-* ``1 <= q < inf``: iteratively reweighted least squares on the matrix,
-  with spectral weights ``(residual residual^T + ridge)^{(q-2)/2}`` and a
-  damped, monotone line search.  Convex, so the local solution is global.
-  Each iteration builds its normal equations with one matmul over the
-  stack of basis matrices.
-* ``q == inf``: a homotopy that follows the IRLS solution through
-  increasing finite exponents and reports the true spectral norm at the
-  final coefficients (a slight overestimate of the exact distance).
-* ``0 < q < 1``: the same IRLS iteration run as a damped local heuristic;
-  the problem is nonconvex, so the value is an upper bound on the true
-  distance and ``converged`` only reflects stabilization.
+============================  =========================  =================
+case                          solver                     ``lower``
+============================  =========================  =================
+``dim 0`` or the whole space  no solve                   ``value``
+``q == 2``                    Frobenius projection       ``value``
+codimension 1, any ``q``      duality, closed form       ``value``
+``N = 2``                     bracketed line search      free bound
+``N >= 3``, ``q`` 1 or inf    Douglas–Rachford           dual bound
+``N >= 3``, other ``q``       IRLS                       free bound
+``q < 1``, ``N = 2`` or IRLS  as above, a heuristic      None
+============================  =========================  =================
 
-Solves take no start from the caller: IRLS and the homotopy start at the
-Frobenius projection, or at zero for ``q < 1``.
+* codimension 1: the distance is ``|<Z, x>| / ||Z||_{q*}`` for the unit
+  normal ``Z``, and the residual follows the dual norm's gradient at
+  ``Z`` from :func:`core.norm_and_gradient`.
+* ``N = 2``: one bracketed line search on the 2x2 split coordinates
+  (:func:`_distance_2x2`).  ``||R||_q >= min(1, 2^(1/q - 1/2)) ||R||_F``
+  confines the minimizer to a disk around the Frobenius coefficients,
+  searched by a grid of 8 cells, the points where the objective can kink
+  and a golden-section polish to 1e-8 of the disk's radius (at most 60
+  steps), nested for two coefficients.
+* ``N >= 3``, ``q = 1`` or ``inf`` (the norms that are not smooth):
+  over-relaxed Douglas–Rachford splitting on ``min ||R||_q`` over the
+  affine set ``R in x + F`` (:func:`_spectral_homotopy`), the relaxed step
+  of :func:`recovery.nuclear_decoder` (Eckstein–Bertsekas 1992).  With
+  ``x_perp = x - P_F x``, ``gamma = ||x_perp||_F / sqrt(N)`` and
+  ``lambda = 1.8``, each step costs one SVD:
+  ``R = x_perp + P_F v``, ``W = 2R - v``, ``Z`` the projection of
+  ``W / gamma``'s singular values onto the dual unit ball (clipped at 1
+  for ``q = 1``, projected onto the l1 ball for ``q = inf``), and
+  ``v += lambda (W - gamma Z - R)``.  Every 5 steps it scores the primal
+  value ``||R||_q`` and the dual bound ``|<x_perp, Z'>| / ||Z'||_{q*}``
+  with ``Z' = P_{F-perp} Z``, and it stops once the best of each agree
+  to 1e-9 relative, or after 5,000 steps.  It starts at the Frobenius
+  projection, which is also its first primal candidate.
+* ``N >= 3``, other ``q``: iteratively reweighted least squares on the
+  matrix, with spectral weights ``(residual residual^T + ridge)^{(q-2)/2}``
+  and a damped, monotone line search, from the Frobenius projection.
+  Convex for ``q > 1``, so the local solution is global.  Each iteration
+  builds its normal equations with one matmul over the stack of basis
+  matrices.  IRLS stops after 80 iterations, or after two steps in a row
+  that gain less than 1e-9 relative.
+* ``0 < q < 1``: the same IRLS iteration, from zero, run as a damped
+  local heuristic (at ``N = 2``, the line search); the problem is
+  nonconvex, so the value is an upper bound on the true distance and
+  ``converged`` only reflects stabilization.
 
-The budgets are fixed: IRLS stops after 80 iterations, or after two
-steps in a row that gain less than 1e-9 relative; the homotopy runs IRLS
-at q = 4, 32 and 128.  Every iterative solver, the ``N = 2`` one
-included, runs on the input scaled to unit magnitude by a power of two
-and is scaled back exactly.
+The free bound (:func:`_with_free_bound`) costs one norm gradient and no
+solve: the ``q``-norm gradient at the returned residual, projected onto
+``F-perp``, is the dual candidate ``Z``.  For ``1 < q < inf`` it is
+tight where the solve is, since the gradient at the minimizer lies in
+``F-perp``.  At a kink of the ``q = 1`` or ``inf`` norm (``N = 2``) the
+gradient is one subgradient of many, and the bound can be loose.
+
+Every iterative solver, the ``N = 2`` one included, runs on the input
+scaled to unit magnitude by a power of two and is scaled back exactly,
+``lower`` with it.
 """
 from __future__ import annotations
 
@@ -56,17 +84,25 @@ __all__ = ["DistanceResult", "distance_schatten"]
 _IRLS_RIDGE = 1e-10
 _SOLVE_TOL = 1e-9
 _SOLVE_MAX_ITER = 80
-_HOMOTOPY_EXPONENTS = (4.0, 32.0, 128.0)
 
 
 @dataclass(frozen=True)
 class DistanceResult:
     """Outcome of a subspace-distance computation.
 
-    ``iterations`` counts IRLS iterations (summed over the homotopy's
-    stages) or, at ``N = 2``, objective evaluations; the closed forms
-    report 0.  ``converged`` says that the solver met its stopping rule
-    within its budget.
+    ``value`` is the ``q``-norm of ``residual = x - basis(coefficients)``,
+    a feasible residual, so it bounds the distance from above.  ``lower``
+    bounds it from below for ``q >= 1``: it equals ``value`` on the exact
+    paths (the zero subspace, the whole space, ``q = 2`` and codimension
+    1), is the best Douglas–Rachford dual bound at ``N >= 3`` with ``q``
+    1 or inf, and the free gradient bound on the other solvers; it is
+    None for ``q < 1``, and never above ``value``.
+
+    ``iterations`` counts Douglas–Rachford steps, IRLS iterations or, at
+    ``N = 2``, objective evaluations; the closed forms report 0.
+    ``converged`` says that the solver met its stopping rule within its
+    budget; for Douglas–Rachford that rule is the gap itself,
+    ``value - lower <= 1e-9 value``.
     """
 
     value: float
@@ -74,19 +110,22 @@ class DistanceResult:
     coefficients: np.ndarray
     converged: bool
     iterations: int
+    lower: float | None = None
 
 
 def _closed_form_frobenius(x: np.ndarray, basis: SubspaceBasis) -> DistanceResult:
     w = basis.coefficients(x)
     residual = x - basis.member(w)
+    # hypot scales internally, so 1e-200 or 1e200 entries neither
+    # underflow to 0 nor overflow to inf
+    value = math.hypot(*residual.ravel().tolist())
     return DistanceResult(
-        # hypot scales internally, so 1e-200 or 1e200 entries neither
-        # underflow to 0 nor overflow to inf
-        value=math.hypot(*residual.ravel().tolist()),
+        value=value,
         residual=residual,
         coefficients=w,
         converged=True,
         iterations=0,
+        lower=value,
     )
 
 
@@ -107,12 +146,14 @@ def _codim_one_distance(x: np.ndarray, basis: SubspaceBasis, q) -> DistanceResul
     dual_norm, achiever = norm_and_gradient(z, INF if q <= 1 else dual_exponent(q))
     residual = (pairing / dual_norm) * achiever
     coefficients = basis.coefficients(x - residual)
+    value = abs(pairing) / dual_norm
     return DistanceResult(
-        value=abs(pairing) / dual_norm,
+        value=value,
         residual=residual,
         coefficients=coefficients,
         converged=True,
         iterations=0,
+        lower=value,
     )
 
 
@@ -345,26 +386,108 @@ def _irls(
     )
 
 
-def _spectral_homotopy(
-    x: np.ndarray,
-    basis: SubspaceBasis,
-    w0: np.ndarray,
-) -> DistanceResult:
-    w = w0
-    total = 0
-    converged = True
-    for q_eff in _HOMOTOPY_EXPONENTS:
-        stage = _irls(x, basis, q_eff, w)
-        w = stage.coefficients
-        total += stage.iterations
-        converged = converged and stage.converged
-    residual = x - basis.member(w)
+def _dual_bound(x_perp: np.ndarray, basis: SubspaceBasis, z: np.ndarray, q) -> float:
+    """Hahn–Banach lower bound on the distance, ``q >= 1``, from any ``z``.
+
+    ``z`` and ``x_perp``, the part of ``x`` orthogonal to the subspace,
+    are vecs.  Every ``Z'`` in the annihilator pairs with ``x`` as with
+    ``x_perp`` and gives ``dist_q(x, F) >= |<x_perp, Z'>| / ||Z'||_{q*}``;
+    this takes ``Z'`` the part of ``z`` orthogonal to the subspace (0 if
+    that part is 0).
+    """
+    cols = basis.columns
+    zp = z - cols @ (cols.T @ z)
+    dual = schatten_norm(zp.reshape(basis.N, basis.N), dual_exponent(q))
+    return abs(float(x_perp @ zp)) / dual if dual > 0.0 else 0.0
+
+
+def _with_free_bound(res: DistanceResult, x: np.ndarray, basis: SubspaceBasis, q) -> DistanceResult:
+    """``res`` with ``lower`` the :func:`_dual_bound` of the ``q``-norm
+    gradient at its residual, ``q >= 1``: one gradient, no solve.  The
+    bound is capped at ``value``, which it can pass only by rounding."""
+    _, gradient = norm_and_gradient(res.residual, q)
+    if gradient is None:  # a zero residual: the distance is 0
+        return replace(res, lower=0.0)
+    x_perp = x.reshape(-1) - basis.columns @ basis.coefficients(x)
+    return replace(res, lower=min(_dual_bound(x_perp, basis, gradient.reshape(-1), q), res.value))
+
+
+def _dual_ball_projection(s: list[float], q) -> list[float]:
+    """Project non-increasing singular values onto the unit ball of the
+    dual norm: clip at 1 for ``q = 1`` (the spectral ball), and for
+    ``q = inf`` project onto the l1 ball (the nuclear ball) by the sorted
+    shift of Duchi et al. (ICML 2008).  Python floats: for three or four
+    values numpy's per-call overhead costs more than the arithmetic."""
+    if not is_infinite(q):
+        return [min(t, 1.0) for t in s]
+    if sum(s) <= 1.0:
+        return s
+    # theta = (s_1 + ... + s_k - 1) / k for the largest k with s_k > theta;
+    # the k that pass form a prefix
+    partial, theta = 0.0, 0.0
+    for k, t in enumerate(s, 1):
+        partial += t
+        if t <= (partial - 1.0) / k:
+            break
+        theta = (partial - 1.0) / k
+    return [max(t - theta, 0.0) for t in s]
+
+
+# Douglas–Rachford relaxation, as in recovery.nuclear_decoder; the gap is
+# scored every few steps, since each score costs two more factorizations.
+_RELAXATION = 1.8
+_DR_GAP = 1e-9
+_DR_CHECK_EVERY = 5
+_DR_MAX_STEPS = 5000
+
+
+# the name predates the solver: bench/test_bench.py spies on it by name
+def _spectral_homotopy(x: np.ndarray, basis: SubspaceBasis, q) -> DistanceResult:
+    """Distance for ``q`` = 1 or inf, ``N >= 3``, by over-relaxed
+    Douglas–Rachford splitting on ``min ||R||_q`` over ``R in x + F``.
+
+    With ``x_perp = x - P_F x`` and ``gamma = ||x_perp||_F / sqrt(N)``,
+    each step is ``R = x_perp + P_F v``, ``W = 2R - v``, ``Z`` the
+    projection of ``W / gamma`` onto the dual unit ball (one SVD) and
+    ``v += lambda (W - gamma Z - R)``: ``W - gamma Z`` is the prox of
+    ``gamma ||.||_q`` at ``W`` (Moreau).  Every ``_DR_CHECK_EVERY`` steps
+    the residual's norm scores the primal side and :func:`_dual_bound` of
+    ``Z`` the dual side; the best of each is kept, and the solve stops
+    once they agree to ``_DR_GAP`` relative (``converged``) or after
+    ``_DR_MAX_STEPS`` steps.  ``lower`` is the best dual bound and
+    ``iterations`` the number of steps.  It starts at the Frobenius
+    projection, its first primal candidate.  When ``x`` lies in the
+    subspace to working precision (``||x_perp||_F <= 1e-12 ||x||_F``) no
+    step runs: that candidate is returned with ``lower`` 0, and
+    ``converged`` only if it is exactly 0.
+    """
+    n, cols = basis.N, basis.columns
+    c = basis.coefficients(x)
+    x_perp = x.reshape(-1) - cols @ c
+    size = float(np.linalg.norm(x_perp))
+    solvable = size > 1e-12 * float(np.linalg.norm(x))
+    gamma, projector, v = size / math.sqrt(n), cols @ cols.T, x_perp.copy()
+    best_value, best_coefficients, lower = schatten_norm(x - basis.member(c), q), c, 0.0
+    steps = 0
+    while solvable and steps < _DR_MAX_STEPS and best_value - lower > _DR_GAP * best_value:
+        steps += 1
+        r = x_perp + projector @ v
+        u, s, vt = np.linalg.svd((2.0 * r - v).reshape(n, n))
+        z = ((u * _dual_ball_projection([t / gamma for t in s.tolist()], q)) @ vt).reshape(-1)
+        v += _RELAXATION * (r - v - gamma * z)  # W - gamma Z - R, W - R = R - v
+        if steps % _DR_CHECK_EVERY == 0:
+            coefficients = c - cols.T @ v
+            value = schatten_norm(x - basis.member(coefficients), q)
+            if value < best_value:
+                best_value, best_coefficients = value, coefficients
+            lower = max(lower, _dual_bound(x_perp, basis, z, q))
     return DistanceResult(
-        value=schatten_norm(residual, math.inf),
-        residual=residual,
-        coefficients=w,
-        converged=converged,
-        iterations=total,
+        value=best_value,
+        residual=x - basis.member(best_coefficients),
+        coefficients=best_coefficients,
+        converged=best_value - lower <= _DR_GAP * best_value,
+        iterations=steps,
+        lower=min(lower, best_value),
     )
 
 
@@ -385,12 +508,14 @@ def distance_schatten(
     if basis.dim in (0, basis.N * basis.N):
         # no solve: the zero subspace leaves x, the whole space nothing
         residual = x.copy() if basis.dim == 0 else np.zeros_like(x)
+        value = schatten_norm(residual, q)
         return DistanceResult(
-            value=schatten_norm(residual, q),
+            value=value,
             residual=residual,
             coefficients=basis.coefficients(x),
             converged=True,
             iterations=0,
+            lower=value,
         )
     if q == 2:
         return _closed_form_frobenius(x, basis)
@@ -404,11 +529,14 @@ def distance_schatten(
     if e:
         res = distance_schatten(np.ldexp(x, -e), basis, q)
         return replace(res, value=math.ldexp(res.value, e), residual=np.ldexp(res.residual, e),
-                       coefficients=np.ldexp(res.coefficients, e))
+                       coefficients=np.ldexp(res.coefficients, e),
+                       lower=None if res.lower is None else math.ldexp(res.lower, e))
     qf = float(q)
     if basis.N == 2:
-        return _distance_2x2(x, basis, qf)
-    if is_infinite(q):
-        return _spectral_homotopy(x, basis, basis.coefficients(x))
-    # the Frobenius projection is a sound start in the convex case
-    return _irls(x, basis, qf, basis.coefficients(x) if qf >= 1 else None)
+        res = _distance_2x2(x, basis, qf)
+    elif qf in (1.0, math.inf):
+        return _spectral_homotopy(x, basis, q)
+    else:
+        # the Frobenius projection is a sound start in the convex case
+        res = _irls(x, basis, qf, basis.coefficients(x) if qf >= 1 else None)
+    return res if qf < 1 else _with_free_bound(res, x, basis, q)
