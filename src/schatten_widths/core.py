@@ -5,8 +5,13 @@ Everything here works on dense real square matrices (``numpy`` arrays of
 shape ``(N, N)``); ``singular_values`` and ``schatten_norm`` also take a
 stack of shape ``(..., N, N)`` and return one value per matrix, so a
 sampled ratio over thousands of matrices is one LAPACK call.  Every
-factorization is LAPACK's (``np.linalg.svd``).  A single matrix's norm
-is summed over Python floats (``norm_from_floats``), with its exponent
+factorization is LAPACK's ``dgesdd``, called through the gufunc that
+``np.linalg.svd`` ends in (``_lapack_svd``), so the values are
+``np.linalg.svd``'s bit for bit: the searches at N >= 3 factor one 3x3 to
+8x8 matrix per point, where the public wrapper costs more than LAPACK.
+The input must be real, square and finite, and is checked before LAPACK
+runs.  A single matrix's norm is summed over Python floats
+(``norm_from_floats``), with its exponent
 resolved to a float once per call: the searches take norms of one small
 matrix at a time, where numpy's per-call overhead costs more than the
 arithmetic.  Stacks keep the vectorized ``norm_from_singular_values``.
@@ -157,21 +162,34 @@ def as_matrix_side(N: object) -> int:
     return N_int
 
 
+def _as_real(a: np.ndarray) -> np.ndarray:
+    """``a`` as an array, raising ``ValueError`` on a complex one: a cast to
+    float would drop its imaginary parts."""
+    arr = np.asarray(a)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"matrix entries must be real, got dtype {arr.dtype}")
+    return arr
+
+
 def _as_square_stack(a: np.ndarray) -> np.ndarray:
-    """Validate and return ``a`` as a float array of shape ``(..., N, N)``."""
-    arr = np.asarray(a, dtype=float)
+    """Validate and return ``a`` as a float array of shape ``(..., N, N)``:
+    real, square, non-empty and finite."""
+    arr = np.asarray(_as_real(a), dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[-1] < 1:
         raise ValueError("matrix must have at least one row")
-    if not np.isfinite(arr).all():
+    # a sum of squares is finite only if every entry is, and one BLAS call
+    # costs a third of np.isfinite on a small matrix; only where it
+    # overflows are the entries looked at one by one
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 
 
 def as_square_matrix(a: np.ndarray) -> np.ndarray:
     """Validate and return ``a`` as a float square matrix."""
-    arr = np.asarray(a, dtype=float)
+    arr = np.asarray(a)
     if arr.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return _as_square_stack(arr)
@@ -196,22 +214,62 @@ def split_2x2(x00, x01, x10, x11):
     return ((x00 + x11) / 2.0, (x10 - x01) / 2.0), ((x00 - x11) / 2.0, (x10 + x01) / 2.0)
 
 
+try:
+    # the LAPACK (dgesdd) gufuncs that np.linalg.svd ends in; numpy < 2
+    # names them by shape, and there the public function serves
+    from numpy.linalg._umath_linalg import svd as _gesdd_values, svd_f as _gesdd_full
+except ImportError:
+    _lapack_svd = np.linalg.svd
+else:
+
+    def _raise_nonconvergence(err, flag):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def _lapack_svd(a: np.ndarray, compute_uv: bool = True):
+        """``np.linalg.svd(a, compute_uv=compute_uv)`` of a float array that
+        :func:`_as_square_stack` has validated, without the wrapper.
+
+        The gufunc runs under the error state ``np.linalg.svd`` sets, so
+        the output is the same bit for bit, and a failed convergence
+        raises ``LinAlgError`` as there.  On a 3x3 matrix the wrapper
+        costs more than LAPACK itself.
+        """
+        with np.errstate(call=_raise_nonconvergence, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            if compute_uv:
+                return _gesdd_full(a, signature="d->ddd")
+            return _gesdd_values(a, signature="d->d")
+
+
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD ``a = U @ diag(s) @ V.T`` of a square matrix (LAPACK).
+    """Full SVD ``a = U @ diag(s) @ V.T`` of a square matrix.
+
+    One call of LAPACK's ``dgesdd`` through ``_lapack_svd``: the gufunc
+    ``numpy.linalg._umath_linalg.svd_f`` that ``np.linalg.svd`` ends in,
+    without the public wrapper, which on a 3x3 matrix costs more than
+    LAPACK.  The checks of :func:`as_square_matrix` run first (real, 2-D,
+    square, non-empty, finite: on a non-finite matrix LAPACK may not
+    return).  The result is ``np.linalg.svd``'s bit for bit.
 
     Returns
     -------
     (U, s, V):
         Orthogonal ``U``, ``V`` and non-increasing singular values ``s``.
     """
-    u, sigma, vt = np.linalg.svd(as_square_matrix(a))
+    u, sigma, vt = _lapack_svd(as_square_matrix(a))
     return u, sigma, vt.T
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of ``a`` in non-increasing order (LAPACK); for a
-    stack of shape ``(..., N, N)``, shape ``(..., N)``."""
-    return np.linalg.svd(_as_square_stack(a), compute_uv=False)
+    """Singular values of ``a`` in non-increasing order; for a stack of
+    shape ``(..., N, N)``, shape ``(..., N)``.
+
+    One values-only ``dgesdd`` call, for one matrix or a whole stack,
+    through the gufunc ``numpy.linalg._umath_linalg.svd`` with the checks
+    and for the reason of :func:`svd`; equal to
+    ``np.linalg.svd(a, compute_uv=False)`` bit for bit.
+    """
+    return _lapack_svd(_as_square_stack(a), compute_uv=False)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +367,7 @@ def schatten_norm(a: np.ndarray, p: ExponentLike) -> float | np.ndarray:
     is summed in Python floats (:func:`norm_from_floats`); a 2x2 one needs
     no factorization at all.
     """
-    a = np.asarray(a)
+    a = _as_real(a)
     if a.shape == (2, 2):
         pf = exponent_float(p)
         entries = a.ravel().tolist()
@@ -378,7 +436,7 @@ def norms_and_deferred_gradients(
     between.  An ascent that rejects most trial points never forms their
     gradients.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(_as_real(x), dtype=float)
     if x.shape == (2, 2):
         closed = spectrum_2x2(x.ravel().tolist())
         # non-finite entries, or split lengths that overflow, take the

@@ -75,7 +75,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import as_square_matrix, norm_and_gradient, norm_from_floats, schatten_norm, split_2x2
+from .core import (
+    as_square_matrix,
+    norm_and_gradient,
+    norm_from_floats,
+    schatten_norm,
+    split_2x2,
+    svd,
+)
 from .exponents import INF, as_exponent, dual_exponent, is_infinite
 from .operators import SubspaceBasis
 
@@ -472,8 +479,8 @@ def _spectral_homotopy(x: np.ndarray, basis: SubspaceBasis, q) -> DistanceResult
     while solvable and steps < _DR_MAX_STEPS and best_value - lower > _DR_GAP * best_value:
         steps += 1
         r = x_perp + projector @ v
-        u, s, vt = np.linalg.svd((2.0 * r - v).reshape(n, n))
-        z = ((u * _dual_ball_projection([t / gamma for t in s.tolist()], q)) @ vt).reshape(-1)
+        u, s, w = svd((2.0 * r - v).reshape(n, n))
+        z = ((u * _dual_ball_projection([t / gamma for t in s.tolist()], q)) @ w.T).reshape(-1)
         v += _RELAXATION * (r - v - gamma * z)  # W - gamma Z - R, W - R = R - v
         if steps % _DR_CHECK_EVERY == 0:
             coefficients = c - cols.T @ v

@@ -251,8 +251,10 @@ def test_subspace_ascent_factors_each_point_once_per_use(monkeypatch):
     # projection onto the subspace takes no factorization.  The norm
     # objective, given by its exponent, reads both norms from one SVD of a
     # point; a callable objective takes one more at the normalized point
+    from schatten_widths import core
+
     calls = []
-    lapack_svd = np.linalg.svd
+    lapack_svd = core._lapack_svd
 
     def counting_svd(*args, **kwargs):
         calls.append(None)
@@ -261,7 +263,7 @@ def test_subspace_ascent_factors_each_point_once_per_use(monkeypatch):
     rng = np.random.default_rng(11)
     frame = SubspaceBasis(orthonormal_columns(rng.standard_normal((9, 5))), 3)
     starts = [frame.member(z) for z in rng.standard_normal((4, 5))]
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(core, "_lapack_svd", counting_svd)
     for objective, per_point in (("2", 1), (lambda x: norm_and_deferred_gradient(x, "2"), 2)):
         calls.clear()
         res = sup_ratio_ascent(objective, "1/2", starts, subspace=frame)

@@ -1,11 +1,13 @@
 """Core primitives: SVD, Schatten norms, embedding norms, hulls, interpolation."""
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schatten_widths import core
 from schatten_widths.acceptance import EXPONENT_GRID
 from schatten_widths.core import (
     EmbeddingSpec,
@@ -60,16 +62,23 @@ def test_svd_handles_rank_deficiency():
     assert np.all(sigma[1:] <= 1e-10 * sigma[0])
 
 
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_svd_is_one_lapack_call(N, monkeypatch):
+def _counting_lapack(monkeypatch) -> list:
+    """Count the calls of core's LAPACK entry, which svd and
+    singular_values look up when called."""
     calls = []
-    lapack_svd = np.linalg.svd
+    lapack_svd = core._lapack_svd
 
     def counting_svd(*args, **kwargs):
         calls.append(None)
         return lapack_svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(core, "_lapack_svd", counting_svd)
+    return calls
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_svd_is_one_lapack_call(N, monkeypatch):
+    calls = _counting_lapack(monkeypatch)
     for a in (np.random.default_rng(N).standard_normal((N, N)), np.eye(N), np.zeros((N, N))):
         calls.clear()
         svd(a)
@@ -81,6 +90,90 @@ def test_singular_values_match_lapack():
     for N in (2, 3, 4):
         a = rng.standard_normal((N, N))
         assert np.allclose(singular_values(a), np.linalg.svd(a, compute_uv=False), atol=1e-10)
+
+
+def _kernel_inputs(N: int, rng) -> list:
+    """Gaussian, rank-deficient, widely scaled, subnormal and integer
+    matrices of side N; 1e300 overflows the sum of squares that screens
+    for non-finite entries."""
+    a = rng.standard_normal((N, N))
+    low = np.outer(rng.standard_normal(N), rng.standard_normal(N))
+    return [a, low, 1e-150 * a, 1e150 * a, 1e300 * a, 1e-310 * a,
+            rng.integers(-9, 10, (N, N)), np.zeros((N, N), dtype=np.int32)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 8, 32])
+def test_kernel_is_numpy_svd_bit_for_bit(N):
+    # the same gufunc on the same array: U, s, V and the values alone
+    rng = np.random.default_rng(100 + N)
+    for a in _kernel_inputs(N, rng):
+        u, sigma, v = svd(a)
+        ref_u, ref_sigma, ref_vt = np.linalg.svd(a)
+        assert u.dtype == sigma.dtype == v.dtype == np.float64
+        assert np.array_equal(u, ref_u)
+        assert np.array_equal(sigma, ref_sigma)
+        assert np.array_equal(v.T, ref_vt)
+        assert np.array_equal(singular_values(a), np.linalg.svd(a, compute_uv=False))
+    stack = np.stack([rng.standard_normal((N, N)) for _ in range(5)])
+    assert np.array_equal(singular_values(stack), np.linalg.svd(stack, compute_uv=False))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernel_rejects_non_finite_entries_before_lapack(N, bad, monkeypatch):
+    # LAPACK need not return on an infinite entry, so the check comes first
+    calls = _counting_lapack(monkeypatch)
+    a = np.eye(N)
+    a[-1, 0] = bad
+    for call in (svd, singular_values, lambda m: schatten_norm(m, "1"),
+                 lambda m: norm_and_gradient(m, "1"), lambda m: singular_values(m[None])):
+        with pytest.raises(ValueError, match="finite"):
+            call(a)
+    assert calls == []
+
+
+def test_kernel_rejects_stacks_and_non_square_input(monkeypatch):
+    calls = _counting_lapack(monkeypatch)
+    for bad in (np.ones((2, 3, 3)), np.ones((3, 4)), np.ones(3), np.ones((0, 0))):
+        with pytest.raises(ValueError):
+            svd(bad)
+    assert calls == []
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_complex_input_is_rejected_on_every_path(N):
+    # a cast to float dropped the imaginary part: the 1-norm of
+    # (1 + 1j) I_3 read 3.0 instead of 3 sqrt(2)
+    a = np.eye(N) * (1 + 1j)
+    calls = (
+        svd,
+        singular_values,
+        lambda m: schatten_norm(m, "1"),
+        lambda m: schatten_norm(m.tolist(), "inf"),
+        lambda m: schatten_norm(m[None], "2"),
+        lambda m: singular_values(m[None]),
+        lambda m: norm_and_gradient(m, "1/2"),
+        lambda m: norms_and_deferred_gradients(m, ["1", "2"]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="real"):
+            call(a)
+
+
+@pytest.mark.skipif(not hasattr(core, "_gesdd_full"), reason="numpy < 2 runs np.linalg.svd")
+def test_lapack_nonconvergence_raises_linalgerror_without_a_warning(monkeypatch):
+    # the gufunc reports a failed convergence by the invalid flag, which the
+    # entry's error state turns into LinAlgError, as np.linalg.svd does
+    def failing(a, signature):
+        return np.sqrt(-np.ones(a.shape[-1]))
+
+    monkeypatch.setattr(core, "_gesdd_full", failing)
+    monkeypatch.setattr(core, "_gesdd_values", failing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (svd, singular_values, lambda m: schatten_norm(m, "1")):
+            with pytest.raises(np.linalg.LinAlgError, match="converge"):
+                call(np.eye(3))
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,9 @@ def _counting(monkeypatch, owner, name):
 def test_norm_ascent_factors_each_point_once_per_use(monkeypatch):
     # both norms of a scored point, its normalized copy and both deferred
     # gradients come from one LAPACK SVD
-    calls = _counting(monkeypatch, np.linalg, "svd")
+    from schatten_widths import core
+
+    calls = _counting(monkeypatch, core, "_lapack_svd")
     est = operator_norm_estimate(EmbeddingSpec("1/2", "2", 3))
     assert len(calls) == est.detail["evaluations"]
 
