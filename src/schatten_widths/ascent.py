@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import norms_and_deferred_gradients
+from .core import as_real, norms_and_deferred_gradients
 from .exponents import ExponentLike, exponent_float
 from .operators import SubspaceBasis, orthonormal_columns
 
@@ -78,7 +78,8 @@ def default_starts(
     extra: Sequence[np.ndarray] = (),
 ) -> list[np.ndarray]:
     """Standard start battery: a matrix unit, the identity, a Haar-like
-    orthogonal matrix, random rank-ones, and Gaussians, plus caller extras.
+    orthogonal matrix, random rank-ones, and Gaussians, plus caller extras
+    (real; a complex one raises ``ValueError``).
 
     The matrix unit and the identity are exact maximizers of the two
     embedding-norm regimes, so norm ascents converge at the gate.
@@ -99,7 +100,7 @@ def default_starts(
         starts.append(np.outer(u, v))
     for _ in range(n_gaussian):
         starts.append(rng.standard_normal((N, N)))
-    starts.extend(np.asarray(e, dtype=float) for e in extra)
+    starts.extend(np.asarray(as_real(e), dtype=float) for e in extra)
     return starts
 
 
@@ -129,7 +130,8 @@ def sup_ratio_ascent(
     largest entry into ``[2^-969, 1)``, which changes no ratio: below that
     range a 2x2 split's lengths can be subnormal, and round, which puts
     the normalized start off the sphere; above it a small-exponent norm
-    can overflow.  A start inside the range is not scaled.
+    can overflow.  A start inside the range is not scaled.  A complex
+    start raises ``ValueError``.
     """
     pf = exponent_float(p)
     norm_objective = not callable(objective)
@@ -156,7 +158,7 @@ def sup_ratio_ascent(
     any_converged = False
 
     for index, start in enumerate(starts):
-        t = np.asarray(start, dtype=float)
+        t = np.asarray(as_real(start), dtype=float)
         exponent = math.frexp(float(np.abs(t).max()))[1]
         point = scored(np.ldexp(t, min(max(exponent, _LEAST_START_EXPONENT), 0) - exponent))
         if point is None:

@@ -162,7 +162,7 @@ def as_matrix_side(N: object) -> int:
     return N_int
 
 
-def _as_real(a: np.ndarray) -> np.ndarray:
+def as_real(a: np.ndarray) -> np.ndarray:
     """``a`` as an array, raising ``ValueError`` on a complex one: a cast to
     float would drop its imaginary parts."""
     arr = np.asarray(a)
@@ -174,7 +174,7 @@ def _as_real(a: np.ndarray) -> np.ndarray:
 def _as_square_stack(a: np.ndarray) -> np.ndarray:
     """Validate and return ``a`` as a float array of shape ``(..., N, N)``:
     real, square, non-empty and finite."""
-    arr = np.asarray(_as_real(a), dtype=float)
+    arr = np.asarray(as_real(a), dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[-1] < 1:
@@ -367,7 +367,7 @@ def schatten_norm(a: np.ndarray, p: ExponentLike) -> float | np.ndarray:
     is summed in Python floats (:func:`norm_from_floats`); a 2x2 one needs
     no factorization at all.
     """
-    a = _as_real(a)
+    a = as_real(a)
     if a.shape == (2, 2):
         pf = exponent_float(p)
         entries = a.ravel().tolist()
@@ -436,7 +436,7 @@ def norms_and_deferred_gradients(
     between.  An ascent that rejects most trial points never forms their
     gradients.
     """
-    x = np.asarray(_as_real(x), dtype=float)
+    x = np.asarray(as_real(x), dtype=float)
     if x.shape == (2, 2):
         closed = spectrum_2x2(x.ravel().tolist())
         # non-finite entries, or split lengths that overflow, take the

@@ -10,6 +10,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import as_real
+
 __all__ = [
     "SubspaceBasis",
     "orthonormal_columns",
@@ -53,13 +55,14 @@ def orthonormal_columns(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """An orthonormal (Frobenius inner product) basis of a subspace of
-    ``N x N`` matrix space, columns in ``vec`` coordinates."""
+    ``N x N`` matrix space, columns in ``vec`` coordinates; complex columns
+    raise ``ValueError``."""
 
     columns: np.ndarray
     N: int
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.columns, dtype=float)
+        c = np.asarray(as_real(self.columns), dtype=float)
         full = self.N * self.N
         if c.ndim != 2 or c.shape[0] != full:
             raise ValueError(f"columns must be ({full}, m), got {c.shape}")

@@ -180,6 +180,13 @@ def test_default_starts_deterministic_and_complete():
     assert np.array_equal(with_extra[-1], extra)
 
 
+def test_complex_starts_raise_instead_of_dropping_their_imaginary_part():
+    with pytest.raises(ValueError, match="real"):
+        sup_ratio_ascent("2", "1", [np.eye(3) * (1 + 1j)])
+    with pytest.raises(ValueError, match="real"):
+        default_starts(3, np.random.default_rng(5), extra=[np.eye(3) * 1j])
+
+
 @pytest.mark.parametrize("p,q", [("1", "inf"), ("inf", "1"), ("2", "4"), ("1/2", "2")])
 def test_ascent_recovers_the_embedding_norm(p, q):
     N = 3

@@ -74,6 +74,8 @@ def test_subspace_basis_requires_orthonormal_columns():
         SubspaceBasis(np.ones((4, 2)), 2)
     with pytest.raises(ValueError):
         SubspaceBasis(np.eye(4)[:, :2], 3)  # wrong ambient dimension
+    with pytest.raises(ValueError, match="real"):
+        SubspaceBasis(np.eye(4)[:, :2] * 1j, 2)
 
 
 def test_subspace_projection_is_an_orthogonal_idempotent():

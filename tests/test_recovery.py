@@ -1,5 +1,6 @@
 """Gaussian measurements, nuclear-norm decoding, and envelope comparison."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from schatten_widths.core import schatten_norm
 from schatten_widths.exponents import as_exponent
 from schatten_widths.recovery import (
     InfoMap,
+    _decode_stack,
+    _svt_stack,
     _test_battery,
     apply_info_map,
     build_info_map,
@@ -35,6 +38,8 @@ def test_info_map_shape_and_validation():
         InfoMap(np.zeros((2, 3, 4)), seed=0)
     with pytest.raises(ValueError):
         InfoMap(np.full((1, 2, 2), np.nan), seed=0)
+    with pytest.raises(ValueError, match="real"):
+        InfoMap(np.ones((1, 2, 2)) * 1j, seed=0)
 
 
 @pytest.mark.parametrize("integer", [np.int64, np.int32])
@@ -65,6 +70,8 @@ def test_apply_info_map_is_linear_and_matches_traces():
     )
     with pytest.raises(ValueError):
         apply_info_map(info, np.eye(2))
+    with pytest.raises(ValueError, match="real"):
+        apply_info_map(info, x * (1 + 1j))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -132,6 +139,61 @@ def test_decoder_rejects_non_finite_measurements(bad):
     y[2] = bad
     with pytest.raises(ValueError, match="finite"):
         nuclear_decoder(build_info_map(3, 4, seed=0), y)
+
+
+def test_decoder_rejects_complex_measurements():
+    info = build_info_map(3, 4, seed=0)
+    with pytest.raises(ValueError, match="real"):
+        nuclear_decoder(info, np.ones(4) * (1 + 1j))
+
+
+def _canonical_measurements() -> tuple[InfoMap, np.ndarray]:
+    """A rank-one instance's measurements, scaled so the largest lies in
+    [1/2, 1), where an out-of-range decode runs."""
+    rng = np.random.default_rng(7)
+    info = build_info_map(8, 24, seed=3)
+    y = apply_info_map(info, np.outer(rng.standard_normal(8), rng.standard_normal(8)))
+    return info, np.ldexp(y, -np.frexp(np.abs(y).max())[1])
+
+
+@pytest.mark.parametrize("k", [500, -500])
+def test_decoder_scales_extreme_measurements_exactly(k):
+    info, y = _canonical_measurements()
+    base = nuclear_decoder(info, y, 1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = nuclear_decoder(info, np.ldexp(y, k), math.ldexp(1e-6, k))
+    assert res.converged and res.iterations == base.iterations
+    assert np.array_equal(res.matrix, np.ldexp(base.matrix, k))
+    assert res.residual == math.ldexp(base.residual, k)
+
+
+def test_decoder_does_not_read_tiny_measurements_as_zero():
+    # ||y|| about 4.5e-201: its sum of squares underflows to 0, which once
+    # passed the test ||y|| <= tol and returned 0 with residual 0.0
+    info, y = _canonical_measurements()
+    y = y * (4.5e-201 / np.linalg.norm(y))
+    res = nuclear_decoder(info, y, 1e-206)
+    assert res.converged and res.iterations > 0
+    assert 0.0 < res.residual <= 1e-206
+    scale = 660
+    true_residual = np.linalg.norm(
+        apply_info_map(info, np.ldexp(res.matrix, scale)) - np.ldexp(y, scale))
+    assert math.ldexp(true_residual, -scale) == pytest.approx(res.residual, rel=1e-6)
+    # subnormal measurements: the default tol, scaled alike, overflows; y
+    # is within it, and the zero matrix is the decode
+    zero = nuclear_decoder(info, y * 1e-119)
+    assert zero.converged and zero.iterations == 0 and not zero.matrix.any()
+    assert zero.residual == pytest.approx(4.5e-320, rel=1e-3)
+
+
+def test_decoder_does_not_overflow_at_huge_measurements():
+    info, y = _canonical_measurements()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = nuclear_decoder(info, 1e200 * y, 1e194)
+    assert res.converged and 0.0 < res.residual <= 1e194
+    assert np.isfinite(res.matrix).all()
 
 
 @pytest.mark.parametrize("max_iter", [2.5, 10.0, True, "10"])
@@ -213,6 +275,40 @@ def test_every_battery_decode_is_feasible_without_nuclear_excess(m):
         assert res.residual <= tol, label
         assert res.residual == float(np.linalg.norm(apply_info_map(info, res.matrix) - y))
         assert schatten_norm(res.matrix, 1) <= schatten_norm(x, 1) + 1e-6, label
+
+
+def _svt_reference(w: np.ndarray, gamma: float) -> np.ndarray:
+    u, s, vt = np.linalg.svd(w)
+    return (u * np.maximum(s - gamma, 0.0)) @ vt
+
+
+def _with_spectrum(s, rng: np.random.Generator) -> np.ndarray:
+    N = len(s)
+    u, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    v, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    return (u * np.asarray(s, dtype=float)) @ v.T
+
+
+@pytest.mark.parametrize("N", [3, 8, 32])
+def test_gram_prox_matches_an_svd_reference(N):
+    rng = np.random.default_rng(N)
+    ladder = np.linspace(3.0, 0.5, N)
+    cases = [
+        (_with_spectrum(np.r_[ladder[: N // 2], np.zeros(N - N // 2)], rng), 0.8),  # rank-deficient
+        (_with_spectrum(np.r_[np.full(N - 1, 2.0), 1.0], rng), 0.5),  # repeated
+        (_with_spectrum(np.r_[np.full(N // 2, 2.0), np.full(N - N // 2, 1.0)], rng), 1.5),
+        (np.zeros((N, N)), 0.3),  # W = 0
+        (rng.standard_normal((N, N)), 0.0),  # gamma = 0
+        (_with_spectrum(ladder, rng), 3.5),  # gamma > sigma_1
+        (rng.standard_normal((N, N)), 1.0),
+    ]
+    W = np.array([w for w, _ in cases])
+    gamma = np.array([g for _, g in cases])
+    Z = _svt_stack(W, gamma)  # the whole stack at once, one threshold each
+    for (w, g), z in zip(cases, Z):
+        assert np.abs(z - _svt_reference(w, g)).max() <= 1e-13 * max(np.linalg.norm(w, 2), 1.0)
+    assert np.array_equal(Z[3], np.zeros((N, N)))
+    assert np.array_equal(Z[5], np.zeros((N, N)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +407,30 @@ def test_decoder_sweep_is_pinned_and_converges_in_few_steps():
         total_iterations += res.diagnostics["total_iterations"]
     # plain Douglas-Rachford takes 11,590 steps here, the relaxed 7,430
     assert total_iterations <= 9000
+
+
+@pytest.mark.parametrize("N,m,budget", [(8, m, 12) for m in _SWEEP] + [(32, 128, 3)])
+def test_lockstep_battery_decodes_each_instance_as_alone(N, m, budget):
+    # the battery advances in lockstep; each instance stops where the
+    # one-instance decoder stops it, and differs from it only by rounding
+    q = as_exponent(2)
+    battery = _test_battery(N, as_exponent(1), np.random.default_rng(11), budget)
+    info = build_info_map(N, m, 11)
+    ys = [apply_info_map(info, x) for _, x in battery]
+    stacked = _decode_stack(info, np.array(ys), 1e-6, 6000)
+    alone = [nuclear_decoder(info, y) for y in ys]
+    assert [(r.iterations, r.converged) for r in stacked] == \
+        [(r.iterations, r.converged) for r in alone]
+    res = worst_case_error(N, 1, 2, m, test_budget=budget, seed=11)
+    assert res.diagnostics["total_iterations"] == sum(r.iterations for r in alone)
+    assert res.diagnostics["non_converged"] == sum(not r.converged for r in alone)
+    fallbacks = 0
+    for (_, x), r, err in zip(battery, alone, res.errors):
+        zero_err = schatten_norm(x, q)
+        alone_err = schatten_norm(x - r.matrix, q)
+        fallbacks += alone_err > zero_err
+        assert err == pytest.approx(min(alone_err, zero_err), rel=1e-12, abs=1e-12 * zero_err)
+    assert res.diagnostics["fallbacks_to_zero"] == fallbacks
 
 
 def test_compare_to_envelope_fields_are_consistent():
