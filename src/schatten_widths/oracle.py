@@ -46,10 +46,22 @@ Only the three best frames ever matter, and a frame's net-sup is at
 least the ratio of any of its members.  So every batch after the seeds
 is first screened with the exact members' ratios (the evaluator's
 ``lower`` bound), and only the frames whose bound lies below the largest
-value of the current top three are scored in full.  A frame at or above
-that bar cannot enter the top three: three frames seen earlier are no
-larger, and they win ties.  So values, frames and frame counts are those
-of scoring every frame.
+value of the current top three, the bar, are scored in full.  A frame at
+or above that bar cannot enter the top three: three frames seen earlier
+are no larger, and they win ties.  So values, frames and frame counts are
+those of scoring every frame.
+
+A hyperplane's screen runs in two exact tiers.  The first rates three of
+its exact members: the two flat-spectrum ones and the rank-one member at
+the first grid angle.  Most frames already reach the bar there; only the
+rest are swept over every rank-one member.  The first tier is a max over
+some of the same members, computed with the same elementwise arithmetic,
+and a max is exact, so a frame is screened out exactly when its full bound
+reaches the bar.  A NaN bound is scored; a member's ratio is NaN only for
+a frame with a non-finite entry, and then every flat member's ratio is
+NaN too, so such a frame always reaches the sweep.  A hyperplane's normal
+is the generalized cross product of its frame's three columns, in closed
+form.
 
 The restriction net, and its bound, work through a stack in tiles whose
 temporaries hold at most ``_CHUNK`` = 2**15 float64 elements (256 KB,
@@ -231,6 +243,27 @@ def _seed_frames(m: int) -> np.ndarray:
     return u[:, :, 1:4]
 
 
+def _normals(B: np.ndarray) -> np.ndarray:
+    """Unit normals, (F, 4), of the hyperplanes spanned by a (F, 4, 3)
+    stack of orthonormal frames.
+
+    The generalized cross product of the three columns: entry ``i`` is
+    ``(-1)^i`` times the 3x3 minor without row ``i``, so its inner product
+    with any column is a determinant with a repeated column, zero.  Its
+    length is the frame's volume, 1 up to rounding, and it is divided out.
+    """
+    u, v, w = np.moveaxis(B, 2, 0)
+    minor = {(j, k): v[:, j] * w[:, k] - v[:, k] * w[:, j]
+             for j, k in itertools.combinations(range(4), 2)}
+    n = np.stack([
+        u[:, 1] * minor[2, 3] - u[:, 2] * minor[1, 3] + u[:, 3] * minor[1, 2],
+        -(u[:, 0] * minor[2, 3] - u[:, 2] * minor[0, 3] + u[:, 3] * minor[0, 2]),
+        u[:, 0] * minor[1, 3] - u[:, 1] * minor[0, 3] + u[:, 3] * minor[0, 1],
+        -(u[:, 0] * minor[1, 2] - u[:, 1] * minor[0, 2] + u[:, 2] * minor[0, 1]),
+    ], axis=1)
+    return n / np.linalg.norm(n, axis=1, keepdims=True)
+
+
 class _RestrictionNet:
     """Net-sup evaluator ``B -> max ||X||_q / ||X||_p over X in span B``.
 
@@ -258,11 +291,13 @@ class _RestrictionNet:
             raise ValueError(f"restriction net expects dim in {{1, 2, 3}}, got {dim}")
         self.thetas = np.arange(0.0, math.pi, h)
 
-    def _rank_ones_3(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _rank_ones_3(normals: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rank-one members of hyperplanes given by their (F, 4) unit
-        normals: (F, R, 4) rows and an (F, R) mask of the rows that exist."""
+        normals, one per row direction at an angle of ``thetas``: (F, R, 4)
+        rows and an (F, R) mask of the rows that exist."""
         z = normals[:, :, None]
-        a1, a2 = np.cos(self.thetas), np.sin(self.thetas)
+        a1, a2 = np.cos(thetas), np.sin(thetas)
         # rows a with  a^T Z b = 0  pair with  b ⟂ Z^T a
         c1 = z[:, 0] * a1 + z[:, 2] * a2
         c2 = z[:, 1] * a1 + z[:, 3] * a2
@@ -316,7 +351,7 @@ class _RestrictionNet:
             np.maximum(best, _ratio_vec(member, self.pf, self.qf), out=best)
         return best
 
-    def lower(self, B: np.ndarray) -> np.ndarray:
+    def lower(self, B: np.ndarray, bar: float | None = None) -> np.ndarray:
         """Max ratio over the exactly known members of each frame of a
         (F, 4, dim) stack, shape (F,): the rank-one members, at ``dim = 3``
         also the flat-spectrum ones, and at ``dim = 1`` the direction;
@@ -324,21 +359,43 @@ class _RestrictionNet:
 
         This is the exact part of :meth:`__call__`, computed the same way,
         so it never exceeds a frame's value.
+
+        At ``dim = 3`` it runs in two tiers.  The first rates the two flat
+        members and the rank-one member at the first grid angle; only the
+        frames whose first-tier bound is below ``bar``, or NaN, go on to
+        the sweep of every rank-one member.  A frame stopped early keeps
+        its first-tier bound, which is at or above ``bar``.  That bound is
+        the max over some of the same members, with the same elementwise
+        arithmetic, so ``lower(B, bar) >= bar`` exactly where
+        ``lower(B) >= bar``.  A member's ratio is NaN only if the frame
+        has a non-finite entry, and then its normal has a NaN entry and so
+        has each flat member: the first tier is NaN and sends the frame
+        on.  Without ``bar`` every frame is swept.
         """
         if self.dim == 1:
             return _ratio_vec(B[:, :, 0], self.pf, self.qf)
-        if self.dim == 3:
-            normals = np.linalg.svd(B, full_matrices=True)[0][:, :, 3]
-            best = self._flat_ratios_3(normals)
-        else:
-            best = np.full(B.shape[0], -np.inf)
-        step = max(1, _CHUNK // (4 * self.thetas.size))
-        for f in range(0, B.shape[0], step):
+        if self.dim == 2:
+            return self._raise_to_cusps(np.full(B.shape[0], -np.inf), B)
+        normals = _normals(B)
+        best = self._raise_to_cusps(self._flat_ratios_3(normals), normals, self.thetas[:1])
+        sweep = slice(None) if bar is None else ~(best >= bar)
+        best[sweep] = self._raise_to_cusps(best[sweep], normals[sweep], self.thetas)
+        return best
+
+    def _raise_to_cusps(self, best: np.ndarray, frames: np.ndarray,
+                        thetas: np.ndarray | None = None) -> np.ndarray:
+        """Raise ``best`` in place to the max ratio over each frame's
+        rank-one members, tile by tile, and return it.  ``frames`` is a
+        (F, 4, 2) stack of planes, or with ``thetas`` the (F, 4) unit
+        normals of hyperplanes, whose members are listed at the row
+        directions of those angles."""
+        step = max(1, _CHUNK // (4 * (2 if thetas is None else thetas.size)))
+        for f in range(0, best.shape[0], step):
             tile = best[f:f + step]
-            if self.dim == 3:
-                extra, keep = self._rank_ones_3(normals[f:f + step])
+            if thetas is None:
+                extra, keep = self._rank_ones_2(frames[f:f + step])
             else:
-                extra, keep = self._rank_ones_2(B[f:f + step])
+                extra, keep = self._rank_ones_3(frames[f:f + step], thetas)
             cusp = np.where(keep, _ratio_vec(extra, self.pf, self.qf), -np.inf)
             np.maximum(cusp.max(axis=1), tile, out=tile)
         return best
@@ -361,6 +418,36 @@ class _RestrictionNet:
 # ---------------------------------------------------------------------------
 
 
+class _TopThree:
+    """The pool of :func:`_frame_search`: the three best frames considered
+    so far, their values and their first-seen indices (ties go to the
+    frame seen first), and the number of frames considered."""
+
+    def __init__(self, evaluate: _RestrictionNet, m: int) -> None:
+        self.evaluate = evaluate
+        self.frames, self.values = np.empty((0, 4, m)), np.empty(0)
+        self.seen = np.empty(0, dtype=int)
+        self.considered = 0
+
+    def absorb(self, fresh: np.ndarray) -> None:
+        """Consider a (F, 4, m) stack of frames.  Once the pool is full,
+        only the frames whose bound lies below the bar, or is NaN, are
+        scored."""
+        ids = self.considered + np.arange(fresh.shape[0])
+        self.considered += fresh.shape[0]
+        if self.values.size == 3:
+            bar = self.values.max()
+            live = ~(self.evaluate.lower(fresh, bar) >= bar)  # a NaN bound is scored
+            fresh, ids = fresh[live], ids[live]
+        frames, values, seen = self.frames, self.values, self.seen
+        if fresh.shape[0]:
+            frames = np.concatenate([frames, fresh])
+            values = np.concatenate([values, self.evaluate(fresh)])
+            seen = np.concatenate([seen, ids])
+        top = np.lexsort((seen, values))[:3]
+        self.frames, self.values, self.seen = frames[top], values[top], seen[top]
+
+
 def _frame_search(
     evaluate: _RestrictionNet,
     m: int,
@@ -375,47 +462,31 @@ def _frame_search(
     frames, then in each zoom round the perturbations of the three best
     frames so far; ties go to the frame seen first.
 
-    Only the three best frames are kept.  ``evaluate.lower`` maps a stack
-    to lower bounds on its values; every batch after the seeds is
-    screened with it, and only the frames whose bound lies below the
-    largest value of the top three are scored in full.  A
-    frame at or above that bar cannot enter the top three: the three
-    frames in it were seen earlier and are no larger, and ties go to them.
-    So the result is that of scoring every frame.  Returns the best
-    value, its frame and the number of frames considered, screened ones
-    included.
+    Only the three best frames are kept.  ``evaluate.lower(B, bar)`` maps
+    a stack to lower bounds on its values; every batch after the seeds is
+    screened with it, at the bar of the largest value of the top three,
+    and only the frames whose bound lies below the bar, or is NaN, are
+    scored in full.  A frame at or above the bar cannot enter the top
+    three: the three frames in it were seen earlier and are no larger, and
+    ties go to them.  ``lower`` may stop at a partial bound once it
+    reaches the bar (its first tier), and decides ``bound >= bar`` exactly
+    as the full bound does.  So the result is that of scoring every
+    frame.  Returns the best value, its frame and the number of frames
+    considered, screened ones included.
     """
-    # the pool: the three best frames so far, their values and their
-    # first-seen indices
-    frames, values, seen = np.empty((0, 4, m)), np.empty(0), np.empty(0, dtype=int)
-    n_frames = 0
-
-    def absorb(fresh: np.ndarray) -> None:
-        nonlocal frames, values, seen, n_frames
-        ids = n_frames + np.arange(fresh.shape[0])
-        n_frames += fresh.shape[0]
-        if values.size == 3:
-            live = ~(evaluate.lower(fresh) >= values.max())  # a NaN bound is scored
-            fresh, ids = fresh[live], ids[live]
-        if fresh.shape[0]:
-            frames = np.concatenate([frames, fresh])
-            values = np.concatenate([values, evaluate(fresh)])
-            seen = np.concatenate([seen, ids])
-        top = np.lexsort((seen, values))[:3]
-        frames, values, seen = frames[top], values[top], seen[top]
-
-    absorb(_seed_frames(m))  # an empty pool has no bar: all scored
+    pool = _TopThree(evaluate, m)
+    pool.absorb(_seed_frames(m))  # an empty pool has no bar: all scored
     need = max(96, int(round(16.0 / h)))
     starts = _orth(rng.standard_normal((need, 4, m)))
     while starts.shape[0] < need:
         more = _orth(rng.standard_normal((need - starts.shape[0], 4, m)))
         starts = np.concatenate([starts, more])
-    absorb(starts)
+    pool.absorb(starts)
     n_zoom = max(24, int(round(1.6 / h)))
     for tau in (0.6, 0.25, 0.1, 0.04, 0.016):
-        noise = rng.standard_normal((frames.shape[0], n_zoom, 4, m))
-        absorb(_orth((frames[:, None] + tau * noise).reshape(-1, 4, m)))
-    return float(values[0]), frames[0], n_frames
+        noise = rng.standard_normal((pool.frames.shape[0], n_zoom, 4, m))
+        pool.absorb(_orth((pool.frames[:, None] + tau * noise).reshape(-1, 4, m)))
+    return float(pool.values[0]), pool.frames[0], pool.considered
 
 
 # ---------------------------------------------------------------------------

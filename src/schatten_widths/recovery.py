@@ -89,19 +89,29 @@ class InfoMap:
         return self.matrices.reshape(self.m, -1)
 
     @cached_property
-    def _gram_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of the Gram matrix ``G G^T``, factored once per map.
+    def _projector(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Rows, Gram pseudo-inverse and row scale the decode projects
+        with, factored once per map: ``(2^shift G, pinv(4^shift G G^T),
+        shift)``.
 
-        From ``eigh``; eigenvalues below ``N^2 eps`` times the largest are
-        rounding noise of the Gram's length-``N^2`` inner products and are
-        dropped, so dependent or near-dependent rows (``m > N^2`` among
-        them) give a projection onto the least-squares solutions instead
-        of a singular or ill-conditioned inverse.
+        ``shift`` is 0 unless the map's largest entry lies outside
+        ``[2^-257, 2^256)``; then the rows are scaled by the power of two
+        that brings that entry into [1/2, 1) before the Gram matrix is
+        formed, so that it neither overflows nor underflows.  The
+        pseudo-inverse is from ``eigh``; eigenvalues below ``N^2 eps``
+        times the largest are rounding noise of the Gram's length-``N^2``
+        inner products and are dropped, so dependent or near-dependent
+        rows (``m > N^2`` among them) give a projection onto the
+        least-squares solutions instead of a singular or ill-conditioned
+        inverse.
         """
         G = self.as_rows
+        shift = _safe_shift(math.frexp(float(np.abs(G).max()))[1])
+        if shift:
+            G = np.ldexp(G, shift)
         w, vecs = np.linalg.eigh(G @ G.T)
         keep = w > w[-1] * G.shape[1] * np.finfo(float).eps
-        return (vecs[:, keep] / w[keep]) @ vecs[:, keep].T
+        return G, (vecs[:, keep] / w[keep]) @ vecs[:, keep].T, shift
 
 
 def build_info_map(N: int, m: int, seed: int = 0) -> InfoMap:
@@ -155,11 +165,19 @@ def _require_tol(tol: float) -> None:
 # nearly every point of acceptance check 9's sweep.
 _RELAXATION = 1.8
 _MAX_STEPS = 6000
-# Measurements whose largest entry lies outside [2^-257, 2^256) are decoded
-# at the power-of-two scale that brings it into [1/2, 1): there the squares
-# summed in the decode's norms and Gram matrices stay far from overflow
-# and underflow, with room for the iterates to outgrow the measurements.
+# Maps and measurements whose largest entry lies outside [2^-257, 2^256)
+# are decoded at the power-of-two scale that brings it into [1/2, 1):
+# there the squares summed in the decode's norms and Gram matrices stay
+# far from overflow and underflow, with room for the iterates to outgrow
+# the measurements.
 _SAFE_EXPONENT = 256
+
+
+def _safe_shift(exponent: int) -> int:
+    """The power of two to scale by so that an entry ``x`` with
+    ``frexp(x)[1] == exponent`` lands in [1/2, 1), or 0 if ``x`` lies in
+    ``[2^-257, 2^256)``."""
+    return -exponent if abs(exponent) > _SAFE_EXPONENT else 0
 
 
 def _ldexp(x: float, exponent: int) -> float:
@@ -198,31 +216,38 @@ def _decode_stack(info: InfoMap, Y: np.ndarray, tol: float, steps: int) -> list[
     matrix product and thresholds it with one :func:`_svt_stack`.  Each
     decode keeps its own ``gamma``, tests its own stopping rule every 10
     steps, and leaves the stack when it stops.  Its residual is
-    ``||info(z) - y||`` from the product :func:`apply_info_map` takes.  A
-    row whose largest entry lies outside ``[2^-257, 2^256)`` runs scaled
-    by the power of two that brings that entry into [1/2, 1),
-    ``tol`` with it, and its matrix and residual are scaled back exactly;
-    every other row runs as given.
+    ``||info(z) - y||`` from the product :func:`apply_info_map` takes.
+
+    The decode projects with the map's rows scaled by ``2^a``
+    (``InfoMap._projector``; ``a = 0`` unless the map's largest entry lies
+    outside ``[2^-257, 2^256)``), and each row ``y`` runs as ``2^(a+s) y``
+    with ``tol`` scaled with it: the factor ``2^a`` keeps ``y`` the
+    measurement of the same matrix, and ``2^s`` (0 unless the largest entry
+    of ``2^a y`` lies outside ``[2^-257, 2^256)``) brings that entry into
+    [1/2, 1) and scales the decoded matrix by ``2^s``.  Both are undone
+    exactly on the matrix and the residual.  A map and measurements in
+    range run as given.
     """
-    N, G = info.N, info.as_rows
+    N = info.N
+    G, pinv, map_shift = info._projector
     Y = np.array(Y, dtype=float)
     results: list[Optional[DecoderResult]] = [None] * len(Y)
     shifts, tols = [], []
     for i, y in enumerate(Y):
-        exponent = math.frexp(float(np.abs(y).max()))[1]
-        shift = -exponent if abs(exponent) > _SAFE_EXPONENT else 0
-        if shift:
-            Y[i] = np.ldexp(y, shift)
+        shift = _safe_shift(math.frexp(float(np.abs(y).max()))[1] + map_shift)
+        if map_shift + shift:
+            Y[i] = np.ldexp(y, map_shift + shift)
         shifts.append(shift)
-        tols.append(_ldexp(tol, shift))
+        tols.append(_ldexp(tol, map_shift + shift))
         ynorm = float(np.linalg.norm(Y[i]))
         if ynorm <= tols[i]:
-            results[i] = DecoderResult(np.zeros((N, N)), True, 0, _ldexp(ynorm, -shift))
+            results[i] = DecoderResult(
+                np.zeros((N, N)), True, 0, _ldexp(ynorm, -map_shift - shift))
     live = [i for i, r in enumerate(results) if r is None]
     if not live:
         return results
 
-    pinv_t = info._gram_pinv.T
+    pinv_t = pinv.T
     Y = Y[live]
 
     def project(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -246,8 +271,8 @@ def _decode_stack(info: InfoMap, Y: np.ndarray, tol: float, steps: int) -> list[
             if converged or iterations == steps:
                 if shifts[i]:
                     z = np.ldexp(z, -shifts[i])
-                results[i] = DecoderResult(
-                    z.reshape(N, N), converged, iterations, _ldexp(residual, -shifts[i]))
+                results[i] = DecoderResult(z.reshape(N, N), converged, iterations,
+                                           _ldexp(residual, -map_shift - shifts[i]))
             else:
                 stay.append(row)
         if not stay:
@@ -285,12 +310,13 @@ def nuclear_decoder(
     feasible point, so the iterates scale with ``y``.  Every 10 steps it
     stops once ``||info(z) - y|| <= tol`` and the fixed-point gap
     ``||z - x||`` is within ``1e-8 max(1, ||x||)``; ``converged`` reports
-    both tests.  A ``y`` whose largest entry is below ``2^-257`` or at
-    least ``2^256`` is decoded at a power-of-two scale and scaled back
-    exactly (:func:`_decode_stack`), so tiny measurements do not read as
-    zero and huge ones do not overflow.  Deterministic; never raises on
-    non-convergence — the flag, the step count and the residual of the
-    returned ``z`` say so.  Complex or non-finite measurements, a ``tol``
+    both tests.  A map or a ``y`` whose largest entry is below ``2^-257``
+    or at least ``2^256`` is decoded at a power-of-two scale and scaled
+    back exactly (:func:`_decode_stack`), so tiny measurements do not read
+    as zero, huge ones do not overflow, and a map scaled by ``2^k``, with
+    ``y`` and ``tol``, decodes to the same matrix.  Deterministic; never
+    raises on non-convergence — the flag, the step count and the residual
+    of the returned ``z`` say so.  Complex or non-finite measurements, a ``tol``
     that is not positive and finite, and a ``max_iter`` that is not a
     positive integer raise ``ValueError``.
     """

@@ -396,6 +396,71 @@ def test_a_searched_evaluator_is_freed_without_the_cyclic_collector(make, m):
 EXPONENT = st.one_of(st.floats(0.3, 8.0), st.just(math.inf))
 
 
+def _special_and_random_frames(dim, seed):
+    """40 random frames, the first three replaced by frames on the edge
+    cases of the exact members."""
+    frames = _random_frames(40, dim, seed)
+    if dim == 2:
+        frames[0] = oracle._SPLIT_DIRS[:2].T  # rotations: no rank-one member
+        frames[1] = np.eye(4)[:, [3, 0]]  # det(C) = 0 with a linear root
+        frames[2] = np.eye(4)[:, [0, 1]]  # det(C) = 0 and no linear term
+    elif dim == 3:
+        frames[0] = np.eye(4)[:, [0, 1, 3]]  # the rank-one net drops the angle 0
+        frames[1:3] = _FLAT_HOLDERS
+    return frames
+
+
+class _RecordingNet(_RestrictionNet):
+    """A restriction net that keeps each stack it scores in full."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.stacks = []
+
+    def __call__(self, B):
+        self.stacks.append(B)
+        return super().__call__(B)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    p=EXPONENT,
+    q=EXPONENT,
+    seed=st.integers(0, 2**16),
+    pick=st.integers(0, 39),
+)
+def test_the_screen_scores_exactly_the_frames_below_the_bar(dim, p, q, seed, pick):
+    # a pool at the bar of one frame's own bound, so that ties are exact;
+    # a frame with a NaN entry has a NaN bound (at dim = 3) and is scored
+    evaluate = _RecordingNet(dim, p, q, 0.25)
+    frames = _special_and_random_frames(dim, seed)
+    frames[3, 0, 0] = np.nan
+    bounds = evaluate.lower(frames)
+    finite = bounds[~np.isnan(bounds)]
+    bar = finite[pick % finite.size]
+    below = ~(bounds >= bar)
+    assert np.array_equal(evaluate.lower(frames, bar) >= bar, bounds >= bar)
+    pool = oracle._TopThree(evaluate, dim)
+    pool.frames, pool.values, pool.seen = frames[:3], np.full(3, bar), np.arange(3)
+    pool.considered = 3
+    pool.absorb(frames)
+    scored = np.concatenate(evaluate.stacks) if evaluate.stacks else frames[:0]
+    assert np.array_equal(scored, frames[below], equal_nan=True)
+    assert evaluate.scored == below.sum()
+    assert pool.considered == 3 + frames.shape[0]
+
+
+def test_hyperplane_normals_are_the_svd_normals_in_closed_form():
+    frames = np.concatenate([_random_frames(500, 3, seed=9), oracle._seed_frames(3), _FLAT_HOLDERS])
+    normals = oracle._normals(frames)
+    assert np.all(np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-15)
+    assert np.all(np.abs(np.einsum("fi,fij->fj", normals, frames)) <= 1e-15)
+    svd = np.linalg.svd(frames, full_matrices=True)[0][:, :, 3]
+    sign = np.sign(np.einsum("fi,fi->f", normals, svd))
+    assert np.all(np.abs(normals - sign[:, None] * svd) <= 1e-12)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(
     dim=st.sampled_from([1, 2, 3]),
@@ -405,14 +470,7 @@ EXPONENT = st.one_of(st.floats(0.3, 8.0), st.just(math.inf))
 )
 def test_lower_bounds_never_exceed_the_frame_values(dim, p, q, seed):
     evaluate = _RestrictionNet(dim, p, q, 0.25)
-    frames = _random_frames(40, dim, seed)
-    if dim == 2:
-        frames[0] = oracle._SPLIT_DIRS[:2].T  # rotations: no rank-one member
-        frames[1] = np.eye(4)[:, [3, 0]]  # det(C) = 0 with a linear root
-        frames[2] = np.eye(4)[:, [0, 1]]  # det(C) = 0 and no linear term
-    elif dim == 3:
-        frames[0] = np.eye(4)[:, [0, 1, 3]]  # the rank-one net drops the angle 0
-        frames[1:3] = _FLAT_HOLDERS
+    frames = _special_and_random_frames(dim, seed)
     bounds = evaluate.lower(frames)
     values = evaluate(frames)
     assert bounds.shape == values.shape == (frames.shape[0],)

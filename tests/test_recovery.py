@@ -196,6 +196,25 @@ def test_decoder_does_not_overflow_at_huge_measurements():
     assert np.isfinite(res.matrix).all()
 
 
+@pytest.mark.parametrize("k", [-600, -530, 500, 520])
+def test_decoder_does_not_depend_on_the_map_scale(k):
+    # the map 2^k A measures X as 2^k y, and the residual tolerance is in
+    # the units of the measurements: the decode is the same matrix, bit for
+    # bit.  At these scales the Gram matrix of 2^k A underflows or
+    # overflows, so the decode factors and projects with rescaled rows
+    info = build_info_map(4, 6, 3)
+    y = apply_info_map(info, np.eye(4))
+    base = nuclear_decoder(info, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = nuclear_decoder(
+            InfoMap(np.ldexp(info.matrices, k), 3), np.ldexp(y, k), math.ldexp(1e-6, k))
+    assert base.converged and base.iterations > 0
+    assert res.converged and res.iterations == base.iterations
+    assert np.array_equal(res.matrix, base.matrix)
+    assert res.residual == math.ldexp(base.residual, k)
+
+
 @pytest.mark.parametrize("max_iter", [2.5, 10.0, True, "10"])
 def test_decoder_takes_an_integer_step_cap(max_iter):
     info = build_info_map(3, 4, seed=0)
