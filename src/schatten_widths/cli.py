@@ -12,6 +12,11 @@ Five subcommands tie the library into reproducible, file-emitting runs:
 * ``suite``     — run the numbered acceptance checks and exit nonzero on
   the first failure.
 
+Command modules load on first use: this module imports the exponent,
+core, envelope and estimator modules, and ``bounds``, ``recovery`` and
+``suite`` import the certificates, the recovery experiment and the
+acceptance checks when they run, so a command loads only what it uses.
+
 Outputs are deterministic: identical configuration (including seed)
 produces byte-identical CSV, floats are rendered with ``%.12g``, and no
 timestamps are emitted.  Exponents are parsed as exact rationals
@@ -53,8 +58,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
-from . import acceptance
-from .certificates import lower_certificates, upper_certificates, verify_certificate
 from .core import EmbeddingSpec
 from .envelope import DEFAULT_CONSTANTS, ConstantsRegistry, EnvelopeValue, envelope_profile
 from .estimators import (
@@ -64,7 +67,6 @@ from .estimators import (
     operator_norm_estimate,
 )
 from .exponents import as_exponent, format_exponent
-from .recovery import compare_to_envelope, worst_case_error
 
 __all__ = ["main", "run"]
 
@@ -222,6 +224,8 @@ def _witness_text(witness: dict) -> str:
 
 
 def _bounds_rows(args: argparse.Namespace) -> _Table:
+    from .certificates import lower_certificates, upper_certificates, verify_certificate
+
     spec = EmbeddingSpec(args.p, args.q, args.N, args.n)
     certs = upper_certificates(spec, args.kind) + lower_certificates(spec, args.kind)
     p, q = format_exponent(args.p), format_exponent(args.q)
@@ -253,6 +257,8 @@ def _estimate_rows(args: argparse.Namespace) -> _Table:
 
 
 def _recovery_rows(args: argparse.Namespace) -> _Table:
+    from .recovery import compare_to_envelope, worst_case_error
+
     rows, details = [], []
     for m in args.m_list:
         res = worst_case_error(
@@ -348,6 +354,8 @@ def _output(path_text: Optional[str]) -> Iterator[TextIO]:
 
 
 def _run_suite(args: argparse.Namespace) -> int:
+    from . import acceptance
+
     numbers = args.checks or acceptance.check_numbers()
     results = acceptance.run_suite(numbers, echo=print)
     failed = [r for r in results if not r.passed]

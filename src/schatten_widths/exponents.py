@@ -30,8 +30,9 @@ def as_exponent(value: ExponentLike) -> Exponent:
     value:
         An int, Fraction, float (``math.inf`` allowed), numpy integer or
         floating scalar, or a string such as ``"inf"``, ``"2"``, ``"4/3"``
-        or ``"0.5"``.  Finite floats are converted to their exact binary
-        rational value.  ``bool`` and ``numpy.bool_`` are rejected.
+        or ``"0.5"``, with an optional leading ``+`` (``"+inf"`` too, as
+        ``float`` reads it).  Finite floats are converted to their exact
+        binary rational value.  ``bool`` and ``numpy.bool_`` are rejected.
 
     Returns
     -------
@@ -46,7 +47,7 @@ def as_exponent(value: ExponentLike) -> Exponent:
         return value  # already canonical: the common case inside searches
     if isinstance(value, str):
         text = value.strip().lower()
-        if text in ("inf", "infinity", "oo"):
+        if text.removeprefix("+") in ("inf", "infinity", "oo"):
             return INF
         try:
             parsed: Exponent = Fraction(text)

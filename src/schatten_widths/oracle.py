@@ -330,7 +330,9 @@ class _RestrictionNet:
             ],
             axis=1,
         )
-        keep = np.stack([flat | (disc >= 0.0), np.where(flat, linear, disc >= 0.0)], axis=1)
+        # a NaN discriminant keeps its roots, so a frame with a NaN entry reads NaN
+        real = ~(disc < 0.0)
+        keep = np.stack([flat | real, np.where(flat, linear, real)], axis=1)
         return w1[..., None] * A[:, None] + w2[..., None] * C[:, None], keep
 
     def _flat_ratios_3(self, normals: np.ndarray) -> np.ndarray:
@@ -355,7 +357,8 @@ class _RestrictionNet:
         """Max ratio over the exactly known members of each frame of a
         (F, 4, dim) stack, shape (F,): the rank-one members, at ``dim = 3``
         also the flat-spectrum ones, and at ``dim = 1`` the direction;
-        ``-inf`` for a plane without a rank-one member.
+        ``-inf`` for a plane without a rank-one member, and NaN for a frame
+        with a NaN entry, as its value is.
 
         This is the exact part of :meth:`__call__`, computed the same way,
         so it never exceeds a frame's value.

@@ -35,6 +35,28 @@ def test_as_exponent_parses(raw, expected):
     assert as_exponent(raw) == expected
 
 
+@pytest.mark.parametrize(
+    "raw,expected",
+    [
+        ("+2", Fraction(2)),
+        ("+1/2", Fraction(1, 2)),
+        ("Inf", INF),
+        (" infinity ", INF),
+        ("+inf", INF),
+        (" +Infinity ", INF),
+        ("+oo", INF),
+    ],
+)
+def test_as_exponent_accepts_a_leading_plus(raw, expected):
+    assert as_exponent(raw) == expected
+
+
+@pytest.mark.parametrize("bad", ["-inf", "-Infinity", "-oo", "++inf", "+-inf", "+ inf"])
+def test_as_exponent_rejects_a_negative_or_doubled_sign_on_inf(bad):
+    with pytest.raises(ValueError):
+        as_exponent(bad)
+
+
 def test_float_input_converts_to_exact_binary_rational():
     assert as_exponent(0.5) == Fraction(1, 2)
     assert as_exponent(0.1) == Fraction(0.1)  # the exact binary value, not 1/10

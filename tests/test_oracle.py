@@ -432,7 +432,7 @@ class _RecordingNet(_RestrictionNet):
 )
 def test_the_screen_scores_exactly_the_frames_below_the_bar(dim, p, q, seed, pick):
     # a pool at the bar of one frame's own bound, so that ties are exact;
-    # a frame with a NaN entry has a NaN bound (at dim = 3) and is scored
+    # a frame with a NaN entry has a NaN bound and is scored
     evaluate = _RecordingNet(dim, p, q, 0.25)
     frames = _special_and_random_frames(dim, seed)
     frames[3, 0, 0] = np.nan
@@ -449,6 +449,19 @@ def test_the_screen_scores_exactly_the_frames_below_the_bar(dim, p, q, seed, pic
     assert np.array_equal(scored, frames[below], equal_nan=True)
     assert evaluate.scored == below.sum()
     assert pool.considered == 3 + frames.shape[0]
+
+
+@pytest.mark.parametrize("p,q", [(0.5, 1.0), (2.0, 4.0), (math.inf, 2.0)])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_frame_with_a_nan_entry_reads_nan(dim, p, q):
+    # every entry position once, each in its own frame; at dim = 2 the
+    # rank-one roots of a NaN plane have a NaN discriminant and must stay
+    net = _RestrictionNet(dim, p, q, 0.25)
+    frames = _random_frames(4 * dim, dim)
+    for f in range(frames.shape[0]):
+        frames[f, f % 4, f // 4] = np.nan
+    assert np.isnan(net.lower(frames)).all()
+    assert np.isnan(net(frames)).all()
 
 
 def test_hyperplane_normals_are_the_svd_normals_in_closed_form():
