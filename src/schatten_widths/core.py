@@ -34,10 +34,21 @@ but every rank decision and quasi-norm here drops values below
 ``RANK_CUTOFF * sigma_1``, so that accuracy would go unused; LAPACK is
 about 15x faster at N = 3 and scales its input, so entries near the
 overflow or underflow threshold give correct norms.
+
+The checks of the paper's two singular-value facts factor each matrix
+once.  :func:`littlewood_check` takes its three norms from one spectrum
+(the 2x2 split, or one values-only ``dgesdd``), with the interpolated
+exponent from integer arithmetic, and decides a matrix whose largest
+entry lies outside ``[2^-257, 2^256)`` at an exact power-of-two scale.
+:func:`hull_decompose` forms its rank-one summands from one full SVD, as
+one broadcast product, and refuses a matrix whose spectral norm
+overflows.  Both give the same bits as one norm call per exponent and
+one ``np.outer`` per term.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -47,7 +58,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .exponents import (
-    INF,
     Exponent,
     ExponentLike,
     as_exponent,
@@ -90,6 +100,11 @@ _SPECTRAL_CUTOFF = 1e-8
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # the least normal float: a power below it has lost bits
 _FLOAT_MIN = sys.float_info.min
+# A matrix whose largest entry lies outside [2^-257, 2^256) is worked on at
+# the power-of-two scale that brings that entry into [1/2, 1): there sums
+# of squares and powers of its entries and singular values stay far from
+# overflow and underflow, and the scaling itself is exact.
+_SAFE_EXPONENT = 256
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +208,21 @@ def as_square_matrix(a: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return _as_square_stack(arr)
+
+
+def _safe_shift(exponent: int) -> int:
+    """The power of two to scale by so that an entry ``x`` with
+    ``frexp(x)[1] == exponent`` lands in [1/2, 1), or 0 if ``x`` lies in
+    ``[2^-257, 2^256)``."""
+    return -exponent if abs(exponent) > _SAFE_EXPONENT else 0
+
+
+def _ldexp(x: float, exponent: int) -> float:
+    """``x * 2**exponent``, or inf where that overflows."""
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -656,20 +686,36 @@ def hull_decompose(a: np.ndarray) -> HullDecomposition:
     """Write ``a`` as a positive combination of norm-one rank-one matrices.
 
     Singular values below ``1e-12 * sigma_1`` are treated as zero and
-    dropped from the expansion.
+    dropped from the expansion.  One full SVD (:func:`svd`) gives the
+    weights, as one ``tolist()`` of its singular values, and the kept
+    summands, as one broadcast product of the kept singular-vector
+    columns: each summand is ``np.outer(u[:, i], v[:, i])`` bit for bit,
+    a C-ordered slice of that product.
+
+    Raises
+    ------
+    ValueError
+        If the spectral norm ``sigma_1`` overflows the float range.  LAPACK
+        then returns ``inf`` for it, and the lower singular values are
+        overflow debris, so no decomposition would be right.
     """
     u, sigma, v = svd(a)
-    n = sigma.size
-    terms: list[HullTerm] = []
-    if sigma[0] > 0:
-        cutoff = RANK_CUTOFF * sigma[0]
-        for i in range(n):
-            if sigma[i] <= cutoff:
-                break
-            terms.append(
-                HullTerm(weight=float(sigma[i]), summand=np.outer(u[:, i], v[:, i]), index=i)
-            )
-    return HullDecomposition(terms=tuple(terms), N=n)
+    weights = sigma.tolist()
+    top = weights[0]
+    if top == math.inf:
+        raise ValueError(
+            "the matrix's spectral norm overflows the float range; scale it down first"
+        )
+    rank = 0
+    if top > 0.0:
+        cutoff = RANK_CUTOFF * top
+        while rank < len(weights) and weights[rank] > cutoff:
+            rank += 1
+    summands = np.multiply(u.T[:rank, :, None], v.T[:rank, None, :], order="C")
+    terms = tuple(
+        HullTerm(weight=weights[i], summand=summands[i], index=i) for i in range(rank)
+    )
+    return HullDecomposition(terms=terms, N=len(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -693,24 +739,71 @@ def littlewood_check(
 ) -> LittlewoodReport:
     """Check ``||a||_{p_theta} <= ||a||_q^(1-theta) * ||a||_p^theta``.
 
-    The intermediate exponent is ``1/p_theta = (1-theta)/q + theta/p``.
-    The comparison allows a 1e-12 relative slack for floating point.
+    The intermediate exponent is ``1/p_theta = (1-theta)/q + theta/p``,
+    rounded once to a float from integer arithmetic.  ``theta`` is a real
+    number in [0, 1], numpy scalars included; ``bool`` is not a number
+    here.  ``a`` is one real, square, finite matrix.  The comparison
+    allows a 1e-12 relative slack for floating point.
+
+    The three norms come from one spectrum: the 2x2 split
+    (:func:`spectrum_2x2`), or one values-only ``dgesdd``
+    (:func:`singular_values`), each summed by :func:`norm_from_floats`, so
+    they equal three :func:`schatten_norm` calls bit for bit.  A matrix
+    whose largest entry lies outside ``[2^-257, 2^256)`` is checked at
+    the power-of-two scale that brings that entry into [1/2, 1): there
+    neither the spectrum nor the norms over- or underflow, so ``ok``
+    decides the inequality and not rounding at the float range's edge.
+    Its norms are reported scaled back, as ``inf`` or 0 where they leave
+    the float range.  Other matrices are not scaled.
     """
     pe, qe = as_exponent(p), as_exponent(q)
-    if not (isinstance(theta, (int, float)) and 0.0 <= float(theta) <= 1.0):
+    if (isinstance(theta, bool) or not isinstance(theta, numbers.Real)
+            or not 0.0 <= float(theta) <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
-    th = Fraction(float(theta))
-    inv_theta = (1 - th) * inv(qe) + th * inv(pe)
-    p_theta: Exponent = INF if inv_theta == 0 else 1 / inv_theta
-    n_theta = schatten_norm(a, p_theta)
-    n_q = schatten_norm(a, qe)
-    n_p = schatten_norm(a, pe)
-    bound = n_q ** (1.0 - float(th)) * n_p ** float(th)
-    ok = n_theta <= bound * (1.0 + 1e-12)
+    th = float(theta)
+    p_theta = _interpolated_exponent(pe, qe, th)
+    x = as_square_matrix(a)
+    shift = _safe_shift(math.frexp(float(np.abs(x).max()))[1])
+    if shift:
+        x = np.ldexp(x, shift)
+    if x.shape == (2, 2):
+        # entries below 2^256 have finite split lengths
+        sigma = spectrum_2x2(x.ravel().tolist())[0]
+    else:
+        sigma = singular_values(x).tolist()
+    n_theta = norm_from_floats(sigma, p_theta)
+    n_q = norm_from_floats(sigma, float(qe))
+    n_p = norm_from_floats(sigma, float(pe))
+    ok = n_theta <= n_q ** (1.0 - th) * n_p**th * (1.0 + 1e-12)
+    if shift:
+        n_theta, n_q, n_p = (_ldexp(n, -shift) for n in (n_theta, n_q, n_p))
     return LittlewoodReport(
-        ok=bool(ok),
+        ok=ok,
         interpolated_norm=n_theta,
         endpoint_q_norm=n_q,
         endpoint_p_norm=n_p,
-        p_theta=float(p_theta),
+        p_theta=p_theta,
     )
+
+
+def _interpolated_exponent(pe: Exponent, qe: Exponent, theta: float) -> float:
+    """``p_theta`` with ``1/p_theta = (1-theta)/q + theta/p``, as the float
+    nearest the exact rational, and ``inf`` beyond the float range.
+
+    With ``theta = t/d`` (:meth:`float.as_integer_ratio`) and
+    ``1/q = a/b``, ``1/p = c/e``, the exact value is one ratio of
+    integers, and Python's integer division rounds it correctly, so the
+    result is ``float`` of the ``Fraction`` arithmetic bit for bit, at a
+    fraction of its cost.
+    """
+    t, d = theta.as_integer_ratio()
+    a, b = (0, 1) if is_infinite(qe) else (qe.denominator, qe.numerator)
+    c, e = (0, 1) if is_infinite(pe) else (pe.denominator, pe.numerator)
+    numerator = (d - t) * a * e + t * c * b
+    if numerator == 0:
+        return math.inf
+    try:
+        return d * b * e / numerator
+    except OverflowError:
+        # a tiny theta with one infinite exponent
+        return math.inf

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import as_int, as_matrix_side, as_real, schatten_norm
+from .core import _ldexp, _safe_shift, as_int, as_matrix_side, as_real, schatten_norm
 from .envelope import recovery_envelope
 from .exponents import Exponent, as_exponent
 
@@ -166,26 +166,10 @@ def _require_tol(tol: float) -> None:
 _RELAXATION = 1.8
 _MAX_STEPS = 6000
 # Maps and measurements whose largest entry lies outside [2^-257, 2^256)
-# are decoded at the power-of-two scale that brings it into [1/2, 1):
-# there the squares summed in the decode's norms and Gram matrices stay
-# far from overflow and underflow, with room for the iterates to outgrow
-# the measurements.
-_SAFE_EXPONENT = 256
-
-
-def _safe_shift(exponent: int) -> int:
-    """The power of two to scale by so that an entry ``x`` with
-    ``frexp(x)[1] == exponent`` lands in [1/2, 1), or 0 if ``x`` lies in
-    ``[2^-257, 2^256)``."""
-    return -exponent if abs(exponent) > _SAFE_EXPONENT else 0
-
-
-def _ldexp(x: float, exponent: int) -> float:
-    """``x * 2**exponent``, or inf where that overflows."""
-    try:
-        return math.ldexp(x, exponent)
-    except OverflowError:
-        return math.inf
+# are decoded at the power-of-two scale that brings it into [1/2, 1)
+# (core._safe_shift): there the squares summed in the decode's norms and
+# Gram matrices stay far from overflow and underflow, with room for the
+# iterates to outgrow the measurements.
 
 
 def _svt_stack(W: np.ndarray, gamma: np.ndarray) -> np.ndarray:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schatten_widths import core
-from schatten_widths.acceptance import EXPONENT_GRID
+from schatten_widths.acceptance import _RANDOM_EXPONENTS, EXPONENT_GRID
 from schatten_widths.core import (
+    RANK_CUTOFF,
     EmbeddingSpec,
+    LittlewoodReport,
     embedding_norm,
     hull_decompose,
     littlewood_check,
@@ -21,7 +23,7 @@ from schatten_widths.core import (
     singular_values,
     svd,
 )
-from schatten_widths.exponents import as_exponent
+from schatten_widths.exponents import as_exponent, inv
 
 EXPONENTS = ("1/2", "3/4", "1", "4/3", "2", "4", "inf")
 
@@ -62,23 +64,9 @@ def test_svd_handles_rank_deficiency():
     assert np.all(sigma[1:] <= 1e-10 * sigma[0])
 
 
-def _counting_lapack(monkeypatch) -> list:
-    """Count the calls of core's LAPACK entry, which svd and
-    singular_values look up when called."""
-    calls = []
-    lapack_svd = core._lapack_svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(None)
-        return lapack_svd(*args, **kwargs)
-
-    monkeypatch.setattr(core, "_lapack_svd", counting_svd)
-    return calls
-
-
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_svd_is_one_lapack_call(N, monkeypatch):
-    calls = _counting_lapack(monkeypatch)
+def test_svd_is_one_lapack_call(N, count_calls):
+    calls = count_calls(core, "_lapack_svd")
     for a in (np.random.default_rng(N).standard_normal((N, N)), np.eye(N), np.zeros((N, N))):
         calls.clear()
         svd(a)
@@ -120,9 +108,9 @@ def test_kernel_is_numpy_svd_bit_for_bit(N):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 8])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_kernel_rejects_non_finite_entries_before_lapack(N, bad, monkeypatch):
+def test_kernel_rejects_non_finite_entries_before_lapack(N, bad, count_calls):
     # LAPACK need not return on an infinite entry, so the check comes first
-    calls = _counting_lapack(monkeypatch)
+    calls = count_calls(core, "_lapack_svd")
     a = np.eye(N)
     a[-1, 0] = bad
     for call in (svd, singular_values, lambda m: schatten_norm(m, "1"),
@@ -132,8 +120,8 @@ def test_kernel_rejects_non_finite_entries_before_lapack(N, bad, monkeypatch):
     assert calls == []
 
 
-def test_kernel_rejects_stacks_and_non_square_input(monkeypatch):
-    calls = _counting_lapack(monkeypatch)
+def test_kernel_rejects_stacks_and_non_square_input(count_calls):
+    calls = count_calls(core, "_lapack_svd")
     for bad in (np.ones((2, 3, 3)), np.ones((3, 4)), np.ones(3), np.ones((0, 0))):
         with pytest.raises(ValueError):
             svd(bad)
@@ -467,6 +455,137 @@ def test_littlewood_rejects_bad_theta():
         littlewood_check(np.eye(2), "1", "2", 1.5)
 
 
+def _styled_matrix(N: int, style: int, seed: int) -> np.ndarray:
+    """Acceptance check 8's four matrix styles at a given N, from ``seed``;
+    a rank-deficient matrix may be the zero matrix."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((N, N))
+    if style == 1:  # rank deficient
+        r = int(rng.integers(0, N))
+        a = rng.standard_normal((N, r)) @ rng.standard_normal((r, N))
+    elif style == 2:  # scaled over 16 decades
+        a = a * 10.0 ** int(rng.integers(-8, 9))
+    elif style == 3:  # near-flat spectrum
+        q_m, _ = np.linalg.qr(a)
+        a = q_m + 1e-3 * rng.standard_normal((N, N))
+    return a
+
+
+def _reference_littlewood(a, p, q, theta) -> LittlewoodReport:
+    """The check as three schatten_norm calls with a Fraction p_theta."""
+    pe, qe = as_exponent(p), as_exponent(q)
+    th = Fraction(theta)
+    inv_theta = (1 - th) * inv(qe) + th * inv(pe)
+    try:
+        p_theta = math.inf if inv_theta == 0 else float(1 / inv_theta)
+    except OverflowError:  # a tiny theta with one infinite exponent
+        p_theta = math.inf
+    n_theta, n_q, n_p = (schatten_norm(a, e) for e in (p_theta, qe, pe))
+    ok = n_theta <= n_q ** (1.0 - float(th)) * n_p ** float(th) * (1.0 + 1e-12)
+    return LittlewoodReport(ok, n_theta, n_q, n_p, p_theta)
+
+
+def _report_bits(report: LittlewoodReport) -> tuple:
+    return (report.ok, report.interpolated_norm.hex(), report.endpoint_q_norm.hex(),
+            report.endpoint_p_norm.hex(), report.p_theta.hex())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    N=st.integers(1, 6),
+    style=st.integers(0, 3),
+    p=st.sampled_from(_RANDOM_EXPONENTS),
+    q=st.sampled_from(_RANDOM_EXPONENTS),
+    theta=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_littlewood_check_matches_three_norm_calls_bit_for_bit(N, style, p, q, theta, seed):
+    # one spectrum and an integer-arithmetic p_theta give the same report
+    # as three factorizations and Fraction arithmetic
+    a = _styled_matrix(N, style, seed)
+    report = littlewood_check(a, p, q, theta)
+    assert type(report.ok) is bool
+    assert _report_bits(report) == _report_bits(_reference_littlewood(a, p, q, theta))
+
+
+@pytest.mark.parametrize("N", [1, 3, 4, 5])
+def test_littlewood_check_factors_once(count_calls, N):
+    calls = count_calls(core, "_lapack_svd")
+    littlewood_check(np.random.default_rng(N).standard_normal((N, N)), "1/2", "4", 0.3)
+    assert len(calls) == 1
+
+
+def test_littlewood_check_splits_once_at_n2(count_calls):
+    splits = count_calls(core, "spectrum_2x2")
+    factorizations = count_calls(core, "_lapack_svd")
+    littlewood_check(np.random.default_rng(2).standard_normal((2, 2)), "1/2", "4", 0.3)
+    assert (len(splits), len(factorizations)) == (1, 0)
+
+
+@pytest.mark.parametrize("scale", [1e-318, 1e-321])
+def test_littlewood_holds_on_subnormal_matrices(scale):
+    # at a subnormal scale the norms round to few bits; the check is
+    # decided on the matrix scaled by a power of two
+    rng = np.random.default_rng(3)
+    for _ in range(3000):
+        N = int(rng.integers(2, 6))
+        a = scale * rng.standard_normal((N, N))
+        ps, qs = rng.choice(_RANDOM_EXPONENTS, size=2)
+        assert littlewood_check(a, str(ps), str(qs), float(rng.uniform())).ok
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_littlewood_reports_norms_scaled_back(N):
+    # diag(3, 4) at 2^-1070 is subnormal, but exact: its norms are exact
+    # multiples of a power of two
+    base = np.zeros((N, N))
+    base[0, 0], base[1, 1] = 3.0, 4.0
+    report = littlewood_check(np.ldexp(base, -1070), "1", "inf", 0.5)
+    assert report.ok
+    assert report.endpoint_p_norm == math.ldexp(7.0, -1070)
+    assert report.endpoint_q_norm == math.ldexp(4.0, -1070)
+    assert report.interpolated_norm == math.ldexp(5.0, -1070)  # p_theta = 2
+    # diag(1, 1) at 2^1023: the trace norm overflows, the others do not
+    big = littlewood_check(np.ldexp(np.minimum(base, 1.0), 1023), "1", "inf", 0.5)
+    assert big.ok
+    assert big.endpoint_q_norm == math.ldexp(1.0, 1023)
+    assert big.endpoint_p_norm == math.inf
+    assert big.interpolated_norm == math.ldexp(math.sqrt(2.0), 1023)
+
+
+def test_littlewood_decides_where_the_spectral_norm_overflows():
+    a = 1e308 * np.ones((3, 3))
+    report = littlewood_check(a, "1/2", "2", 0.5)
+    assert report.ok
+    assert report.interpolated_norm == report.endpoint_q_norm == math.inf
+
+
+@pytest.mark.parametrize(
+    "theta", [np.float32(0.5), np.float64(0.5), Fraction(1, 2), np.int64(1), 1]
+)
+def test_littlewood_accepts_real_numpy_scalars(theta):
+    a = np.random.default_rng(5).standard_normal((3, 3))
+    assert littlewood_check(a, "1", "4", theta) == littlewood_check(a, "1", "4", float(theta))
+
+
+@pytest.mark.parametrize("theta", [True, False, np.True_, "0.5", math.nan, -1e-300])
+def test_littlewood_rejects_non_numbers_and_bool_theta(theta):
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
+        littlewood_check(np.eye(2), "1", "2", theta)
+
+
+def test_littlewood_rejects_a_stack():
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        littlewood_check(np.ones((2, 3, 3)), "1", "2", 0.5)
+
+
+def test_littlewood_with_tiny_theta_and_an_infinite_exponent():
+    # 1/p_theta = 2 theta: p_theta lies beyond the float range
+    report = littlewood_check(np.diag([3.0, 1.0, 1.0]), "1/2", "inf", 5e-324)
+    assert report.p_theta == math.inf
+    assert report.ok and report.interpolated_norm == report.endpoint_q_norm == 3.0
+
+
 # ---------------------------------------------------------------------------
 # hull decomposition
 # ---------------------------------------------------------------------------
@@ -500,6 +619,47 @@ def test_hull_decompose_of_entries_whose_squares_overflow():
     decomp = hull_decompose(np.full((3, 3), 1e200))
     assert len(decomp.terms) == 1
     assert decomp.terms[0].weight == pytest.approx(3e200, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_hull_decompose_rejects_an_overflowing_spectral_norm(N):
+    # sigma_1 = N * 1e308 is inf, and the lower singular values debris
+    with pytest.raises(ValueError, match="overflow"):
+        hull_decompose(1e308 * np.ones((N, N)))
+
+
+def _reference_hull(a) -> list:
+    """The decomposition as one np.outer per kept term."""
+    u, sigma, v = svd(a)
+    terms = []
+    if sigma[0] > 0:
+        for i in range(sigma.size):
+            if sigma[i] <= RANK_CUTOFF * sigma[0]:
+                break
+            terms.append((float(sigma[i]).hex(), i, np.outer(u[:, i], v[:, i])))
+    return terms
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(N=st.integers(1, 6), style=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_hull_decompose_matches_outer_per_term_bit_for_bit(N, style, seed):
+    a = _styled_matrix(N, style, seed)
+    decomp = hull_decompose(a)
+    expected = _reference_hull(a)
+    assert decomp.N == N and len(decomp.terms) == len(expected)
+    for term, (weight, index, summand) in zip(decomp.terms, expected):
+        assert type(term.weight) is float and term.weight.hex() == weight
+        assert term.index == index
+        assert term.summand.flags.c_contiguous
+        assert term.summand.shape == summand.shape
+        assert term.summand.tobytes() == summand.tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_hull_decompose_factors_once(count_calls, N):
+    calls = count_calls(core, "_lapack_svd")
+    hull_decompose(np.random.default_rng(N).standard_normal((N, N)))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -127,35 +127,22 @@ def test_residual_objective_is_the_residual_norm_and_its_adjoint_gradient(q):
     assert np.tensordot(gradient(), direction) == pytest.approx(slope, rel=1e-6)
 
 
-def _counting(monkeypatch, owner, name):
-    """Replace ``owner.name`` by a wrapper that counts its calls."""
-    calls = []
-    wrapped = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return wrapped(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
-def test_norm_ascent_factors_each_point_once_per_use(monkeypatch):
+def test_norm_ascent_factors_each_point_once_per_use(count_calls):
     # both norms of a scored point, its normalized copy and both deferred
     # gradients come from one LAPACK SVD
     from schatten_widths import core
 
-    calls = _counting(monkeypatch, core, "_lapack_svd")
+    calls = count_calls(core, "_lapack_svd")
     est = operator_norm_estimate(EmbeddingSpec("1/2", "2", 3))
     assert len(calls) == est.detail["evaluations"]
 
 
-def test_norm_ascent_splits_each_point_once_at_n2(monkeypatch):
+def test_norm_ascent_splits_each_point_once_at_n2(count_calls):
     # at N = 2 the factorization is one rotation/reflection split; an SVD
     # is taken only where a gradient falls back to it
     from schatten_widths import core
 
-    splits = _counting(monkeypatch, core, "spectrum_2x2")
+    splits = count_calls(core, "spectrum_2x2")
     est = operator_norm_estimate(EmbeddingSpec("1/2", "2", 2))
     assert len(splits) == est.detail["evaluations"]
 
