@@ -24,7 +24,10 @@ codimension-one distance use.  From one factorization of a matrix it
 returns its norm for each of several exponents at once, and each norm's
 gradient as a callable, so that a search pays for a gradient only where
 it uses one; ``norm_and_deferred_gradient`` is its one-exponent case, and
-``norm_and_gradient`` forms that gradient at once.  The 2x2 norm and
+``norm_and_gradient`` forms that gradient at once.  Off the 2x2 closed
+forms a gradient is ``U diag(w) V^T``, with its weights ``w`` from one
+formula (``_gradient_weights``), which the ascent also reads to combine
+two gradients into one product.  The 2x2 norm and
 gradient have closed forms on the rotation/reflection split
 :func:`split_2x2`, which the N = 2 distance solvers and the net oracle
 share; they are several times faster than LAPACK, where a closed-form
@@ -511,13 +514,36 @@ def _deferred_svd(u: np.ndarray, sigma: list[float], v: np.ndarray, pf: float
                   ) -> tuple[float, Callable[[], Optional[np.ndarray]]]:
     """One exponent's value and deferred gradient from the full SVD
     ``u diag(sigma) v^T`` of a matrix, with ``sigma`` as Python floats;
-    the weights are Python floats, applied with one array and one matmul
-    when the gradient is called."""
+    the weights (:func:`_gradient_weights`) are applied with one array and
+    one matmul when the gradient is called."""
+    value, ratios, scale = _norm_and_weight_scale(sigma, pf)
+    if not ratios:
+        return value, _no_gradient
+    if pf == math.inf:
+        return value, lambda: np.outer(u[:, 0], v[:, 0])
+
+    def gradient() -> Optional[np.ndarray]:
+        weights = _gradient_weights(ratios, pf, scale)
+        return None if weights is None else (u * np.array(weights)) @ v.T
+
+    return value, gradient
+
+
+def _norm_and_weight_scale(sigma: list[float], pf: float) -> tuple[float, list[float], float]:
+    """``(value, ratios, scale)`` of one exponent ``pf`` from a matrix's
+    singular values ``sigma``, Python floats in non-increasing order: its
+    norm, the ratios ``sigma_i / sigma_1``, and the factor that
+    :func:`_gradient_weights` scales its weights by.
+
+    A zero spectrum, or one whose top value overflowed, has no gradient
+    and gives no ratios.  The value is the one :func:`norm_and_gradient`
+    gives from the same singular values.
+    """
     top = sigma[0]
     if top <= 0.0:
-        return 0.0, _no_gradient
+        return 0.0, [], 0.0
     if top == math.inf:
-        return math.inf, _no_gradient  # the spectral norm overflowed
+        return math.inf, [], 0.0  # the spectral norm overflowed
     ratios = [t / top for t in sigma]
     # the same power sum as norm_from_floats(sigma, pf), so the same value
     # bit for bit, and its root is the ratio norm the weights need
@@ -528,20 +554,30 @@ def _deferred_svd(u: np.ndarray, sigma: list[float], v: np.ndarray, pf: float
         # weights' scale, the ratio norm to the power 1 - p, in log space
         value = norm_from_floats(sigma, pf)
         log_scale = (1.0 - pf) * (math.log(value) - math.log(top))
-        scale = math.exp(log_scale) if log_scale < _LOG_FLOAT_MAX else math.inf
-    else:
-        value = top * norm_ratio
-        if pf == math.inf:
-            return value, lambda: np.outer(u[:, 0], v[:, 0])
-        scale = norm_ratio ** (1.0 - pf)
+        return value, ratios, math.exp(log_scale) if log_scale < _LOG_FLOAT_MAX else math.inf
+    scale = 1.0 if pf == math.inf else norm_ratio ** (1.0 - pf)
+    return top * norm_ratio, ratios, scale
 
-    def gradient() -> Optional[np.ndarray]:
-        weights = [r ** (pf - 1.0) * scale if r > _SPECTRAL_CUTOFF else 0.0 for r in ratios]
-        if max(weights) == math.inf:
-            return None  # the gradient is not representable
-        return (u * np.array(weights)) @ v.T
 
-    return value, gradient
+def _gradient_weights(ratios: list[float], pf: float, scale: float) -> Optional[list[float]]:
+    """The weights ``w`` of the norm gradient ``U diag(w) V^T`` at a matrix
+    with the SVD ``U diag(sigma) V^T``, from the ratios and scale of
+    :func:`_norm_and_weight_scale`: ``w_i = (sigma_i / ||X||_p)^(p-1)``,
+    zero below the spectral cutoff, and ``(1, 0, ..., 0)`` at
+    ``p = inf``.  None where there are no ratios or a weight overflows.
+
+    The one formula of the SVD-path gradients: :func:`norm_and_gradient`
+    applies these weights as a matrix, and the ascent combines two sets of
+    them before it forms one.
+    """
+    if not ratios:
+        return None
+    if pf == math.inf:
+        return [1.0] + [0.0] * (len(ratios) - 1)
+    weights = [r ** (pf - 1.0) * scale if r > _SPECTRAL_CUTOFF else 0.0 for r in ratios]
+    if max(weights) == math.inf:
+        return None  # the gradient is not representable
+    return weights
 
 
 def _gradient_2x2(u1, u2, v1, v2, nu, nv, value, pf) -> Optional[np.ndarray]:
