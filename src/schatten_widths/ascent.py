@@ -28,11 +28,14 @@ without a subspace its Frobenius length is ``|d|``.  At N = 2 the split's
 closed-form gradients are combined as matrices.  Over a subspace, each
 step is projected onto it, which takes no factorization.
 
-Only the starts are validated (:func:`core.svd`: real, square, finite).
-A trial at N >= 3 is ``x + step * D`` with ``||x||_p = 1``, so every entry
-of ``x`` is at most 1, a unit direction ``D`` and ``step <= 1``: it is
-finite, with entries of at most 2, and goes to LAPACK as it is
-(``core._lapack_svd``, whose non-convergence still raises).  Most trial
+Every point is validated (:func:`core.svd` or the 2x2 split: real,
+square, finite) except a norm objective's trials at N >= 3.  Such a
+trial is ``x + step * D`` with ``||x||_p = 1``, so every entry of ``x``
+is at most 1, a unit direction ``D`` built from the norms' bounded
+weights and ``step <= 1``: it is finite, with entries of at most 2, and
+goes to LAPACK as it is (``core._lapack_svd``, whose non-convergence
+still raises).  A callable objective's gradient is only as finite as
+the callable makes it, so its trials are validated.  Most trial
 points of the backtracking are rejected, so a trial costs its
 factorization and its value only: its gradients, or their weights, are
 formed only where the ascent accepts it and builds a step from there,
@@ -161,19 +164,18 @@ def sup_ratio_ascent(
         factorization: ``scale = ||t||_p``, the ratio ``value`` at
         ``t / scale``, that point ``x`` where it was formed (else None),
         and the ``parts`` its step is built from; None where ``scale`` is
-        not positive.  Only a start's factorization validates ``t``."""
-        if t.shape == (2, 2):
-            norms = norms_and_deferred_gradients(t, exponents)
-        else:
+        not positive.  Only a norm objective's trials at N >= 3 skip the
+        validation of ``t``."""
+        if qf is not None and t.shape != (2, 2):
             if start:
                 u, s, v = core.svd(t)
                 vt = v.T
             else:
-                # a trial is finite (module docstring): LAPACK takes it as is
+                # a norm objective's trial is finite (module docstring):
+                # LAPACK takes it as is
                 u, s, vt = core._lapack_svd(t)
-            if qf is not None:
-                return _spectral_point(u, s, vt, pf, qf)
-            norms = [core._deferred_svd(u, s.tolist(), vt.T, pf)]
+            return _spectral_point(u, s, vt, pf, qf)
+        norms = norms_and_deferred_gradients(t, exponents)
         scale, p_gradient = norms[0]
         if not scale > 0:
             return None
@@ -220,11 +222,10 @@ def sup_ratio_ascent(
                 if value - window[0] <= 1e-9 * max(value, 1e-30):
                     converged = True
                     break
-            step_parts = _step_direction(value, parts, pf, qf, subspace)
-            if step_parts is None:
+            direction = _step_direction(value, parts, pf, qf, subspace)
+            if direction is None:
                 converged = True
                 break
-            direction = step_parts[0]
             accepted = False
             while step >= _STEP_FLOOR:
                 t = x + step * direction
@@ -284,12 +285,12 @@ def _spectral_point(u: np.ndarray, s: np.ndarray, vt: np.ndarray, pf: float, qf:
 
 
 def _step_direction(value: float, parts, pf: float, qf: Optional[float],
-                    subspace: Optional[SubspaceBasis]) -> Optional[tuple[np.ndarray, float]]:
-    """``(direction, length)``: the ascent direction at a point with the
-    ratio ``value`` and the step ``parts`` of the scorer, the gradient of
-    ``log objective - log ||.||_p`` projected onto ``subspace`` if one is
-    given, scaled to unit Frobenius length from its length ``length``.
-    None where a gradient is None or ``length < 1e-13``.
+                    subspace: Optional[SubspaceBasis]) -> Optional[np.ndarray]:
+    """The ascent direction at a point with the ratio ``value`` and the
+    step ``parts`` of the scorer: the gradient of ``log objective - log
+    ||.||_p``, projected onto ``subspace`` if one is given, scaled to unit
+    Frobenius length.  None where a gradient is None or its length is
+    below ``1e-13``.
 
     ``parts`` is a pair of deferred gradients, the objective's and the
     ``p``-norm's, or the spectral parts of :func:`_spectral_point`.  Both
@@ -316,14 +317,14 @@ def _step_direction(value: float, parts, pf: float, qf: Optional[float],
             length = math.hypot(*d)
             if length < 1e-13:
                 return None
-            return (u * [c / length for c in d]) @ vt, length
+            return (u * [c / length for c in d]) @ vt
         direction = (u * d) @ vt
     if subspace is not None:
         direction = subspace.member(subspace.coefficients(direction))
     length = float(np.linalg.norm(direction, "fro"))
     if length < 1e-13:
         return None
-    return direction / length, length
+    return direction / length
 
 
 def _require_member(subspace: SubspaceBasis, t: np.ndarray, index: int) -> None:

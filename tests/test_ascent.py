@@ -360,7 +360,7 @@ def _spectrum(kind, N, rng):
 )
 def test_spectral_step_matches_the_matrix_domain_direction(N, p, q, kind, seed):
     # the norm ascent's step at N >= 3 is U diag(d) V^T with
-    # d = w_q / value - w_p, from the point's own SVD, and its length |d|;
+    # d = w_q / value - w_p, from the point's own SVD, scaled by 1 / |d|;
     # the matrix-domain step is grad_q / value - grad_p, from two products
     assume(p != q)
     rng = np.random.default_rng(seed)
@@ -378,10 +378,9 @@ def test_spectral_step_matches_the_matrix_domain_direction(N, p, q, kind, seed):
         # a stationary point, such as every rank-one matrix
         assert np.linalg.norm(expected) <= STEP_RTOL * terms
         return
-    direction, length = step
-    assert np.linalg.norm(direction) == pytest.approx(1.0, rel=1e-15, abs=0.0)
-    assert abs(length - np.linalg.norm(expected)) <= STEP_RTOL * terms
-    assert np.linalg.norm(direction * length - expected) <= STEP_RTOL * terms
+    assert np.linalg.norm(step) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    length = np.linalg.norm(expected)
+    assert np.linalg.norm(step * length - expected) <= STEP_RTOL * terms
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -413,6 +412,26 @@ def test_every_trial_point_is_finite_and_bounded_by_two(monkeypatch, N, p, q):
             for a in points:
                 assert np.isfinite(a).all()
                 assert np.abs(a).max() <= 2.0 * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_a_nan_callable_gradient_raises_before_lapack(monkeypatch, N):
+    # only a norm objective's trials skip validation: a callable's
+    # gradient is only as finite as the callable makes it
+    seen = []
+    lapack_svd = core._lapack_svd
+
+    def recording_svd(a, *args, **kwargs):
+        seen.append(bool(np.isfinite(a).all()))
+        return lapack_svd(a, *args, **kwargs)
+
+    def objective(x):
+        return schatten_norm(x, 2), lambda: np.full_like(x, math.nan)
+
+    monkeypatch.setattr(core, "_lapack_svd", recording_svd)
+    with pytest.raises(ValueError, match="finite"):
+        sup_ratio_ascent(objective, "1", [np.eye(N)])
+    assert seen and all(seen)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
