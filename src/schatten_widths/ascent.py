@@ -13,33 +13,45 @@ which keeps the search stable near the low-rank matrices where those
 ratios peak.  Results are certified lower bounds on the supremum in every
 case: each reported value is the ratio at an explicit matrix.
 
-The ascent factors each point it scores, a start or a trial, exactly
-once: one full SVD, or at N = 2 one 2x2 split through
-:func:`core.norms_and_deferred_gradients`.  That factorization gives the
-point's ``p``-norm, so its normalized copy on the sphere, and the
-weights of its ``p``-gradient.  A callable objective is evaluated at the
-normalized point.  When the objective is the norm ``||X||_q``, given by
-its exponent, the same factorization gives the value ``||t||_q /
-||t||_p``, and at N >= 3 the step is formed in the spectral domain: both
-gradients are ``U diag(w) V^T`` with the point's singular vectors
-(:func:`core._gradient_weights`), so the step direction is
-``U diag(d) V^T`` with ``d = w_q / value - w_p``, one product, and
-without a subspace its Frobenius length is ``|d|``.  At N = 2 the split's
-closed-form gradients are combined as matrices.  Over a subspace, each
-step is projected onto it, which takes no factorization.
+One loop runs every ascent, on one of two representations of a point;
+the plateau window, the backtracking, the stall rule and the counts are
+the same for both.
 
-Every point is validated (:func:`core.svd` or the 2x2 split: real,
-square, finite) except a norm objective's trials at N >= 3.  Such a
-trial is ``x + step * D`` with ``||x||_p = 1``, so every entry of ``x``
-is at most 1, a unit direction ``D`` built from the norms' bounded
-weights and ``step <= 1``: it is finite, with entries of at most 2, and
-goes to LAPACK as it is (``core._lapack_svd``, whose non-convergence
-still raises).  A callable objective's gradient is only as finite as
-the callable makes it, so its trials are validated.  Most trial
-points of the backtracking are rejected, so a trial costs its
-factorization and its value only: its gradients, or their weights, are
-formed only where the ascent accepts it and builds a step from there,
-and a norm objective's trial is normalized only then.
+- **On the spectrum**, for the norm objective ``||X||_q``, given by its
+  exponent, over the whole space.  Both norms are functions of the
+  singular values, and the gradient of such a function at ``U diag(c)
+  V^T`` is ``U diag(w) V^T``, with the weights ``w`` of ``c`` (Lewis
+  1995, *J. Convex Anal.* 2).  So every step keeps the start's singular
+  vectors: each start is factored once, through the validated
+  :func:`core.svd`, and the ascent moves its signed singular-value
+  coordinates ``c``, Python floats.  A trial is ``c + step * e``; its
+  ratio comes from the sorted ``|c|`` (:func:`core._norm_and_weight_scale`),
+  and its step from both norms' weights (:func:`core._gradient_weights`)
+  as ``d = w_q / value - w_p``, with the sign of each ``c_i`` mapped back
+  onto its coordinate.  No trial is factored, and the maximizer ``U
+  diag(c) V^T`` is formed once, for the winning start.
+- **As a matrix**, for a callable objective or over a subspace.  Each
+  point it scores, a start or a trial, is factored exactly once: one full
+  SVD, or at N = 2 one 2x2 split through
+  :func:`core.norms_and_deferred_gradients`.  That factorization gives
+  the point's ``p``-norm, so its normalized copy on the sphere, and the
+  weights of its ``p``-gradient.  A callable objective is evaluated at
+  the normalized point.  A norm objective's ratio comes from the same
+  factorization, and at N >= 3 its step is ``U diag(d) V^T`` with the
+  point's singular vectors, one product.  Each step is projected onto the
+  subspace, which takes no factorization.
+
+Every matrix the ascent factors is validated (:func:`core.svd` or the
+2x2 split: real, square, finite) except the trials of a norm objective
+over a subspace at N >= 3.  Such a trial is ``x + step * D`` with
+``||x||_p = 1``, so every entry of ``x`` is at most 1, a unit direction
+``D`` built from the norms' bounded weights and ``step <= 1``: it is
+finite, with entries of at most 2, and goes to LAPACK as it is
+(``core._lapack_svd``, whose non-convergence still raises).  Most trial
+points of the backtracking are rejected, so a trial costs its value
+only: its gradients, or their weights, are formed only where the ascent
+accepts it and builds a step from there, and a norm objective's trial is
+normalized only then.
 """
 from __future__ import annotations
 
@@ -144,6 +156,8 @@ def sup_ratio_ascent(
     range.  A ``subspace`` restricts the supremum to its members: each
     step direction is projected onto it, and a start farther than
     ``1e-10`` of its Frobenius norm from it raises ``ValueError``.
+    The starts must be ``N x N`` matrices with one ``N``, the subspace's
+    where one is given; else ``ValueError`` names the first that is not.
     Each start is first scaled by the power of two that brings its
     largest entry into ``[2^-969, 1)``, which changes no ratio: below that
     range a 2x2 split's lengths can be subnormal, and round, which puts
@@ -158,14 +172,20 @@ def sup_ratio_ascent(
     pf = exponent_float(p)
     qf = None if callable(objective) else exponent_float(objective)
     exponents = (pf,) if qf is None else (pf, qf)
+    points = _square_starts(starts, subspace)
+    # a norm over the whole space: a point is its signed singular values
+    # in the frame of its start (module docstring)
+    on_spectrum = qf is not None and subspace is None
 
-    def scored(t: np.ndarray, start: bool = False):
-        """``(value, scale, x, parts)`` of the point ``t``, from one
-        factorization: ``scale = ||t||_p``, the ratio ``value`` at
-        ``t / scale``, that point ``x`` where it was formed (else None),
-        and the ``parts`` its step is built from; None where ``scale`` is
-        not positive.  Only a norm objective's trials at N >= 3 skip the
-        validation of ``t``."""
+    def scored(t, start: bool = False):
+        """``(value, scale, x, parts)`` of the point ``t``, from its
+        spectrum or one factorization: ``scale = ||t||_p``, the ratio
+        ``value`` at ``t / scale``, that point ``x`` where it was formed
+        (else None), and the ``parts`` its step is built from; None where
+        ``scale`` is not positive.  Only a norm objective's matrix trials
+        at N >= 3 skip the validation of ``t``."""
+        if on_spectrum:
+            return _norm_point(sorted(map(abs, t), reverse=True), pf, qf, t)
         if qf is not None and t.shape != (2, 2):
             if start:
                 u, s, v = core.svd(t)
@@ -174,7 +194,7 @@ def sup_ratio_ascent(
                 # a norm objective's trial is finite (module docstring):
                 # LAPACK takes it as is
                 u, s, vt = core._lapack_svd(t)
-            return _spectral_point(u, s, vt, pf, qf)
+            return _norm_point(s.tolist(), pf, qf, (u, vt))
         norms = norms_and_deferred_gradients(t, exponents)
         scale, p_gradient = norms[0]
         if not scale > 0:
@@ -186,25 +206,47 @@ def sup_ratio_ascent(
         q_norm, q_gradient = norms[1]
         return q_norm / scale, scale, None, (q_gradient, p_gradient)
 
+    if on_spectrum:
+        def step_direction(value, parts):
+            return _coordinate_direction(value, parts, pf, qf)
+
+        def moved(x, direction, step):
+            return [c + step * e for c, e in zip(x, direction)]
+
+        def normalized(t, scale):
+            return [c / scale for c in t]
+    else:
+        def step_direction(value, parts):
+            return _step_direction(value, parts, pf, qf, subspace)
+
+        def moved(x, direction, step):
+            return x + step * direction
+
+        def normalized(t, scale):
+            return t / scale
+
     best_value = -math.inf
-    best_x: Optional[np.ndarray] = None
+    best_x = best_frame = None
     best_index = -1
     total_iterations = 0
     evaluations = 0
     any_converged = False
 
-    for index, start in enumerate(starts):
-        t = np.asarray(as_real(start), dtype=float)
+    for index, t in enumerate(points):
         exponent = math.frexp(float(np.abs(t).max()))[1]
         if subspace is not None:
             _require_member(subspace, np.ldexp(t, -exponent), index)
         t = np.ldexp(t, min(max(exponent, _LEAST_START_EXPONENT), 0) - exponent)
+        frame = None
+        if on_spectrum:
+            u, s, v = core.svd(t)
+            frame, t = (u, v), s.tolist()
         point = scored(t, start=True)
         if point is None:
             continue
         value, scale, x, parts = point
         if x is None:
-            x = t / scale
+            x = normalized(t, scale)
         evaluations += 1
         step = 0.5
         stalled = 0
@@ -222,13 +264,13 @@ def sup_ratio_ascent(
                 if value - window[0] <= 1e-9 * max(value, 1e-30):
                     converged = True
                     break
-            direction = _step_direction(value, parts, pf, qf, subspace)
+            direction = step_direction(value, parts)
             if direction is None:
                 converged = True
                 break
             accepted = False
             while step >= _STEP_FLOOR:
-                t = x + step * direction
+                t = moved(x, direction, step)
                 trial = scored(t)
                 if trial is not None:
                     evaluations += 1
@@ -237,7 +279,7 @@ def sup_ratio_ascent(
                         improvement = (trial_value - value) / max(trial_value, 1e-30)
                         value, scale, x, parts = trial
                         if x is None:
-                            x = t / scale
+                            x = normalized(t, scale)
                         step = min(step * 1.3, 1.0)
                         accepted = True
                         stalled = stalled + 1 if improvement < _STALL_GAIN else 0
@@ -251,7 +293,7 @@ def sup_ratio_ascent(
                 break
         if value > best_value:
             best_value = value
-            best_x = x
+            best_x, best_frame = x, frame
             best_index = index
             any_converged = converged
         elif value == best_value and converged:
@@ -259,6 +301,9 @@ def sup_ratio_ascent(
 
     if best_x is None:
         raise ValueError("no valid (nonzero) start supplied to ascent")
+    if best_frame is not None:
+        u, v = best_frame
+        best_x = (u * best_x) @ v.T
     return AscentResult(
         value=best_value,
         maximizer=best_x,
@@ -269,36 +314,90 @@ def sup_ratio_ascent(
     )
 
 
-def _spectral_point(u: np.ndarray, s: np.ndarray, vt: np.ndarray, pf: float, qf: float):
-    """``(value, scale, None, parts)`` of a point with the SVD
-    ``u diag(s) vt`` for the norm objective ``||.||_q``: the ratio ``value``
-    of its two norms, its ``p``-norm ``scale``, and the ``parts`` of its
-    step, the singular vectors with each norm's weight ratios and scale
-    (:func:`core._norm_and_weight_scale`); None where ``scale`` is not
-    positive.  No weight is formed here: most trials are rejected."""
-    sigma = s.tolist()
+def _square_starts(starts: Sequence[np.ndarray], subspace: Optional[SubspaceBasis]
+                   ) -> list[np.ndarray]:
+    """The starts as real float arrays, each ``N x N`` with one ``N``
+    shared by all of them, the subspace's where one is given: the ascent's
+    supremum is over one matrix space.  Raise ``ValueError``, naming the
+    start's index, at the first that is not, and at a complex start."""
+    shape = None if subspace is None else (subspace.N, subspace.N)
+    out = []
+    for index, start in enumerate(starts):
+        t = np.asarray(as_real(start), dtype=float)
+        if shape is None and t.ndim == 2 and t.shape[0] == t.shape[1] > 0:
+            shape = t.shape
+        if t.shape != shape:
+            expected = ("square" if shape is None
+                        else f"{shape}, as the subspace's members" if subspace is not None
+                        else f"{shape}, as start 0")
+            raise ValueError(f"start {index} has the shape {t.shape}, not {expected}")
+        out.append(t)
+    return out
+
+
+def _norm_point(sigma: list[float], pf: float, qf: float, at):
+    """``(value, scale, None, (at, weights))`` of a matrix with the
+    singular values ``sigma``, Python floats in non-increasing order, for
+    the norm objective ``||.||_q``: the ratio ``value`` of its two norms,
+    its ``p``-norm ``scale``, and each norm's weight ratios and scale
+    (:func:`core._norm_and_weight_scale`), beside ``at``, the point's
+    signed singular values or singular vectors; None where ``scale`` is
+    not positive.  No weight is formed here: most trials are rejected."""
     scale, p_ratios, p_factor = core._norm_and_weight_scale(sigma, pf)
     if not scale > 0:
         return None
     q_norm, q_ratios, q_factor = core._norm_and_weight_scale(sigma, qf)
-    return q_norm / scale, scale, None, (u, vt, p_ratios, p_factor, q_ratios, q_factor)
+    return q_norm / scale, scale, None, (at, (p_ratios, p_factor, q_ratios, q_factor))
+
+
+def _weight_difference(value: float, weights, pf: float, qf: float) -> Optional[list[float]]:
+    """The spectral step ``d = w_q / value - w_p`` at a point with the
+    ratio ``value`` and the ``weights`` of :func:`_norm_point`, in the
+    order of its sorted singular values: the gradient of ``log ||.||_q -
+    log ||.||_p`` is ``U diag(d) V^T``.  None where a weight overflows."""
+    p_ratios, p_factor, q_ratios, q_factor = weights
+    q_weights = core._gradient_weights(q_ratios, qf, q_factor)
+    p_weights = None if q_weights is None else core._gradient_weights(p_ratios, pf, p_factor)
+    if p_weights is None:
+        return None
+    return [w / value - w_p for w, w_p in zip(q_weights, p_weights)]
+
+
+def _coordinate_direction(value: float, parts, pf: float, qf: float) -> Optional[list[float]]:
+    """The unit ascent direction ``e`` of a norm objective at the point
+    with the signed singular values ``c`` (``parts = (c, weights)``, from
+    the scorer) in its start's frame: ``d`` of :func:`_weight_difference`
+    on the sorted ``|c|``, mapped back onto each coordinate with the sign
+    of ``c_i``, over ``|d|``.  None where a weight overflows or ``|d|`` is
+    below ``1e-13``."""
+    c, weights = parts
+    d = _weight_difference(value, weights, pf, qf)
+    if d is None:
+        return None
+    length = math.hypot(*d)
+    if length < 1e-13:
+        return None
+    e = [0.0] * len(c)
+    for k, i in enumerate(sorted(range(len(c)), key=lambda i: -abs(c[i]))):
+        e[i] = d[k] / length if c[i] >= 0.0 else -d[k] / length
+    return e
 
 
 def _step_direction(value: float, parts, pf: float, qf: Optional[float],
                     subspace: Optional[SubspaceBasis]) -> Optional[np.ndarray]:
-    """The ascent direction at a point with the ratio ``value`` and the
-    step ``parts`` of the scorer: the gradient of ``log objective - log
-    ||.||_p``, projected onto ``subspace`` if one is given, scaled to unit
-    Frobenius length.  None where a gradient is None or its length is
-    below ``1e-13``.
+    """The ascent direction at a matrix point with the ratio ``value``
+    and the step ``parts`` of the scorer: the gradient of ``log objective
+    - log ||.||_p``, projected onto ``subspace`` if one is given, scaled
+    to unit Frobenius length.  None where a gradient is None or its length
+    is below ``1e-13``.
 
     ``parts`` is a pair of deferred gradients, the objective's and the
-    ``p``-norm's, or the spectral parts of :func:`_spectral_point`.  Both
-    norm gradients there share the point's singular vectors ``U, V``, so
-    the direction is ``U diag(d) V^T`` with ``d = w_q / value - w_p``,
-    formed by one product, and its length is ``|d|``.
+    ``p``-norm's, or a norm objective's singular vectors ``(U, V^T)`` with
+    the weights of :func:`_norm_point`: both norm gradients share ``U, V``,
+    so the direction is ``U diag(d) V^T`` (:func:`_weight_difference`),
+    formed by one product.
     """
-    if len(parts) == 2:
+    if callable(parts[0]):
         gradient, p_gradient = parts
         grad = gradient()
         p_grad = None if grad is None else p_gradient()
@@ -306,18 +405,10 @@ def _step_direction(value: float, parts, pf: float, qf: Optional[float],
             return None
         direction = grad / value - p_grad
     else:
-        u, vt, p_ratios, p_factor, q_ratios, q_factor = parts
-        q_weights = core._gradient_weights(q_ratios, qf, q_factor)
-        p_weights = None if q_weights is None else core._gradient_weights(
-            p_ratios, pf, p_factor)
-        if p_weights is None:
+        (u, vt), weights = parts
+        d = _weight_difference(value, weights, pf, qf)
+        if d is None:
             return None
-        d = [w / value - w_p for w, w_p in zip(q_weights, p_weights)]
-        if subspace is None:
-            length = math.hypot(*d)
-            if length < 1e-13:
-                return None
-            return (u * [c / length for c in d]) @ vt
         direction = (u * d) @ vt
     if subspace is not None:
         direction = subspace.member(subspace.coefficients(direction))
