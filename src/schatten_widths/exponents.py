@@ -7,6 +7,7 @@ comparisons in the envelope tables hold bitwise instead of up to rounding.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -46,14 +47,7 @@ def as_exponent(value: ExponentLike) -> Exponent:
     if type(value) is Fraction and value.numerator > 0 or value is INF:
         return value  # already canonical: the common case inside searches
     if isinstance(value, str):
-        text = value.strip().lower()
-        if text.removeprefix("+") in ("inf", "infinity", "oo"):
-            return INF
-        try:
-            parsed: Exponent = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse exponent from {value!r}") from exc
-        value = parsed
+        return _parse_exponent(value)
     if isinstance(value, bool):  # bool is an int subclass; reject explicitly
         raise ValueError(f"exponent must be a number, got {value!r}")
     if not isinstance(value, (float, Fraction)):
@@ -75,6 +69,21 @@ def as_exponent(value: ExponentLike) -> Exponent:
     if value <= 0:
         raise ValueError(f"exponent must lie in (0, inf], got {value}")
     return value
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_exponent(value: str) -> Exponent:
+    """:func:`as_exponent` of a string, parsed once per distinct string: a
+    run names a few exponents, each many times.  A string that does not
+    parse, or names no exponent, raises every time: nothing is cached."""
+    text = value.strip().lower()
+    if text.removeprefix("+") in ("inf", "infinity", "oo"):
+        return INF
+    try:
+        parsed = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse exponent from {value!r}") from exc
+    return as_exponent(parsed)
 
 
 def exponent_float(p: ExponentLike) -> float:

@@ -35,21 +35,24 @@ of its direction, so its value is exact; the last index ``n = 4`` reads
 ``min(1, 2^(1/b - 1/a))`` (:func:`.core.last_snumber`) at a seed frame, a
 matrix unit for ``a > b`` or a split axis (flat spectrum) for ``a <= b``.
 
-The frame search scores frames in stacks, one stack per round: the
-structured seed frames, the random start frames, then in each zoom round
-the perturbations of the three best frames so far.  The frames, their
-order and the tie rule (the frame seen first wins) are those of scoring
-one frame at a time, so values and frame counts do not depend on the
-stacking.
+The frame search considers the structured seed frames, the random start
+frames, then in each of five zoom rounds the perturbations of the three
+best frames so far.  The frames, their order and the tie rule (the frame
+seen first wins) are those of scoring one frame at a time, so values,
+frames and frame counts do not depend on how the search stacks its work.
 
 Only the three best frames ever matter, and a frame's net-sup is at
-least the ratio of any of its members.  So every batch after the seeds
-is first screened with the exact members' ratios (the evaluator's
-``lower`` bound), and only the frames whose bound lies below the largest
-value of the current top three, the bar, are scored in full.  A frame at
-or above that bar cannot enter the top three: three frames seen earlier
-are no larger, and they win ties.  So values, frames and frame counts are
-those of scoring every frame.
+least the ratio of any of its members.  So once the first three seeds are
+scored, every later frame is first screened with the exact members'
+ratios (the evaluator's ``lower`` bound), and only the frames whose bound
+lies below the largest value of the current top three, the bar, are
+scored in full.  A frame at or above that bar cannot enter the top three:
+three frames seen earlier are no larger, and they win ties.  The other
+seeds are screened as one stack, and so are the starts.  The zoom rounds
+are built around the current pool and screened together, as one stack at
+one bar; only the first round that holds a frame below the bar is scored,
+and the rounds after it are built again around the updated pool.  So
+values, frames and frame counts are those of scoring every frame.
 
 A hyperplane's screen runs in two exact tiers.  The first rates three of
 its exact members: the two flat-spectrum ones and the rank-one member at
@@ -219,14 +222,23 @@ _SPLIT_DIRS = (
 )
 
 
+def _qr_frames(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormalize a (..., 4, m) stack of frames with one stacked QR:
+    the orthonormal factors, same shape, and the (...) mask of the frames
+    kept, those not numerically rank-deficient (every ``|diag R| >= 1e-8``).
+    """
+    q, r = np.linalg.qr(columns)
+    return q, np.abs(np.diagonal(r, axis1=-2, axis2=-1)).min(axis=-1) >= 1e-8
+
+
 def _orth(columns: np.ndarray) -> np.ndarray:
     """Orthonormalize a (F, 4, m) stack of frames with one stacked QR.
 
-    Numerically rank-deficient frames (some ``|diag R| < 1e-8``) are
-    dropped; the rest keep their order.
+    Numerically rank-deficient frames are dropped; the rest keep their
+    order.
     """
-    q, r = np.linalg.qr(columns)
-    return q[np.abs(np.diagonal(r, axis1=-2, axis2=-1)).min(axis=-1) >= 1e-8]
+    q, keep = _qr_frames(columns)
+    return q[keep]
 
 
 def _seed_frames(m: int) -> np.ndarray:
@@ -344,14 +356,14 @@ class _RestrictionNet:
         coordinates in a plane's orthonormal axes ``e1, e2``, the member is
         ``c2 e1 - c1 e2``, or ``e1`` if the hyperplane holds the plane.
         """
-        best = np.full(normals.shape[0], -np.inf)
-        for plane in (_SPLIT_DIRS[:2], _SPLIT_DIRS[2:]):
-            # elementwise, so that a frame's value does not depend on its stack
-            c = (normals[:, :, None] * plane.T).sum(axis=1)  # (F, 2)
-            member = c[:, 1:] * plane[0] - c[:, :1] * plane[1]
-            member[~c.any(axis=1)] = plane[0]
-            np.maximum(best, _ratio_vec(member, self.pf, self.qf), out=best)
-        return best
+        e1, e2 = _SPLIT_DIRS[0::2], _SPLIT_DIRS[1::2]  # (plane, 4) each
+        # elementwise, so that a frame's value does not depend on its stack
+        c1 = (normals[:, :, None] * e1.T).sum(axis=1)  # (F, plane)
+        c2 = (normals[:, :, None] * e2.T).sum(axis=1)
+        member = c2[..., None] * e1 - c1[..., None] * e2  # (F, plane, 4)
+        held = (c1 == 0.0) & (c2 == 0.0)
+        member[held] = np.broadcast_to(e1, member.shape)[held]
+        return _ratio_vec(member, self.pf, self.qf).max(axis=1)
 
     def lower(self, B: np.ndarray, bar: float | None = None) -> np.ndarray:
         """Max ratio over the exactly known members of each frame of a
@@ -424,7 +436,14 @@ class _RestrictionNet:
 class _TopThree:
     """The pool of :func:`_frame_search`: the three best frames considered
     so far, their values and their first-seen indices (ties go to the
-    frame seen first), and the number of frames considered."""
+    frame seen first), and the number of frames considered.
+
+    The first three frames are scored in full.  From then on the pool has
+    a bar, the largest of its values, and a frame is scored only if
+    :meth:`screen` passes it: a frame whose bound reaches the bar cannot
+    enter the pool.  :meth:`absorb` screens a stack at the bar it finds;
+    :func:`_frame_search` screens several zoom rounds at one bar and hands
+    :meth:`take` the rounds up to the first one that passes a frame."""
 
     def __init__(self, evaluate: _RestrictionNet, m: int) -> None:
         self.evaluate = evaluate
@@ -433,14 +452,28 @@ class _TopThree:
         self.considered = 0
 
     def absorb(self, fresh: np.ndarray) -> None:
-        """Consider a (F, 4, m) stack of frames.  Once the pool is full,
-        only the frames whose bound lies below the bar, or is NaN, are
-        scored."""
+        """Consider a (F, 4, m) stack of frames.  Until the pool holds
+        three frames they are scored in full; the rest of the stack goes
+        through :meth:`screen` at the bar those set."""
+        head = max(0, 3 - self.values.size)
+        self.take(fresh[:head])
+        if fresh.shape[0] > head:
+            self.take(fresh[head:], self.screen(fresh[head:]))
+
+    def screen(self, fresh: np.ndarray) -> np.ndarray:
+        """The (F,) mask of the frames of a (F, 4, m) stack that a full
+        pool must score: those whose bound lies below the bar, the largest
+        value in the pool, or is NaN."""
+        bar = self.values.max()
+        return ~(self.evaluate.lower(fresh, bar) >= bar)
+
+    def take(self, fresh: np.ndarray, live: np.ndarray | None = None) -> None:
+        """Consider a (F, 4, m) stack of frames, scoring in full those of
+        the (F,) mask ``live`` (all of them without it), and keep the three
+        best frames."""
         ids = self.considered + np.arange(fresh.shape[0])
         self.considered += fresh.shape[0]
-        if self.values.size == 3:
-            bar = self.values.max()
-            live = ~(self.evaluate.lower(fresh, bar) >= bar)  # a NaN bound is scored
+        if live is not None:
             fresh, ids = fresh[live], ids[live]
         frames, values, seen = self.frames, self.values, self.seen
         if fresh.shape[0]:
@@ -449,6 +482,10 @@ class _TopThree:
             seen = np.concatenate([seen, ids])
         top = np.lexsort((seen, values))[:3]
         self.frames, self.values, self.seen = frames[top], values[top], seen[top]
+
+
+#: Perturbation scales of the zoom rounds of :func:`_frame_search`.
+_ZOOM_TAUS = np.array([0.6, 0.25, 0.1, 0.04, 0.016])
 
 
 def _frame_search(
@@ -461,24 +498,33 @@ def _frame_search(
     m in {1, 2, 3}.
 
     ``evaluate`` scores a (F, 4, m) stack of orthonormal frames, shape
-    (F,).  The seed frames are scored as one stack, then the random start
+    (F,).  The frames considered are the seed frames, the random start
     frames, then in each zoom round the perturbations of the three best
     frames so far; ties go to the frame seen first.
 
     Only the three best frames are kept.  ``evaluate.lower(B, bar)`` maps
-    a stack to lower bounds on its values; every batch after the seeds is
-    screened with it, at the bar of the largest value of the top three,
-    and only the frames whose bound lies below the bar, or is NaN, are
-    scored in full.  A frame at or above the bar cannot enter the top
-    three: the three frames in it were seen earlier and are no larger, and
-    ties go to them.  ``lower`` may stop at a partial bound once it
-    reaches the bar (its first tier), and decides ``bound >= bar`` exactly
-    as the full bound does.  So the result is that of scoring every
-    frame.  Returns the best value, its frame and the number of frames
-    considered, screened ones included.
+    a stack to lower bounds on its values.  The first three seeds are
+    scored in full; every later frame is screened with ``lower`` at the
+    bar of the largest value of the top three, and only the frames whose
+    bound lies below the bar, or is NaN, are scored in full.  A frame at
+    or above the bar cannot enter the top three: the three frames in it
+    were seen earlier and are no larger, and ties go to them.  ``lower``
+    may stop at a partial bound once it reaches the bar (its first tier),
+    and decides ``bound >= bar`` exactly as the full bound does.  The
+    other seeds are screened as one stack, then the starts.
+
+    The noise of all five zoom rounds is drawn at once, the same stream
+    as one draw per round.  The remaining rounds are built around the
+    current pool and screened as one stack at one bar.  The rounds before
+    the first that holds a frame below the bar change nothing, so their
+    frames are only counted; that round's frames below the bar are scored,
+    and the rounds after it are built again around the updated pool from
+    their drawn noise.  So the result is that of scoring every frame,
+    one round at a time.  Returns the best value, its frame and the
+    number of frames considered, screened ones included.
     """
     pool = _TopThree(evaluate, m)
-    pool.absorb(_seed_frames(m))  # an empty pool has no bar: all scored
+    pool.absorb(_seed_frames(m))
     need = max(96, int(round(16.0 / h)))
     starts = _orth(rng.standard_normal((need, 4, m)))
     while starts.shape[0] < need:
@@ -486,9 +532,18 @@ def _frame_search(
         starts = np.concatenate([starts, more])
     pool.absorb(starts)
     n_zoom = max(24, int(round(1.6 / h)))
-    for tau in (0.6, 0.25, 0.1, 0.04, 0.016):
-        noise = rng.standard_normal((pool.frames.shape[0], n_zoom, 4, m))
-        pool.absorb(_orth((pool.frames[:, None] + tau * noise).reshape(-1, 4, m)))
+    shape = (_ZOOM_TAUS.size, pool.frames.shape[0], n_zoom, 4, m)
+    steps = _ZOOM_TAUS[:, None, None, None, None] * rng.standard_normal(shape)
+    r = 0
+    while r < _ZOOM_TAUS.size:
+        columns = (pool.frames[:, None] + steps[r:]).reshape(_ZOOM_TAUS.size - r, -1, 4, m)
+        q, keep = _qr_frames(columns)
+        frames, rounds = q[keep], r + np.nonzero(keep)[0]
+        live = pool.screen(frames)
+        last = rounds[live.argmax()] if live.any() else _ZOOM_TAUS.size - 1
+        upto = rounds <= last
+        pool.take(frames[upto], live[upto])
+        r = last + 1
     return float(pool.values[0]), pool.frames[0], pool.considered
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from schatten_widths import exponents
 from schatten_widths.exponents import (
     INF,
     as_exponent,
@@ -84,6 +85,41 @@ def test_as_exponent_rejects(bad):
 )
 def test_as_exponent_accepts_numpy_scalars(raw, expected):
     assert as_exponent(raw) == expected
+
+
+def test_a_string_is_parsed_once_per_distinct_string():
+    parse = exponents._parse_exponent
+    assert isinstance(parse.cache_parameters()["maxsize"], int)  # bounded
+    before = parse.cache_info()
+    first = as_exponent(" +7/11 ")
+    assert first == Fraction(7, 11)
+    assert as_exponent(" +7/11 ") is first
+    assert as_exponent("7/11") == first  # another string: parsed on its own
+    after = parse.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [("abc", "cannot parse exponent from 'abc'"), ("1/0", "cannot parse exponent from '1/0'"),
+     ("-2", r"exponent must lie in \(0, inf\], got -2"),
+     ("0", r"exponent must lie in \(0, inf\], got 0")],
+)
+def test_a_bad_string_raises_on_every_call(bad, message):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            as_exponent(bad)
+
+
+@pytest.mark.parametrize(
+    "raw", [2, 0.5, Fraction(3, 4), np.float32(0.5), np.int64(3), math.inf, 0, None, True])
+def test_other_inputs_bypass_the_string_cache(raw):
+    before = exponents._parse_exponent.cache_info()
+    try:
+        as_exponent(raw)
+    except ValueError:
+        pass
+    assert exponents._parse_exponent.cache_info() == before
 
 
 def test_canonical_exponents_come_back_unchanged():

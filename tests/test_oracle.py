@@ -451,6 +451,50 @@ def test_the_screen_scores_exactly_the_frames_below_the_bar(dim, p, q, seed, pic
     assert pool.considered == 3 + frames.shape[0]
 
 
+def _zoom_stacks(evaluate, m, seed, h):
+    """The stacks ``evaluate`` scored in a frame search's zoom rounds: those
+    not made of seed or start frames."""
+    starts = oracle._orth(np.random.default_rng(seed).standard_normal(
+        (max(96, int(round(16.0 / h))), 4, m)))
+    before = np.concatenate([oracle._seed_frames(m), starts])
+    return [B for B in evaluate.stacks if not (B[0] == before).all(axis=(1, 2)).any()]
+
+
+# at (4, 3/4) the five rounds are built as one stack, round 2 is the first
+# to score, and round 4 scores after round 3 was built again around the
+# updated pool; at (inf, 4/3) round 0 scores, then round 3 from a stack
+# of rounds 1-4
+@pytest.mark.parametrize("p,q,seed", [(4.0, 0.75, 4), (math.inf, 4.0 / 3.0, 6)])
+def test_zoom_rounds_after_a_scoring_round_repeat_the_one_by_one_search(p, q, seed):
+    h = 0.25
+    evaluate = _RecordingNet(3, p, q, h)
+    value, frame, count = _frame_search(evaluate, 3, np.random.default_rng(seed), h)
+    assert len(_zoom_stacks(evaluate, 3, seed, h)) >= 2
+    ref_value, ref_frame, ref_count = _frame_search_one_by_one(
+        _RestrictionNet(3, p, q, h), 3, np.random.default_rng(seed), h)
+    assert value == ref_value
+    assert np.array_equal(frame, ref_frame)
+    assert count == ref_count
+
+
+def test_a_seed_past_the_third_can_enter_the_top_three():
+    # at m = 2 the 28 seeds hold the two split planes (22 and 27), whose
+    # flat spectra read 1/2 at (1/2, 1) against 1 for the first three seeds
+    h = 0.25
+    seeds = oracle._seed_frames(2)
+    values = _RestrictionNet(2, 0.5, 1.0, h)(seeds)
+    assert np.array_equal(np.nonzero(values[3:] < values[:3].max())[0] + 3, [22, 27])
+    evaluate = _RecordingNet(2, 0.5, 1.0, h)
+    value, frame, count = _frame_search(evaluate, 2, np.random.default_rng(11), h)
+    assert np.array_equal(evaluate.stacks[0], seeds[:3])
+    assert all((evaluate.stacks[1] == seeds[i]).all(axis=(1, 2)).any() for i in (22, 27))
+    ref_value, ref_frame, ref_count = _frame_search_one_by_one(
+        _RestrictionNet(2, 0.5, 1.0, h), 2, np.random.default_rng(11), h)
+    assert value == ref_value == 0.5
+    assert np.array_equal(frame, ref_frame)
+    assert count == ref_count
+
+
 @pytest.mark.parametrize("p,q", [(0.5, 1.0), (2.0, 4.0), (math.inf, 2.0)])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_a_frame_with_a_nan_entry_reads_nan(dim, p, q):
