@@ -37,22 +37,12 @@ matrix unit for ``a > b`` or a split axis (flat spectrum) for ``a <= b``.
 
 The frame search considers the structured seed frames, the random start
 frames, then in each of five zoom rounds the perturbations of the three
-best frames so far.  The frames, their order and the tie rule (the frame
-seen first wins) are those of scoring one frame at a time, so values,
-frames and frame counts do not depend on how the search stacks its work.
-
-Only the three best frames ever matter, and a frame's net-sup is at
-least the ratio of any of its members.  So once the first three seeds are
-scored, every later frame is first screened with the exact members'
-ratios (the evaluator's ``lower`` bound), and only the frames whose bound
-lies below the largest value of the current top three, the bar, are
-scored in full.  A frame at or above that bar cannot enter the top three:
-three frames seen earlier are no larger, and they win ties.  The other
-seeds are screened as one stack, and so are the starts.  The zoom rounds
-are built around the current pool and screened together, as one stack at
-one bar; only the first round that holds a frame below the bar is scored,
-and the rounds after it are built again around the updated pool.  So
-values, frames and frame counts are those of scoring every frame.
+best frames so far.  Only the three best frames ever matter, and a
+frame's net-sup is at least the ratio of any of its members, so most
+frames are screened out by the exact members' ratios (the evaluator's
+``lower`` bound) and never scored in full.  Values, frames and frame
+counts are those of scoring one frame at a time; :func:`_frame_search`
+gives the argument and the order in which the frames are screened.
 
 A hyperplane's screen runs in two exact tiers.  The first rates three of
 its exact members: the two flat-spectrum ones and the rank-one member at
@@ -436,14 +426,8 @@ class _RestrictionNet:
 class _TopThree:
     """The pool of :func:`_frame_search`: the three best frames considered
     so far, their values and their first-seen indices (ties go to the
-    frame seen first), and the number of frames considered.
-
-    The first three frames are scored in full.  From then on the pool has
-    a bar, the largest of its values, and a frame is scored only if
-    :meth:`screen` passes it: a frame whose bound reaches the bar cannot
-    enter the pool.  :meth:`absorb` screens a stack at the bar it finds;
-    :func:`_frame_search` screens several zoom rounds at one bar and hands
-    :meth:`take` the rounds up to the first one that passes a frame."""
+    frame seen first), and the number of frames considered.  A full pool
+    screens each stack at its bar; see :func:`_frame_search`."""
 
     def __init__(self, evaluate: _RestrictionNet, m: int) -> None:
         self.evaluate = evaluate
@@ -451,14 +435,10 @@ class _TopThree:
         self.seen = np.empty(0, dtype=int)
         self.considered = 0
 
-    def absorb(self, fresh: np.ndarray) -> None:
-        """Consider a (F, 4, m) stack of frames.  Until the pool holds
-        three frames they are scored in full; the rest of the stack goes
-        through :meth:`screen` at the bar those set."""
-        head = max(0, 3 - self.values.size)
-        self.take(fresh[:head])
-        if fresh.shape[0] > head:
-            self.take(fresh[head:], self.screen(fresh[head:]))
+    def absorb(self, fresh: np.ndarray) -> bool:
+        """:meth:`take` a (F, 4, m) stack of frames, through :meth:`screen`
+        once the pool holds three frames."""
+        return self.take(fresh, self.screen(fresh) if self.values.size == 3 else None)
 
     def screen(self, fresh: np.ndarray) -> np.ndarray:
         """The (F,) mask of the frames of a (F, 4, m) stack that a full
@@ -467,10 +447,10 @@ class _TopThree:
         bar = self.values.max()
         return ~(self.evaluate.lower(fresh, bar) >= bar)
 
-    def take(self, fresh: np.ndarray, live: np.ndarray | None = None) -> None:
+    def take(self, fresh: np.ndarray, live: np.ndarray | None = None) -> bool:
         """Consider a (F, 4, m) stack of frames, scoring in full those of
         the (F,) mask ``live`` (all of them without it), and keep the three
-        best frames."""
+        best frames.  Returns whether any frame was scored."""
         ids = self.considered + np.arange(fresh.shape[0])
         self.considered += fresh.shape[0]
         if live is not None:
@@ -482,6 +462,7 @@ class _TopThree:
             seen = np.concatenate([seen, ids])
         top = np.lexsort((seen, values))[:3]
         self.frames, self.values, self.seen = frames[top], values[top], seen[top]
+        return fresh.shape[0] > 0
 
 
 #: Perturbation scales of the zoom rounds of :func:`_frame_search`.
@@ -508,41 +489,49 @@ def _frame_search(
     bar of the largest value of the top three, and only the frames whose
     bound lies below the bar, or is NaN, are scored in full.  A frame at
     or above the bar cannot enter the top three: the three frames in it
-    were seen earlier and are no larger, and ties go to them.  ``lower``
-    may stop at a partial bound once it reaches the bar (its first tier),
-    and decides ``bound >= bar`` exactly as the full bound does.  The
-    other seeds are screened as one stack, then the starts.
+    were seen earlier and are no larger, and ties go to them.  The bar
+    only falls, so a stack screened at the bar it meets scores every
+    frame that could enter.  ``lower`` may stop at a partial bound once
+    it reaches the bar (its first tier), and decides ``bound >= bar``
+    exactly as the full bound does.  The other seeds are screened as one
+    stack, then the starts.
 
     The noise of all five zoom rounds is drawn at once, the same stream
-    as one draw per round.  The remaining rounds are built around the
-    current pool and screened as one stack at one bar.  The rounds before
-    the first that holds a frame below the bar change nothing, so their
-    frames are only counted; that round's frames below the bar are scored,
-    and the rounds after it are built again around the updated pool from
-    their drawn noise.  So the result is that of scoring every frame,
-    one round at a time.  Returns the best value, its frame and the
-    number of frames considered, screened ones included.
+    as one draw per round.  While the last stack scored no frame, the
+    remaining rounds are built around the current pool and screened as
+    one stack at one bar: the rounds before the first that holds a frame
+    below the bar change nothing, so they are only counted; that round's
+    frames below the bar are scored, and the rounds after it are built
+    again around the updated pool.  After a stack that scored, the next
+    round is built and screened alone, since its successor is then
+    likely to score too and would be built again.  So the result is that
+    of scoring every frame, one round at a time.  Returns the best
+    value, its frame and the number of frames considered, screened ones
+    included.
     """
     pool = _TopThree(evaluate, m)
-    pool.absorb(_seed_frames(m))
+    seeds = _seed_frames(m)
+    pool.absorb(seeds[:3])  # an empty pool has no bar: all scored
+    pool.absorb(seeds[3:])
     need = max(96, int(round(16.0 / h)))
     starts = _orth(rng.standard_normal((need, 4, m)))
     while starts.shape[0] < need:
         more = _orth(rng.standard_normal((need - starts.shape[0], 4, m)))
         starts = np.concatenate([starts, more])
-    pool.absorb(starts)
+    scored = pool.absorb(starts)
     n_zoom = max(24, int(round(1.6 / h)))
     shape = (_ZOOM_TAUS.size, pool.frames.shape[0], n_zoom, 4, m)
     steps = _ZOOM_TAUS[:, None, None, None, None] * rng.standard_normal(shape)
     r = 0
     while r < _ZOOM_TAUS.size:
-        columns = (pool.frames[:, None] + steps[r:]).reshape(_ZOOM_TAUS.size - r, -1, 4, m)
+        stop = r + 1 if scored else _ZOOM_TAUS.size
+        columns = (pool.frames[:, None] + steps[r:stop]).reshape(stop - r, -1, 4, m)
         q, keep = _qr_frames(columns)
         frames, rounds = q[keep], r + np.nonzero(keep)[0]
         live = pool.screen(frames)
-        last = rounds[live.argmax()] if live.any() else _ZOOM_TAUS.size - 1
+        last = rounds[live.argmax()] if live.any() else stop - 1
         upto = rounds <= last
-        pool.take(frames[upto], live[upto])
+        scored = pool.take(frames[upto], live[upto])
         r = last + 1
     return float(pool.values[0]), pool.frames[0], pool.considered
 

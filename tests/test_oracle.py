@@ -451,27 +451,39 @@ def test_the_screen_scores_exactly_the_frames_below_the_bar(dim, p, q, seed, pic
     assert pool.considered == 3 + frames.shape[0]
 
 
-def _zoom_stacks(evaluate, m, seed, h):
-    """The stacks ``evaluate`` scored in a frame search's zoom rounds: those
-    not made of seed or start frames."""
-    starts = oracle._orth(np.random.default_rng(seed).standard_normal(
-        (max(96, int(round(16.0 / h))), 4, m)))
-    before = np.concatenate([oracle._seed_frames(m), starts])
-    return [B for B in evaluate.stacks if not (B[0] == before).all(axis=(1, 2)).any()]
+class _ScreenRecordingNet(_RestrictionNet):
+    """A restriction net that keeps the size of each stack it screens."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.screened = []
+
+    def lower(self, B, bar=None):
+        if bar is not None:
+            self.screened.append(B.shape[0])
+        return super().lower(B, bar)
 
 
-# at (4, 3/4) the five rounds are built as one stack, round 2 is the first
-# to score, and round 4 scores after round 3 was built again around the
-# updated pool; at (inf, 4/3) round 0 scores, then round 3 from a stack
-# of rounds 1-4
-@pytest.mark.parametrize("p,q,seed", [(4.0, 0.75, 4), (math.inf, 4.0 / 3.0, 6)])
-def test_zoom_rounds_after_a_scoring_round_repeat_the_one_by_one_search(p, q, seed):
-    h = 0.25
-    evaluate = _RecordingNet(3, p, q, h)
-    value, frame, count = _frame_search(evaluate, 3, np.random.default_rng(seed), h)
-    assert len(_zoom_stacks(evaluate, 3, seed, h)) >= 2
+# the zoom rounds each stack screen covers, at the oracle's seed: after
+# starts that score nothing, (4, 3/4) screens rounds 0-4 as one stack,
+# round 2 is the first to score, and rounds 3 and 4 are built again one
+# at a time; (inf, 4/3) scores round 0 of the five, then round 3 of a
+# stack of rounds 3-4; at m = 2 the starts and every round score, so
+# each round is screened alone
+@pytest.mark.parametrize("m,p,q,rounds", [
+    (3, 4.0, 0.75, [5, 1, 1]),
+    (3, math.inf, 4.0 / 3.0, [5, 1, 1, 2, 1]),
+    (2, 1.0, 2.0, [1, 1, 1, 1, 1]),
+])
+def test_zoom_rounds_after_a_scoring_round_repeat_the_one_by_one_search(m, p, q, rounds):
+    h, seed = 0.25, oracle.DEFAULT_ORACLE_SEED
+    evaluate = _ScreenRecordingNet(m, p, q, h)
+    value, frame, count = _frame_search(evaluate, m, np.random.default_rng(seed), h)
+    n_zoom = max(24, int(round(1.6 / h)))
+    # the first two screens are the late seeds' and the starts'
+    assert evaluate.screened[2:] == [k * 3 * n_zoom for k in rounds]
     ref_value, ref_frame, ref_count = _frame_search_one_by_one(
-        _RestrictionNet(3, p, q, h), 3, np.random.default_rng(seed), h)
+        _RestrictionNet(m, p, q, h), m, np.random.default_rng(seed), h)
     assert value == ref_value
     assert np.array_equal(frame, ref_frame)
     assert count == ref_count
