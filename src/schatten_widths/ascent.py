@@ -1,10 +1,10 @@
-"""Projected supergradient ascent for ratios ``objective(X) / ||X||_p``.
+"""Projected supergradient ascent for norm ratios ``||X||_q / ||X||_p``.
 
-The outer problems solved here maximize a 1-homogeneous objective (such
-as an image norm) over the Schatten-``p`` unit sphere.  Iterates stay on
-the sphere; steps follow the gradient of ``log objective - log
-||X||_p``, whose stationary points are the ratio's critical points,
-with multiplicative backtracking on the step size.
+The problems solved here maximize the norm ``||X||_q`` over the
+Schatten-``p`` unit sphere of the whole space or of a subspace.  Iterates
+stay on the sphere; steps follow the gradient of ``log ||X||_q - log
+||X||_p``, whose stationary points are the ratio's critical points, with
+multiplicative backtracking on the step size.
 
 For ``p >= 1`` the sphere-constrained problem is well behaved; for
 quasi-norms ``p < 1`` the same iteration runs with a spectral cutoff in
@@ -17,10 +17,9 @@ One loop runs every ascent, on one of two representations of a point;
 the plateau window, the backtracking, the stall rule and the counts are
 the same for both.
 
-- **On the spectrum**, for the norm objective ``||X||_q``, given by its
-  exponent, over the whole space.  Both norms are functions of the
-  singular values, and the gradient of such a function at ``U diag(c)
-  V^T`` is ``U diag(w) V^T``, with the weights ``w`` of ``c`` (Lewis
+- **On the spectrum**, over the whole space.  Both norms are functions
+  of the singular values, and the gradient of such a function at ``U
+  diag(c) V^T`` is ``U diag(w) V^T``, with the weights ``w`` of ``c`` (Lewis
   1995, *J. Convex Anal.* 2).  So every step keeps the start's singular
   vectors: each start is factored once, through the validated
   :func:`core.svd`, and the ascent moves its signed singular-value
@@ -30,35 +29,32 @@ the same for both.
   as ``d = w_q / value - w_p``, with the sign of each ``c_i`` mapped back
   onto its coordinate.  No trial is factored, and the maximizer ``U
   diag(c) V^T`` is formed once, for the winning start.
-- **As a matrix**, for a callable objective or over a subspace.  Each
-  point it scores, a start or a trial, is factored exactly once: one full
-  SVD, or at N = 2 one 2x2 split through
-  :func:`core.norms_and_deferred_gradients`.  That factorization gives
-  the point's ``p``-norm, so its normalized copy on the sphere, and the
-  weights of its ``p``-gradient.  A callable objective is evaluated at
-  the normalized point.  A norm objective's ratio comes from the same
-  factorization, and at N >= 3 its step is ``U diag(d) V^T`` with the
-  point's singular vectors, one product.  Each step is projected onto the
-  subspace, which takes no factorization.
+- **As a matrix**, over a subspace.  Each point it scores, a start or a
+  trial, is factored exactly once: one full SVD, or at N = 2 one 2x2
+  split through :func:`core.norms_and_deferred_gradients`.  That
+  factorization gives the point's two norms, so its ratio and its
+  normalized copy on the sphere, and the weights of both gradients.  At
+  N >= 3 the step is ``U diag(d) V^T`` with the point's singular vectors,
+  one product.  Each step is projected onto the subspace, which takes no
+  factorization.
 
 Every matrix the ascent factors is validated (:func:`core.svd` or the
-2x2 split: real, square, finite) except the trials of a norm objective
-over a subspace at N >= 3.  Such a trial is ``x + step * D`` with
-``||x||_p = 1``, so every entry of ``x`` is at most 1, a unit direction
-``D`` built from the norms' bounded weights and ``step <= 1``: it is
-finite, with entries of at most 2, and goes to LAPACK as it is
-(``core._lapack_svd``, whose non-convergence still raises).  Most trial
-points of the backtracking are rejected, so a trial costs its value
-only: its gradients, or their weights, are formed only where the ascent
-accepts it and builds a step from there, and a norm objective's trial is
-normalized only then.
+2x2 split: real, square, finite) except the trials over a subspace at
+N >= 3.  Such a trial is ``x + step * D`` with ``||x||_p = 1``, so every
+entry of ``x`` is at most 1, a unit direction ``D`` built from the
+norms' bounded weights and ``step <= 1``: it is finite, with entries of
+at most 2, and goes to LAPACK as it is (``core._lapack_svd``, whose
+non-convergence still raises).  Most trial points of the backtracking
+are rejected, so a trial costs its value only: its gradients, or their
+weights, are formed only where the ascent accepts it and builds a step
+from there, and a trial is normalized only then.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -134,27 +130,19 @@ def default_starts(
 
 
 def sup_ratio_ascent(
-    objective: Union[ExponentLike,
-                     Callable[[np.ndarray], tuple[float, Callable[[], Optional[np.ndarray]]]]],
+    objective: ExponentLike,
     p,
     starts: Sequence[np.ndarray],
     *,
     max_iter: int = 300,
     subspace: Optional[SubspaceBasis] = None,
 ) -> AscentResult:
-    """Maximize ``objective(X) / ||X||_p`` from each start.
+    """Maximize ``||X||_q / ||X||_p`` from each start, with the exponent
+    ``q`` given as ``objective``.
 
-    The objective is an exponent ``q``, for the norm ``||X||_q``, or a
-    callable.  ``objective(X)`` must return ``(value, gradient)`` for
-    nonzero ``X`` on the ``p``-sphere, where ``gradient`` is a
-    zero-argument callable that returns the objective's gradient at ``X``,
-    or ``None``.  The ascent calls it at most once per start or accepted
-    trial point, just before it builds a step from there, and never at a
-    rejected trial.  A ``None`` gradient ends that start's ascent at its
-    current value (used by objectives that are flat or nonsmooth at the
-    iterate), and so does a ``p``-norm gradient that leaves the float
-    range.  A ``subspace`` restricts the supremum to its members: each
-    step direction is projected onto it, and a start farther than
+    A gradient that leaves the float range ends that start's ascent at its
+    current value.  A ``subspace`` restricts the supremum to its members:
+    each step direction is projected onto it, and a start farther than
     ``1e-10`` of its Frobenius norm from it raises ``ValueError``.
     The starts must be ``N x N`` matrices with one ``N``, the subspace's
     where one is given; else ``ValueError`` names the first that is not.
@@ -170,41 +158,32 @@ def sup_ratio_ascent(
     if iteration_limit is None or iteration_limit < 0:
         raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     pf = exponent_float(p)
-    qf = None if callable(objective) else exponent_float(objective)
-    exponents = (pf,) if qf is None else (pf, qf)
+    qf = exponent_float(objective)
     points = _square_starts(starts, subspace)
-    # a norm over the whole space: a point is its signed singular values
-    # in the frame of its start (module docstring)
-    on_spectrum = qf is not None and subspace is None
+    # over the whole space a point is its signed singular values in the
+    # frame of its start (module docstring)
+    on_spectrum = subspace is None
 
     def scored(t, start: bool = False):
-        """``(value, scale, x, parts)`` of the point ``t``, from its
-        spectrum or one factorization: ``scale = ||t||_p``, the ratio
-        ``value`` at ``t / scale``, that point ``x`` where it was formed
-        (else None), and the ``parts`` its step is built from; None where
-        ``scale`` is not positive.  Only a norm objective's matrix trials
-        at N >= 3 skip the validation of ``t``."""
+        """``(value, scale, parts)`` of the point ``t``, from its spectrum
+        or one factorization: ``scale = ||t||_p``, the ratio ``value`` at
+        ``t / scale``, and the ``parts`` its step is built from; None where
+        ``scale`` is not positive.  Only the matrix trials at N >= 3 skip
+        the validation of ``t``."""
         if on_spectrum:
             return _norm_point(sorted(map(abs, t), reverse=True), pf, qf, t)
-        if qf is not None and t.shape != (2, 2):
+        if t.shape != (2, 2):
             if start:
                 u, s, v = core.svd(t)
                 vt = v.T
             else:
-                # a norm objective's trial is finite (module docstring):
-                # LAPACK takes it as is
+                # a trial is finite (module docstring): LAPACK takes it as is
                 u, s, vt = core._lapack_svd(t)
             return _norm_point(s.tolist(), pf, qf, (u, vt))
-        norms = norms_and_deferred_gradients(t, exponents)
-        scale, p_gradient = norms[0]
+        (scale, p_gradient), (q_norm, q_gradient) = norms_and_deferred_gradients(t, (pf, qf))
         if not scale > 0:
             return None
-        if qf is None:
-            x = t / scale
-            value, gradient = objective(x)
-            return value, scale, x, (gradient, p_gradient)
-        q_norm, q_gradient = norms[1]
-        return q_norm / scale, scale, None, (q_gradient, p_gradient)
+        return q_norm / scale, scale, (q_gradient, p_gradient)
 
     if on_spectrum:
         def step_direction(value, parts):
@@ -244,9 +223,8 @@ def sup_ratio_ascent(
         point = scored(t, start=True)
         if point is None:
             continue
-        value, scale, x, parts = point
-        if x is None:
-            x = normalized(t, scale)
+        value, scale, parts = point
+        x = normalized(t, scale)
         evaluations += 1
         step = 0.5
         stalled = 0
@@ -277,9 +255,8 @@ def sup_ratio_ascent(
                     trial_value = trial[0]
                     if trial_value > value * (1 + 1e-14):
                         improvement = (trial_value - value) / max(trial_value, 1e-30)
-                        value, scale, x, parts = trial
-                        if x is None:
-                            x = normalized(t, scale)
+                        value, scale, parts = trial
+                        x = normalized(t, scale)
                         step = min(step * 1.3, 1.0)
                         accepted = True
                         stalled = stalled + 1 if improvement < _STALL_GAIN else 0
@@ -336,7 +313,7 @@ def _square_starts(starts: Sequence[np.ndarray], subspace: Optional[SubspaceBasi
 
 
 def _norm_point(sigma: list[float], pf: float, qf: float, at):
-    """``(value, scale, None, (at, weights))`` of a matrix with the
+    """``(value, scale, (at, weights))`` of a matrix with the
     singular values ``sigma``, Python floats in non-increasing order, for
     the norm objective ``||.||_q``: the ratio ``value`` of its two norms,
     its ``p``-norm ``scale``, and each norm's weight ratios and scale
@@ -347,7 +324,7 @@ def _norm_point(sigma: list[float], pf: float, qf: float, at):
     if not scale > 0:
         return None
     q_norm, q_ratios, q_factor = core._norm_and_weight_scale(sigma, qf)
-    return q_norm / scale, scale, None, (at, (p_ratios, p_factor, q_ratios, q_factor))
+    return q_norm / scale, scale, (at, (p_ratios, p_factor, q_ratios, q_factor))
 
 
 def _weight_difference(value: float, weights, pf: float, qf: float) -> Optional[list[float]]:
@@ -383,19 +360,19 @@ def _coordinate_direction(value: float, parts, pf: float, qf: float) -> Optional
     return e
 
 
-def _step_direction(value: float, parts, pf: float, qf: Optional[float],
+def _step_direction(value: float, parts, pf: float, qf: float,
                     subspace: Optional[SubspaceBasis]) -> Optional[np.ndarray]:
     """The ascent direction at a matrix point with the ratio ``value``
-    and the step ``parts`` of the scorer: the gradient of ``log objective
-    - log ||.||_p``, projected onto ``subspace`` if one is given, scaled
-    to unit Frobenius length.  None where a gradient is None or its length
-    is below ``1e-13``.
+    and the step ``parts`` of the scorer: the gradient of ``log ||.||_q -
+    log ||.||_p``, projected onto ``subspace`` if one is given, scaled to
+    unit Frobenius length.  None where a gradient is None or its length is
+    below ``1e-13``.
 
-    ``parts`` is a pair of deferred gradients, the objective's and the
-    ``p``-norm's, or a norm objective's singular vectors ``(U, V^T)`` with
-    the weights of :func:`_norm_point`: both norm gradients share ``U, V``,
-    so the direction is ``U diag(d) V^T`` (:func:`_weight_difference`),
-    formed by one product.
+    ``parts`` is, at N = 2, the pair of deferred gradients of the 2x2
+    split, the ``q``-norm's and the ``p``-norm's; else the point's singular
+    vectors ``(U, V^T)`` with the weights of :func:`_norm_point`: both
+    norm gradients share ``U, V``, so the direction is ``U diag(d) V^T``
+    (:func:`_weight_difference`), formed by one product.
     """
     if callable(parts[0]):
         gradient, p_gradient = parts

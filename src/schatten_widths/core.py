@@ -23,11 +23,10 @@ and so of the dual-norm achievers that the searches and the
 codimension-one distance use.  From one factorization of a matrix it
 returns its norm for each of several exponents at once, and each norm's
 gradient as a callable, so that a search pays for a gradient only where
-it uses one; ``norm_and_deferred_gradient`` is its one-exponent case, and
-``norm_and_gradient`` forms that gradient at once.  Off the 2x2 closed
-forms a gradient is ``U diag(w) V^T``, with its weights ``w`` from one
-formula (``_gradient_weights``), which the ascent also reads to combine
-two gradients into one product.  The 2x2 norm and
+it uses one; ``norm_and_gradient`` forms one exponent's gradient at
+once.  Off the 2x2 closed forms a gradient is ``U diag(w) V^T``, with its
+weights ``w`` from one formula (``_gradient_weights``), which the ascent
+also reads to combine two gradients into one product.  The 2x2 norm and
 gradient have closed forms on the rotation/reflection split
 :func:`split_2x2`, which the N = 2 distance solvers and the net oracle
 share; they are several times faster than LAPACK, where a closed-form
@@ -81,7 +80,6 @@ __all__ = [
     "hull_decompose",
     "last_snumber",
     "littlewood_check",
-    "norm_and_deferred_gradient",
     "norm_and_gradient",
     "norm_from_singular_values",
     "norms_and_deferred_gradients",
@@ -435,20 +433,11 @@ def norm_and_gradient(x: np.ndarray, p) -> tuple[float, Optional[np.ndarray]]:
     (for ``p <= 1``, take ``p* = inf``): the searches' dual-norm achievers
     are these gradients.
 
-    This is :func:`norm_and_deferred_gradient` with its gradient formed at
-    once.
+    This is the one-exponent case of :func:`norms_and_deferred_gradients`
+    with its gradient formed at once.
     """
-    value, gradient = norm_and_deferred_gradient(x, p)
+    value, gradient = norms_and_deferred_gradients(x, (p,))[0]
     return value, gradient()
-
-
-def norm_and_deferred_gradient(
-    x: np.ndarray, p
-) -> tuple[float, Callable[[], Optional[np.ndarray]]]:
-    """``||x||_p`` now, and a zero-argument callable that forms the
-    gradient of :func:`norm_and_gradient` when called: the one-exponent
-    case of :func:`norms_and_deferred_gradients`."""
-    return norms_and_deferred_gradients(x, (p,))[0]
 
 
 def norms_and_deferred_gradients(

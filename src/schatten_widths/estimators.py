@@ -4,8 +4,8 @@ Every estimator returns an :class:`Estimate` carrying the value, the
 method actually used, the randomness budget, and a convergence flag.
 Methods:
 
-* ``pg-search`` — projected-gradient sup ascent combined with a candidate
-  search over approximants/subspaces (the generic path);
+* ``pg-search`` — a sup by projected-gradient ascent or the power method,
+  combined with a candidate search over approximants/subspaces;
 * ``hilbert-exact`` — both exponents are 2, where the identity is an
   isometry of ``S_2`` and every s-number is 1;
 * ``identity-exact`` — the pairs where every s-number is exactly 1:
@@ -43,8 +43,8 @@ re-evaluates a few finalists with the full ascent.  The only search
 options are ``restarts`` (the full ascent's start count) and ``seed``; the
 budgets are fixed:
 
-* cheap ascents: 3 starts, 60 iterations;
-* full ascents and ``operator_norm_estimate``: 250 iterations;
+* cheap ascents and power methods: 3 starts, 60 iterations;
+* full ones and ``operator_norm_estimate``: 250 iterations;
 * width searches: 3 random frames among the candidates, then 16 rounds
   of frame perturbation that stop after 8 rounds without gain; an ascent
   on a subspace of codimension below ``N`` adds 3 rank-one starts;
@@ -72,10 +72,10 @@ from .core import (
     as_int,
     embedding_norm,
     last_snumber,
-    norm_and_deferred_gradient,
     norm_and_gradient,
+    schatten_norm,
 )
-from .exponents import dual_exponent, exponent_float
+from .exponents import dual_exponent
 from .operators import SubspaceBasis, orthonormal_columns, subspace_from_matrices
 
 __all__ = [
@@ -550,37 +550,63 @@ def estimate_kolmogorov(
 # ---------------------------------------------------------------------------
 
 
-def _residual_objective(A: np.ndarray, q):
-    """The objective ``X -> ||X - A(X)||_q`` of the approximant ``A``, an
-    ``N^2 x N^2`` array in ``vec`` coordinates, with its deferred gradient
-    ``(I - A)^T`` applied to the norm's gradient at the residual."""
-    qf = exponent_float(q)
-    residual = np.eye(len(A)) - A
-    N = math.isqrt(len(A))
-
-    def objective(x: np.ndarray):
-        value, image_gradient = norm_and_deferred_gradient(
-            (residual @ x.reshape(-1)).reshape(N, N), qf)
-
-        def gradient():
-            grad = image_gradient()
-            return None if grad is None else (residual.T @ grad.reshape(-1)).reshape(N, N)
-
-        return value, gradient
-
-    return objective
-
-
 def _residual_sup(spec: EmbeddingSpec, A: np.ndarray, rng: np.random.Generator,
                   n_starts: int, max_iter: int, extra: Sequence[np.ndarray] = ()
                   ) -> AscentResult:
-    """The ascent of ``||X - A(X)||_q / ||X||_p`` from ``n_starts`` starts,
-    half Gaussian and half rank-one, plus ``extra``."""
+    """The norm ``sup ||X - A(X)||_q / ||X||_p`` of ``I - A``, for the
+    approximant ``A`` (an ``N^2 x N^2`` array in ``vec`` coordinates), by
+    the power method from ``n_starts`` starts, half Gaussian and half
+    rank-one, plus ``extra``, each scaled onto the ``S_p`` unit sphere.
+
+    For ``p, q >= 1``, ``f(X) = ||X - A(X)||_q`` is convex and
+    1-homogeneous.  A step moves ``X`` to ``grad ||.||_{p*}(G)``, the
+    dual-norm achiever of its gradient ``G = (I - A)^T grad ||.||_q(X -
+    A(X))``, which maximizes ``<G, Y>`` over the ``S_p`` unit ball.  By
+    convexity and Euler's identity ``<G, X> = f(X)``, every step is
+    monotone, ``f(X_new) >= <G, X_new> = ||G||_{p*} >= <G, X> = f(X)``, so
+    it needs no step size and no backtracking (Boyd 1974, *Linear Algebra
+    Appl.* 9; Higham 1992, *Numer. Math.* 62).  A start ends when a step
+    gains no more than ``1e-14`` relative, after ``max_iter`` steps, or at
+    a None gradient; ``converged`` is True only when the gain rule ended the
+    winning start.  The value is the ratio at the returned maximizer, with
+    its ``p``-norm computed from it.
+    """
+    N, p, q = spec.N, spec.p, spec.q
+    dual = dual_exponent(p)
+    residual = np.eye(N * N) - A
+
+    def ratio(x: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+        value, gradient = norm_and_gradient((residual @ x.reshape(-1)).reshape(N, N), q)
+        return value / schatten_norm(x, p), gradient
+
     n_gauss = max(1, n_starts // 2)
-    starts = default_starts(spec.N, rng, n_gaussian=n_gauss,
+    starts = default_starts(N, rng, n_gaussian=n_gauss,
                             n_rank_one=max(1, n_starts - n_gauss), extra=extra)
-    return sup_ratio_ascent(_residual_objective(A, spec.q), spec.p, starts,
-                            max_iter=max_iter)
+    best_value, best_x, best_converged, best_index = -math.inf, None, False, -1
+    iterations = evaluations = 0
+    for index, start in enumerate(starts):
+        x = start / schatten_norm(start, p)
+        value, gradient = ratio(x)
+        evaluations += 1
+        converged = False
+        for _ in range(max_iter):
+            if gradient is None:
+                break
+            y = norm_and_gradient((residual.T @ gradient.reshape(-1)).reshape(N, N), dual)[1]
+            if y is None:
+                break
+            iterations += 1
+            trial, trial_gradient = ratio(y)
+            evaluations += 1
+            if not trial > value * (1 + 1e-14):
+                converged = True
+                break
+            value, x, gradient = trial, y, trial_gradient
+        if value > best_value:
+            best_value, best_x, best_converged, best_index = value, x, converged, index
+    return AscentResult(value=best_value, maximizer=best_x, converged=best_converged,
+                        iterations=iterations, evaluations=evaluations,
+                        start_index=best_index)
 
 
 def _approx_candidates(N: int, rank: int, rng: np.random.Generator

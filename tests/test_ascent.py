@@ -13,7 +13,6 @@ from schatten_widths.acceptance import _RANDOM_EXPONENTS, EXPONENT_GRID
 from schatten_widths.ascent import default_starts, sup_ratio_ascent
 from schatten_widths.core import (
     embedding_norm,
-    norm_and_deferred_gradient,
     norm_and_gradient,
     norms_and_deferred_gradients,
     schatten_norm,
@@ -152,10 +151,11 @@ def test_norm_gradient_is_none_where_its_weights_overflow(x):
 
 def test_ascent_ends_a_start_at_a_none_p_gradient():
     # the start's unit-norm scaling is 2^-1060 * I, whose 1/1060-norm
-    # gradient has top weight 2^1059
+    # gradient has top weight 2^1059; on the spectrum the start is scaled
+    # to 2^-969 * I, whose weights' scale overflows
     x = 2.0**-1070 * np.eye(2)
     assert norm_and_gradient(x / schatten_norm(x, "1/1060"), "1/1060")[1] is None
-    res = sup_ratio_ascent(lambda y: norm_and_deferred_gradient(y, "1"), "1/1060", [x])
+    res = sup_ratio_ascent("1", "1/1060", [x])
     assert res.converged and res.iterations == 1 and res.evaluations == 1
     assert res.value == schatten_norm(res.maximizer, "1")
 
@@ -192,12 +192,8 @@ def test_complex_starts_raise_instead_of_dropping_their_imaginary_part():
 @pytest.mark.parametrize("p,q", [("1", "inf"), ("inf", "1"), ("2", "4"), ("1/2", "2")])
 def test_ascent_recovers_the_embedding_norm(p, q):
     N = 3
-
-    def objective(x):
-        return schatten_norm(x, q), lambda: norm_and_gradient(x, q)[1]
-
     starts = default_starts(N, np.random.default_rng(0))
-    res = sup_ratio_ascent(objective, p, starts)
+    res = sup_ratio_ascent(q, p, starts)
     assert res.value == pytest.approx(embedding_norm(p, q, N), rel=1e-6)
     # the reported value is attained by the reported maximizer
     attained = schatten_norm(res.maximizer, q) / schatten_norm(res.maximizer, p)
@@ -212,23 +208,21 @@ def test_ascent_result_is_a_certified_lower_bound():
     # exceeds the true supremum
     N = 2
     rng = np.random.default_rng(3)
-
-    def objective(x):
-        return schatten_norm(x, "1"), lambda: norm_and_gradient(x, "1")[1]
-
-    res = sup_ratio_ascent(objective, "2", default_starts(N, rng))
+    res = sup_ratio_ascent("1", "2", default_starts(N, rng))
     assert res.value <= embedding_norm("2", "1", N) * (1 + 1e-12)
 
 
 def test_ascent_handles_none_gradient_and_rejects_empty_starts():
-    def flat(x):
-        return 1.0, lambda: None
-
-    res = sup_ratio_ascent(flat, "2", [np.eye(2)])
-    assert res.value == pytest.approx(1.0)
-    assert res.converged
+    # over a subspace at N = 2 the gradients are the 2x2 split's deferred
+    # ones: at the scaled start 2^-969 * I the 1/1060-norm's is None, and
+    # that ends the start
+    whole = SubspaceBasis(np.eye(4), 2)
+    x = 2.0**-1070 * np.eye(2)
+    res = sup_ratio_ascent("1", "1/1060", [x], subspace=whole)
+    assert res.converged and res.iterations == 1 and res.evaluations == 1
+    assert res.value == schatten_norm(res.maximizer, "1")
     with pytest.raises(ValueError):
-        sup_ratio_ascent(flat, "2", [np.zeros((2, 2))])
+        sup_ratio_ascent("1", "2", [np.zeros((2, 2))])
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5])
@@ -242,24 +236,18 @@ def test_subspace_ascent_stays_in_the_subspace(t):
     plane = subspace_from_matrices([np.eye(2), rotation + t * np.diag([1.0, -1.0])], 2)
     rng = np.random.default_rng(7)
     starts = [plane.member(z) for z in ([1.0, 0.0], *rng.standard_normal((3, 2)))]
-
-    def objective(x):
-        return norm_and_deferred_gradient(x, "2")
-
-    res = sup_ratio_ascent(objective, "1", starts, subspace=plane)
+    res = sup_ratio_ascent("2", "1", starts, subspace=plane)
     assert res.value == pytest.approx(((1.0 + t * t) / 2.0) ** 0.5, rel=1e-12, abs=0.0)
     assert res.converged
     x = res.maximizer
     assert np.abs(x - plane.member(plane.coefficients(x))).max() <= 1e-12
-    whole = sup_ratio_ascent(objective, "1", default_starts(2, rng))
+    whole = sup_ratio_ascent("2", "1", default_starts(2, rng))
     assert whole.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_subspace_ascent_factors_each_point_once_per_use(monkeypatch):
-    # the same LAPACK budget as the whole-space norm ascent: the
-    # projection onto the subspace takes no factorization.  The norm
-    # objective, given by its exponent, reads both norms from one SVD of a
-    # point; a callable objective takes one more at the normalized point
+    # one LAPACK call per scored point: the projection onto the subspace
+    # takes no factorization, and both norms come from one SVD of a point
     from schatten_widths import core
 
     calls = []
@@ -273,11 +261,9 @@ def test_subspace_ascent_factors_each_point_once_per_use(monkeypatch):
     frame = SubspaceBasis(orthonormal_columns(rng.standard_normal((9, 5))), 3)
     starts = [frame.member(z) for z in rng.standard_normal((4, 5))]
     monkeypatch.setattr(core, "_lapack_svd", counting_svd)
-    for objective, per_point in (("2", 1), (lambda x: norm_and_deferred_gradient(x, "2"), 2)):
-        calls.clear()
-        res = sup_ratio_ascent(objective, "1/2", starts, subspace=frame)
-        assert res.evaluations > 0
-        assert len(calls) == per_point * res.evaluations
+    res = sup_ratio_ascent("2", "1/2", starts, subspace=frame)
+    assert res.evaluations > 0
+    assert len(calls) == res.evaluations
 
 
 #: The pairs of the scaled-start test: at N = 3, 1/2 -> inf stalls short
@@ -378,7 +364,7 @@ def test_spectral_step_matches_the_matrix_domain_direction(N, p, q, kind, seed):
     u, v = q1[:, order], q2[:, order] * np.where(c[order] >= 0.0, 1.0, -1.0)
     sigma = np.abs(c[order]).tolist()
     pf, qf = exponent_float(p), exponent_float(q)
-    value, _, _, parts = ascent._norm_point(sigma, pf, qf, c.tolist())
+    value, _, parts = ascent._norm_point(sigma, pf, qf, c.tolist())
     p_grad, q_grad = (core._deferred_svd(u, sigma, v, f)[1]() for f in (pf, qf))
     expected = q_grad / value - p_grad
     terms = np.linalg.norm(q_grad) / value + np.linalg.norm(p_grad)
@@ -387,7 +373,7 @@ def test_spectral_step_matches_the_matrix_domain_direction(N, p, q, kind, seed):
         # a stationary point, such as every rank-one matrix
         assert np.linalg.norm(expected) <= STEP_RTOL * terms
         return
-    matrix_parts = ascent._norm_point(sigma, pf, qf, (u, v.T))[3]
+    matrix_parts = ascent._norm_point(sigma, pf, qf, (u, v.T))[2]
     length = np.linalg.norm(expected)
     for step in ((q1 * e) @ q2.T, ascent._step_direction(value, matrix_parts, pf, qf, None)):
         assert np.linalg.norm(step) == pytest.approx(1.0, rel=1e-15, abs=0.0)
@@ -444,10 +430,9 @@ def test_spectral_ascent_attains_a_certified_value(N, p, q, kind, seed):
 @pytest.mark.parametrize("p, q", [("1/2", "inf"), ("inf", "1/2"), ("1", "2"), ("4", "4/3")])
 def test_every_trial_point_is_finite_and_bounded_by_two(monkeypatch, N, p, q):
     # a trial x + step * D has ||x||_p = 1, so entries of at most 1, a
-    # unit D and step <= 1: a norm objective's trial over a subspace goes
-    # to LAPACK unvalidated.  Both the norm objective and a callable one,
-    # over the whole space (where the norm ascent factors its starts only)
-    # and a subspace.  The bound 2 holds up to the rounding of x and D
+    # unit D and step <= 1: a trial over a subspace goes to LAPACK
+    # unvalidated.  Over the whole space the ascent factors its starts
+    # only.  The bound 2 holds up to the rounding of x and D
     points = []
     lapack_svd = core._lapack_svd
 
@@ -460,35 +445,14 @@ def test_every_trial_point_is_finite_and_bounded_by_two(monkeypatch, N, p, q):
     whole_starts = default_starts(N, rng)
     frame = SubspaceBasis(orthonormal_columns(rng.standard_normal((N * N, N + 1))), N)
     plane_starts = [frame.member(z) for z in rng.standard_normal((3, N + 1))]
-    for objective in (q, lambda x: norm_and_deferred_gradient(x, q)):
-        for starts, subspace in ((whole_starts, None), (plane_starts, frame)):
-            points.clear()
-            res = sup_ratio_ascent(objective, p, starts, subspace=subspace)
-            assert res.evaluations > len(starts)
-            assert points
-            for a in points:
-                assert np.isfinite(a).all()
-                assert np.abs(a).max() <= 2.0 * (1.0 + 1e-14)
-
-
-@pytest.mark.parametrize("N", [3, 4])
-def test_a_nan_callable_gradient_raises_before_lapack(monkeypatch, N):
-    # only a norm objective's trials skip validation: a callable's
-    # gradient is only as finite as the callable makes it
-    seen = []
-    lapack_svd = core._lapack_svd
-
-    def recording_svd(a, *args, **kwargs):
-        seen.append(bool(np.isfinite(a).all()))
-        return lapack_svd(a, *args, **kwargs)
-
-    def objective(x):
-        return schatten_norm(x, 2), lambda: np.full_like(x, math.nan)
-
-    monkeypatch.setattr(core, "_lapack_svd", recording_svd)
-    with pytest.raises(ValueError, match="finite"):
-        sup_ratio_ascent(objective, "1", [np.eye(N)])
-    assert seen and all(seen)
+    for starts, subspace in ((whole_starts, None), (plane_starts, frame)):
+        points.clear()
+        res = sup_ratio_ascent(q, p, starts, subspace=subspace)
+        assert res.evaluations > len(starts)
+        assert points
+        for a in points:
+            assert np.isfinite(a).all()
+            assert np.abs(a).max() <= 2.0 * (1.0 + 1e-14)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schatten_widths import distances, estimators
-from schatten_widths.acceptance import EXPONENT_GRID
-from schatten_widths.ascent import sup_ratio_ascent
+from schatten_widths.acceptance import BANACH_GRID, EXPONENT_GRID
+from schatten_widths.ascent import default_starts, sup_ratio_ascent
 from schatten_widths.certificates import lower_certificates, upper_certificates
 from schatten_widths.core import EmbeddingSpec, embedding_norm, last_snumber, schatten_norm
 from schatten_widths.exponents import as_exponent, dual_exponent
@@ -81,18 +81,20 @@ def test_identity_widths_are_one_for_small_indices():
 # the same pair (its dual); both width values are the exact ones, and so
 # is the norm's.  The N = 2, n = 3 points are the searches themselves (the
 # estimators answer them with the ``hurwitz-radon-tail`` anchor): the two
-# approximation searches read above the exact 1/2 and 2^(-3/4).
+# approximation searches read 1 to 1e-14, above the exact 1/2 and
+# 2^(-3/4).  The power method finds the full norm of the approximant they
+# pick; no candidate comes near the exact one.
 SEARCH_PINS = [
     (SEARCH["kolmogorov"], EmbeddingSpec("1", "inf", 2, n=3), 0.5,
      {"candidates": 8, "search_rounds": 16, "winner": "split-rotation", "pair": ("1", "inf")},
      True),
-    (SEARCH["approximation"], EmbeddingSpec("1", "inf", 2, n=3), 0.9949521602699152,
-     {"candidates": 9, "winner": "random-proj-0"}, True),
-    (SEARCH["approximation"], EmbeddingSpec("4/3", "inf", 2, n=3), 0.7705371642955792,
-     {"candidates": 9, "winner": "refined"}, True),
+    (SEARCH["approximation"], EmbeddingSpec("1", "inf", 2, n=3), 0.9999999999999873,
+     {"candidates": 9, "winner": "random-proj-0@0.5"}, True),
+    (SEARCH["approximation"], EmbeddingSpec("4/3", "inf", 2, n=3), 0.9999999999999871,
+     {"candidates": 9, "winner": "random-proj-0@0.5"}, True),
     (estimate_approx, EmbeddingSpec("inf", "4/3", 3, n=4), 1.681792830507429,
      {"candidates": 9, "winner": "col-keep@1"}, True),
-    (estimate_approx, EmbeddingSpec("1", "inf", 3, n=5), 0.9149167912427325,
+    (estimate_approx, EmbeddingSpec("1", "inf", 3, n=5), 0.8814043697624855,
      {"candidates": 9, "winner": "refined"}, True),
     (SEARCH["gelfand"], EmbeddingSpec("1/2", "2", 2, n=3), 0.3535533905932738,
      {"candidates": 8, "search_rounds": 16, "winner": "split-rotation", "pair": ("1/2", "2")},
@@ -117,21 +119,69 @@ def test_search_results_are_pinned(estimator, spec, value, detail, converged):
     assert est.converged is converged
 
 
-@pytest.mark.parametrize("q", ["1", "4/3", "inf"])
-def test_residual_objective_is_the_residual_norm_and_its_adjoint_gradient(q):
-    # an approximant is a plain N^2 x N^2 array in vec coordinates; the
-    # gradient carries the norm's gradient at X - A(X) back through I - A^T
-    rng = np.random.default_rng(6)
-    A = rng.standard_normal((9, 9))
-    x = rng.standard_normal((3, 3))
-    objective = estimators._residual_objective(A, q)
-    value, gradient = objective(x)
-    assert value == pytest.approx(schatten_norm(x - (A @ x.reshape(-1)).reshape(3, 3), q),
-                                  rel=1e-12)
-    direction = rng.standard_normal((3, 3))
-    h = 1e-6
-    slope = (objective(x + h * direction)[0] - objective(x - h * direction)[0]) / (2 * h)
-    assert np.tensordot(gradient(), direction) == pytest.approx(slope, rel=1e-6)
+@pytest.mark.parametrize("p, q, n", [("1", "inf", 3), ("4/3", "4", 2)])
+def test_approx_search_reads_no_lower_than_an_exact_lower_certificate(p, q, n):
+    # the search reports the inner sup of its best approximant, which is
+    # at least a_n when the inner sup is reached; an inner sup that stops
+    # short of it reads below the certificate 1 at these points
+    spec = EmbeddingSpec(p, q, 3, n=n)
+    lower = max(c.value for c in lower_certificates(spec) if c.exact_constant)
+    assert SEARCH["approximation"](spec).value >= lower - 1e-6
+
+
+def _residual_ratio(A, p, q, x):
+    """``||X - A(X)||_q / ||X||_p`` at the matrix ``x``, in numpy."""
+    N = len(x)
+    return schatten_norm(x - (A @ x.reshape(-1)).reshape(N, N), q) / schatten_norm(x, p)
+
+
+@pytest.mark.parametrize("p, q", list(itertools.permutations(BANACH_GRID, 2)))
+def test_residual_sup_of_a_multiple_of_the_identity_is_the_scaled_norm(p, q):
+    # I - c I is (1 - c) times the identity, whose norm from S_p to S_q is
+    # embedding_norm; the start battery holds both regimes' maximizers
+    for N, c in itertools.product((3, 4), (0.0, 0.5)):
+        A = c * np.eye(N * N)
+        res = estimators._residual_sup(EmbeddingSpec(p, q, N), A, np.random.default_rng(0),
+                                       6, estimators._FINAL_ITER)
+        assert res.value == pytest.approx((1 - c) * embedding_norm(p, q, N),
+                                          rel=1e-12, abs=0.0), (N, c)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    N=st.integers(2, 4),
+    p=st.sampled_from(BANACH_GRID + ("3/2", "3", "8")),
+    q=st.sampled_from(BANACH_GRID + ("3/2", "3", "8")),
+    rank=st.integers(0, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_residual_sup_never_falls_below_a_start(N, p, q, rank, seed):
+    # each power step is monotone, so the value is at least every start's
+    # own ratio, and it is the ratio at the maximizer it returns
+    rng = np.random.default_rng(seed)
+    r = min(rank, N * N)
+    A = rng.standard_normal((N * N, r)) @ rng.standard_normal((r, N * N)) / N
+    n_starts = 3
+    res = estimators._residual_sup(EmbeddingSpec(p, q, N), A, np.random.default_rng(seed),
+                                   n_starts, estimators._CHEAP_ITER)
+    starts = default_starts(N, np.random.default_rng(seed), n_gaussian=1, n_rank_one=2)
+    for start in starts:
+        assert res.value >= _residual_ratio(A, p, q, start) * (1 - 1e-12)
+    assert res.value == pytest.approx(_residual_ratio(A, p, q, res.maximizer),
+                                      rel=1e-12, abs=0.0)
+
+
+def test_residual_sup_converges_only_where_the_gain_rule_stops():
+    # one step from starts that are not fixed points ends at the cap
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((9, 9)) / 3
+    spec = EmbeddingSpec("4/3", "4", 3)
+    capped = estimators._residual_sup(spec, A, np.random.default_rng(1), 6, 1)
+    assert not capped.converged
+    full = estimators._residual_sup(spec, A, np.random.default_rng(1), 6,
+                                    estimators._FINAL_ITER)
+    assert full.converged
+    assert full.value >= capped.value
 
 
 def test_norm_ascent_factors_each_point_once_per_use(count_calls):
