@@ -30,24 +30,28 @@ the same for both.
   onto its coordinate.  No trial is factored, and the maximizer ``U
   diag(c) V^T`` is formed once, for the winning start.
 - **As a matrix**, over a subspace.  Each point it scores, a start or a
-  trial, is factored exactly once: one full SVD, or at N = 2 one 2x2
-  split through :func:`core.norms_and_deferred_gradients`.  That
-  factorization gives the point's two norms, so its ratio and its
-  normalized copy on the sphere, and the weights of both gradients.  At
-  N >= 3 the step is ``U diag(d) V^T`` with the point's singular vectors,
-  one product.  Each step is projected onto the subspace, which takes no
-  factorization.
+  trial, is one spectrum and frame (:func:`core._spectrum_and_frame`): its
+  singular values, Python floats, with the frame ``(U, V^T)`` of one full
+  SVD, or at N = 2 the floats of the 2x2 split, which takes no
+  factorization (the frame is LAPACK's only where the split's directions
+  are ill-conditioned).  The singular values give the point's two norms,
+  so its ratio and its normalized copy on the sphere, and the weights of
+  both gradients.  The step is ``U diag(d) V^T``, formed in the point's
+  frame by the combiner of every norm gradient
+  (:func:`core._frame_gradient`).  Each step is projected onto the
+  subspace, which takes no factorization.
 
-Every matrix the ascent factors is validated (:func:`core.svd` or the
-2x2 split: real, square, finite) except the trials over a subspace at
-N >= 3.  Such a trial is ``x + step * D`` with ``||x||_p = 1``, so every
-entry of ``x`` is at most 1, a unit direction ``D`` built from the
-norms' bounded weights and ``step <= 1``: it is finite, with entries of
-at most 2, and goes to LAPACK as it is (``core._lapack_svd``, whose
-non-convergence still raises).  Most trial points of the backtracking
-are rejected, so a trial costs its value only: its gradients, or their
-weights, are formed only where the ascent accepts it and builds a step
-from there, and a trial is normalized only then.
+Every matrix the ascent factors is validated (:func:`core.svd`,
+:func:`core.as_square_matrix`, or the finite lengths of the 2x2 split:
+real, square, finite) except the trials over a subspace at N >= 3.  Such
+a trial is ``x + step * D`` with ``||x||_p = 1``, so every entry of ``x``
+is at most 1, a unit direction ``D`` built from the norms' bounded
+weights and ``step <= 1``: it is finite, with entries of at most 2, and
+goes to LAPACK as it is (``core._lapack_svd``, whose non-convergence
+still raises).  Most trial points of the backtracking are rejected, so a
+trial costs its value only: its weights, and from them its step, are
+formed only where the ascent accepts it and builds a step from there,
+and a trial is normalized only then.
 """
 from __future__ import annotations
 
@@ -59,7 +63,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import core
-from .core import as_int, as_real, norms_and_deferred_gradients
+from .core import as_int, as_real
 from .exponents import ExponentLike, exponent_float
 from .operators import SubspaceBasis, orthonormal_columns, vec
 
@@ -148,11 +152,13 @@ def sup_ratio_ascent(
     where one is given; else ``ValueError`` names the first that is not.
     Each start is first scaled by the power of two that brings its
     largest entry into ``[2^-969, 1)``, which changes no ratio: below that
-    range a 2x2 split's lengths can be subnormal, and round, which puts
-    the normalized start off the sphere; above it a small-exponent norm
-    can overflow.  A start inside the range is not scaled.  A complex
-    start raises ``ValueError``, and so does a ``max_iter`` that is not a
-    non-negative integer (numpy integers count; ``bool`` does not).
+    range its singular values, from the 2x2 split or from LAPACK, can be
+    subnormal, and round, which puts the normalized start off the sphere
+    and its weights off, and the reciprocal split lengths of a 2x2 frame
+    can overflow; above it a small-exponent norm can overflow.  A start
+    inside the range is not scaled.  A complex start raises
+    ``ValueError``, and so does a ``max_iter`` that is not a non-negative
+    integer (numpy integers count; ``bool`` does not).
     """
     iteration_limit = as_int(max_iter)
     if iteration_limit is None or iteration_limit < 0:
@@ -172,18 +178,9 @@ def sup_ratio_ascent(
         the validation of ``t``."""
         if on_spectrum:
             return _norm_point(sorted(map(abs, t), reverse=True), pf, qf, t)
-        if t.shape != (2, 2):
-            if start:
-                u, s, v = core.svd(t)
-                vt = v.T
-            else:
-                # a trial is finite (module docstring): LAPACK takes it as is
-                u, s, vt = core._lapack_svd(t)
-            return _norm_point(s.tolist(), pf, qf, (u, vt))
-        (scale, p_gradient), (q_norm, q_gradient) = norms_and_deferred_gradients(t, (pf, qf))
-        if not scale > 0:
-            return None
-        return q_norm / scale, scale, (q_gradient, p_gradient)
+        # a trial is finite (module docstring): LAPACK takes it as is
+        sigma, frame = core._spectrum_and_frame(t, validated=not start)
+        return _norm_point(sigma, pf, qf, frame)
 
     if on_spectrum:
         def step_direction(value, parts):
@@ -318,8 +315,8 @@ def _norm_point(sigma: list[float], pf: float, qf: float, at):
     the norm objective ``||.||_q``: the ratio ``value`` of its two norms,
     its ``p``-norm ``scale``, and each norm's weight ratios and scale
     (:func:`core._norm_and_weight_scale`), beside ``at``, the point's
-    signed singular values or singular vectors; None where ``scale`` is
-    not positive.  No weight is formed here: most trials are rejected."""
+    signed singular values or its frame; None where ``scale`` is not
+    positive.  No weight is formed here: most trials are rejected."""
     scale, p_ratios, p_factor = core._norm_and_weight_scale(sigma, pf)
     if not scale > 0:
         return None
@@ -368,25 +365,15 @@ def _step_direction(value: float, parts, pf: float, qf: float,
     unit Frobenius length.  None where a gradient is None or its length is
     below ``1e-13``.
 
-    ``parts`` is, at N = 2, the pair of deferred gradients of the 2x2
-    split, the ``q``-norm's and the ``p``-norm's; else the point's singular
-    vectors ``(U, V^T)`` with the weights of :func:`_norm_point`: both
-    norm gradients share ``U, V``, so the direction is ``U diag(d) V^T``
-    (:func:`_weight_difference`), formed by one product.
+    Both norm gradients share the point's frame, so the direction is
+    ``U diag(d) V^T`` (:func:`_weight_difference`), formed in the frame of
+    ``parts`` by one call of :func:`core._frame_gradient`.
     """
-    if callable(parts[0]):
-        gradient, p_gradient = parts
-        grad = gradient()
-        p_grad = None if grad is None else p_gradient()
-        if p_grad is None:
-            return None
-        direction = grad / value - p_grad
-    else:
-        (u, vt), weights = parts
-        d = _weight_difference(value, weights, pf, qf)
-        if d is None:
-            return None
-        direction = (u * d) @ vt
+    frame, weights = parts
+    d = _weight_difference(value, weights, pf, qf)
+    if d is None:
+        return None
+    direction = core._frame_gradient(frame, d)
     if subspace is not None:
         direction = subspace.member(subspace.coefficients(direction))
     length = float(np.linalg.norm(direction, "fro"))

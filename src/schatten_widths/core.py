@@ -18,24 +18,27 @@ arithmetic.  Stacks keep the vectorized ``norm_from_singular_values``.
 Where a small exponent overflows the power sum's root although the norm
 is representable, the root is taken in log space.
 
-``norms_and_deferred_gradients`` is the one source of norm gradients,
-and so of the dual-norm achievers that the searches and the
-codimension-one distance use.  From one factorization of a matrix it
-returns its norm for each of several exponents at once, and each norm's
-gradient as a callable, so that a search pays for a gradient only where
-it uses one; ``norm_and_gradient`` forms one exponent's gradient at
-once.  Off the 2x2 closed forms a gradient is ``U diag(w) V^T``, with its
-weights ``w`` from one formula (``_gradient_weights``), which the ascent
-also reads to combine two gradients into one product.  The 2x2 norm and
-gradient have closed forms on the rotation/reflection split
+``norm_and_gradient`` is the one source of norm gradients, and so of the
+dual-norm achievers that the searches and the codimension-one distance
+use.  A gradient is ``U diag(w) V^T`` at every N (Lewis 1995, *J. Convex
+Anal.* 2): a point is its singular values, as Python floats, and a frame
+(``_spectrum_and_frame``); the weights ``w`` come from the singular values
+by one formula (``_gradient_weights``), and one combiner
+(``_frame_gradient``) applies them in the frame.  The ascent scores its
+points the same way and combines two exponents' weights into one step
+with the same combiner, and only at the points it steps from.  At
+N >= 3 the frame is ``(U, V^T)`` from the one LAPACK call.  At N = 2 the
+values and the frame come from the rotation/reflection split
 :func:`split_2x2`, which the N = 2 distance solvers and the net oracle
-share; they are several times faster than LAPACK, where a closed-form
-full 2x2 SVD is not.  A one-sided Jacobi
-iteration would resolve tiny singular values to high relative accuracy,
-but every rank decision and quasi-norm here drops values below
-``RANK_CUTOFF * sigma_1``, so that accuracy would go unused; LAPACK is
-about 15x faster at N = 3 and scales its input, so entries near the
-overflow or underflow threshold give correct norms.
+share, several times faster than LAPACK, where a closed-form full 2x2
+SVD is not: the frame is the split's floats, from which the combiner
+forms the derivatives of the two singular values, and only where the
+split's directions are ill-conditioned does the frame come from LAPACK.
+A one-sided Jacobi iteration would resolve tiny singular values to high
+relative accuracy, but every rank decision and quasi-norm here drops
+values below ``RANK_CUTOFF * sigma_1``, so that accuracy would go unused;
+LAPACK is about 15x faster at N = 3 and scales its input, so entries
+near the overflow or underflow threshold give correct norms.
 
 The checks of the paper's two singular-value facts factor each matrix
 once.  :func:`littlewood_check` takes its three norms from one spectrum
@@ -55,7 +58,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,7 +85,6 @@ __all__ = [
     "littlewood_check",
     "norm_and_gradient",
     "norm_from_singular_values",
-    "norms_and_deferred_gradients",
     "pi2_embedding",
     "schatten_norm",
     "singular_values",
@@ -99,12 +101,11 @@ RANK_CUTOFF = 1e-12
 _SPECTRAL_CUTOFF = 1e-8
 # the log of the largest float: math.exp raises above it
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# the least normal float: a power below it has lost bits
-_FLOAT_MIN = sys.float_info.min
-# A matrix whose largest entry lies outside [2^-257, 2^256) is worked on at
-# the power-of-two scale that brings that entry into [1/2, 1): there sums
-# of squares and powers of its entries and singular values stay far from
-# overflow and underflow, and the scaling itself is exact.
+# A matrix whose largest entry (for a gradient, whose top singular value)
+# lies outside [2^-257, 2^256) is worked on at the power-of-two scale that
+# brings it into [1/2, 1): there sums of squares and powers of its entries
+# and singular values stay far from overflow and underflow, and the
+# scaling itself is exact.
 _SAFE_EXPONENT = 256
 
 
@@ -241,6 +242,11 @@ def split_2x2(x00, x01, x10, x11):
     and its singular values are ``|u| + |v|`` and ``||u| - |v||``.  The
     arithmetic is elementwise, so the entries may be floats or arrays of
     one shape (a net of matrices, or a frame's columns).
+
+    The split floats are also a 2x2 matrix's frame for its norm gradients
+    (:func:`_spectrum_and_frame`): the derivatives of ``|u|`` and ``|v|``
+    are the unit vectors ``u / |u|`` and ``v / |v|`` in these
+    coordinates, so those of the two singular values are explicit.
     """
     return ((x00 + x11) / 2.0, (x10 - x01) / 2.0), ((x00 - x11) / 2.0, (x10 + x01) / 2.0)
 
@@ -426,96 +432,60 @@ def norm_and_gradient(x: np.ndarray, p) -> tuple[float, Optional[np.ndarray]]:
     ``sigma^{p-1}`` at the spectrum's edge.  The value is the one
     :func:`schatten_norm` computes, from the same singular values.
     A 2x2 input needs no factorization unless its spectrum is nearly
-    degenerate or a power leaves the float range.
+    degenerate (:func:`_spectrum_and_frame`).  The gradient is None where
+    a weight leaves the float range, and where the top singular value
+    overflows.
+
+    The gradient is 0-homogeneous, so a matrix whose top singular value
+    lies outside ``[2^-257, 2^256)`` takes its frame and weights from its
+    exact power-of-two rescale into ``[1/2, 1)``: at a subnormal scale its
+    own singular values and split lengths have lost bits.  Its value is
+    still its own.
 
     By duality the gradient of the dual norm ``||.||_{p*}`` at ``z`` is the
     point of the ``S_p`` unit sphere that attains ``<z, X> = ||z||_{p*}``
     (for ``p <= 1``, take ``p* = inf``): the searches' dual-norm achievers
     are these gradients.
-
-    This is the one-exponent case of :func:`norms_and_deferred_gradients`
-    with its gradient formed at once.
-    """
-    value, gradient = norms_and_deferred_gradients(x, (p,))[0]
-    return value, gradient()
-
-
-def norms_and_deferred_gradients(
-    x: np.ndarray, exponents: Sequence[ExponentLike]
-) -> list[tuple[float, Callable[[], Optional[np.ndarray]]]]:
-    """For each exponent ``p`` of ``exponents``, ``||x||_p`` now and a
-    zero-argument callable that forms the gradient of
-    :func:`norm_and_gradient` when called, all from one factorization.
-
-    The factorization is the 2x2 split (:func:`spectrum_2x2`), or for
-    ``N >= 3`` the full SVD, whose singular vectors the gradients reuse (a
-    values-only SVD would differ in the last bits).  Each value is the
-    float :func:`norm_and_gradient` gives for its exponent, and at N = 2
-    the one :func:`schatten_norm` gives.  A callable applies the weights
-    and the matmul, or the 2x2 closed form with its SVD fallback; it
-    returns None at the zero matrix and where :func:`norm_and_gradient`
-    does.  It reads ``x`` when called, so ``x`` must not change in
-    between.  An ascent that rejects most trial points never forms their
-    gradients.
     """
     x = np.asarray(as_real(x), dtype=float)
-    if x.shape == (2, 2):
-        closed = spectrum_2x2(x.ravel().tolist())
-        # non-finite entries, or split lengths that overflow, take the
-        # factorization path, which validates and scales
-        if closed is not None:
-            sigma, split = closed
-            out = []
-            for p in exponents:
-                out.append(_deferred_2x2(x, sigma, split, exponent_float(p)))
-            return out
-    u, s, v = svd(x)
-    sigma = s.tolist()
-    out = []
-    for p in exponents:
-        out.append(_deferred_svd(u, sigma, v, exponent_float(p)))
-    return out
-
-
-def _no_gradient() -> None:
-    return None
-
-
-def _deferred_2x2(x: np.ndarray, sigma, split, pf: float
-                  ) -> tuple[float, Callable[[], Optional[np.ndarray]]]:
-    """One exponent's value and deferred gradient of the 2x2 matrix ``x``
-    from its singular values and split (:func:`spectrum_2x2`)."""
-    value = norm_from_floats(sigma, pf)
-    if value <= 0.0:
-        return 0.0, _no_gradient
-
-    def gradient() -> Optional[np.ndarray]:
-        grad = _gradient_2x2(*split, value, pf)
-        if grad is None:
-            u, s, v = svd(x)
-            return _deferred_svd(u, s.tolist(), v, pf)[1]()
-        return grad
-
-    return value, gradient
-
-
-def _deferred_svd(u: np.ndarray, sigma: list[float], v: np.ndarray, pf: float
-                  ) -> tuple[float, Callable[[], Optional[np.ndarray]]]:
-    """One exponent's value and deferred gradient from the full SVD
-    ``u diag(sigma) v^T`` of a matrix, with ``sigma`` as Python floats;
-    the weights (:func:`_gradient_weights`) are applied with one array and
-    one matmul when the gradient is called."""
+    sigma, frame = _spectrum_and_frame(x)
+    pf = exponent_float(p)
     value, ratios, scale = _norm_and_weight_scale(sigma, pf)
     if not ratios:
-        return value, _no_gradient
-    if pf == math.inf:
-        return value, lambda: np.outer(u[:, 0], v[:, 0])
+        return value, None
+    shift = _safe_shift(math.frexp(sigma[0])[1])
+    if shift:
+        sigma, frame = _spectrum_and_frame(np.ldexp(x, shift), validated=True)
+        _, ratios, scale = _norm_and_weight_scale(sigma, pf)
+    weights = _gradient_weights(ratios, pf, scale)
+    return value, None if weights is None else _frame_gradient(frame, weights)
 
-    def gradient() -> Optional[np.ndarray]:
-        weights = _gradient_weights(ratios, pf, scale)
-        return None if weights is None else (u * np.array(weights)) @ v.T
 
-    return value, gradient
+def _spectrum_and_frame(x: np.ndarray, validated: bool = False):
+    """``(sigma, frame)`` of one float matrix ``x``: its singular values,
+    Python floats in non-increasing order, and the frame that
+    :func:`_frame_gradient` applies weights in.
+
+    A 2x2 matrix takes the split (:func:`spectrum_2x2`), and its frame is
+    the split's floats ``(u1, u2, v1, v2, |u|, |v|)``: no factorization.
+    Where one split length is below ``1e-9 sigma_1`` but not zero, the two
+    singular values nearly agree and the split's directions are
+    ill-conditioned, so the frame is LAPACK's, the values still the
+    split's.  Every other matrix, and a 2x2 one whose split lengths are not
+    finite, takes one LAPACK call, with the frame ``(U, V^T)``; it is
+    validated first (:func:`as_square_matrix`) unless ``validated``.
+    """
+    if x.shape == (2, 2):
+        closed = spectrum_2x2(x.ravel().tolist())
+        if closed is not None:
+            sigma, split = closed
+            if not 0.0 < min(split[4], split[5]) < 1e-9 * sigma[0]:
+                return sigma, split
+            # finite split lengths: every entry is finite
+            u, _, vt = _lapack_svd(x)
+            return sigma, (u, vt)
+    u, s, vt = _lapack_svd(x if validated else as_square_matrix(x))
+    return s.tolist(), (u, vt)
 
 
 def _norm_and_weight_scale(sigma: list[float], pf: float) -> tuple[float, list[float], float]:
@@ -525,8 +495,8 @@ def _norm_and_weight_scale(sigma: list[float], pf: float) -> tuple[float, list[f
     :func:`_gradient_weights` scales its weights by.
 
     A zero spectrum, or one whose top value overflowed, has no gradient
-    and gives no ratios.  The value is the one :func:`norm_and_gradient`
-    gives from the same singular values.
+    and gives no ratios.  The value is :func:`norm_from_floats` of
+    ``sigma`` bit for bit.
     """
     top = sigma[0]
     if top <= 0.0:
@@ -555,9 +525,10 @@ def _gradient_weights(ratios: list[float], pf: float, scale: float) -> Optional[
     zero below the spectral cutoff, and ``(1, 0, ..., 0)`` at
     ``p = inf``.  None where there are no ratios or a weight overflows.
 
-    The one formula of the SVD-path gradients: :func:`norm_and_gradient`
-    applies these weights as a matrix, and the ascent combines two sets of
-    them before it forms one.
+    The one weight formula of every norm gradient, at every N:
+    :func:`norm_and_gradient` applies these weights in a point's frame
+    (:func:`_frame_gradient`), and the ascent combines two sets of them
+    before it does.
     """
     if not ratios:
         return None
@@ -569,48 +540,34 @@ def _gradient_weights(ratios: list[float], pf: float, scale: float) -> Optional[
     return weights
 
 
-def _gradient_2x2(u1, u2, v1, v2, nu, nv, value, pf) -> Optional[np.ndarray]:
-    """Split-coordinate norm gradient of a nonzero 2x2 matrix with split
-    ``(u1, u2), (v1, v2)`` (:func:`split_2x2`) of lengths ``nu, nv``
-    and norm ``value``; no factorization.
+def _frame_gradient(frame, weights: Sequence[float]) -> np.ndarray:
+    """``U diag(weights) V^T`` in a ``frame`` of :func:`_spectrum_and_frame`.
 
-    The singular values are the sum and difference of the split lengths,
-    which makes their matrix derivatives explicit.  Returns None near
-    split degeneracies, and where the powers leave the float range; the
-    factorization path handles both.
+    With the singular vectors ``(U, V^T)`` it is one product.  With the
+    2x2 split's floats it is ``w_1 d(sigma_1) + w_2 d(sigma_2)``: the
+    singular values are the sum and difference of the split lengths, which
+    makes their matrix derivatives explicit.  Its four entries are summed
+    in Python floats and form one array.
     """
-    s1 = nu + nv
-    if min(nu, nv) < 1e-9 * s1 and min(nu, nv) > 0.0:
-        return None  # nearly equal singular values: let the SVD pick a pair
-    eu = 1.0 / nu if nu > 0.0 else 0.0
-    ev = 1.0 / nv if nv > 0.0 else 0.0
+    if len(frame) == 2:
+        u, vt = frame
+        return (u * np.array(weights)) @ vt
+    u1, u2, v1, v2, nu, nv = frame
+    w1, w2 = weights
+    # d|u| and d|v| in the split's coordinates: half the unit directions
+    eu = 0.5 / nu if nu > 0.0 else 0.0
+    ev = 0.5 / nv if nv > 0.0 else 0.0
     uh1, uh2 = u1 * eu, u2 * eu
     vh1, vh2 = v1 * ev, v2 * ev
-    # d(sigma_1) and d(sigma_2) as matrices, row-major entries
-    m1 = 0.5 * np.array([[uh1 + vh1, vh2 - uh2], [uh2 + vh2, uh1 - vh1]])
-    if pf == math.inf:
-        return m1
-    s2 = abs(nu - nv)
-    try:
-        if s2 <= _SPECTRAL_CUTOFF * s1:
-            numerator, denominator = s1 ** (pf - 1.0), value ** (pf - 1.0)
-            low = min(numerator, denominator)
-            c1, c2 = numerator / denominator, 0.0
-        else:
-            low = s2**pf
-            norm = (s1**pf + low) ** (1.0 / pf)
-            c1, c2 = (s1 / norm) ** (pf - 1.0), (s2 / norm) ** (pf - 1.0)
-    except (OverflowError, ZeroDivisionError):
-        return None  # a power left the float range: the SVD path scales
-    if low < _FLOAT_MIN:
-        return None  # a power underflowed, and lost bits: the SVD path scales
-    if not 0.0 < c1 < math.inf:
-        return None  # the power sum overflowed, or a power underflowed to 0
-    if c2 == 0.0:
-        return c1 * m1
-    sgn = 1.0 if nu >= nv else -1.0
-    m2 = (0.5 * sgn) * np.array([[uh1 - vh1, -vh2 - uh2], [uh2 - vh2, uh1 + vh1]])
-    return c1 * m1 + c2 * m2
+    # d(sigma_1) = d|u| + d|v|, row-major
+    a00, a01, a10, a11 = uh1 + vh1, vh2 - uh2, uh2 + vh2, uh1 - vh1
+    if w2 == 0.0:
+        return np.array(((w1 * a00, w1 * a01), (w1 * a10, w1 * a11)))
+    # d(sigma_2) = +-(d|u| - d|v|), with the sign of |u| - |v|
+    if nu < nv:
+        w2 = -w2
+    return np.array(((w1 * a00 + w2 * a11, w1 * a01 - w2 * a10),
+                     (w1 * a10 - w2 * a01, w1 * a11 + w2 * a00)))
 
 
 def embedding_norm(p: ExponentLike, q: ExponentLike, N: int) -> float:

@@ -1,5 +1,7 @@
-"""Projected ascent on norm ratios and the norm gradients it rides on
-(``core.norms_and_deferred_gradients``)."""
+"""Projected ascent on norm ratios and the norm gradients it rides on:
+``core.norm_and_gradient``, and the one weight formula
+(``core._gradient_weights``) and frame combiner (``core._frame_gradient``)
+that the ascent's steps share with it at every N."""
 import math
 from fractions import Fraction
 
@@ -14,7 +16,6 @@ from schatten_widths.ascent import default_starts, sup_ratio_ascent
 from schatten_widths.core import (
     embedding_norm,
     norm_and_gradient,
-    norms_and_deferred_gradients,
     schatten_norm,
 )
 from schatten_widths.exponents import exponent_float
@@ -130,6 +131,15 @@ def test_norm_and_gradient_agree_with_the_separate_calls(N, p, rank, k, seed):
         (1e308 * np.diag([1.0, 0.5]), "1/2", None),
         # sigma^p is subnormal, so it has lost bits, but not zero
         (1e-81 * np.array([[1.0, 2.0], [3.0, 4.0]]), "4", None),
+        # subnormal entries: the split lengths and LAPACK's singular values
+        # have lost bits, and 1 / |u| of the split overflows (the gradient
+        # read nan at N = 2, and up to 5% off at N = 3 here)
+        (np.array([[3e-322, -1e-322], [2e-322, 5e-323]]), "1/2", None),
+        (np.array([[3e-322, -1e-322], [2e-322, 5e-323]]), "4/3", None),
+        (2.0**-1074 * np.array([[6.0, -2.0, 3.0], [1.0, 5.0, -4.0], [2.0, 0.0, 7.0]]), "1/2",
+         None),
+        (2.0**-1074 * np.array([[6.0, -2.0, 3.0], [1.0, 5.0, -4.0], [2.0, 0.0, 7.0]]), "1/50",
+         None),
     ],
 )
 def test_norm_gradient_at_extreme_scales(x, p, expected):
@@ -138,6 +148,44 @@ def test_norm_gradient_at_extreme_scales(x, p, expected):
     if expected is None:
         expected = norm_and_gradient(x / np.abs(x).max(), p)[1]
     assert np.allclose(norm_and_gradient(x, p)[1], expected, rtol=1e-12, atol=0.0)
+
+
+def _near_tie(gap, angle):
+    """A 2x2 matrix whose split lengths are 1 and ``gap``, so that its
+    singular values are ``1 + gap`` and ``1 - gap``: a rotation by
+    ``angle`` plus a reflection of length ``gap``."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]]) + gap * np.array([[s, c], [c, -s]])
+
+
+@pytest.mark.parametrize("p", ["1/2", "1", "4/3", "4"])
+@pytest.mark.parametrize("side", [1.0 + 1e-6, 1.0 - 1e-6])
+def test_2x2_gradient_across_the_split_guard(count_calls, side, p):
+    # where the shorter split length falls below 1e-9 sigma_1 the split's
+    # directions are ill-conditioned and the frame comes from LAPACK: on
+    # both sides of that line the gradient is the reference's.  At these
+    # exponents it is well-conditioned, as the weights of the two nearly
+    # equal singular values nearly agree
+    factorizations = count_calls(core, "_lapack_svd")
+    for angle in (0.3, 1.9, -2.6):
+        # split lengths 1 and r / (1 - r): the shorter is r of their sum
+        r = 1e-9 * side
+        x = _near_tie(r / (1.0 - r), angle)
+        (s1, _), (*_, nu, nv) = core.spectrum_2x2(x.ravel().tolist())
+        assert (min(nu, nv) < 1e-9 * s1) == (side < 1.0)
+        reference = _reference_gradient(x, p)
+        assert np.allclose(norm_and_gradient(x, p)[1], reference, rtol=0.0,
+                           atol=GRADIENT_ATOL * np.abs(reference).max())
+    assert len(factorizations) == (3 if side < 1.0 else 0)
+
+
+def test_2x2_gradient_at_an_exact_tie_is_pinned():
+    # at I the spectral norm is not differentiable: the split's
+    # d(sigma_1), with the reflection's length 0, gives the supergradient
+    # I / 2.  A rule for ties at p = inf would be pinned here
+    value, gradient = norm_and_gradient(np.eye(2), "inf")
+    assert value == 1.0
+    assert np.array_equal(gradient, 0.5 * np.eye(2))
 
 
 @pytest.mark.parametrize("x", [1e-300 * np.eye(2), 1e-300 * np.diag([1.0, 1.0, 0.0])])
@@ -213,9 +261,9 @@ def test_ascent_result_is_a_certified_lower_bound():
 
 
 def test_ascent_handles_none_gradient_and_rejects_empty_starts():
-    # over a subspace at N = 2 the gradients are the 2x2 split's deferred
-    # ones: at the scaled start 2^-969 * I the 1/1060-norm's is None, and
-    # that ends the start
+    # over a subspace at N = 2 a point is the 2x2 split's spectrum and
+    # frame: at the scaled start 2^-969 * I the 1/1060-norm's weights
+    # overflow, so its gradient is None, and that ends the start
     whole = SubspaceBasis(np.eye(4), 2)
     x = 2.0**-1070 * np.eye(2)
     res = sup_ratio_ascent("1", "1/1060", [x], subspace=whole)
@@ -301,22 +349,28 @@ RATIO_RTOL = 1e-13
     seed=st.integers(0, 2**32 - 1),
 )
 def test_one_factorization_gives_the_ratio_and_both_gradients(N, p, q, k, seed):
-    # the ascent's scoring: ||t||_q / ||t||_p and both gradients from one
-    # factorization of t, against the normalized point t / ||t||_p.  The
-    # spectrum is kept distinct and within a factor 12: near a repeated or
-    # tiny singular value the gradient itself is ill-conditioned, and two
-    # roundings of one matrix give gradients 1e-11 apart
+    # the ascent's scoring: ||t||_q / ||t||_p from one spectrum and frame of
+    # t (the 2x2 split, or one SVD), and both gradients from that frame and
+    # the one weight formula, against the normalized point t / ||t||_p.
+    # The spectrum is kept distinct and within a factor 12: near a
+    # repeated or tiny singular value the gradient itself is
+    # ill-conditioned, and two roundings of one matrix give gradients 1e-11
+    # apart
     rng = np.random.default_rng(seed)
     q1, q2 = (np.linalg.qr(rng.standard_normal((N, N)))[0] for _ in range(2))
     sigma = rng.uniform(1.0, 1.5, N) * 2.0 ** -np.arange(N)
     t = (q1 * sigma) @ q2.T * 10.0**k
-    (p_norm, p_gradient), (q_norm, q_gradient) = norms_and_deferred_gradients(t, (p, q))
-    assume(math.isfinite(p_norm) and math.isfinite(q_norm))  # else no normalized point
+    pf, qf = exponent_float(p), exponent_float(q)
+    values, frame = core._spectrum_and_frame(t)
+    value, p_norm, (_, (p_ratios, p_scale, q_ratios, q_scale)) = ascent._norm_point(
+        values, pf, qf, frame)
+    assume(math.isfinite(p_norm) and math.isfinite(value))  # else no normalized point
     x = t / p_norm
-    assert q_norm / p_norm == pytest.approx(schatten_norm(x, q), rel=RATIO_RTOL, abs=0.0)
-    for exponent, gradient in ((p, p_gradient), (q, q_gradient)):
+    assert value == pytest.approx(schatten_norm(x, q), rel=RATIO_RTOL, abs=0.0)
+    for exponent, ef, ratios, scale in ((p, pf, p_ratios, p_scale), (q, qf, q_ratios, q_scale)):
         reference = norm_and_gradient(x, exponent)[1]
-        assert np.allclose(gradient(), reference, rtol=0.0,
+        gradient = core._frame_gradient(frame, core._gradient_weights(ratios, ef, scale))
+        assert np.allclose(gradient, reference, rtol=0.0,
                            atol=GRADIENT_ATOL * np.abs(reference).max())
 
 
@@ -338,6 +392,13 @@ def _spectrum(kind, N, rng):
         # crossed zero
         return rng.standard_normal(N)
     return rng.standard_normal(N) ** 2
+
+
+def _gradient_in_frame(frame, sigma, pf):
+    """The norm gradient at ``U diag(sigma) V^T`` in the given ``frame``
+    ``(U, V^T)``, by the norm layer's one weight formula and combiner."""
+    _, ratios, scale = core._norm_and_weight_scale(sigma, pf)
+    return core._frame_gradient(frame, core._gradient_weights(ratios, pf, scale))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -365,7 +426,7 @@ def test_spectral_step_matches_the_matrix_domain_direction(N, p, q, kind, seed):
     sigma = np.abs(c[order]).tolist()
     pf, qf = exponent_float(p), exponent_float(q)
     value, _, parts = ascent._norm_point(sigma, pf, qf, c.tolist())
-    p_grad, q_grad = (core._deferred_svd(u, sigma, v, f)[1]() for f in (pf, qf))
+    p_grad, q_grad = (_gradient_in_frame((u, v.T), sigma, f) for f in (pf, qf))
     expected = q_grad / value - p_grad
     terms = np.linalg.norm(q_grad) / value + np.linalg.norm(p_grad)
     e = ascent._coordinate_direction(value, parts, pf, qf)

@@ -17,7 +17,6 @@ from schatten_widths.core import (
     hull_decompose,
     littlewood_check,
     norm_and_gradient,
-    norms_and_deferred_gradients,
     pi2_embedding,
     schatten_norm,
     singular_values,
@@ -141,7 +140,6 @@ def test_complex_input_is_rejected_on_every_path(N):
         lambda m: schatten_norm(m[None], "2"),
         lambda m: singular_values(m[None]),
         lambda m: norm_and_gradient(m, "1/2"),
-        lambda m: norms_and_deferred_gradients(m, ["1", "2"]),
     )
     for call in calls:
         with pytest.raises(ValueError, match="real"):
@@ -243,9 +241,9 @@ def test_schatten_norm_beyond_the_float_range_reads_inf(a, p):
 
 
 def test_norms_and_gradients_beyond_the_float_range_read_inf():
-    ((value, gradient),) = norms_and_deferred_gradients(np.eye(3), ["1/1060"])
+    value, gradient = norm_and_gradient(np.eye(3), "1/1060")
     assert value == math.inf
-    assert gradient() is None  # the gradient's weights are not representable
+    assert gradient is None  # the gradient's weights are not representable
 
 
 def _overflowing(N):

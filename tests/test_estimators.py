@@ -212,42 +212,62 @@ def test_norm_ascent_factors_only_its_starts_at_n2(count_calls):
 
 
 def test_ascent_forms_gradients_only_at_starts_and_accepted_points(monkeypatch):
-    # a trial point costs a value: the ascent forms a gradient (the
-    # objective's or the p-norm's) only at a start or an accepted trial,
-    # and only when it builds a step from there, so a point after which a
-    # cut ends the start forms none.  A trial is accepted when its value
-    # beats the current one by 1e-14.  The norm objective is an exponent,
-    # so the norm layer is recorded: one call per scored point
-    from schatten_widths import ascent
+    # a trial point costs a value: the ascent forms a gradient's weights
+    # (the objective's or the p-norm's) only at a start or an accepted
+    # trial, and only when it builds a step from there, so a point after
+    # which a cut ends the start forms none.  A trial is accepted when its
+    # value beats the current one by 1e-14.  Every scored point is one
+    # spectrum and frame, at N = 2 the 2x2 split's and at N = 3 LAPACK's,
+    # and every weight comes from the one formula core._gradient_weights:
+    # both are recorded, each weight call matched to its point by the
+    # identity of the ratios the point's norms gave
+    from schatten_widths import ascent, core
 
-    runs = []
-    layer = ascent.norms_and_deferred_gradients
+    runs = []  # [p, starts, points, running], one per ascent
+    owners = {}  # id(ratios) -> (ratios, point)
+    spectrum_and_frame, norm_point = core._spectrum_and_frame, ascent._norm_point
+    norm_and_weight_scale, gradient_weights = core._norm_and_weight_scale, core._gradient_weights
 
-    def recording_layer(t, exponents):
-        norms = layer(t, exponents)
-        (p_norm, _), (q_norm, _) = norms
-        point = [t, q_norm / p_norm, False]
-        runs[-1][2].append(point)
+    def recording_spectrum(t, validated=False):
+        if runs and runs[-1][3]:
+            runs[-1][2].append([t, None, False])  # [t, value, weights formed]
+        return spectrum_and_frame(t, validated)
 
-        def recorded(gradient):
-            def formed():
-                point[2] = True
-                return gradient()
+    def recording_scale(sigma, pf):
+        norm = norm_and_weight_scale(sigma, pf)
+        if runs and runs[-1][3]:
+            owners[id(norm[1])] = (norm[1], runs[-1][2][-1])
+        return norm
 
-            return formed
+    def recording_point(sigma, pf, qf, at):
+        scored = norm_point(sigma, pf, qf, at)
+        if scored is not None and runs and runs[-1][3]:
+            runs[-1][2][-1][1] = scored[0]
+        return scored
 
-        return [(value, recorded(gradient)) for value, gradient in norms]
+    def recording_weights(ratios, pf, scale):
+        owner = owners.get(id(ratios))
+        if owner is not None and owner[0] is ratios:
+            owner[1][2] = True
+        return gradient_weights(ratios, pf, scale)
 
     def recording_ascent(objective, p, starts, **kwargs):
-        runs.append((p, starts, []))  # [t, value, gradient formed], one per point
-        return sup_ratio_ascent(objective, p, starts, **kwargs)
+        runs.append([p, starts, [], True])
+        try:
+            return sup_ratio_ascent(objective, p, starts, **kwargs)
+        finally:
+            runs[-1][3] = False
 
-    monkeypatch.setattr(ascent, "norms_and_deferred_gradients", recording_layer)
+    monkeypatch.setattr(core, "_spectrum_and_frame", recording_spectrum)
+    monkeypatch.setattr(core, "_norm_and_weight_scale", recording_scale)
+    monkeypatch.setattr(ascent, "_norm_point", recording_point)
+    monkeypatch.setattr(core, "_gradient_weights", recording_weights)
     monkeypatch.setattr(estimators, "sup_ratio_ascent", recording_ascent)
-    SEARCH["kolmogorov"](EmbeddingSpec("1", "2", 2, n=3))
-    assert runs
+    for N, n in ((2, 3), (3, 8)):
+        SEARCH["kolmogorov"](EmbeddingSpec("1", "2", N, n=n))
+    assert {run[1][0].shape for run in runs} == {(2, 2), (3, 3)}
     formed = candidates = 0
-    for p, starts, points in runs:
+    for p, starts, points, _ in runs:
         # a start is scored after scaling by a power of two: the same
         # matrix up to that scale
         heads = [s / np.abs(s).max() for s in map(np.asarray, starts)]
